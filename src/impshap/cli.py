@@ -39,8 +39,15 @@ from .forest import (
     local_mdi,
     saabas,
 )
-from .impurity import ENTROPY, KINDS, VARIANCE
-from .population import check_decompositions, pop_global_mdi, pop_local_mdi
+from .impurity import ENTROPY, KINDS, VARIANCE, subset_lattice
+from .population import (
+    PopulationImportance,
+    check_decompositions,
+    mdi_weight_sum,
+    pop_global_mdi,
+    pop_local_mdi,
+    pop_local_mdi_batch,
+)
 from .relevance import (
     verify_global_local_equivalence,
     verify_local_null_scores,
@@ -48,8 +55,7 @@ from .relevance import (
 from .tu_game import (
     game_global_info,
     game_global_variance,
-    game_local_info,
-    game_local_variance,
+    lattice_games,
     shapley_exact,
 )
 
@@ -206,15 +212,37 @@ def _resolve_joint(args):
     )
 
 
+def _check_codes(x, arities, what):
+    """An instance needs one value per feature, within each known arity."""
+    if len(x) != len(arities):
+        raise UsageError(f"{what} has {len(x)} values, expected {len(arities)}")
+    for m, (v, arity) in enumerate(zip(x, arities)):
+        if arity is not None and not 0 <= v < arity:
+            raise UsageError(
+                f"{what}: value {v} out of range for feature {m} (arity {arity})"
+            )
+    return x
+
+
+def _parse_instances(texts, arities):
+    """Parse --instance flags: comma-separated integer codes, one per feature."""
+    rows = []
+    for text in texts:
+        try:
+            x = tuple(int(v) for v in text.split(","))
+        except ValueError:
+            raise UsageError(
+                f"bad --instance {text!r}: values must be integer codes"
+            ) from None
+        rows.append(_check_codes(x, arities, f"--instance {text!r}"))
+    return rows
+
+
 def _resolve_instances(args, dataset):
     """Instances for local scoring: flags, a CSV file, or the training rows."""
+    arities = dataset.arities[:-1]
     if getattr(args, "instance", None):
-        rows = []
-        for text in args.instance:
-            try:
-                rows.append(tuple(int(v) for v in text.split(",")))
-            except ValueError as exc:
-                raise UsageError(f"bad --instance {text!r}: {exc}") from exc
+        rows = _parse_instances(args.instance, arities)
         return rows, tuple(range(len(rows)))
     if getattr(args, "instances", None):
         ds = load_csv(args.instances)
@@ -230,24 +258,34 @@ def _resolve_instances(args, dataset):
             )
         if not rows:
             raise UsageError(f"instance file {args.instances} has no rows")
+        for i, row in enumerate(rows):
+            _check_codes(row, arities, f"row {i + 1} of {args.instances}")
         return rows, tuple(range(len(rows)))
     return dataset.instances(), tuple(range(dataset.n_rows))
 
 
-def _parse_sweep(text, fallback_k):
+def _forest_ks(args, n_features):
+    """K values from --k-sweep (or --k), each in 1..p; checks --trees too."""
+    if args.trees < 1:
+        raise UsageError(f"--trees must be at least 1, got {args.trees}")
+    text = getattr(args, "k_sweep", None)
     if text is None:
-        return [fallback_k]
-    text = text.strip()
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            ks = list(range(int(lo), int(hi) + 1))
-        else:
-            ks = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad --k-sweep {text!r}: {exc}") from exc
-    if not ks or any(k < 1 for k in ks):
-        raise UsageError(f"bad --k-sweep {text!r}: values must be >= 1")
+        ks = [args.k]
+    else:
+        text = text.strip()
+        try:
+            if ".." in text:
+                lo, hi = text.split("..", 1)
+                ks = list(range(int(lo), int(hi) + 1))
+            else:
+                ks = [int(v) for v in text.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad --k-sweep {text!r}: {exc}") from exc
+        if not ks:
+            raise UsageError(f"bad --k-sweep {text!r}: empty range")
+    for k in ks:
+        if not 1 <= k <= n_features:
+            raise UsageError(f"--k must be in 1..{n_features}, got {k}")
     return ks
 
 
@@ -316,7 +354,7 @@ def _fmt(x: float) -> str:
 
 def cmd_global(args, argv) -> int:
     dataset = _resolve_dataset(args)
-    ks = _parse_sweep(args.k_sweep, args.k)
+    ks = _forest_ks(args, dataset.n_features)
     names = dataset.feature_names()
     per_k = []
     rows = []
@@ -344,6 +382,7 @@ def cmd_global(args, argv) -> int:
 
 def _local_matrices(args, methods):
     dataset = _resolve_dataset(args)
+    _forest_ks(args, dataset.n_features)
     instances, ids = _resolve_instances(args, dataset)
     forest = build_forest(
         dataset, args.k, args.trees, impurity=args.impurity, seed=args.seed
@@ -405,9 +444,9 @@ def cmd_shapley(args, argv) -> int:
     payload = []
     rows = []
     if args.instance:
-        for text in args.instance:
-            x = tuple(int(v) for v in text.split(","))
-            game = (game_local_variance if variance else game_local_info)(joint, x)
+        xs = _parse_instances(args.instance, joint.input_arities)
+        lattice = subset_lattice(joint, VARIANCE if variance else ENTROPY, xs)
+        for x, game in zip(xs, lattice_games(lattice)[1]):
             vec = shapley_exact(game)
             payload.append({"instance": list(x), **vec.to_json_dict()})
             rows.extend(
@@ -429,9 +468,10 @@ def cmd_pop_mdi(args, argv) -> int:
     payload = []
     rows = []
     if args.instance:
-        for text in args.instance:
-            x = tuple(int(v) for v in text.split(","))
-            imp = pop_local_mdi(joint, x, args.impurity)
+        xs = _parse_instances(args.instance, joint.input_arities)
+        scores = pop_local_mdi_batch(joint, xs, args.impurity)
+        for x, row in zip(xs, scores):
+            imp = PopulationImportance(row, args.impurity, instance=x)
             payload.append(imp.to_json_dict())
             rows.extend(
                 (",".join(map(str, x)), m, _fmt(v))
@@ -482,26 +522,27 @@ def run_identity_suite(joint, impurity=ENTROPY, tol=1e-9, data_name=None):
             }
         )
 
-    variance = impurity == VARIANCE
-    global_game = (game_global_variance if variance else game_global_info)(joint)
-    pop = pop_global_mdi(joint, impurity).scores
+    # one lattice walk over every positive instance feeds every identity;
+    # each Shapley check still sets the MDI weight sum over conditional
+    # decreases against shapley_exact's sum over marginal contributions
+    lattice = subset_lattice(joint, impurity, joint.positive_instances())
+    global_game, local_games = lattice_games(lattice)
+    pop = mdi_weight_sum(lattice.mean)[0]
     sh = shapley_exact(global_game).payoffs
     record("global-shapley-equivalence", np.abs(pop - sh).max(), 1e-10)
 
     worst_local = 0.0
-    for x in joint.positive_instances():
-        lo = pop_local_mdi(joint, x, impurity).scores
-        game = (game_local_variance if variance else game_local_info)(joint, x)
+    for lo, game in zip(mdi_weight_sum(lattice.at), local_games):
         sl = shapley_exact(game).payoffs
         worst_local = max(worst_local, float(np.abs(lo - sl).max()))
     record("local-shapley-equivalence", worst_local, 1e-10)
 
-    dec = check_decompositions(joint, impurity, tol=tol)
+    dec = check_decompositions(joint, impurity, tol=tol, lattice=lattice)
     record("efficiency", dec.efficiency_residual, tol)
     record("instance-decomposition", dec.instance_residual, tol)
     record("double-decomposition", dec.double_sum_residual, tol)
 
-    eq = verify_global_local_equivalence(joint)
+    eq = verify_global_local_equivalence(joint, lattice=lattice)
     identities.append(
         {
             "name": "global-local-relevance-agreement",
@@ -510,7 +551,7 @@ def run_identity_suite(joint, impurity=ENTROPY, tol=1e-9, data_name=None):
             "passed": eq.passed,
         }
     )
-    nulls = verify_local_null_scores(joint, impurity, tol=tol)
+    nulls = verify_local_null_scores(joint, impurity, tol=tol, lattice=lattice)
     record("local-null-scores", nulls.max_violation, tol)
 
     blocks = {"total": dec.total, "global_scores": [float(v) for v in pop]}
@@ -566,8 +607,8 @@ def _monotonicity_block():
 
 def cmd_compare(args, argv) -> int:
     dataset = _resolve_dataset(args)
+    ks = _forest_ks(args, dataset.n_features)
     instances, ids = _resolve_instances(args, dataset)
-    ks = _parse_sweep(args.k_sweep, args.k)
     per_k = []
     rows = []
     for k in ks:

@@ -29,6 +29,10 @@ class PlayerCountTooLarge(ImpshapError):
     """More players than the exact 2^p enumeration supports."""
 
 
+class TableTooLarge(ImpshapError):
+    """A dense table would exceed the cell limit; refused before allocation."""
+
+
 class NonZeroEmptyCoalition(ImpshapError):
     """A characteristic function with v(empty) != 0."""
 

@@ -3,15 +3,18 @@
 Three kinds are supported: Shannon entropy (bits), the Gini index, and the
 variance of the output with category codes read as real values.  Population
 variants condition the exact joint; the count-based variants serve the tree
-builder.
+builder.  `subset_lattice` computes every conditional impurity the
+population layer reads, over all 2^p feature subsets, in one walk.
 """
 
 from collections.abc import Mapping
+from dataclasses import dataclass
 from math import log2
 
 import numpy as np
 
-from .info_theory import JointDistribution, as_mask, mask_members
+from .errors import TableTooLarge
+from .info_theory import MAX_CELLS, JointDistribution, as_mask, check_feature_count
 
 ENTROPY = "entropy"
 GINI = "gini"
@@ -62,22 +65,31 @@ def mean_conditional_impurity(j: JointDistribution, subset, kind: str) -> float:
     if mask == 0:
         return prior_impurity(j, kind)
     marg = j.marginal(mask | (1 << j.p))  # output is the last axis
-    flat = marg.reshape(-1, j.output_arity)
+    ctx, _, per_ctx = _context_impurities(marg.reshape(-1, j.output_arity), kind)
+    return float(ctx @ per_ctx)
+
+
+def _context_impurities(flat: np.ndarray, kind: str) -> tuple:
+    """Per-context mass P(b), conditional P(Y | b) and impurity i(Y | b).
+
+    `flat` is a (contexts, |Y|) slice of a joint table.  Contexts of
+    probability zero get an all-zero conditional; their impurity is
+    meaningless but carries weight P(b) = 0 in every mean.
+    """
     ctx = flat.sum(axis=1)
-    pos = ctx > 0.0
-    cond = flat[pos] / ctx[pos, None]
+    cond = flat / np.where(ctx > 0.0, ctx, 1.0)[:, None]
     if kind == ENTROPY:
         safe = np.where(cond > 0.0, cond, 1.0)
         per_ctx = -(cond * np.log2(safe)).sum(axis=1)
     elif kind == GINI:
         per_ctx = 1.0 - (cond * cond).sum(axis=1)
     elif kind == VARIANCE:
-        codes = np.arange(j.output_arity, dtype=np.float64)
+        codes = np.arange(flat.shape[1], dtype=np.float64)
         means = cond @ codes
         per_ctx = cond @ (codes * codes) - means * means
     else:
         raise ValueError(f"unknown impurity kind {kind!r}")
-    return float(ctx[pos] @ per_ctx)
+    return ctx, cond, per_ctx
 
 
 def impurity_from_counts(counts, kind: str) -> float:
@@ -109,17 +121,70 @@ def impurity_from_counts(counts, kind: str) -> float:
     raise ValueError(f"unknown impurity kind {kind!r}")
 
 
-def subset_impurities_at(
-    j: JointDistribution, x, kind: str, masks=None
-) -> dict:
-    """{subset mask: i(Y | subset = x_subset)} for the given full instance.
+@dataclass
+class SubsetLattice:
+    """Conditional impurities of the output over every feature subset.
 
-    Every restriction of a positive-probability x has positive probability,
-    so all requested masks are well defined.
+    Subsets are bitmasks S over the inputs.  `mean[S]` is E[i(Y | X_S)], so
+    `mean[0]` is i(Y).  For the n instances of the walk (rows of
+    `instances`), `prob[k]` is P(V = x_k), `at[k, S]` is the pointwise
+    impurity i(Y | X_S = x_S) and `cond[k, S]` the conditional
+    P(Y | X_S = x_S).
     """
-    masks = range(1 << j.p) if masks is None else masks
-    out = {}
-    for mask in masks:
-        values = {m: x[m] for m in mask_members(mask)}
-        out[mask] = conditional_impurity_at(j, values, kind)
-    return out
+
+    kind: str
+    mean: np.ndarray  # (2^p,)
+    instances: np.ndarray  # (n, p) category codes
+    prob: np.ndarray  # (n,)
+    at: np.ndarray  # (n, 2^p)
+    cond: np.ndarray  # (n, 2^p, |Y|)
+
+
+def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLattice:
+    """Walk all 2^p feature subsets of `j` once, depth first.
+
+    Each marginal P(X_S, Y) is its parent's with one input axis summed out,
+    so only one chain of tables is alive at a time: under twice the joint
+    when every arity is at least 2.  Binary inputs make about 3^p * |Y|
+    cells summed in total.  `instances` (full configurations with positive
+    probability) add n * 2^p * (|Y| + 1) cells of per-instance tables; a
+    batch whose n * 2^p * |Y| exceeds MAX_CELLS raises TableTooLarge before
+    anything is allocated.
+    """
+    check_kind(kind)
+    check_feature_count(j.p)
+    p, n_y = j.p, j.output_arity
+    n = 0 if instances is None else len(instances)
+    if n * (1 << p) * n_y > MAX_CELLS:
+        raise TableTooLarge(
+            f"{n} instances x 2^{p} subsets x {n_y} outputs exceed "
+            f"the {MAX_CELLS}-cell limit"
+        )
+    if n:
+        xs, prob = j.instance_probs(instances)
+    else:
+        xs, prob = np.empty((0, p), dtype=np.intp), np.empty(0)
+    arities = j.input_arities
+    mean = np.empty(1 << p)
+    at = np.empty((n, 1 << p))
+    cond = np.empty((n, 1 << p, n_y))
+
+    def visit(table, mask, members, limit):
+        # `table` is P(X_members, Y), axes in ascending member order
+        ctx, c, per_ctx = _context_impurities(table.reshape(-1, n_y), kind)
+        mean[mask] = ctx @ per_ctx
+        if n:
+            idx = np.zeros(n, dtype=np.intp)
+            for i in members:
+                idx = idx * arities[i] + xs[:, i]
+            at[:, mask] = per_ctx[idx]
+            cond[:, mask] = c[idx]
+        # removing members in descending order reaches each subset once
+        for axis, i in enumerate(members):
+            if i >= limit:
+                break
+            child = members[:axis] + members[axis + 1:]
+            visit(table.sum(axis=axis), mask & ~(1 << i), child, i)
+
+    visit(j.table, (1 << p) - 1, tuple(range(p)), p)
+    return SubsetLattice(kind, mean, xs, prob, at, cond)

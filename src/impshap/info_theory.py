@@ -14,15 +14,27 @@ import numpy as np
 from .errors import (
     EmptyDataset,
     InternalConsistencyError,
+    PlayerCountTooLarge,
     ZeroProbabilityContext,
+    ZeroProbabilityInstance,
 )
 
 # Probabilities below this are treated as exact zeros (0*log 0 := 0).
 PROB_EPS = 1e-15
 # Negative MI within this of zero is rounding noise and clamps to 0.
 CLAMP_TOL = 1e-10
-# Dense tables larger than this are rejected at construction.
+# Dense tables larger than this are rejected before they are allocated.
 MAX_CELLS = 1 << 27
+# Exact enumeration over all 2^p feature subsets stops here.
+MAX_FEATURES = 20
+
+
+def check_feature_count(p: int) -> None:
+    """Reject more features (players) than exact 2^p enumeration supports."""
+    if p > MAX_FEATURES:
+        raise PlayerCountTooLarge(
+            f"{p} features exceed the exact-enumeration limit {MAX_FEATURES}"
+        )
 
 
 def as_mask(subset, nvars: int) -> int:
@@ -109,11 +121,6 @@ class JointDistribution:
     def input_arities(self) -> tuple:
         return self.arities[:-1]
 
-    @property
-    def output_index(self) -> int:
-        """Pseudo-index addressing the output variable in subset arguments."""
-        return self.p
-
     def constant_inputs(self) -> tuple:
         """Input indices whose marginal puts all mass on a single category."""
         flagged = []
@@ -163,6 +170,36 @@ class JointDistribution:
             else:
                 index.append(slice(None))
         return self.table[tuple(index)]
+
+    def instance_probs(self, instances) -> tuple:
+        """Validated full instances and their probabilities P(V = x).
+
+        `instances` is a sequence of full input configurations, each p
+        integer codes within the variable's arity.  Returns the codes as an
+        (n, p) integer array and the n probabilities; raises
+        ZeroProbabilityInstance when some instance has probability 0.
+        """
+        xs = np.asarray(instances)
+        if xs.ndim != 2 or xs.shape[1] != self.p:
+            got = xs.shape[-1] if xs.ndim else 0
+            raise ValueError(f"instance has {got} values, expected {self.p}")
+        if xs.size and xs.dtype.kind not in "iu":
+            raise ValueError(f"instance values must be integer codes, got {xs.dtype}")
+        arities = np.array(self.input_arities)
+        bad = (xs < 0) | (xs >= arities)
+        if bad.any():
+            row, axis = (int(v) for v in np.argwhere(bad)[0])
+            raise ValueError(
+                f"value {int(xs[row, axis])} out of range for variable {axis} "
+                f"(arity {arities[axis]})"
+            )
+        probs = self.table[tuple(xs.T)].sum(axis=-1)
+        if (probs <= 0.0).any():
+            x = tuple(int(v) for v in xs[int(np.argmin(probs > 0.0))])
+            raise ZeroProbabilityInstance(
+                f"instance {x} has probability 0 under the joint"
+            )
+        return xs, probs
 
     def positive_instances(self):
         """All full input configurations x with P(V = x) > 0, row-major order."""
@@ -236,19 +273,25 @@ def cond_entropy_at(j: JointDistribution, target, values: Mapping[int, int]) -> 
     return _plogp_sum(j.cond_output_dist(values))
 
 
-def _clamp_mi(value: float, label: str) -> float:
-    if value >= 0.0:
-        return value
-    if value > -CLAMP_TOL:
-        return 0.0
-    raise InternalConsistencyError(f"{label} = {value!r} is negative beyond tolerance")
+def clamp_mi(value, label: str):
+    """Clamp rounding noise in a mutual information (or an array of them).
+
+    Values in (-CLAMP_TOL, 0) become 0; anything lower raises
+    InternalConsistencyError, since rounding alone cannot explain it.
+    """
+    worst = float(np.min(value))
+    if worst <= -CLAMP_TOL:
+        raise InternalConsistencyError(
+            f"{label} = {worst!r} is negative beyond tolerance"
+        )
+    return np.maximum(value, 0.0)
 
 
 def mutual_info(j: JointDistribution, target, subset) -> float:
     """I(target; subset) = H(target) - H(target | subset), clamped at 0."""
     t_mask = as_mask(target, j.p + 1)
     value = entropy(j, t_mask) - cond_entropy_mean(j, t_mask, subset)
-    return _clamp_mi(value, "mutual information")
+    return float(clamp_mi(value, "mutual information"))
 
 
 def cond_mutual_info(j: JointDistribution, target, m: int, given) -> float:
@@ -261,7 +304,7 @@ def cond_mutual_info(j: JointDistribution, target, m: int, given) -> float:
     value = cond_entropy_mean(j, t_mask, g_mask) - cond_entropy_mean(
         j, t_mask, g_mask | m_bit
     )
-    return _clamp_mi(value, "conditional mutual information")
+    return float(clamp_mi(value, "conditional mutual information"))
 
 
 def joint_from_samples(dataset, name: str | None = None) -> JointDistribution:

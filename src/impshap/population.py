@@ -10,20 +10,12 @@ with pointwise decreases at a concrete instance.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .errors import PlayerCountTooLarge, ZeroProbabilityInstance
-from .impurity import (
-    ENTROPY,
-    check_kind,
-    conditional_impurity_at,
-    mean_conditional_impurity,
-    prior_impurity,
-)
-from .info_theory import JointDistribution, mask_members
-
-MAX_FEATURES = 20
+from .impurity import ENTROPY, subset_lattice
+from .info_theory import JointDistribution
 
 
 @dataclass
@@ -49,25 +41,31 @@ class PopulationImportance:
         return d
 
 
-def pascal_binomials(p: int) -> list:
-    """C(p, k) for k = 0..p by the Pascal recurrence, exact integers."""
-    row = [1]
-    for _ in range(p):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
-
-
 def subset_weights(p: int) -> list:
     """Weight of a conditioning subset of size k: 1 / (C(p,k) * (p-k))."""
-    binom = pascal_binomials(p)
-    return [1.0 / (binom[k] * (p - k)) for k in range(p)]
+    return [1.0 / (comb(p, k) * (p - k)) for k in range(p)]
 
 
-def _check_p(p: int):
-    if p > MAX_FEATURES:
-        raise PlayerCountTooLarge(
-            f"{p} features exceed the exact-enumeration limit {MAX_FEATURES}"
-        )
+def mdi_weight_sum(values: np.ndarray) -> np.ndarray:
+    """Per-feature MDI sums over a table of conditional impurities.
+
+    `values` has one row per measure and one column per subset mask S
+    (2^p columns): a mean E[i(Y | X_S)] or a pointwise i(Y | X_S = x_S).
+    Feature m scores the sum over subsets B without m of
+    (values[B] - values[B + m]) / (C(p,|B|) * (p-|B|)); one row of scores
+    per row of `values`.
+    """
+    values = np.atleast_2d(values)
+    p = values.shape[1].bit_length() - 1
+    masks = np.arange(1 << p)
+    sizes = np.bitwise_count(masks)
+    weights = np.array(subset_weights(p))
+    scores = np.empty((values.shape[0], p))
+    for m in range(p):
+        without = masks[(masks >> m) & 1 == 0]
+        drop = values[:, without] - values[:, without | (1 << m)]
+        scores[:, m] = drop @ weights[sizes[without]]
+    return scores
 
 
 def pop_global_mdi(j: JointDistribution, impurity: str = ENTROPY) -> PopulationImportance:
@@ -78,28 +76,16 @@ def pop_global_mdi(j: JointDistribution, impurity: str = ENTROPY) -> PopulationI
     conditional decrease.  Contexts of probability zero contribute nothing
     (no tree branch ever reaches them).
     """
-    check_kind(impurity)
-    _check_p(j.p)
-    p = j.p
-    weights = subset_weights(p)
-    full = (1 << p) - 1
-    # mean conditional impurity per subset, shared across features
-    cond = np.empty(1 << p)
-    for mask in range(1 << p):
-        cond[mask] = mean_conditional_impurity(j, mask, impurity)
-    scores = np.zeros(p)
-    for m in range(p):
-        bit = 1 << m
-        acc = 0.0
-        rest = full & ~bit
-        sub = rest
-        while True:
-            acc += weights[sub.bit_count()] * (cond[sub] - cond[sub | bit])
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        scores[m] = acc
-    return PopulationImportance(scores, impurity)
+    lattice = subset_lattice(j, impurity)
+    return PopulationImportance(mdi_weight_sum(lattice.mean)[0], impurity)
+
+
+def pop_local_mdi_batch(j: JointDistribution, instances, impurity: str = ENTROPY) -> np.ndarray:
+    """Asymptotic local MDI at each of the instances, one row each.
+
+    One lattice walk serves the whole batch; see `pop_local_mdi`.
+    """
+    return mdi_weight_sum(subset_lattice(j, impurity, instances).at)
 
 
 def pop_local_mdi(
@@ -111,35 +97,8 @@ def pop_local_mdi(
     X_m = x_m) with the same subset weights as the global measure; terms
     can be negative.
     """
-    check_kind(impurity)
-    _check_p(j.p)
-    p = j.p
-    x = tuple(int(v) for v in x)
-    if len(x) != p:
-        raise ValueError(f"instance has {len(x)} values, expected {p}")
-    if j.prob_of(dict(enumerate(x))) <= 0.0:
-        raise ZeroProbabilityInstance(
-            f"instance {x} has probability 0 under the joint"
-        )
-    weights = subset_weights(p)
-    full = (1 << p) - 1
-    at = np.empty(1 << p)
-    for mask in range(1 << p):
-        values = {m: x[m] for m in mask_members(mask)}
-        at[mask] = conditional_impurity_at(j, values, impurity)
-    scores = np.zeros(p)
-    for m in range(p):
-        bit = 1 << m
-        acc = 0.0
-        rest = full & ~bit
-        sub = rest
-        while True:
-            acc += weights[sub.bit_count()] * (at[sub] - at[sub | bit])
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        scores[m] = acc
-    return PopulationImportance(scores, impurity, instance=x)
+    scores = pop_local_mdi_batch(j, [x], impurity)[0]
+    return PopulationImportance(scores, impurity, instance=tuple(int(v) for v in x))
 
 
 @dataclass
@@ -181,23 +140,27 @@ class DecompositionReport:
 
 
 def check_decompositions(
-    j: JointDistribution, impurity: str = ENTROPY, tol: float = 1e-9
+    j: JointDistribution, impurity: str = ENTROPY, tol: float = 1e-9, lattice=None
 ) -> DecompositionReport:
     """Verify the efficiency, per-instance and double decompositions by
-    exhaustive enumeration of the positive-probability instances."""
-    check_kind(impurity)
-    glob = pop_global_mdi(j, impurity).scores
-    full = (1 << j.p) - 1
-    total = prior_impurity(j, impurity) - mean_conditional_impurity(j, full, impurity)
-    instances = j.positive_instances()
-    probs = np.array([j.prob_of(dict(enumerate(x))) for x in instances])
-    local = np.vstack([pop_local_mdi(j, x, impurity).scores for x in instances])
+    exhaustive enumeration of the positive-probability instances.
+
+    `lattice`, when given, must be `subset_lattice(j, impurity,
+    j.positive_instances())`; callers running several checks share it.
+    """
+    if lattice is None:
+        lattice = subset_lattice(j, impurity, j.positive_instances())
+    glob = mdi_weight_sum(lattice.mean)[0]
+    total = float(lattice.mean[0] - lattice.mean[-1])
+    local = mdi_weight_sum(lattice.at)
+    probs = lattice.prob
     recomposed = probs @ local
     return DecompositionReport(
         impurity=impurity,
-        total=float(total),
+        total=total,
         efficiency_residual=abs(float(glob.sum()) - total),
         instance_residual=float(np.abs(recomposed - glob).max()),
         double_sum_residual=abs(float(local.sum(axis=1) @ probs) - total),
         global_scores=glob,
+        tolerance=tol,
     )

@@ -3,22 +3,26 @@
 A feature is relevant when some conditioning context makes it informative
 about the output; irrelevance is certified by scanning every subset of the
 remaining features and every positive-probability context.  The local
-variant fixes the context values to a concrete instance.
+variant fixes the context values to a concrete instance and reads the
+conditionals P(Y | x_B) of one subset-lattice walk.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PlayerCountTooLarge, ZeroProbabilityInstance
-from .info_theory import JointDistribution, mask_members, submasks
-from .population import pop_local_mdi
+from .impurity import ENTROPY, SubsetLattice, subset_lattice
+from .info_theory import (
+    JointDistribution,
+    check_feature_count,
+    mask_members,
+    submasks,
+)
+from .population import mdi_weight_sum
 
 IRRELEVANT = "irrelevant"
 RELEVANT = "relevant"
 STRONGLY_RELEVANT = "strongly-relevant"
-
-MAX_FEATURES = 20
 
 
 @dataclass
@@ -36,13 +40,6 @@ class RelevanceVerdict:
         if self.instance is not None:
             d["instance"] = list(self.instance)
         return d
-
-
-def _check_p(p: int):
-    if p > MAX_FEATURES:
-        raise PlayerCountTooLarge(
-            f"{p} features exceed the exact-enumeration limit {MAX_FEATURES}"
-        )
 
 
 def _dependence_witness(j: JointDistribution, m: int, b_mask: int, tol: float):
@@ -92,7 +89,7 @@ def is_irrelevant(j: JointDistribution, m: int, tol: float = 1e-10) -> Relevance
 
     Verdict `relevant` carries the first witness context found.
     """
-    _check_p(j.p)
+    check_feature_count(j.p)
     rest = ((1 << j.p) - 1) & ~(1 << m)
     # smallest subsets first, so the reported witness is a minimal one
     for sub in sorted(submasks(rest), key=lambda s: (s.bit_count(), s)):
@@ -111,7 +108,7 @@ def is_strongly_relevant(
     the full irrelevance scan, so the result is always one of irrelevant,
     relevant (weakly) or strongly-relevant.
     """
-    _check_p(j.p)
+    check_feature_count(j.p)
     rest = ((1 << j.p) - 1) & ~(1 << m)
     witness = _dependence_witness(j, m, rest, tol)
     if witness is not None:
@@ -124,21 +121,13 @@ def is_locally_irrelevant(
 ) -> RelevanceVerdict:
     """Scan all subsets B with values pinned to x_B, x_m pinned to the
     instance's own value."""
-    _check_p(j.p)
-    x = tuple(int(v) for v in x)
-    if len(x) != j.p:
-        raise ValueError(f"instance has {len(x)} values, expected {j.p}")
-    if j.prob_of(dict(enumerate(x))) <= 0.0:
-        raise ZeroProbabilityInstance(
-            f"instance {x} has probability 0 under the joint"
-        )
-    rest = ((1 << j.p) - 1) & ~(1 << m)
+    lattice = subset_lattice(j, ENTROPY, [x])
+    x = tuple(int(v) for v in lattice.instances[0])
+    cond = lattice.cond[0]
+    bit = 1 << m
+    rest = ((1 << j.p) - 1) & ~bit
     for sub in sorted(submasks(rest), key=lambda s: (s.bit_count(), s)):
-        ctx = {v: x[v] for v in mask_members(sub)}
-        base = j.cond_output_dist(ctx)
-        ctx[m] = x[m]
-        cond = j.cond_output_dist(ctx)
-        dev = np.abs(cond - base)
+        dev = np.abs(cond[sub | bit] - cond[sub])
         y = int(dev.argmax())
         if dev[y] >= tol:
             witness = {
@@ -146,13 +135,32 @@ def is_locally_irrelevant(
                 "context": [x[v] for v in mask_members(sub)],
                 "x_m": x[m],
                 "y": y,
-                "p_given_xm": float(cond[y]),
-                "p_base": float(base[y]),
+                "p_given_xm": float(cond[sub | bit, y]),
+                "p_base": float(cond[sub, y]),
             }
             return RelevanceVerdict(
                 m, "local-at-x", RELEVANT, witness=witness, instance=x
             )
     return RelevanceVerdict(m, "local-at-x", IRRELEVANT, instance=x)
+
+
+def local_irrelevance(lattice: SubsetLattice, tol: float = 1e-10) -> np.ndarray:
+    """(n, p) verdicts: feature m is locally irrelevant at instance k.
+
+    That holds when max_y |P(y | x_B, x_m) - P(y | x_B)| < tol for every
+    subset B of the other features, the scan `is_locally_irrelevant` makes
+    for one pair.
+    """
+    cond = lattice.cond
+    n, n_masks = cond.shape[:2]
+    p = n_masks.bit_length() - 1
+    masks = np.arange(n_masks)
+    out = np.empty((n, p), dtype=bool)
+    for m in range(p):
+        without = masks[(masks >> m) & 1 == 0]
+        dev = np.abs(cond[:, without | (1 << m)] - cond[:, without]).max(axis=2)
+        out[:, m] = (dev < tol).all(axis=1)
+    return out
 
 
 @dataclass
@@ -183,19 +191,21 @@ class EquivalenceReport:
 
 
 def verify_global_local_equivalence(
-    j: JointDistribution, tol: float = 1e-10
+    j: JointDistribution, tol: float = 1e-10, lattice=None
 ) -> EquivalenceReport:
     """Exhaustively check that global irrelevance holds exactly when local
-    irrelevance holds at every instance with positive probability."""
+    irrelevance holds at every instance with positive probability.
+
+    `lattice`, when given, must be a `subset_lattice` walk of j over
+    `j.positive_instances()` (of any impurity kind).
+    """
+    if lattice is None:
+        lattice = subset_lattice(j, ENTROPY, j.positive_instances())
+    everywhere = local_irrelevance(lattice, tol).all(axis=0)
     report = EquivalenceReport()
-    instances = j.positive_instances()
     for m in range(j.p):
         globally = is_irrelevant(j, m, tol).verdict == IRRELEVANT
-        locally = all(
-            is_locally_irrelevant(j, m, x, tol).verdict == IRRELEVANT
-            for x in instances
-        )
-        report.agreements.append((m, globally, locally))
+        report.agreements.append((m, globally, bool(everywhere[m])))
     return report
 
 
@@ -224,20 +234,24 @@ class NullScoreReport:
 
 def verify_local_null_scores(
     j: JointDistribution,
-    impurity: str = "entropy",
+    impurity: str = ENTROPY,
     tol: float = 1e-9,
     independence_tol: float = 1e-10,
+    lattice=None,
 ) -> NullScoreReport:
     """For every (feature, instance) certified locally irrelevant, the
-    asymptotic local score must vanish."""
+    asymptotic local score must vanish.
+
+    `lattice`, when given, must be `subset_lattice(j, impurity,
+    j.positive_instances())`.
+    """
+    if lattice is None:
+        lattice = subset_lattice(j, impurity, j.positive_instances())
+    scores = np.abs(mdi_weight_sum(lattice.at))
+    irrelevant = local_irrelevance(lattice, independence_tol)
     report = NullScoreReport(tolerance=tol)
-    for x in j.positive_instances():
-        scores = pop_local_mdi(j, x, impurity).scores
-        for m in range(j.p):
-            verdict = is_locally_irrelevant(j, m, x, independence_tol)
-            if verdict.verdict == IRRELEVANT:
-                report.checked += 1
-                report.max_violation = max(report.max_violation, abs(float(scores[m])))
-            elif abs(float(scores[m])) < tol:
-                report.zero_score_but_relevant += 1
+    report.checked = int(irrelevant.sum())
+    if report.checked:
+        report.max_violation = float(scores[irrelevant].max())
+    report.zero_score_but_relevant = int((~irrelevant & (scores < tol)).sum())
     return report

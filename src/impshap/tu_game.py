@@ -1,8 +1,10 @@
 """Exact Shapley values for transferable-utility games over <= 20 players.
 
 Coalitions are integer bitmasks.  The characteristic function is memoized
-over all 2^p coalitions once, then every payoff is an exact-rational
-weighted sum of marginal contributions.
+over all 2^p coalitions once, then every payoff is a float sum of marginal
+contributions weighted by |S|!(p-|S|-1)!/p!, each weight rounded once from
+an exact Fraction.  The information and variance games read their
+coalition tables from one subset-lattice walk of the joint.
 """
 
 import json
@@ -12,31 +14,20 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (
-    NonZeroEmptyCoalition,
-    PlayerCountTooLarge,
-    ZeroProbabilityInstance,
-)
-from .impurity import (
-    VARIANCE,
-    conditional_impurity_at,
-    mean_conditional_impurity,
-    prior_impurity,
-)
-from .info_theory import (
-    JointDistribution,
-    cond_entropy_at,
-    entropy,
-    mask_members,
-    mutual_info,
-)
-
-MAX_PLAYERS = 20
+from .errors import NonZeroEmptyCoalition
+from .impurity import ENTROPY, GINI, VARIANCE, SubsetLattice, subset_lattice
+from .info_theory import JointDistribution, check_feature_count, clamp_mi
 
 GLOBAL_INFO = "global-info"
 LOCAL_INFO = "local-info"
 GLOBAL_VARIANCE = "global-variance"
 LOCAL_VARIANCE = "local-variance"
+# (global, local) game labels per impurity kind
+GAME_LABELS = {
+    ENTROPY: (GLOBAL_INFO, LOCAL_INFO),
+    GINI: ("global-gini", "local-gini"),
+    VARIANCE: (GLOBAL_VARIANCE, LOCAL_VARIANCE),
+}
 
 
 @dataclass
@@ -44,25 +35,26 @@ class TUGame:
     """A cooperative game: player count and coalition evaluator v(mask).
 
     v(0) must be 0; the evaluator must be deterministic per coalition.
+    A game built from a precomputed coalition table carries it as `table`.
     """
 
     p: int
     evaluate: callable
     label: str = "custom"
+    table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("need at least one player")
-        if self.p > MAX_PLAYERS:
-            raise PlayerCountTooLarge(
-                f"{self.p} players exceed the exact-enumeration limit {MAX_PLAYERS}"
-            )
+        check_feature_count(self.p)
         v0 = float(self.evaluate(0))
         if abs(v0) > 1e-12:
             raise NonZeroEmptyCoalition(f"v(empty) = {v0!r}, expected 0")
 
     def coalition_values(self) -> np.ndarray:
         """Memo table v over all 2^p coalition masks."""
+        if self.table is not None:
+            return self.table
         values = np.empty(1 << self.p)
         for mask in range(1 << self.p):
             values[mask] = self.evaluate(mask)
@@ -135,9 +127,33 @@ def shapley_exact(game: TUGame, values: np.ndarray | None = None) -> ShapleyVect
     return ShapleyVector(payoffs, float(values[-1]), game.label)
 
 
+def _table_game(values: np.ndarray, label: str) -> TUGame:
+    values.setflags(write=False)
+    return TUGame(values.size.bit_length() - 1, values.item, label, values)
+
+
+def lattice_games(lattice: SubsetLattice) -> tuple:
+    """The global game and one local game per instance of a lattice walk.
+
+    Global: v(S) = i(Y) - E[i(Y | X_S)], clamped at 0 for entropy, where it
+    is the mutual information I(Y; X_S).  Local at x: v(S; x) = i(Y) -
+    i(Y | X_S = x_S), which can be negative.  Returns (global game, list of
+    local games in instance order).
+    """
+    global_label, local_label = GAME_LABELS[lattice.kind]
+    values = lattice.mean[0] - lattice.mean
+    if lattice.kind == ENTROPY:
+        values = clamp_mi(values, "mutual information")
+    local = lattice.at[:, :1] - lattice.at
+    return (
+        _table_game(values, global_label),
+        [_table_game(row, local_label) for row in local],
+    )
+
+
 def game_global_info(j: JointDistribution) -> TUGame:
     """v(S) = I(Y; S): the information the coalition carries about the output."""
-    return TUGame(j.p, lambda mask: mutual_info(j, 1 << j.p, mask), GLOBAL_INFO)
+    return lattice_games(subset_lattice(j, ENTROPY))[0]
 
 
 def game_local_info(j: JointDistribution, x) -> TUGame:
@@ -146,53 +162,17 @@ def game_local_info(j: JointDistribution, x) -> TUGame:
     Coalition values can be negative: observing particular values may raise
     the uncertainty about the output.
     """
-    x = _check_instance(j, x)
-    h_y = entropy(j, 1 << j.p)
-
-    def value(mask):
-        if mask == 0:
-            return 0.0
-        values = {m: x[m] for m in mask_members(mask)}
-        return h_y - cond_entropy_at(j, 1 << j.p, values)
-
-    return TUGame(j.p, value, LOCAL_INFO)
+    return lattice_games(subset_lattice(j, ENTROPY, [x]))[1][0]
 
 
 def game_global_variance(j: JointDistribution) -> TUGame:
     """v(S) = Var(Y) - E_S[Var(Y | S)], output codes read as reals."""
-    var_y = prior_impurity(j, VARIANCE)
-
-    def value(mask):
-        if mask == 0:
-            return 0.0
-        return var_y - mean_conditional_impurity(j, mask, VARIANCE)
-
-    return TUGame(j.p, value, GLOBAL_VARIANCE)
+    return lattice_games(subset_lattice(j, VARIANCE))[0]
 
 
 def game_local_variance(j: JointDistribution, x) -> TUGame:
     """v(S; x) = Var(Y) - Var(Y | S = x_S) for a fixed full instance x."""
-    x = _check_instance(j, x)
-    var_y = prior_impurity(j, VARIANCE)
-
-    def value(mask):
-        if mask == 0:
-            return 0.0
-        values = {m: x[m] for m in mask_members(mask)}
-        return var_y - conditional_impurity_at(j, values, VARIANCE)
-
-    return TUGame(j.p, value, LOCAL_VARIANCE)
-
-
-def _check_instance(j: JointDistribution, x) -> tuple:
-    x = tuple(int(v) for v in x)
-    if len(x) != j.p:
-        raise ValueError(f"instance has {len(x)} values, expected {j.p}")
-    if j.prob_of(dict(enumerate(x))) <= 0.0:
-        raise ZeroProbabilityInstance(
-            f"instance {x} has probability 0 under the joint"
-        )
-    return x
+    return lattice_games(subset_lattice(j, VARIANCE, [x]))[1][0]
 
 
 @dataclass

@@ -6,7 +6,7 @@ checks.
 """
 
 from itertools import permutations
-from math import log2
+from math import comb, log2
 
 import numpy as np
 
@@ -71,3 +71,82 @@ def weighted_variance(values, weights) -> float:
     w = w / w.sum()
     mean = float(w @ v)
     return float(w @ ((v - mean) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# Per-subset references for the population layer: one full-table marginal
+# per subset mask, one slice of the full table per instance, and the Moebius
+# loop over submasks.
+
+
+def impurity_of(probs, kind: str) -> float:
+    """Impurity of a normalized output distribution, by explicit loops."""
+    probs = [float(q) for q in probs]
+    if kind == "entropy":
+        return -sum(q * log2(q) for q in probs if q > 0.0)
+    if kind == "gini":
+        return 1.0 - sum(q * q for q in probs)
+    if kind == "variance":
+        mean = sum(y * q for y, q in enumerate(probs))
+        return sum(y * y * q for y, q in enumerate(probs)) - mean * mean
+    raise ValueError(kind)
+
+
+def subset_marginal(table: np.ndarray, mask: int) -> np.ndarray:
+    """P(X_S, Y) summed straight from the full table (output axis last)."""
+    p = table.ndim - 1
+    drop = tuple(i for i in range(p) if not (mask >> i) & 1)
+    return table.sum(axis=drop) if drop else table
+
+
+def mean_impurity(table: np.ndarray, mask: int, kind: str) -> float:
+    """E[i(Y | X_S)] over the positive contexts of the subset marginal."""
+    flat = subset_marginal(table, mask).reshape(-1, table.shape[-1])
+    total = 0.0
+    for row in flat:
+        mass = float(row.sum())
+        if mass > 0.0:
+            total += mass * impurity_of(row / mass, kind)
+    return total
+
+
+def cond_at(table: np.ndarray, x, mask: int) -> np.ndarray:
+    """P(Y | X_S = x_S) from one slice of the full table at x."""
+    index = tuple(x[i] if (mask >> i) & 1 else slice(None) for i in range(len(x)))
+    dist = table[index].reshape(-1, table.shape[-1]).sum(axis=0)
+    return dist / dist.sum()
+
+
+def mdi_by_moebius(values, p: int) -> list:
+    """Per-feature sum over subsets B without m of
+    (values[B] - values[B + m]) / (C(p,|B|) (p - |B|)), submask by submask."""
+    full = (1 << p) - 1
+    scores = []
+    for m in range(p):
+        bit = 1 << m
+        rest = full & ~bit
+        acc = 0.0
+        sub = rest
+        while True:
+            k = bin(sub).count("1")
+            acc += (values[sub] - values[sub | bit]) / (comb(p, k) * (p - k))
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        scores.append(acc)
+    return scores
+
+
+def locally_irrelevant_scan(table: np.ndarray, m: int, x, tol: float) -> bool:
+    """True when no subset B of the other features makes
+    P(Y | x_B, x_m) differ from P(Y | x_B) by tol or more."""
+    bit = 1 << m
+    rest = ((1 << len(x)) - 1) & ~bit
+    sub = rest
+    while True:
+        dev = np.abs(cond_at(table, x, sub | bit) - cond_at(table, x, sub))
+        if dev.max() >= tol:
+            return False
+        if sub == 0:
+            return True
+        sub = (sub - 1) & rest

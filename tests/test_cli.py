@@ -259,3 +259,54 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
     assert code == 0
     row = json.loads(out)["results"]["matrices"][0]["scores"][0]
     assert sum(row) == pytest.approx(np.log2(10), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shapley", "--data", "table2", "--instance", "a"],
+        ["pop-mdi", "--data", "table2", "--instance", "1,1"],
+        ["pop-mdi", "--data", "table2", "--instance", "5"],
+        ["local", "--data", "table2", "--instance", "1,1", "--trees", "5"],
+        ["global", "--data", "led", "--k", "9"],
+        ["global", "--data", "led", "--trees", "0"],
+    ],
+    ids=["non-integer-code", "wrong-count", "code-beyond-arity",
+         "local-wrong-count", "k-beyond-p", "no-trees"],
+)
+def test_malformed_input_is_one_line_usage_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_several_instances_match_single_instance_calls(capsys, tables):
+    """One walk serves every --instance; each row equals its own call."""
+    from impshap.population import pop_local_mdi
+    from impshap.tu_game import game_local_variance, shapley_exact
+
+    j = tables["table1-y1"]
+    flags = ["--instance", "0,0", "--instance", "1,0", "--instance", "1,1"]
+    code, out = run(capsys, ["pop-mdi", "--data", "table1-y1", "--impurity",
+                             "gini", "--format", "json", *flags])
+    assert code == 0
+    for item in json.loads(out)["results"]["importances"]:
+        want = pop_local_mdi(j, item["instance"], "gini").scores
+        assert item["scores"] == list(want)
+    code, out = run(capsys, ["shapley", "--data", "table1-y1", "--impurity",
+                             "variance", "--format", "json", *flags])
+    assert code == 0
+    for item in json.loads(out)["results"]["games"]:
+        want = shapley_exact(game_local_variance(j, item["instance"])).payoffs
+        assert item["payoffs"] == list(want)
+
+
+def test_verify_gini(capsys):
+    """The Gini scores are the Shapley values of the Gini game."""
+    code, out = run(capsys, ["verify", "--data", "table1-y1", "--impurity",
+                             "gini", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["results"]["passed"]

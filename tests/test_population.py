@@ -10,7 +10,6 @@ from impshap.impurity import mean_conditional_impurity, prior_impurity
 from impshap.info_theory import JointDistribution
 from impshap.population import (
     check_decompositions,
-    pascal_binomials,
     pop_global_mdi,
     pop_local_mdi,
     subset_weights,
@@ -22,12 +21,6 @@ from impshap.tu_game import (
     game_local_variance,
     shapley_exact,
 )
-
-
-def test_pascal_binomials():
-    assert pascal_binomials(0) == [1]
-    assert pascal_binomials(5) == [1, 5, 10, 10, 5, 1]
-    assert pascal_binomials(20)[10] == 184756
 
 
 def test_subset_weights_match_permutation_weights():
@@ -85,6 +78,28 @@ def test_local_rejects_zero_probability():
         pop_local_mdi(j, (1,))
 
 
+def test_instance_checks_are_shared(tables):
+    """Local MDI, the local games and the local relevance scan reject the
+    same malformed instances with the same message."""
+    from impshap.relevance import is_locally_irrelevant
+
+    j = tables["table1-y1"]
+    calls = (
+        lambda x: pop_local_mdi(j, x),
+        lambda x: game_local_info(j, x),
+        lambda x: is_locally_irrelevant(j, 0, x),
+    )
+    cases = (
+        ((0,), "has 1 values, expected 2"),
+        ((0, 2), "out of range for variable 1"),
+        ((0.0, 1.0), "integer codes"),
+    )
+    for bad, match in cases:
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call(bad)
+
+
 def test_global_equals_shapley(tables, led_joint, random_joints):
     """The global scores are the payoffs of the information game."""
     joints = list(tables.values()) + [led_joint] + random_joints
@@ -114,6 +129,7 @@ def test_variance_equals_shapley(random_joints):
 
 
 def test_decompositions_led(led_joint):
+    assert check_decompositions(led_joint, tol=1e-3).tolerance == 1e-3
     rep = check_decompositions(led_joint)
     assert rep.total == pytest.approx(np.log2(10), abs=1e-12)
     assert rep.efficiency_residual < 1e-9

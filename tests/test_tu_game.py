@@ -202,3 +202,24 @@ def test_shapley_vector_json():
     assert d["method"] == "shapley-exact"
     assert d["payoffs"] == [0.5, 0.5]
     assert d["total"] == 1.0
+
+
+def test_information_game_clamps_rounding_noise():
+    """I(Y; S) below zero by less than CLAMP_TOL is rounding noise and
+    reads 0; further below, the game refuses to exist."""
+    from impshap.errors import InternalConsistencyError
+    from impshap.impurity import SubsetLattice
+    from impshap.tu_game import lattice_games
+
+    def lattice(kind, mean):
+        empty = np.empty((0, 1))
+        return SubsetLattice(kind, np.array(mean), empty, empty[:, 0],
+                             empty, empty[..., None])
+
+    game, _ = lattice_games(lattice("entropy", [1.0, 1.0 + 1e-12]))
+    assert list(game.coalition_values()) == [0.0, 0.0]
+    with pytest.raises(InternalConsistencyError):
+        lattice_games(lattice("entropy", [1.0, 1.0 + 1e-9]))
+    # the variance game is not a mutual information and is not clamped
+    game, _ = lattice_games(lattice("variance", [1.0, 1.0 + 1e-9]))
+    assert game.coalition_values()[1] < 0.0
