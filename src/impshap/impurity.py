@@ -188,3 +188,30 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
 
     visit(j.table, (1 << p) - 1, tuple(range(p)), p)
     return SubsetLattice(kind, mean, xs, prob, at, cond)
+
+
+def positive_lattice(
+    j: JointDistribution, kind: str | None = None, lattice: SubsetLattice | None = None
+) -> SubsetLattice:
+    """The walk of `j` over every instance with positive probability.
+
+    Without `lattice`, walks j (entropy unless `kind` is given).  A given
+    `lattice` is returned after checking that it is that walk, and of
+    impurity `kind` when one is named; otherwise raises ValueError.
+    """
+    if lattice is None:
+        return subset_lattice(j, kind or ENTROPY, j.positive_instances())
+    if kind is not None and lattice.kind != kind:
+        raise ValueError(f"lattice of impurity {lattice.kind!r}, expected {kind!r}")
+    xs = np.argwhere(j.table.sum(axis=-1) > 0.0)
+    cells = j.table[tuple(xs.T)]  # P(x, y), one row per positive instance
+    prob = cells.sum(axis=-1)
+    # P(x) and P(y | x) at every positive x pin the whole joint
+    if not (
+        lattice.cond.shape == (len(xs), 1 << j.p, j.output_arity)
+        and np.array_equal(lattice.instances, xs)
+        and np.allclose(lattice.prob, prob, rtol=0.0, atol=1e-12)
+        and np.allclose(lattice.cond[:, -1], cells / prob[:, None], rtol=0.0, atol=1e-12)
+    ):
+        raise ValueError("lattice does not walk the positive instances of this joint")
+    return lattice

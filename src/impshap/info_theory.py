@@ -67,6 +67,22 @@ def mask_size(mask: int) -> int:
     return int(mask).bit_count()
 
 
+def subset_sizes(p: int) -> np.ndarray:
+    """|S| for every subset mask S = 0 .. 2^p - 1."""
+    masks = np.arange(1 << p)
+    sizes = np.zeros(1 << p, dtype=np.int64)
+    for b in range(p):
+        sizes += (masks >> b) & 1
+    return sizes
+
+
+def extension_pairs(p: int, m: int) -> tuple:
+    """Masks of every subset B of 0..p-1 without m, ascending, and of B + m."""
+    masks = np.arange(1 << p)
+    without = masks[(masks >> m) & 1 == 0]
+    return without, without | (1 << m)
+
+
 def submasks(mask: int):
     """All submasks of `mask`, including 0 and `mask` itself."""
     sub = mask

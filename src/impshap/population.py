@@ -14,8 +14,8 @@ from math import comb
 
 import numpy as np
 
-from .impurity import ENTROPY, subset_lattice
-from .info_theory import JointDistribution
+from .impurity import ENTROPY, positive_lattice, subset_lattice
+from .info_theory import JointDistribution, extension_pairs, subset_sizes
 
 
 @dataclass
@@ -57,13 +57,12 @@ def mdi_weight_sum(values: np.ndarray) -> np.ndarray:
     """
     values = np.atleast_2d(values)
     p = values.shape[1].bit_length() - 1
-    masks = np.arange(1 << p)
-    sizes = np.bitwise_count(masks)
+    sizes = subset_sizes(p)
     weights = np.array(subset_weights(p))
     scores = np.empty((values.shape[0], p))
     for m in range(p):
-        without = masks[(masks >> m) & 1 == 0]
-        drop = values[:, without] - values[:, without | (1 << m)]
+        without, with_m = extension_pairs(p, m)
+        drop = values[:, without] - values[:, with_m]
         scores[:, m] = drop @ weights[sizes[without]]
     return scores
 
@@ -146,10 +145,10 @@ def check_decompositions(
     exhaustive enumeration of the positive-probability instances.
 
     `lattice`, when given, must be `subset_lattice(j, impurity,
-    j.positive_instances())`; callers running several checks share it.
+    j.positive_instances())` (ValueError otherwise); callers running
+    several checks share it.
     """
-    if lattice is None:
-        lattice = subset_lattice(j, impurity, j.positive_instances())
+    lattice = positive_lattice(j, impurity, lattice)
     glob = mdi_weight_sum(lattice.mean)[0]
     total = float(lattice.mean[0] - lattice.mean[-1])
     local = mdi_weight_sum(lattice.at)

@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .impurity import ENTROPY, SubsetLattice, subset_lattice
+from .impurity import ENTROPY, SubsetLattice, positive_lattice, subset_lattice
 from .info_theory import (
     JointDistribution,
     check_feature_count,
+    extension_pairs,
     mask_members,
     submasks,
 )
@@ -154,11 +155,10 @@ def local_irrelevance(lattice: SubsetLattice, tol: float = 1e-10) -> np.ndarray:
     cond = lattice.cond
     n, n_masks = cond.shape[:2]
     p = n_masks.bit_length() - 1
-    masks = np.arange(n_masks)
     out = np.empty((n, p), dtype=bool)
     for m in range(p):
-        without = masks[(masks >> m) & 1 == 0]
-        dev = np.abs(cond[:, without | (1 << m)] - cond[:, without]).max(axis=2)
+        without, with_m = extension_pairs(p, m)
+        dev = np.abs(cond[:, with_m] - cond[:, without]).max(axis=2)
         out[:, m] = (dev < tol).all(axis=1)
     return out
 
@@ -197,10 +197,9 @@ def verify_global_local_equivalence(
     irrelevance holds at every instance with positive probability.
 
     `lattice`, when given, must be a `subset_lattice` walk of j over
-    `j.positive_instances()` (of any impurity kind).
+    `j.positive_instances()`, of any impurity kind (ValueError otherwise).
     """
-    if lattice is None:
-        lattice = subset_lattice(j, ENTROPY, j.positive_instances())
+    lattice = positive_lattice(j, lattice=lattice)
     everywhere = local_irrelevance(lattice, tol).all(axis=0)
     report = EquivalenceReport()
     for m in range(j.p):
@@ -243,10 +242,9 @@ def verify_local_null_scores(
     asymptotic local score must vanish.
 
     `lattice`, when given, must be `subset_lattice(j, impurity,
-    j.positive_instances())`.
+    j.positive_instances())` (ValueError otherwise).
     """
-    if lattice is None:
-        lattice = subset_lattice(j, impurity, j.positive_instances())
+    lattice = positive_lattice(j, impurity, lattice)
     scores = np.abs(mdi_weight_sum(lattice.at))
     irrelevant = local_irrelevance(lattice, independence_tol)
     report = NullScoreReport(tolerance=tol)

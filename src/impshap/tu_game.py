@@ -16,7 +16,12 @@ import numpy as np
 
 from .errors import NonZeroEmptyCoalition
 from .impurity import ENTROPY, GINI, VARIANCE, SubsetLattice, subset_lattice
-from .info_theory import JointDistribution, check_feature_count, clamp_mi
+from .info_theory import (
+    JointDistribution,
+    check_feature_count,
+    clamp_mi,
+    subset_sizes,
+)
 
 GLOBAL_INFO = "global-info"
 LOCAL_INFO = "local-info"
@@ -35,13 +40,11 @@ class TUGame:
     """A cooperative game: player count and coalition evaluator v(mask).
 
     v(0) must be 0; the evaluator must be deterministic per coalition.
-    A game built from a precomputed coalition table carries it as `table`.
     """
 
     p: int
     evaluate: callable
     label: str = "custom"
-    table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -53,8 +56,6 @@ class TUGame:
 
     def coalition_values(self) -> np.ndarray:
         """Memo table v over all 2^p coalition masks."""
-        if self.table is not None:
-            return self.table
         values = np.empty(1 << self.p)
         for mask in range(1 << self.p):
             values[mask] = self.evaluate(mask)
@@ -98,14 +99,6 @@ def shapley_weights(p: int) -> list:
     ]
 
 
-def _popcounts(n_masks: int, p: int) -> np.ndarray:
-    sizes = np.zeros(n_masks, dtype=np.int64)
-    idx = np.arange(n_masks)
-    for b in range(p):
-        sizes += (idx >> b) & 1
-    return sizes
-
-
 def shapley_exact(game: TUGame, values: np.ndarray | None = None) -> ShapleyVector:
     """Payoffs by direct evaluation of the permutation-weighted sum.
 
@@ -116,7 +109,7 @@ def shapley_exact(game: TUGame, values: np.ndarray | None = None) -> ShapleyVect
     if values is None:
         values = game.coalition_values()
     weights = np.array(shapley_weights(p))
-    sizes = _popcounts(1 << p, p)
+    sizes = subset_sizes(p)
     masks = np.arange(1 << p)
     payoffs = np.empty(p)
     for m in range(p):
@@ -129,7 +122,7 @@ def shapley_exact(game: TUGame, values: np.ndarray | None = None) -> ShapleyVect
 
 def _table_game(values: np.ndarray, label: str) -> TUGame:
     values.setflags(write=False)
-    return TUGame(values.size.bit_length() - 1, values.item, label, values)
+    return TUGame(values.size.bit_length() - 1, values.item, label)
 
 
 def lattice_games(lattice: SubsetLattice) -> tuple:

@@ -13,10 +13,12 @@ from impshap.info_theory import (
     cond_entropy_mean,
     cond_mutual_info,
     entropy,
+    extension_pairs,
     joint_from_samples,
     mask_members,
     mutual_info,
     submasks,
+    subset_sizes,
 )
 
 
@@ -29,6 +31,10 @@ def test_mask_helpers():
         as_mask([3], 3)
     with pytest.raises(ValueError):
         as_mask(0b1000, 3)
+    assert subset_sizes(3).tolist() == [bin(s).count("1") for s in range(8)]
+    without, with_m = extension_pairs(3, 1)
+    assert without.tolist() == [0b000, 0b001, 0b100, 0b101]
+    assert with_m.tolist() == [0b010, 0b011, 0b110, 0b111]
 
 
 def test_constructor_validation():
