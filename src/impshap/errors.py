@@ -29,12 +29,20 @@ class PlayerCountTooLarge(ImpshapError):
     """More players than the exact 2^p enumeration supports."""
 
 
-class TableTooLarge(ImpshapError):
+class TableTooLarge(ImpshapError, ValueError):
     """A dense table would exceed the cell limit; refused before allocation."""
+
+
+class UnnormalizedTable(ImpshapError, ValueError):
+    """Joint probabilities that do not sum to 1 within 1e-12."""
 
 
 class NonZeroEmptyCoalition(ImpshapError):
     """A characteristic function with v(empty) != 0."""
+
+
+class InvalidSetting(ImpshapError):
+    """An environment variable holds a value the package cannot use."""
 
 
 class InternalConsistencyError(ImpshapError):

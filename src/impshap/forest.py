@@ -5,7 +5,8 @@ and the Saabas prediction decomposition.
 
 Tree i of a forest is grown from a private RNG stream derived by hashing
 (master seed, i), so results never depend on construction order or
-worker scheduling.
+worker scheduling.  A forest keeps its trees packed (`tree.PackedTrees`);
+the three path measures each make one `tree.traverse` call.
 """
 
 import hashlib
@@ -17,10 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .data import CATEGORICAL, Dataset
-from .errors import MissingFeatureValue
+from .data import Dataset
+from .errors import InvalidSetting
 from .impurity import ENTROPY
-from .tree import LEAF, Tree, _build_with_context, _BuildContext, tree_mdi
+from .tree import (
+    LEAF,
+    PackedTrees,
+    Tree,
+    grow_trees,
+    mdi_by_tree,
+    traverse,
+)
 
 LOCAL_MDI = "local-mdi"
 SAABAS = "saabas"
@@ -32,35 +40,45 @@ def _tree_seed(master_seed: int, index: int) -> int:
 
 
 def _thread_budget() -> int:
+    text = os.environ.get("IMPSHAP_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("IMPSHAP_THREADS", "1")))
+        n = int(text)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise InvalidSetting(
+            f"IMPSHAP_THREADS must be an integer >= 1, got {text!r}"
+        )
+    return n
 
 
 class Forest:
-    """An ensemble of trees sharing impurity kind, K and training data."""
+    """An ensemble of trees sharing impurity kind, K and training data,
+    stored packed in `nodes`."""
 
-    def __init__(self, trees, *, k, impurity, seed, dataset_fingerprint):
-        if not trees:
+    def __init__(self, nodes: PackedTrees, *, k, impurity, seed, dataset_fingerprint):
+        if nodes.n_trees < 1:
             raise ValueError("a forest needs at least one tree")
-        self.trees = list(trees)
+        self.nodes = nodes
         self.k = k
         self.impurity = impurity
         self.seed = seed
         self.dataset_fingerprint = dataset_fingerprint
-        first = self.trees[0]
-        self.n_features = first.n_features
-        self.n_classes = first.n_classes
-        self.feature_kinds = first.feature_kinds
+        self.n_features = nodes.n_features
+        self.n_classes = nodes.n_classes
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.nodes.n_trees
+
+    @property
+    def trees(self) -> list:
+        """Views of the trees, in order (made on each access)."""
+        return [Tree(self.nodes, i) for i in range(self.n_trees)]
 
     def prior(self) -> np.ndarray:
         """Training class distribution (the shared root distribution)."""
-        return self.trees[0].dist[0]
+        return self.nodes.dist[0]
 
     def to_json_dict(self, include_trees: bool = True) -> dict:
         d = {
@@ -75,13 +93,9 @@ class Forest:
         return d
 
 
-def _build_range(dataset, k, impurity, seed, lo, hi):
-    ctx = _BuildContext(dataset)
-    out = []
-    for i in range(lo, hi):
-        s = _tree_seed(seed, i)
-        out.append(_build_with_context(ctx, k, impurity, random.Random(s), s))
-    return out
+def _build_range(dataset, k, impurity, seed, lo, hi) -> PackedTrees:
+    seeds = [_tree_seed(seed, i) for i in range(lo, hi)]
+    return grow_trees(dataset, k, impurity, ((random.Random(s), s) for s in seeds))
 
 
 def build_forest(
@@ -99,20 +113,19 @@ def build_forest(
     if n_jobs is None:
         n_jobs = _thread_budget()
     if n_jobs <= 1 or n_trees < 4 * n_jobs:
-        trees = _build_range(dataset, k, impurity, seed, 0, n_trees)
+        nodes = _build_range(dataset, k, impurity, seed, 0, n_trees)
     else:
         bounds = np.linspace(0, n_trees, n_jobs + 1).astype(int)
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            chunks = pool.map(
+            nodes = PackedTrees.concat(pool.map(
                 _build_range,
                 *zip(*[
                     (dataset, k, impurity, seed, int(lo), int(hi))
                     for lo, hi in zip(bounds[:-1], bounds[1:])
                 ]),
-            )
-        trees = [t for chunk in chunks for t in chunk]
+            ))
     return Forest(
-        trees,
+        nodes,
         k=k,
         impurity=impurity,
         seed=seed,
@@ -122,10 +135,7 @@ def build_forest(
 
 def global_mdi(forest: Forest, normalize: bool = False) -> np.ndarray:
     """Per-feature importances averaged over the trees (fixed tree order)."""
-    acc = np.zeros(forest.n_features)
-    for tree in forest.trees:
-        acc += tree_mdi(tree)
-    acc /= forest.n_trees
+    acc = np.cumsum(mdi_by_tree(forest.nodes), axis=0)[-1] / forest.n_trees
     if normalize:
         total = np.abs(acc).sum()
         if total > 0.0:
@@ -167,65 +177,15 @@ class LocalImportanceMatrix:
         return d
 
 
-def _walk_rows(tree: Tree, instances):
-    """Yield per-instance move lists [(node, child, feature), ...].
-
-    A move is recorded only when the instance proceeds to a positive-mass
-    child; truncation at unseen categories ends the list early.
-    """
-    feature = tree.feature.tolist()
-    children = tree.children.tolist()
-    mass = tree.mass.tolist()
-    threshold = tree.threshold.tolist()
-    kinds = tree.feature_kinds
-    arities = tree.feature_arities
-    for x in instances:
-        moves = []
-        node = 0
-        while True:
-            f = feature[node]
-            if f == LEAF:
-                break
-            v = x[f]
-            if v is None:
-                raise MissingFeatureValue(f"instance lacks a value for feature {f}")
-            if kinds[f] == CATEGORICAL:
-                c = int(v)
-                if not 0 <= c < arities[f]:
-                    raise MissingFeatureValue(
-                        f"feature {f}: category {v!r} outside 0..{arities[f] - 1}"
-                    )
-                child = children[node][c]
-                if mass[child] == 0.0:
-                    break
-            else:
-                child = children[node][0 if float(v) <= threshold[node] else 1]
-            moves.append((node, child, f))
-            node = child
-        yield moves
-
-
-def _check_instances(forest: Forest, instances):
-    instances = [tuple(x) for x in instances]
-    for x in instances:
-        if len(x) != forest.n_features:
-            raise ValueError(
-                f"instance has {len(x)} values, expected {forest.n_features}"
-            )
-    return instances
-
-
 def local_mdi(forest: Forest, instances, instance_ids=None) -> LocalImportanceMatrix:
     """Sum of impurity drops i(t) - i(t_child) along each instance's paths,
     per split feature, averaged over trees.  Scores can be negative."""
-    instances = _check_instances(forest, instances)
-    acc = np.zeros((len(instances), forest.n_features))
-    for tree in forest.trees:
-        imp = tree.impurity.tolist()
-        for row, moves in enumerate(_walk_rows(tree, instances)):
-            arow = acc[row]
-            for node, child, f in moves:
-                arow[f] += imp[node] - imp[child]
+    imp = forest.nodes.impurity
+
+    def move(buf, pair, row, node, child, f):
+        buf[pair, f] += imp[node] - imp[child]
+
+    acc = traverse(forest.nodes, instances, forest.n_features, move=move)
     acc /= forest.n_trees
     return LocalImportanceMatrix(
         scores=acc,
@@ -240,13 +200,12 @@ def local_mdi(forest: Forest, instances, instance_ids=None) -> LocalImportanceMa
 def predict_proba(forest: Forest, instances) -> np.ndarray:
     """Forest class probabilities: the tree-average of the distribution at
     each instance's reached node (leaf, or truncation point)."""
-    instances = _check_instances(forest, instances)
-    acc = np.zeros((len(instances), forest.n_classes))
-    for tree in forest.trees:
-        for row, moves in enumerate(_walk_rows(tree, instances)):
-            node = moves[-1][1] if moves else 0
-            acc[row] += tree.dist[node]
-    return acc / forest.n_trees
+    dist = forest.nodes.dist
+
+    def end(buf, node):
+        buf += dist[node]
+
+    return traverse(forest.nodes, instances, forest.n_classes, end=end) / forest.n_trees
 
 
 def saabas(
@@ -263,7 +222,6 @@ def saabas(
     Per instance, the scores plus the training prior of the class sum to
     the forest probability of that class.
     """
-    instances = _check_instances(forest, instances)
     if class_selector == "predicted":
         classes = predict_proba(forest, instances).argmax(axis=1)
     elif class_selector == "fixed":
@@ -276,14 +234,13 @@ def saabas(
         classes = np.full(len(instances), class_index, dtype=int)
     else:
         raise ValueError("class_selector must be 'predicted' or 'fixed'")
-    acc = np.zeros((len(instances), forest.n_features))
-    for tree in forest.trees:
-        dist = tree.dist
-        for row, moves in enumerate(_walk_rows(tree, instances)):
-            cls = classes[row]
-            arow = acc[row]
-            for node, child, f in moves:
-                arow[f] += dist[child][cls] - dist[node][cls]
+    dist = forest.nodes.dist
+
+    def move(buf, pair, row, node, child, f):
+        cls = classes[row]
+        buf[pair, f] += dist[child, cls] - dist[node, cls]
+
+    acc = traverse(forest.nodes, instances, forest.n_features, move=move)
     acc /= forest.n_trees
     return LocalImportanceMatrix(
         scores=acc,
@@ -367,10 +324,10 @@ def correlation_report(
 def efficiency_gap(forest: Forest) -> float:
     """Average over trees of root impurity minus weighted leaf impurity;
     equals the sum of global MDI scores for fully developed trees."""
-    acc = 0.0
-    for tree in forest.trees:
-        acc += float(tree.impurity[0]) - tree.leaf_weighted_impurity()
-    return acc / forest.n_trees
+    nodes = forest.nodes
+    leaves = nodes.feature == LEAF
+    roots = float(nodes.impurity[nodes.offsets[:-1]].sum())
+    return (roots - float(nodes.mass[leaves] @ nodes.impurity[leaves])) / forest.n_trees
 
 
 def distinct_structures(forest: Forest) -> int:

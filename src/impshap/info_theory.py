@@ -15,6 +15,8 @@ from .errors import (
     EmptyDataset,
     InternalConsistencyError,
     PlayerCountTooLarge,
+    TableTooLarge,
+    UnnormalizedTable,
     ZeroProbabilityContext,
     ZeroProbabilityInstance,
 )
@@ -110,7 +112,7 @@ class JointDistribution:
             raise ValueError(f"arities must be >= 1, got {arities}")
         n_cells = int(np.prod([float(a) for a in arities]))
         if n_cells > MAX_CELLS:
-            raise ValueError(f"table of {n_cells} cells exceeds limit {MAX_CELLS}")
+            raise TableTooLarge(f"table of {n_cells} cells exceeds limit {MAX_CELLS}")
         table = np.asarray(probs, dtype=np.float64)
         if table.size != n_cells:
             raise ValueError(
@@ -121,7 +123,7 @@ class JointDistribution:
             raise ValueError("probabilities must be nonnegative")
         total = float(table.sum())
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+            raise UnnormalizedTable(f"probabilities sum to {total!r}, expected 1")
         table[table < PROB_EPS] = 0.0
         table.setflags(write=False)
         self.arities = arities

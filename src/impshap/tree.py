@@ -1,17 +1,22 @@
-"""Single randomized decision trees with full impurity bookkeeping.
+"""Randomized decision trees, stored packed, and the one routine that walks
+instances down them.
 
 Categorical features use exhaustive splits (one child per category, never
 reused on a path); numeric features use binary threshold splits at the
 best midpoint between consecutive observed values.  Trees are always fully
 developed: recursion stops only at purity or feature exhaustion.
 
-Nodes are stored struct-of-arrays so large forests of small trees stay
-compact; `Tree.node(i)` materializes a per-node view when convenient.
+Any number of trees share one struct-of-arrays (`PackedTrees`): the node
+arrays of all trees concatenated, per-tree root offsets, and children as
+global node ids.  A `Tree` is a view of one tree's slice of those arrays.
+`traverse` is the single traversal routine; every path measure (local MDI,
+Saabas, class probabilities, `predict`) accumulates what it visits.
 """
 
 import json
 import random
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +26,10 @@ from .impurity import ENTROPY, check_kind, impurity_from_counts
 
 LEAF = -1
 PURITY_EPS = 1e-12
+# (tree, instance) pairs that `traverse` advances together; its scratch
+# arrays stay under about CHUNK_PAIRS * (2 * width + 16) * 8 bytes
+CHUNK_PAIRS = 1 << 13
+NODE_ARRAYS = ("feature", "threshold", "children", "impurity", "mass", "dist")
 
 
 @dataclass
@@ -41,45 +50,78 @@ class TreeNode:
         return self.feature is None
 
 
-class Tree:
-    """A fitted tree: parallel per-node arrays plus build metadata."""
+@dataclass
+class PackedTrees:
+    """Nodes of one or more trees as parallel arrays.
 
-    def __init__(
-        self,
-        feature,
-        threshold,
-        children,
-        impurity,
-        mass,
-        dist,
-        *,
-        k,
-        impurity_kind,
-        seed,
-        n_train,
-        feature_kinds,
-        feature_arities,
-    ):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        width = max((len(c) for c in children), default=0)
-        packed = np.full((len(children), max(width, 1)), LEAF, dtype=np.int32)
-        for i, c in enumerate(children):
-            packed[i, : len(c)] = c
-        self.children = packed
-        self.impurity = np.asarray(impurity, dtype=np.float64)
-        self.mass = np.asarray(mass, dtype=np.float64)
-        self.dist = np.asarray(dist, dtype=np.float64)
-        for arr in (self.feature, self.threshold, self.children, self.impurity,
-                    self.mass, self.dist):
-            arr.setflags(write=False)
-        self.root = 0
-        self.k = k
-        self.impurity_kind = impurity_kind
-        self.seed = seed
-        self.n_train = n_train
-        self.feature_kinds = tuple(feature_kinds)
-        self.feature_arities = tuple(feature_arities)
+    Tree i owns nodes offsets[i]..offsets[i+1]-1 and its root is node
+    offsets[i].  `children` has one row per node, child ids global and
+    padded with LEAF; a categorical split has one child per category, in
+    category order, and a threshold split (left, right).
+    """
+
+    feature: np.ndarray  # int32, LEAF at leaves
+    threshold: np.ndarray  # NaN unless a threshold split
+    children: np.ndarray  # int32, (n_nodes, width)
+    impurity: np.ndarray
+    mass: np.ndarray  # p(t): weight share of the training rows
+    dist: np.ndarray  # (n_nodes, n_classes)
+    offsets: np.ndarray  # int64, (n_trees + 1,)
+    seeds: tuple
+    k: int
+    impurity_kind: str
+    n_train: int
+    feature_kinds: tuple
+    feature_arities: tuple
+
+    def __post_init__(self):
+        for name in NODE_ARRAYS + ("offsets",):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_kinds)
+
+    @property
+    def n_classes(self) -> int:
+        return self.dist.shape[1]
+
+    @classmethod
+    def concat(cls, parts):
+        """The trees of `parts`, in order, with child ids shifted to match."""
+        parts = list(parts)
+        sizes = [len(p.feature) for p in parts]
+        bases = np.cumsum([0] + sizes[:-1])
+        cols = {name: np.concatenate([getattr(p, name) for p in parts])
+                for name in NODE_ARRAYS}
+        kids = cols["children"]
+        shift = np.repeat(bases, sizes)[:, None]
+        cols["children"] = np.where(kids == LEAF, LEAF, kids + shift).astype(np.int32)
+        offsets = np.concatenate(
+            [[0]] + [p.offsets[1:] + base for p, base in zip(parts, bases)]
+        )
+        seeds = tuple(s for p in parts for s in p.seeds)
+        return replace(parts[0], **cols, offsets=offsets, seeds=seeds)
+
+
+class Tree:
+    """One tree of a `PackedTrees`: its node arrays are slices of the packed
+    arrays, indexed by local node id (root 0).  `children` keeps the packed
+    global ids; `node(i).children` gives local ones."""
+
+    def __init__(self, packed: PackedTrees, index: int = 0):
+        lo, hi = int(packed.offsets[index]), int(packed.offsets[index + 1])
+        self.packed, self.index, self.offset, self.root = packed, index, lo, 0
+        for name in NODE_ARRAYS:
+            setattr(self, name, getattr(packed, name)[lo:hi])
+        self.seed = packed.seeds[index]
+        self.k = packed.k
+        self.impurity_kind = packed.impurity_kind
+        self.feature_kinds = packed.feature_kinds
 
     @property
     def n_nodes(self) -> int:
@@ -96,7 +138,7 @@ class Tree:
     def node(self, i: int) -> TreeNode:
         f = int(self.feature[i])
         is_leaf = f == LEAF
-        kids = tuple(int(c) for c in self.children[i] if c != LEAF)
+        kids = tuple(int(c) - self.offset for c in self.children[i] if c != LEAF)
         return TreeNode(
             node_id=i,
             feature=None if is_leaf else f,
@@ -117,7 +159,8 @@ class Tree:
 
     def structure_key(self) -> bytes:
         """Stable encoding of the split structure (for distinctness checks)."""
-        return self.feature.tobytes() + self.children.tobytes() + self.threshold.tobytes()
+        local = np.where(self.children == LEAF, LEAF, self.children - self.offset)
+        return self.feature.tobytes() + local.tobytes() + self.threshold.tobytes()
 
     def to_json_dict(self) -> dict:
         nodes = []
@@ -139,7 +182,7 @@ class Tree:
             "k": self.k,
             "impurity": self.impurity_kind,
             "seed": self.seed,
-            "n_train": self.n_train,
+            "n_train": self.packed.n_train,
             "root": self.root,
             "nodes": nodes,
         }
@@ -194,15 +237,17 @@ def build_tree(dataset: Dataset, k: int, impurity: str = ENTROPY, rng=None) -> T
     feature index, then the smallest threshold).  k=1 is the totally
     randomized regime: the drawn feature splits unconditionally.
     """
-    ctx = _BuildContext(dataset)
     seed = None
     if rng is None or isinstance(rng, int):
         seed = 0 if rng is None else rng
         rng = random.Random(seed)
-    return _build_with_context(ctx, k, impurity, rng, seed)
+    return Tree(grow_trees(dataset, k, impurity, [(rng, seed)]))
 
 
-def _build_with_context(ctx: _BuildContext, k, impurity, rng, seed) -> Tree:
+def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
+    """One tree per (rng, seed) pair of `rngs`, in order, grown straight
+    into packed columns."""
+    ctx = _BuildContext(dataset)
     check_kind(impurity)
     if not 1 <= k <= max(ctx.n_features, 1):
         raise ValueError(f"k must be in 1..{ctx.n_features}, got {k}")
@@ -211,17 +256,20 @@ def _build_with_context(ctx: _BuildContext, k, impurity, rng, seed) -> Tree:
     total_weight = ctx.total_weight
     categorical = [kd == CATEGORICAL for kd in kinds]
 
-    feat_out, thr_out, child_out = [], [], []
-    imp_out, mass_out, dist_out = [], [], []
+    # flat columns: global node ids, `width` child slots per node
+    feat_out, thr_out, child_out = array("i"), array("d"), array("i")
+    imp_out, mass_out, dist_out = array("d"), array("d"), array("d")
+    width = max([a if c else 2 for c, a in zip(categorical, arities)], default=1)
+    no_children = array("i", [LEAF] * width)
 
     def new_node(impv, massv, distv):
         node_id = len(feat_out)
         feat_out.append(LEAF)
         thr_out.append(float("nan"))
-        child_out.append(())
+        child_out.extend(no_children)
         imp_out.append(impv)
         mass_out.append(massv)
-        dist_out.append(distv)
+        dist_out.extend(distv)
         return node_id
 
     def node_counts(idx):
@@ -255,12 +303,9 @@ def _build_with_context(ctx: _BuildContext, k, impurity, rng, seed) -> Tree:
         total = sum(counts)
         left = [0.0] * n_classes
         best = None
-        pos = 0
-        n = len(order)
-        while pos < n - 1:
-            i = order[pos]
+        for pos in range(1, len(order)):
+            i = order[pos - 1]
             left[y[i]] += 1.0 if w is None else w[i]
-            pos += 1
             v, nxt = col[i], col[order[pos]]
             if v == nxt:
                 continue
@@ -351,83 +396,158 @@ def _build_with_context(ctx: _BuildContext, k, impurity, rng, seed) -> Tree:
             thr_out[node_id] = thr
             for part in parts:
                 kids.append(grow(part, used_mask))
-        child_out[node_id] = tuple(kids)
+        base = node_id * width
+        child_out[base:base + len(kids)] = array("i", kids)
         return node_id
 
-    grow(list(range(ctx.n_rows)), 0, at_root=True)
-    return Tree(
-        feat_out,
-        thr_out,
-        child_out,
-        imp_out,
-        mass_out,
-        dist_out,
-        k=k,
-        impurity_kind=impurity,
-        seed=seed,
-        n_train=ctx.n_rows,
-        feature_kinds=kinds,
-        feature_arities=arities,
+    offsets, seeds = [0], []
+    for rng, seed in rngs:  # `grow` draws from the current `rng`
+        grow(list(range(ctx.n_rows)), 0, at_root=True)
+        offsets.append(len(feat_out))
+        seeds.append(seed)
+    del grow  # a recursive closure is a reference cycle: free the columns now
+    return PackedTrees(
+        np.array(feat_out, dtype=np.int32),
+        np.array(thr_out),
+        np.array(child_out, dtype=np.int32).reshape(-1, width),
+        np.array(imp_out),
+        np.array(mass_out),
+        np.array(dist_out).reshape(-1, n_classes),
+        np.array(offsets, dtype=np.int64),
+        tuple(seeds), k, impurity, ctx.n_rows, tuple(kinds), tuple(arities),
     )
+
+
+def node_drops(packed: PackedTrees, lo: int, hi: int) -> np.ndarray:
+    """p(t) i(t) - sum_c p(c) i(c) for the nodes lo..hi-1 of `packed`."""
+    drop = packed.mass[lo:hi] * packed.impurity[lo:hi]
+    for col in packed.children[lo:hi].T:
+        drop -= np.where(col == LEAF, 0.0, packed.mass[col] * packed.impurity[col])
+    return drop
+
+
+def mdi_by_tree(packed: PackedTrees) -> np.ndarray:
+    """(n_trees, n_features) table: per tree and feature, the sum of the
+    node drops of the nodes splitting on the feature, in node order.  One
+    bincount over the packed nodes."""
+    drop = node_drops(packed, 0, len(packed.feature))
+    split = packed.feature != LEAF
+    tree = np.repeat(np.arange(packed.n_trees), np.diff(packed.offsets))
+    cells = packed.n_trees * packed.n_features
+    key = tree[split] * packed.n_features + packed.feature[split]
+    sums = np.bincount(key, weights=drop[split], minlength=cells)
+    return sums.reshape(packed.n_trees, packed.n_features)
 
 
 def tree_mdi(tree: Tree) -> np.ndarray:
     """Per-feature importance: sum of p(t) * impurity decrease over the
     nodes splitting on the feature.  Features never split upon score 0."""
-    scores = np.zeros(tree.n_features)
-    feature = tree.feature
-    mass = tree.mass
-    imp = tree.impurity
-    children = tree.children
-    for t in range(tree.n_nodes):
-        f = feature[t]
-        if f == LEAF:
-            continue
-        drop = mass[t] * imp[t]
-        for c in children[t]:
-            if c == LEAF:
-                break
-            drop -= mass[c] * imp[c]
-        scores[f] += drop
-    return scores
+    drop = node_drops(tree.packed, tree.offset, tree.offset + tree.n_nodes)
+    split = tree.feature != LEAF
+    return np.bincount(tree.feature[split], weights=drop[split],
+                       minlength=tree.n_features)
+
+
+def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
+             trees=None) -> np.ndarray:
+    """Walk every instance down every tree; returns the (n, width) sum over
+    trees of what the walks put into their rows.
+
+    Per chunk of (tree, instance) pairs, tree-major, the walks advance one
+    depth level at a time.  After each level `move(buf, pair, row, node,
+    child, feature)` sees the pairs that moved, and at the end `end(buf,
+    node)` sees the node where each pair stopped; both add into `buf`,
+    which has one row per pair.  The rows of each tree are then added to
+    the result in tree order, so the sums depend on the input alone.
+
+    A walk stops at a leaf, or at the current node when a categorical split
+    sends it to a zero-mass child (a category unseen there in training).
+    A missing value (None or NaN) or an out-of-range category raises
+    MissingFeatureValue, but only when a walk reaches that feature.
+    `trees` = (lo, hi) restricts the walk to those trees.
+    """
+    lo, hi = (0, packed.n_trees) if trees is None else trees
+    n = len(instances)
+    acc = np.zeros((n, width))
+    if n == 0:
+        return acc
+    x = np.array(instances, dtype=np.float64)
+    if x.shape != (n, packed.n_features):
+        raise ValueError(f"instances must have {packed.n_features} values each")
+    x = x.ravel()
+    p = packed.n_features
+    categorical = np.array([kd == CATEGORICAL for kd in packed.feature_kinds])
+    arity = np.array([a or 0 for a in packed.feature_arities], dtype=np.float64)
+    # usable values: any number, or a category code c with int(c) in 0..arity-1;
+    # NaN fails both bounds
+    v_min = np.where(categorical, np.nextafter(-1.0, 0.0), -np.inf)
+    v_max = np.where(categorical, np.nextafter(arity, -np.inf), np.inf)
+    feature, threshold, mass = packed.feature, packed.threshold, packed.mass
+    kids = packed.children.ravel()
+    fanout = packed.children.shape[1]
+    offsets = packed.offsets
+    rows_per = min(n, CHUNK_PAIRS)
+    trees_per = CHUNK_PAIRS // rows_per
+    for t0 in range(lo, hi, trees_per):
+        t1 = min(hi, t0 + trees_per)
+        for r0 in range(0, n, rows_per):
+            r1 = min(n, r0 + rows_per)
+            rows = np.tile(np.arange(r0, r1), t1 - t0)
+            node = np.repeat(offsets[t0:t1], r1 - r0)
+            stack = np.zeros((t1 - t0 + 1, r1 - r0, width))
+            stack[0] = acc[r0:r1]
+            buf = stack[1:].reshape(-1, width)
+            stop = node.copy()
+            pair = np.arange(node.size)
+            while pair.size:
+                f = feature[node]
+                split = f != LEAF
+                pair, node, f = pair[split], node[split], f[split]
+                row = rows[pair]
+                v = x[row * p + f]
+                ok = (v >= v_min[f]) & (v <= v_max[f])
+                if not ok.all():
+                    i = int(np.flatnonzero(~ok)[0])
+                    raise MissingFeatureValue(
+                        f"feature {f[i]}: no usable value "
+                        f"({instances[row[i]][f[i]]!r}) where a path splits on it"
+                    )
+                # astype truncates a category code as int() does
+                side = np.where(categorical[f], v, v > threshold[node]).astype(np.intp)
+                child = kids[node * fanout + side]
+                go = mass[child] > 0.0  # only exhaustive splits have empty children
+                if not go.all():
+                    pair, row, node, child, f = (
+                        pair[go], row[go], node[go], child[go], f[go]
+                    )
+                if move is not None:
+                    move(buf, pair, row, node, child, f)
+                stop[pair] = child
+                node = child
+            if end is not None:
+                end(buf, stop)
+            np.cumsum(stack, axis=0, out=stack)
+            acc[r0:r1] = stack[-1]
+    return acc
 
 
 def predict(tree: Tree, x):
-    """Class distribution and traversed path for one instance.
+    """Class distribution and traversed path (local node ids) for one
+    instance: `traverse` over this tree alone.
 
     Traversal stops early when an exhaustive split routes the instance to
     a zero-mass child (a category unseen at that node during training);
     the distribution of the last visited positive-mass node is returned.
     """
     path = [tree.root]
-    node = tree.root
-    feature = tree.feature
-    while True:
-        f = int(feature[node])
-        if f == LEAF:
-            break
-        nxt = _step(tree, node, f, x)
-        if nxt is None:
-            break
-        path.append(nxt)
-        node = nxt
-    return tree.dist[node], path
+    dist = tree.packed.dist
 
+    def move(buf, pair, row, node, child, f):
+        path.extend((child - tree.offset).tolist())
 
-def _step(tree: Tree, node: int, f: int, x):
-    """Child of `node` followed by instance x, or None on truncation."""
-    v = x[f]
-    if v is None:
-        raise MissingFeatureValue(f"instance lacks a value for feature {f}")
-    if tree.feature_kinds[f] == CATEGORICAL:
-        c = int(v)
-        if not 0 <= c < tree.feature_arities[f]:
-            raise MissingFeatureValue(
-                f"feature {f}: category {v!r} outside 0..{tree.feature_arities[f] - 1}"
-            )
-        child = int(tree.children[node][c])
-        if tree.mass[child] == 0.0:
-            return None
-        return child
-    side = 0 if float(v) <= tree.threshold[node] else 1
-    return int(tree.children[node][side])
+    def end(buf, node):
+        buf += dist[node]
+
+    proba = traverse(tree.packed, [tuple(x)], tree.n_classes, move, end,
+                     trees=(tree.index, tree.index + 1))
+    return proba[0], path

@@ -150,3 +150,86 @@ def locally_irrelevant_scan(table: np.ndarray, m: int, x, tol: float) -> bool:
         if sub == 0:
             return True
         sub = (sub - 1) & rest
+
+
+# ---------------------------------------------------------------------------
+# Per-tree references for the forest layer: each instance walked down each
+# tree one node at a time through `Tree.node` views, and the per-node loop
+# of tree MDI.
+
+
+def walk_rows(tree, instances):
+    """Per-instance move lists [(node, child, feature), ...] in local ids.
+
+    A move is recorded only when the instance proceeds to a positive-mass
+    child; an unseen category (zero-mass child) ends the list early.
+    """
+    from impshap.errors import MissingFeatureValue
+
+    views = [tree.node(i) for i in range(tree.n_nodes)]
+    for x in instances:
+        moves = []
+        node = 0
+        while not views[node].is_leaf:
+            view = views[node]
+            f = view.feature
+            v = x[f]
+            if v is None:
+                raise MissingFeatureValue(f"instance lacks a value for feature {f}")
+            if view.kind == "exhaustive":
+                c = int(v)
+                if not 0 <= c < len(view.children):
+                    raise MissingFeatureValue(f"feature {f}: category {v!r}")
+                child = view.children[c]
+                if views[child].mass == 0.0:
+                    break
+            else:
+                child = view.children[0 if float(v) <= view.threshold else 1]
+            moves.append((node, child, f))
+            node = child
+        yield moves
+
+
+def local_mdi_by_walks(forest, instances) -> np.ndarray:
+    acc = np.zeros((len(instances), forest.n_features))
+    for tree in forest.trees:
+        imp = tree.impurity
+        for row, moves in enumerate(walk_rows(tree, instances)):
+            for node, child, f in moves:
+                acc[row, f] += imp[node] - imp[child]
+    return acc / forest.n_trees
+
+
+def predict_proba_by_walks(forest, instances) -> np.ndarray:
+    acc = np.zeros((len(instances), forest.n_classes))
+    for tree in forest.trees:
+        for row, moves in enumerate(walk_rows(tree, instances)):
+            node = moves[-1][1] if moves else 0
+            acc[row] += tree.dist[node]
+    return acc / forest.n_trees
+
+
+def saabas_by_walks(forest, instances, classes) -> np.ndarray:
+    acc = np.zeros((len(instances), forest.n_features))
+    for tree in forest.trees:
+        dist = tree.dist
+        for row, moves in enumerate(walk_rows(tree, instances)):
+            cls = classes[row]
+            for node, child, f in moves:
+                acc[row, f] += dist[child][cls] - dist[node][cls]
+    return acc / forest.n_trees
+
+
+def tree_mdi_by_nodes(tree) -> np.ndarray:
+    """Sum of p(t) i(t) - sum_c p(c) i(c) per split feature, node by node."""
+    scores = np.zeros(tree.n_features)
+    for t in range(tree.n_nodes):
+        view = tree.node(t)
+        if view.is_leaf:
+            continue
+        drop = view.mass * view.impurity
+        for c in view.children:
+            child = tree.node(c)
+            drop -= child.mass * child.impurity
+        scores[view.feature] += drop
+    return scores

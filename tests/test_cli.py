@@ -270,17 +270,31 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["local", "--data", "table2", "--instance", "1,1", "--trees", "5"],
         ["global", "--data", "led", "--k", "9"],
         ["global", "--data", "led", "--trees", "0"],
+        ["pop-mdi", "--data", "{unnormalized}"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
-         "local-wrong-count", "k-beyond-p", "no-trees"],
+         "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off"],
 )
-def test_malformed_input_is_one_line_usage_error(capsys, argv):
-    code = cli.main(argv)
+def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
+    unnormalized = tmp_path / "f.csv"  # probabilities sum to 0.99
+    unnormalized.write_text("x1,y,probability\n0,0,0.5\n1,1,0.49\n")
+    code = cli.main([a.format(unnormalized=unnormalized) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"], ids=["not-integer", "zero"])
+def test_bad_thread_budget_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("IMPSHAP_THREADS", value)
+    code = cli.main(["global", "--data", "led", "--trees", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: IMPSHAP_THREADS")
 
 
 def test_several_instances_match_single_instance_calls(capsys, tables):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from impshap.data import ColumnMeta, Dataset, builtin_dataset, led_population
+from impshap.errors import InvalidSetting
 from impshap.forest import (
+    _thread_budget,
     build_forest,
     correlation_report,
     distinct_structures,
@@ -56,11 +58,19 @@ def test_seed_determinism(led_ds):
 
 def test_parallel_matches_sequential(led_ds):
     seq = build_forest(led_ds, k=1, n_trees=64, seed=5, n_jobs=1)
-    par = build_forest(led_ds, k=1, n_trees=64, seed=5, n_jobs=3)
-    assert np.array_equal(global_mdi(seq), global_mdi(par))
-    assert [t.structure_key() for t in seq.trees] == [
-        t.structure_key() for t in par.trees
-    ]
+    instances = led_ds.instances()
+    for n_jobs in (2, 3):
+        par = build_forest(led_ds, k=1, n_trees=64, seed=5, n_jobs=n_jobs)
+        assert np.array_equal(global_mdi(seq), global_mdi(par))
+        assert [t.structure_key() for t in seq.trees] == [
+            t.structure_key() for t in par.trees
+        ]
+        assert np.array_equal(local_mdi(seq, instances).scores,
+                              local_mdi(par, instances).scores)
+        assert np.array_equal(saabas(seq, instances).scores,
+                              saabas(par, instances).scores)
+        assert np.array_equal(predict_proba(seq, instances),
+                              predict_proba(par, instances))
 
 
 def test_distinct_structures_regression(led_ds):
@@ -227,3 +237,17 @@ def test_forest_validation(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=3, seed=0)
     with pytest.raises(ValueError):
         local_mdi(forest, [(0, 1)])  # wrong width
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_thread_budget_refuses_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("IMPSHAP_THREADS", value)
+    with pytest.raises(InvalidSetting, match="IMPSHAP_THREADS"):
+        _thread_budget()
+
+
+def test_thread_budget_reads_positive_integers(monkeypatch):
+    monkeypatch.delenv("IMPSHAP_THREADS", raising=False)
+    assert _thread_budget() == 1
+    monkeypatch.setenv("IMPSHAP_THREADS", "2")
+    assert _thread_budget() == 2

@@ -5,7 +5,13 @@ import pytest
 
 from oracles import h_binary, table_cond_entropy, table_entropy
 
-from impshap.errors import EmptyDataset, ZeroProbabilityContext
+from impshap.errors import (
+    EmptyDataset,
+    ImpshapError,
+    TableTooLarge,
+    UnnormalizedTable,
+    ZeroProbabilityContext,
+)
 from impshap.info_theory import (
     JointDistribution,
     as_mask,
@@ -215,3 +221,13 @@ def test_rejects_oversized_tables():
     # dense-table limit: declining early beats allocating gigabytes
     with pytest.raises(ValueError):
         JointDistribution((1 << 28, 2), np.zeros(2))
+
+
+def test_table_errors_are_impshap_errors():
+    """Both refusals reach the CLI as usage errors (exit 2)."""
+    with pytest.raises(UnnormalizedTable):
+        JointDistribution((2, 2), [0.5, 0.0, 0.0, 0.49])
+    with pytest.raises(TableTooLarge):
+        JointDistribution((1 << 28, 2), np.zeros(2))
+    assert issubclass(UnnormalizedTable, ImpshapError)
+    assert issubclass(TableTooLarge, ImpshapError)

@@ -1,0 +1,189 @@
+"""The packed frontier traversal against the per-tree walks in oracles.py.
+
+Property tests grow forests on random datasets that mix categorical and
+numeric features, hide the top category of some categorical features from
+training (so that walks stop at zero-mass children), and weight some rows
+by zero.  Examples are drawn deterministically, so every run checks the
+same forests.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    local_mdi_by_walks,
+    predict_proba_by_walks,
+    saabas_by_walks,
+    tree_mdi_by_nodes,
+    walk_rows,
+)
+
+from impshap import tree as tree_module
+from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset
+from impshap.errors import EmptyDataset, MissingFeatureValue, NoAdmissibleFeature
+from impshap.forest import build_forest, global_mdi, local_mdi, predict_proba, saabas
+from impshap.impurity import KINDS
+from impshap.tree import CHUNK_PAIRS, predict, tree_mdi
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+NUMERIC_VALUES = (0.0, 0.5, 1.0, 2.5, 3.0)
+TOL = 1e-12
+
+
+def random_dataset(seed, kinds, n_rows, n_classes, weighted):
+    """Rows drawn from `seed`; a categorical feature of arity a >= 3 never
+    shows its top category, and weighted rows include zero weights."""
+    rng = np.random.default_rng(seed)
+    columns, data = [], []
+    for m, arity in enumerate(kinds):
+        if arity:
+            columns.append(ColumnMeta(f"c{m}", CATEGORICAL, arity))
+            data.append(rng.integers(0, arity - 1 if arity >= 3 else arity, n_rows))
+        else:
+            columns.append(ColumnMeta(f"n{m}", NUMERIC))
+            data.append(rng.choice(NUMERIC_VALUES, n_rows))
+    columns.append(ColumnMeta("y", CATEGORICAL, n_classes))
+    data.append(rng.integers(0, n_classes, n_rows))
+    weights = rng.choice([0.0, 0.5, 1.0, 2.0], n_rows) if weighted else None
+    return Dataset(columns, data, weights=weights)
+
+
+def random_instances(seed, kinds, n):
+    """n rows over each feature's full domain, unseen categories included."""
+    rng = np.random.default_rng(seed + 1)
+    cols = [
+        rng.integers(0, arity, n).tolist() if arity
+        else rng.choice(NUMERIC_VALUES + (-1.0, 4.0), n).tolist()
+        for arity in kinds
+    ]
+    return list(zip(*cols))
+
+
+def grow(seed, kinds, n_rows, n_classes, weighted, k, n_trees, impurity):
+    """(forest, kinds); kinds[m] is feature m's arity, 0 when numeric."""
+    ds = random_dataset(seed, kinds, n_rows, n_classes, weighted)
+    try:
+        forest = build_forest(ds, k=min(k, len(kinds)), n_trees=n_trees,
+                              impurity=impurity, seed=seed)
+    except (EmptyDataset, NoAdmissibleFeature):
+        assume(False)
+    return forest, kinds
+
+
+def assert_matches_walks(forest, instances):
+    proba = predict_proba(forest, instances)
+    want = predict_proba_by_walks(forest, instances)
+    assert np.abs(proba - want).max() <= TOL
+    lm = local_mdi(forest, instances)
+    assert np.abs(lm.scores - local_mdi_by_walks(forest, instances)).max() <= TOL
+    sb = saabas(forest, instances)
+    assert sb.classes == tuple(int(c) for c in want.argmax(axis=1))
+    expected = saabas_by_walks(forest, instances, sb.classes)
+    assert np.abs(sb.scores - expected).max() <= TOL
+
+
+FORESTS = st.builds(
+    grow,
+    seed=st.integers(0, 2**16),
+    kinds=st.lists(st.sampled_from([0, 2, 3, 4]), min_size=1, max_size=4),
+    n_rows=st.integers(2, 24),
+    n_classes=st.integers(2, 3),
+    weighted=st.booleans(),
+    k=st.integers(1, 4),
+    n_trees=st.integers(1, 40),
+    impurity=st.sampled_from(KINDS),
+)
+
+
+@PROPERTY
+@given(grown=FORESTS, n=st.integers(1, 20))
+def test_many_trees_per_chunk(grown, n):
+    """At most 20 instances: all (at most 40) trees walk in one chunk."""
+    forest, kinds = grown
+    assert_matches_walks(forest, random_instances(forest.seed, kinds, n))
+
+
+@PROPERTY
+@given(grown=FORESTS, n=st.integers(5, 8))
+def test_one_tree_per_chunk(grown, n):
+    """A chunk of 8 pairs holds exactly one tree for 5 to 8 instances."""
+    forest, kinds = grown
+    with mock.patch.object(tree_module, "CHUNK_PAIRS", 8):
+        assert_matches_walks(forest, random_instances(forest.seed, kinds, n))
+
+
+@PROPERTY
+@given(grown=FORESTS, n=st.integers(9, 30))
+def test_instances_beyond_one_chunk(grown, n):
+    """More instances than a chunk holds: each tree's rows span chunks."""
+    forest, kinds = grown
+    with mock.patch.object(tree_module, "CHUNK_PAIRS", 8):
+        assert_matches_walks(forest, random_instances(forest.seed, kinds, n))
+
+
+@PROPERTY
+@given(grown=FORESTS, n=st.integers(1, 6))
+def test_tree_mdi_and_predict_match_per_node_loops(grown, n):
+    forest, kinds = grown
+    per_tree = []
+    for tree in forest.trees:
+        want = tree_mdi_by_nodes(tree)
+        assert np.abs(tree_mdi(tree) - want).max() <= TOL
+        per_tree.append(want)
+    assert np.abs(global_mdi(forest) - np.mean(per_tree, axis=0)).max() <= TOL
+    instances = random_instances(forest.seed, kinds, n)
+    for tree in forest.trees[:5]:
+        for x, moves in zip(instances, walk_rows(tree, instances)):
+            dist, path = predict(tree, x)
+            assert path == [0] + [child for _, child, _ in moves]
+            assert np.array_equal(dist, tree.dist[path[-1]])
+
+
+@pytest.mark.parametrize("extra", [0, 7], ids=["one-tree-per-chunk", "beyond-chunk"])
+def test_module_chunk_constant(extra):
+    """CHUNK_PAIRS instances put one tree in each chunk; more split rows."""
+    kinds = [3, 0, 2, 4]
+    forest, _ = grow(5, kinds, 40, 3, True, 2, 3, "entropy")
+    assert_matches_walks(forest, random_instances(5, kinds, CHUNK_PAIRS + extra))
+
+
+def two_feature_forest():
+    """Root splits on a; a = 0 is a pure leaf, a = 1 then splits on b."""
+    ds = Dataset(
+        [ColumnMeta("a", CATEGORICAL, 2), ColumnMeta("b", CATEGORICAL, 2),
+         ColumnMeta("y", CATEGORICAL, 2)],
+        [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([0, 0, 0, 1])],
+    )
+    return build_forest(ds, k=2, n_trees=6, seed=0)
+
+
+@pytest.mark.parametrize("value", [None, float("nan"), 2, -1])
+def test_unvisited_bad_value_scores_as_before(value):
+    forest = two_feature_forest()
+    assert all(t.node(0).feature == 0 for t in forest.trees)
+    clean = [(0, 0), (1, 1)]
+    odd = [(0, value), (1, 1)]
+    assert np.array_equal(local_mdi(forest, odd).scores, local_mdi(forest, clean).scores)
+    assert np.array_equal(saabas(forest, odd).scores, saabas(forest, clean).scores)
+    assert np.array_equal(predict_proba(forest, odd), predict_proba(forest, clean))
+    dist, path = predict(forest.trees[0], (0, value))
+    assert path == [0, forest.trees[0].node(0).children[0]]
+    assert np.array_equal(local_mdi(forest, odd).scores,
+                          local_mdi_by_walks(forest, clean))
+
+
+@pytest.mark.parametrize("value", [None, float("nan"), 2, -1])
+def test_visited_bad_value_raises(value):
+    forest = two_feature_forest()
+    bad = [(0, 0), (1, value)]
+    for measure in (local_mdi, saabas, predict_proba):
+        with pytest.raises(MissingFeatureValue):
+            measure(forest, bad)
+    with pytest.raises(MissingFeatureValue):
+        predict(forest.trees[0], (1, value))
+    with pytest.raises(MissingFeatureValue):
+        local_mdi(forest, [(value, 0)])
