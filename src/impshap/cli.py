@@ -239,8 +239,14 @@ def _parse_instances(texts, arities):
 
 
 def _resolve_instances(args, dataset):
-    """Instances for local scoring: flags, a CSV file, or the training rows."""
+    """Instances for local scoring: flags, a CSV file, or the training rows.
+    Checks --class-index against the output arity too."""
     arities = dataset.arities[:-1]
+    n_classes = dataset.arities[-1]
+    if args.class_index is not None and not 0 <= args.class_index < n_classes:
+        raise UsageError(
+            f"--class-index must be in 0..{n_classes - 1}, got {args.class_index}"
+        )
     if getattr(args, "instance", None):
         rows = _parse_instances(args.instance, arities)
         return rows, tuple(range(len(rows)))
@@ -269,6 +275,7 @@ def _forest_ks(args, n_features):
     if args.trees < 1:
         raise UsageError(f"--trees must be at least 1, got {args.trees}")
     text = getattr(args, "k_sweep", None)
+    flag = "--k" if text is None else "--k-sweep"
     if text is None:
         ks = [args.k]
     else:
@@ -285,7 +292,7 @@ def _forest_ks(args, n_features):
             raise UsageError(f"bad --k-sweep {text!r}: empty range")
     for k in ks:
         if not 1 <= k <= n_features:
-            raise UsageError(f"--k must be in 1..{n_features}, got {k}")
+            raise UsageError(f"{flag} must be in 1..{n_features}, got {k}")
     return ks
 
 

@@ -192,11 +192,12 @@ class Tree:
 
 
 class _BuildContext:
-    """Dataset unpacked into plain Python containers for the hot loops."""
+    """Dataset unpacked for growth: the rows with positive weight, as arrays
+    (and the numeric columns also as lists, for the threshold scan)."""
 
     __slots__ = (
-        "cols", "kinds", "arities", "y", "w", "n_classes", "total_weight",
-        "n_rows", "n_features",
+        "x", "cols", "lists", "kinds", "arities", "y", "w", "ys", "ws",
+        "n_classes", "total_weight", "n_rows", "n_features",
     )
 
     def __init__(self, dataset: Dataset):
@@ -215,17 +216,30 @@ class _BuildContext:
             keep = np.flatnonzero(dataset.weights > 0.0)
             if keep.size == 0:
                 raise EmptyDataset("dataset has zero total weight")
-        self.cols = [col[keep].tolist() for col in dataset.data[:-1]]
+        self.cols = [col[keep] for col in dataset.data[:-1]]
+        self.x = np.column_stack(self.cols).astype(np.float64)
         self.kinds = [c.kind for c in dataset.columns[:-1]]
         self.arities = [c.arity for c in dataset.columns[:-1]]
-        self.y = dataset.output[keep].tolist()
-        self.w = None if dataset.weights is None else dataset.weights[keep].tolist()
-        self.n_classes = out_meta.arity
-        self.total_weight = (
-            float(len(self.y)) if self.w is None else float(sum(self.w))
-        )
+        self.lists = [None if kd == CATEGORICAL else col.tolist()
+                      for kd, col in zip(self.kinds, self.cols)]
+        self.y = dataset.output[keep]
         self.n_rows = len(self.y)
+        self.w = (np.ones(self.n_rows) if dataset.weights is None
+                  else dataset.weights[keep])
+        self.ys, self.ws = self.y.tolist(), self.w.tolist()
+        self.n_classes = out_meta.arity
+        self.total_weight = float(sum(self.ws))
         self.n_features = dataset.n_features
+
+
+class _Node:
+    """One node state of a build: what a node computes from its rows, and
+    its splits, filled in as trees ask for them.  `copy` is the (lo, hi)
+    output slice of its subtree once that subtree is known to draw no
+    random number; its rows and splits are then dropped."""
+
+    __slots__ = ("id", "rows", "prefix", "cat", "mask", "counts", "weight",
+                 "imp", "admissible", "splits", "copy")
 
 
 def build_tree(dataset: Dataset, k: int, impurity: str = ENTROPY, rng=None) -> Tree:
@@ -246,175 +260,182 @@ def build_tree(dataset: Dataset, k: int, impurity: str = ENTROPY, rng=None) -> T
 
 def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
     """One tree per (rng, seed) pair of `rngs`, in order, grown straight
-    into packed columns."""
+    into packed columns from one memo of node states.
+
+    A node state is keyed on its path.  On categorical paths the key is one
+    integer holding the value + 1 of every used feature f in digit f of
+    base (max arity + 1), so the same splits in any order give the same key
+    and rows.  A threshold split starts a new prefix, (parent key, feature,
+    side).  The RNG only draws the candidates, call for call as in a
+    recursive build; a subtree that drew none is copied as an output slice.
+    """
     ctx = _BuildContext(dataset)
     check_kind(impurity)
     if not 1 <= k <= max(ctx.n_features, 1):
         raise ValueError(f"k must be in 1..{ctx.n_features}, got {k}")
-    cols, kinds, arities = ctx.cols, ctx.kinds, ctx.arities
-    y, w, n_classes = ctx.y, ctx.w, ctx.n_classes
-    total_weight = ctx.total_weight
-    categorical = [kd == CATEGORICAL for kd in kinds]
-
-    # flat columns: global node ids, `width` child slots per node
-    feat_out, thr_out, child_out = array("i"), array("d"), array("i")
-    imp_out, mass_out, dist_out = array("d"), array("d"), array("d")
+    x, cols, lists, arities = ctx.x, ctx.cols, ctx.lists, ctx.arities
+    y, w, ys, ws, n_classes = ctx.y, ctx.w, ctx.ys, ctx.ws, ctx.n_classes
+    total_weight, n_features = ctx.total_weight, ctx.n_features
+    categorical = [kd == CATEGORICAL for kd in ctx.kinds]
+    step = [(max(a or 0 for a in arities) + 1) ** f for f in range(n_features)]
+    memo = {}
+    # impurity, mass and class distribution of each node state, by state id
+    state_imp, state_mass, state_dist = [], [], []
+    # output columns: the node state of each node (~parent state for the
+    # zero-mass child of an unseen category) and children as offsets from
+    # their parent (0: none), so that a copied subtree slice stays valid
+    state_out, feat_out, thr_out, child_out = array("i"), array("i"), array("d"), array("i")
     width = max([a if c else 2 for c, a in zip(categorical, arities)], default=1)
-    no_children = array("i", [LEAF] * width)
+    no_children = array("i", [0] * width)
+    nan = float("nan")
 
-    def new_node(impv, massv, distv):
-        node_id = len(feat_out)
-        feat_out.append(LEAF)
-        thr_out.append(float("nan"))
-        child_out.extend(no_children)
-        imp_out.append(impv)
-        mass_out.append(massv)
-        dist_out.extend(distv)
-        return node_id
+    def state(rows, prefix, cat, mask):
+        node = _Node()
+        node.id, node.rows, node.prefix, node.cat, node.mask = (
+            len(state_imp), rows, prefix, cat, mask)
+        counts = np.bincount(y[rows], weights=w[rows], minlength=n_classes).tolist()
+        node.counts, node.weight = counts, sum(counts)
+        node.imp = impurity_from_counts(counts, impurity)
+        node.splits, node.copy, node.admissible = {}, None, ()
+        state_imp.append(node.imp)
+        state_mass.append(node.weight / total_weight)
+        state_dist.extend([c / node.weight for c in counts])
+        if node.imp >= PURITY_EPS:
+            sub = x[rows]
+            varies = (sub != sub[0]).any(axis=0).tolist()
+            node.admissible = [f for f in range(n_features) if varies[f]
+                               and not (categorical[f] and mask >> f & 1)]
+        return node
 
-    def node_counts(idx):
-        counts = [0.0] * n_classes
-        if w is None:
-            for i in idx:
-                counts[y[i]] += 1.0
-        else:
-            for i in idx:
-                counts[y[i]] += w[i]
-        return counts
+    def categorical_split(node, f):
+        codes = cols[f][node.rows]
+        ends = np.cumsum(np.bincount(codes, minlength=arities[f])).tolist()
+        rows = node.rows[np.argsort(codes, kind="stable")]  # row order per part
+        kids, acc, start = [], 0.0, 0
+        for c, end in enumerate(ends):
+            child = None
+            if end > start:
+                cat = node.cat + (c + 1) * step[f]
+                key = cat if node.prefix is None else (node.prefix, cat)
+                child = memo.get(key)
+                if child is None:
+                    child = memo[key] = state(rows[start:end], node.prefix, cat,
+                                              node.mask | 1 << f)
+                acc += child.weight / node.weight * child.imp
+            kids.append(child)
+            start = end
+        return node.imp - acc, nan, kids
 
-    def admissible_features(idx, used_mask):
-        out = []
-        for f in range(ctx.n_features):
-            if categorical[f]:
-                if (used_mask >> f) & 1:
-                    continue
-            col = cols[f]
-            first = col[idx[0]]
-            for i in idx:
-                if col[i] != first:
-                    out.append(f)
-                    break
-        return out
-
-    def best_threshold(idx, f, parent_imp, counts):
-        """Best midpoint split of numeric feature f; returns (gain, thr, parts)."""
-        col = cols[f]
-        order = sorted(idx, key=col.__getitem__)
-        total = sum(counts)
+    def threshold_split(node, f):
+        """Best midpoint split of numeric feature f, scanning the rows in
+        stable sorted order; f is admissible, so some midpoint exists."""
+        col, counts, total = lists[f], node.counts, node.weight
+        order = sorted(node.rows.tolist(), key=col.__getitem__)
         left = [0.0] * n_classes
         best = None
         for pos in range(1, len(order)):
             i = order[pos - 1]
-            left[y[i]] += 1.0 if w is None else w[i]
+            left[ys[i]] += ws[i]
             v, nxt = col[i], col[order[pos]]
             if v == nxt:
                 continue
             right = [counts[c] - left[c] for c in range(n_classes)]
             wl = sum(left)
             wr = total - wl
-            gain = parent_imp - (
+            gain = node.imp - (
                 wl / total * impurity_from_counts(left, impurity)
                 + wr / total * impurity_from_counts(right, impurity)
             )
-            thr = (v + nxt) / 2.0
             if best is None or gain > best[0]:
-                best = (gain, thr, pos)
-        if best is None:
-            return None
+                best = (gain, (v + nxt) / 2.0, pos)
         gain, thr, cut = best
-        return gain, thr, (order[:cut], order[cut:])
+        order = np.array(order, dtype=np.int32)
+        key = node.cat if node.prefix is None else (node.prefix, node.cat)
+        return gain, thr, [state(part, (key, f, side), node.cat, node.mask)
+                           for side, part in enumerate((order[:cut], order[cut:]))]
 
-    def split_categorical(idx, f):
-        parts = [[] for _ in range(arities[f])]
-        col = cols[f]
-        for i in idx:
-            parts[col[i]].append(i)
-        return parts
+    def split(node, f):
+        found = node.splits.get(f)
+        if found is None:
+            make = categorical_split if categorical[f] else threshold_split
+            found = node.splits[f] = make(node, f)
+        return found
 
-    def categorical_gain(parts, parent_imp, parent_weight):
-        acc = 0.0
-        for part in parts:
-            if part:
-                c = node_counts(part)
-                acc += sum(c) / parent_weight * impurity_from_counts(c, impurity)
-        return parent_imp - acc
+    def leaf(state_id):
+        state_out.append(state_id)
+        feat_out.append(LEAF)
+        thr_out.append(nan)
+        child_out.extend(no_children)
 
-    def grow(idx, used_mask, at_root=False):
-        counts = node_counts(idx)
-        node_weight = sum(counts)
-        node_imp = impurity_from_counts(counts, impurity)
-        dist = [c / node_weight for c in counts]
-        node_id = new_node(node_imp, node_weight / total_weight, dist)
-        if node_imp < PURITY_EPS:
-            return node_id
-        admissible = admissible_features(idx, used_mask)
-        if not admissible:
-            if at_root:
-                raise NoAdmissibleFeature(
-                    "no feature can split the root (all columns constant)"
-                )
-            return node_id
-        if len(admissible) <= k:
-            candidates = admissible
+    def grow(node):
+        """Append the subtree of `node` in preorder; True when it drew no
+        random number."""
+        adm = node.admissible
+        if not adm:
+            leaf(node.id)
+            return True
+        if node.copy is not None:
+            lo, hi = node.copy
+            state_out.extend(state_out[lo:hi])
+            feat_out.extend(feat_out[lo:hi])
+            thr_out.extend(thr_out[lo:hi])
+            child_out.extend(child_out[lo * width:hi * width])
+            return True
+        drew = len(adm) > k
+        if not drew:
+            candidates = adm
         elif k == 1:
-            candidates = [admissible[rng.randrange(len(admissible))]]
+            candidates = (adm[rng.randrange(len(adm))],)
         else:
-            candidates = sorted(rng.sample(admissible, k))
-        best = None  # (gain, feature, threshold, parts)
-        if len(candidates) == 1 and categorical[candidates[0]]:
-            f = candidates[0]
-            best = (0.0, f, None, split_categorical(idx, f))
-        else:
-            for f in candidates:  # ascending feature index: ties keep the first
-                if categorical[f]:
-                    parts = split_categorical(idx, f)
-                    gain = categorical_gain(parts, node_imp, node_weight)
-                    cand = (gain, f, None, parts)
-                else:
-                    found = best_threshold(idx, f, node_imp, counts)
-                    if found is None:
-                        continue
-                    gain, thr, parts = found
-                    cand = (gain, f, thr, parts)
-                if best is None or cand[0] > best[0]:
-                    best = cand
-        if best is None:
-            return node_id
-        _, f, thr, parts = best
-        feat_out[node_id] = f
-        kids = []
-        if categorical[f]:
-            child_mask = used_mask | (1 << f)
-            for part in parts:
-                if part:
-                    kids.append(grow(part, child_mask))
-                else:
-                    # category unseen here: zero-mass child carrying the
-                    # parent's distribution, so sums over children are exact
-                    kids.append(new_node(0.0, 0.0, dist))
-        else:
-            thr_out[node_id] = thr
-            for part in parts:
-                kids.append(grow(part, used_mask))
-        base = node_id * width
-        child_out[base:base + len(kids)] = array("i", kids)
-        return node_id
+            candidates = sorted(rng.sample(adm, k))
+        best = None
+        for f in candidates:  # ascending feature index: ties keep the first
+            found = split(node, f)
+            if best is None or found[0] > best[1][0]:
+                best = (f, found)
+        f, (_, thr, kids) = best
+        node_id = len(feat_out)
+        state_out.append(node.id)
+        feat_out.append(f)
+        thr_out.append(thr)
+        child_out.extend(no_children)
+        fixed, rel = not drew, []
+        for child in kids:
+            rel.append(len(feat_out) - node_id)
+            if child is None:
+                leaf(~node.id)  # unseen category: zero mass, parent's dist
+            elif child.admissible:
+                fixed = grow(child) and fixed
+            else:
+                leaf(child.id)
+        child_out[node_id * width:node_id * width + len(rel)] = array("i", rel)
+        if fixed:
+            node.copy, node.rows, node.splits = (node_id, len(feat_out)), None, None
+        return fixed
 
+    root = state(np.arange(ctx.n_rows, dtype=np.int32), None, 0, 0)
+    if not root.admissible and root.imp >= PURITY_EPS:
+        raise NoAdmissibleFeature("no feature can split the root (all columns constant)")
     offsets, seeds = [0], []
     for rng, seed in rngs:  # `grow` draws from the current `rng`
-        grow(list(range(ctx.n_rows)), 0, at_root=True)
+        grow(root)
         offsets.append(len(feat_out))
         seeds.append(seed)
-    del grow  # a recursive closure is a reference cycle: free the columns now
+    del grow  # a recursive closure is a reference cycle: free the memo now
+    sid = np.array(state_out, dtype=np.int64)
+    live = sid >= 0
+    sid = np.where(live, sid, ~sid)
+    rel = np.array(child_out, dtype=np.int32).reshape(-1, width)
+    ids = np.arange(len(rel), dtype=np.int32)[:, None]
     return PackedTrees(
         np.array(feat_out, dtype=np.int32),
         np.array(thr_out),
-        np.array(child_out, dtype=np.int32).reshape(-1, width),
-        np.array(imp_out),
-        np.array(mass_out),
-        np.array(dist_out).reshape(-1, n_classes),
+        np.where(rel == 0, LEAF, rel + ids).astype(np.int32),
+        np.where(live, np.array(state_imp)[sid], 0.0),
+        np.where(live, np.array(state_mass)[sid], 0.0),
+        np.array(state_dist).reshape(-1, n_classes)[sid],
         np.array(offsets, dtype=np.int64),
-        tuple(seeds), k, impurity, ctx.n_rows, tuple(kinds), tuple(arities),
+        tuple(seeds), k, impurity, ctx.n_rows, tuple(ctx.kinds), tuple(arities),
     )
 
 

@@ -233,3 +233,182 @@ def tree_mdi_by_nodes(tree) -> np.ndarray:
             drop -= child.mass * child.impurity
         scores[view.feature] += drop
     return scores
+
+
+# ---------------------------------------------------------------------------
+# Reference tree builder: one recursive call per node, every node's counts,
+# impurity, admissible features and splits recomputed from its row list.
+# It reads the package only for the impurity formula and the packed layout.
+
+
+def grow_trees_recursive(dataset, k, impurity, rngs):
+    """`tree.grow_trees` without a memo: one tree per (rng, seed) pair."""
+    from array import array
+
+    from impshap.data import CATEGORICAL
+    from impshap.errors import EmptyDataset, NoAdmissibleFeature
+    from impshap.impurity import check_kind, impurity_from_counts
+    from impshap.tree import LEAF, PURITY_EPS, PackedTrees
+
+    if dataset.n_rows == 0:
+        raise EmptyDataset("cannot grow a tree from zero rows")
+    if dataset.output_meta.kind != CATEGORICAL:
+        raise ValueError("output column must be categorical")
+    keep = slice(None)
+    if dataset.weights is not None:
+        keep = np.flatnonzero(dataset.weights > 0.0)
+        if keep.size == 0:
+            raise EmptyDataset("dataset has zero total weight")
+    cols = [col[keep].tolist() for col in dataset.data[:-1]]
+    kinds = [c.kind for c in dataset.columns[:-1]]
+    arities = [c.arity for c in dataset.columns[:-1]]
+    y = dataset.output[keep].tolist()
+    w = None if dataset.weights is None else dataset.weights[keep].tolist()
+    n_classes = dataset.output_meta.arity
+    total_weight = float(len(y)) if w is None else float(sum(w))
+    n_rows, n_features = len(y), dataset.n_features
+    check_kind(impurity)
+    if not 1 <= k <= max(n_features, 1):
+        raise ValueError(f"k must be in 1..{n_features}, got {k}")
+    categorical = [kd == CATEGORICAL for kd in kinds]
+
+    feat_out, thr_out, child_out = array("i"), array("d"), array("i")
+    imp_out, mass_out, dist_out = array("d"), array("d"), array("d")
+    width = max([a if c else 2 for c, a in zip(categorical, arities)], default=1)
+    no_children = array("i", [LEAF] * width)
+
+    def new_node(impv, massv, distv):
+        node_id = len(feat_out)
+        feat_out.append(LEAF)
+        thr_out.append(float("nan"))
+        child_out.extend(no_children)
+        imp_out.append(impv)
+        mass_out.append(massv)
+        dist_out.extend(distv)
+        return node_id
+
+    def node_counts(idx):
+        counts = [0.0] * n_classes
+        for i in idx:
+            counts[y[i]] += 1.0 if w is None else w[i]
+        return counts
+
+    def admissible_features(idx, used_mask):
+        out = []
+        for f in range(n_features):
+            if categorical[f] and (used_mask >> f) & 1:
+                continue
+            col = cols[f]
+            if any(col[i] != col[idx[0]] for i in idx):
+                out.append(f)
+        return out
+
+    def best_threshold(idx, f, parent_imp, counts):
+        col = cols[f]
+        order = sorted(idx, key=col.__getitem__)
+        total = sum(counts)
+        left = [0.0] * n_classes
+        best = None
+        for pos in range(1, len(order)):
+            i = order[pos - 1]
+            left[y[i]] += 1.0 if w is None else w[i]
+            v, nxt = col[i], col[order[pos]]
+            if v == nxt:
+                continue
+            right = [counts[c] - left[c] for c in range(n_classes)]
+            wl = sum(left)
+            wr = total - wl
+            gain = parent_imp - (
+                wl / total * impurity_from_counts(left, impurity)
+                + wr / total * impurity_from_counts(right, impurity)
+            )
+            if best is None or gain > best[0]:
+                best = (gain, (v + nxt) / 2.0, pos)
+        if best is None:
+            return None
+        gain, thr, cut = best
+        return gain, thr, (order[:cut], order[cut:])
+
+    def split_categorical(idx, f):
+        parts = [[] for _ in range(arities[f])]
+        for i in idx:
+            parts[cols[f][i]].append(i)
+        return parts
+
+    def categorical_gain(parts, parent_imp, parent_weight):
+        acc = 0.0
+        for part in parts:
+            if part:
+                c = node_counts(part)
+                acc += sum(c) / parent_weight * impurity_from_counts(c, impurity)
+        return parent_imp - acc
+
+    def grow(idx, used_mask, at_root=False):
+        counts = node_counts(idx)
+        node_weight = sum(counts)
+        node_imp = impurity_from_counts(counts, impurity)
+        dist = [c / node_weight for c in counts]
+        node_id = new_node(node_imp, node_weight / total_weight, dist)
+        if node_imp < PURITY_EPS:
+            return node_id
+        admissible = admissible_features(idx, used_mask)
+        if not admissible:
+            if at_root:
+                raise NoAdmissibleFeature("no feature can split the root")
+            return node_id
+        if len(admissible) <= k:
+            candidates = admissible
+        elif k == 1:
+            candidates = [admissible[rng.randrange(len(admissible))]]
+        else:
+            candidates = sorted(rng.sample(admissible, k))
+        best = None  # (gain, feature, threshold, parts)
+        if len(candidates) == 1 and categorical[candidates[0]]:
+            f = candidates[0]
+            best = (0.0, f, None, split_categorical(idx, f))
+        else:
+            for f in candidates:  # ascending feature index: ties keep the first
+                if categorical[f]:
+                    parts = split_categorical(idx, f)
+                    cand = (categorical_gain(parts, node_imp, node_weight), f, None, parts)
+                else:
+                    found = best_threshold(idx, f, node_imp, counts)
+                    if found is None:
+                        continue
+                    cand = (found[0], f, found[1], found[2])
+                if best is None or cand[0] > best[0]:
+                    best = cand
+        if best is None:
+            return node_id
+        _, f, thr, parts = best
+        feat_out[node_id] = f
+        kids = []
+        if categorical[f]:
+            for part in parts:
+                if part:
+                    kids.append(grow(part, used_mask | (1 << f)))
+                else:  # unseen category: zero-mass child with the parent's dist
+                    kids.append(new_node(0.0, 0.0, dist))
+        else:
+            thr_out[node_id] = thr
+            for part in parts:
+                kids.append(grow(part, used_mask))
+        child_out[node_id * width:node_id * width + len(kids)] = array("i", kids)
+        return node_id
+
+    offsets, seeds = [0], []
+    for rng, seed in rngs:
+        grow(list(range(n_rows)), 0, at_root=True)
+        offsets.append(len(feat_out))
+        seeds.append(seed)
+    del grow
+    return PackedTrees(
+        np.array(feat_out, dtype=np.int32),
+        np.array(thr_out),
+        np.array(child_out, dtype=np.int32).reshape(-1, width),
+        np.array(imp_out),
+        np.array(mass_out),
+        np.array(dist_out).reshape(-1, n_classes),
+        np.array(offsets, dtype=np.int64),
+        tuple(seeds), k, impurity, n_rows, tuple(kinds), tuple(arities),
+    )

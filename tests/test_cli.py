@@ -271,9 +271,16 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["global", "--data", "led", "--k", "9"],
         ["global", "--data", "led", "--trees", "0"],
         ["pop-mdi", "--data", "{unnormalized}"],
+        ["local", "--data", "led", "--trees", "5", "--method", "saabas",
+         "--class-index", "12"],
+        ["saabas", "--data", "led", "--trees", "5", "--class-index", "12"],
+        ["compare", "--data", "led", "--trees", "5", "--class-index", "12"],
+        ["global", "--data", "led", "--k-sweep", "1..9"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
-         "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off"],
+         "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
+         "class-index-beyond-arity-local", "class-index-beyond-arity-saabas",
+         "class-index-beyond-arity-compare", "k-sweep-beyond-p"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     unnormalized = tmp_path / "f.csv"  # probabilities sum to 0.99
@@ -284,6 +291,25 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_usage_errors_name_the_flag_given(capsys, monkeypatch):
+    """The K and class-index checks run before any tree grows and name the
+    flag the user typed."""
+    monkeypatch.setattr(cli, "build_forest", None)  # any growth would raise
+    cases = [
+        (["global", "--data", "led", "--k-sweep", "1..9"],
+         "error: --k-sweep must be in 1..7, got 8"),
+        (["global", "--data", "led", "--k", "9"],
+         "error: --k must be in 1..7, got 9"),
+        (["saabas", "--data", "led", "--class-index", "10"],
+         "error: --class-index must be in 0..9, got 10"),
+        (["compare", "--data", "led", "--class-index", "-1"],
+         "error: --class-index must be in 0..9, got -1"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 @pytest.mark.parametrize("value", ["abc", "0"], ids=["not-integer", "zero"])

@@ -1,0 +1,160 @@
+"""The memoised tree builder against the recursive reference in oracles.py,
+and digests of seeded reports frozen before the memo existed.
+
+Property tests grow several trees per build on random datasets that mix
+categorical and numeric features, so that node states are met again in
+later trees (memo hits) and subtrees that drew no random number are copied.
+Some datasets weight rows by zero or by inexact fractions, so that sums
+taken in another row order would show in the last bits.  Examples are
+drawn deterministically, so every run checks the same builds.
+"""
+
+import hashlib
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import grow_trees_recursive
+
+from impshap import cli
+from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset
+from impshap.errors import EmptyDataset, NoAdmissibleFeature
+from impshap.impurity import KINDS
+from impshap.tree import NODE_ARRAYS, grow_trees
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+NUMERIC_VALUES = (0.0, 0.5, 1.0, 2.5, 3.0)
+WEIGHTS = (0.0, 0.1, 0.3, 0.7, 1.0, 2.0)
+
+
+def columns(kinds, n_classes):
+    """kinds[m] is feature m's arity, 0 when numeric."""
+    meta = [ColumnMeta(f"c{m}", CATEGORICAL, a) if a else ColumnMeta(f"n{m}", NUMERIC)
+            for m, a in enumerate(kinds)]
+    return meta + [ColumnMeta("y", CATEGORICAL, n_classes)]
+
+
+def random_rows(rng, kinds, n_classes, n_rows, top=False):
+    """Rows drawn from `rng`; a categorical feature of arity a >= 3 shows its
+    top category only when `top` is set."""
+    data = []
+    for a in kinds:
+        if a:
+            data.append(rng.integers(0, a if top or a < 3 else a - 1, n_rows))
+        else:
+            data.append(rng.choice(NUMERIC_VALUES, n_rows))
+    data.append(rng.integers(0, n_classes, n_rows))
+    return data
+
+
+def seeded(seed, n_trees):
+    return [(random.Random(seed + i), seed + i) for i in range(n_trees)]
+
+
+def build(builder, ds, k, impurity, rngs):
+    """The packed trees, or the type of the error the build raised."""
+    try:
+        return builder(ds, k, impurity, rngs)
+    except (EmptyDataset, NoAdmissibleFeature) as exc:
+        return type(exc)
+
+
+def assert_same_trees(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    for name in NODE_ARRAYS + ("offsets",):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=name == "threshold"), name
+    assert (got.n_train, got.seeds) == (want.n_train, want.seeds)
+
+
+DATASETS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from([0, 0, 2, 3, 4]), min_size=1, max_size=4),
+    n_rows=st.integers(1, 40),
+    n_classes=st.integers(2, 3),
+    weighted=st.booleans(),
+    k=st.integers(1, 4),
+    n_trees=st.integers(2, 12),
+    impurity=st.sampled_from(KINDS),
+)
+
+
+@PROPERTY
+@given(**DATASETS)
+def test_memo_builder_matches_recursive_builder(seed, kinds, n_rows, n_classes,
+                                                weighted, k, n_trees, impurity):
+    """Same packed arrays, same errors, and every RNG left in the same state."""
+    rng = np.random.default_rng(seed)
+    data = random_rows(rng, kinds, n_classes, n_rows)
+    weights = rng.choice(WEIGHTS, n_rows) if weighted else None
+    ds = Dataset(columns(kinds, n_classes), data, weights=weights)
+    k = min(k, len(kinds))
+    want_rngs, got_rngs = seeded(seed, n_trees), seeded(seed, n_trees)
+    want = build(grow_trees_recursive, ds, k, impurity, want_rngs)
+    got = build(grow_trees, ds, k, impurity, got_rngs)
+    assert_same_trees(got, want)
+    assert [r.getstate() for r, _ in got_rngs] == [r.getstate() for r, _ in want_rngs]
+
+
+@PROPERTY
+@given(extra=st.integers(1, 10), **DATASETS)
+def test_zero_weight_rows_change_nothing(seed, kinds, n_rows, n_classes, weighted,
+                                         k, n_trees, impurity, extra):
+    """Appending zero-weight rows, some with categories no other row has,
+    leaves every packed array and n_train as they were."""
+    rng = np.random.default_rng(seed)
+    data = random_rows(rng, kinds, n_classes, n_rows)
+    weights = rng.choice(WEIGHTS[1:], n_rows) if weighted else None
+    base = Dataset(columns(kinds, n_classes), data, weights=weights)
+    more = random_rows(rng, kinds, n_classes, extra, top=True)
+    padded = Dataset(
+        columns(kinds, n_classes),
+        [np.concatenate([a, b]) for a, b in zip(data, more)],
+        weights=np.concatenate([np.ones(n_rows) if weights is None else weights,
+                                np.zeros(extra)]),
+    )
+    k = min(k, len(kinds))
+    want_rngs, got_rngs = seeded(seed, n_trees), seeded(seed, n_trees)
+    want = build(grow_trees, base, k, impurity, want_rngs)
+    got = build(grow_trees, padded, k, impurity, got_rngs)
+    assert_same_trees(got, want)
+    assert [r.getstate() for r, _ in got_rngs] == [r.getstate() for r, _ in want_rngs]
+
+
+# sha256 of seeded reports, computed with the recursive builder; any change
+# to the trees, the RNG use or the scores shows here.  `results` is hashed
+# as json.dumps(results, sort_keys=True); the local report is whole stdout,
+# so a version bump also changes that digest.
+GLOBAL_SWEEP_DIGESTS = {
+    "entropy": "83d3c9b44df7e46340392e2b69a0bdb0d086a4f2adb220857bfa840bd2cd8bcc",
+    "gini": "8bcfc995a2ad85d2e17a3e807401ccc4b75b664151e5d5f16af64f9eb5cc69b9",
+    "variance": "176276eb58bb036e2c5d8e4af89b906ee4189201c23b079597d504cfd63b5a91",
+}
+LOCAL_REPORT_DIGEST = "7bf201dfc943f9f2bc5bd5e28ebb3ec97918dbe024dd6d36b6f86919d9d563b3"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("impurity", KINDS)
+def test_global_k_sweep_results_are_frozen(capsys, impurity):
+    code = cli.main(["global", "--data", "led", "--k-sweep", "1..7", "--trees", "40",
+                     "--seed", "3", "--impurity", impurity, "--format", "json"])
+    assert code == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert sha256(json.dumps(results, sort_keys=True)) == GLOBAL_SWEEP_DIGESTS[impurity]
+
+
+def test_local_report_is_frozen(capsys):
+    code = cli.main(["local", "--data", "led", "--k", "2", "--trees", "30",
+                     "--seed", "5", "--method", "local-mdi,saabas", "--format", "json"])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == LOCAL_REPORT_DIGEST
