@@ -239,14 +239,8 @@ def _parse_instances(texts, arities):
 
 
 def _resolve_instances(args, dataset):
-    """Instances for local scoring: flags, a CSV file, or the training rows.
-    Checks --class-index against the output arity too."""
+    """Instances for local scoring: flags, a CSV file, or the training rows."""
     arities = dataset.arities[:-1]
-    n_classes = dataset.arities[-1]
-    if args.class_index is not None and not 0 <= args.class_index < n_classes:
-        raise UsageError(
-            f"--class-index must be in 0..{n_classes - 1}, got {args.class_index}"
-        )
     if getattr(args, "instance", None):
         rows = _parse_instances(args.instance, arities)
         return rows, tuple(range(len(rows)))
@@ -387,9 +381,20 @@ def cmd_global(args, argv) -> int:
     return EXIT_OK
 
 
+def _check_class_index(args, dataset):
+    """--class-index must name an output class (checked before any growth)."""
+    n_classes = dataset.arities[-1]
+    if args.class_index is not None and not 0 <= args.class_index < n_classes:
+        raise UsageError(
+            f"--class-index must be in 0..{n_classes - 1}, got {args.class_index}"
+        )
+
+
 def _local_matrices(args, methods):
     dataset = _resolve_dataset(args)
     _forest_ks(args, dataset.n_features)
+    if SAABAS in methods:
+        _check_class_index(args, dataset)
     instances, ids = _resolve_instances(args, dataset)
     forest = build_forest(
         dataset, args.k, args.trees, impurity=args.impurity, seed=args.seed
@@ -615,6 +620,7 @@ def _monotonicity_block():
 def cmd_compare(args, argv) -> int:
     dataset = _resolve_dataset(args)
     ks = _forest_ks(args, dataset.n_features)
+    _check_class_index(args, dataset)
     instances, ids = _resolve_instances(args, dataset)
     per_k = []
     rows = []

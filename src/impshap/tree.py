@@ -192,13 +192,12 @@ class Tree:
 
 
 class _BuildContext:
-    """Dataset unpacked for growth: the rows with positive weight, as arrays
-    (and the numeric columns also as lists, for the threshold scan)."""
+    """Dataset unpacked for growth: the rows with positive weight, as one
+    list per column (the tree builder works on few rows at a time, where
+    plain loops beat array calls)."""
 
-    __slots__ = (
-        "x", "cols", "lists", "kinds", "arities", "y", "w", "ys", "ws",
-        "n_classes", "total_weight", "n_rows", "n_features",
-    )
+    __slots__ = ("cols", "kinds", "arities", "ys", "ws", "n_classes",
+                 "total_weight", "n_rows", "n_features")
 
     def __init__(self, dataset: Dataset):
         if dataset.n_rows == 0:
@@ -216,17 +215,13 @@ class _BuildContext:
             keep = np.flatnonzero(dataset.weights > 0.0)
             if keep.size == 0:
                 raise EmptyDataset("dataset has zero total weight")
-        self.cols = [col[keep] for col in dataset.data[:-1]]
-        self.x = np.column_stack(self.cols).astype(np.float64)
+        self.cols = [col[keep].tolist() for col in dataset.data[:-1]]
         self.kinds = [c.kind for c in dataset.columns[:-1]]
         self.arities = [c.arity for c in dataset.columns[:-1]]
-        self.lists = [None if kd == CATEGORICAL else col.tolist()
-                      for kd, col in zip(self.kinds, self.cols)]
-        self.y = dataset.output[keep]
-        self.n_rows = len(self.y)
-        self.w = (np.ones(self.n_rows) if dataset.weights is None
-                  else dataset.weights[keep])
-        self.ys, self.ws = self.y.tolist(), self.w.tolist()
+        self.ys = dataset.output[keep].tolist()
+        self.n_rows = len(self.ys)
+        self.ws = ([1.0] * self.n_rows if dataset.weights is None
+                   else dataset.weights[keep].tolist())
         self.n_classes = out_meta.arity
         self.total_weight = float(sum(self.ws))
         self.n_features = dataset.n_features
@@ -234,12 +229,16 @@ class _BuildContext:
 
 class _Node:
     """One node state of a build: what a node computes from its rows, and
-    its splits, filled in as trees ask for them.  `copy` is the (lo, hi)
-    output slice of its subtree once that subtree is known to draw no
-    random number; its rows and splits are then dropped."""
+    its splits.  `splits` is None until the state's first subtree is grown
+    and then caches each split a later tree asks for.  `rows` is a list
+    while only the subtree being grown can reach the state, an int array
+    once the state is kept, and None once nothing can read it again: at a
+    leaf, once every admissible feature's split is cached, and once `copy`,
+    the (lo, hi) output slice of a subtree that drew no random number, is
+    known."""
 
-    __slots__ = ("id", "rows", "prefix", "cat", "mask", "counts", "weight",
-                 "imp", "admissible", "splits", "copy")
+    __slots__ = ("rows", "prefix", "cat", "mask", "counts", "weight", "imp",
+                 "dist", "admissible", "splits", "copy")
 
 
 def build_tree(dataset: Dataset, k: int, impurity: str = ENTROPY, rng=None) -> Tree:
@@ -266,71 +265,78 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
     integer holding the value + 1 of every used feature f in digit f of
     base (max arity + 1), so the same splits in any order give the same key
     and rows.  A threshold split starts a new prefix, (parent key, feature,
-    side).  The RNG only draws the candidates, call for call as in a
-    recursive build; a subtree that drew none is copied as an output slice.
+    side).  A state keeps its splits from its second visit on, so states
+    that never repeat are dropped with their subtree.  The RNG only draws
+    the candidates, call for call as in a recursive build; a subtree that
+    drew none is copied as an output slice.
     """
     ctx = _BuildContext(dataset)
     check_kind(impurity)
     if not 1 <= k <= max(ctx.n_features, 1):
         raise ValueError(f"k must be in 1..{ctx.n_features}, got {k}")
-    x, cols, lists, arities = ctx.x, ctx.cols, ctx.lists, ctx.arities
-    y, w, ys, ws, n_classes = ctx.y, ctx.w, ctx.ys, ctx.ws, ctx.n_classes
-    total_weight, n_features = ctx.total_weight, ctx.n_features
+    cols, ys, ws, arities = ctx.cols, ctx.ys, ctx.ws, ctx.arities
+    n_classes, total_weight, n_features = ctx.n_classes, ctx.total_weight, ctx.n_features
     categorical = [kd == CATEGORICAL for kd in ctx.kinds]
     step = [(max(a or 0 for a in arities) + 1) ** f for f in range(n_features)]
     memo = {}
-    # impurity, mass and class distribution of each node state, by state id
-    state_imp, state_mass, state_dist = [], [], []
-    # output columns: the node state of each node (~parent state for the
-    # zero-mass child of an unseen category) and children as offsets from
-    # their parent (0: none), so that a copied subtree slice stays valid
-    state_out, feat_out, thr_out, child_out = array("i"), array("i"), array("d"), array("i")
+    # output columns; children as offsets from their parent (0: none), so
+    # that a copied subtree slice stays valid
+    feat_out, thr_out, child_out = array("i"), array("d"), array("i")
+    imp_out, mass_out, dist_out = array("d"), array("d"), array("d")
     width = max([a if c else 2 for c, a in zip(categorical, arities)], default=1)
     no_children = array("i", [0] * width)
     nan = float("nan")
 
-    def state(rows, prefix, cat, mask):
+    def state(rows, prefix, cat, mask, keep):
+        """The record of a node state from the list of its row ids; a state
+        to `keep` holds them as an int array."""
         node = _Node()
-        node.id, node.rows, node.prefix, node.cat, node.mask = (
-            len(state_imp), rows, prefix, cat, mask)
-        counts = np.bincount(y[rows], weights=w[rows], minlength=n_classes).tolist()
+        node.rows, node.prefix, node.cat, node.mask = None, prefix, cat, mask
+        counts = [0.0] * n_classes
+        for i in rows:
+            counts[ys[i]] += ws[i]
         node.counts, node.weight = counts, sum(counts)
         node.imp = impurity_from_counts(counts, impurity)
-        node.splits, node.copy, node.admissible = {}, None, ()
-        state_imp.append(node.imp)
-        state_mass.append(node.weight / total_weight)
-        state_dist.extend([c / node.weight for c in counts])
+        node.dist = [c / node.weight for c in counts]
+        node.splits, node.copy, node.admissible = None, None, []
         if node.imp >= PURITY_EPS:
-            sub = x[rows]
-            varies = (sub != sub[0]).any(axis=0).tolist()
-            node.admissible = [f for f in range(n_features) if varies[f]
-                               and not (categorical[f] and mask >> f & 1)]
+            for f, col in enumerate(cols):
+                if categorical[f] and mask >> f & 1:
+                    continue
+                first = col[rows[0]]
+                for i in rows:
+                    if col[i] != first:
+                        node.admissible.append(f)
+                        break
+            if node.admissible:
+                node.rows = array("i", rows) if keep else rows
         return node
 
     def categorical_split(node, f):
-        codes = cols[f][node.rows]
-        ends = np.cumsum(np.bincount(codes, minlength=arities[f])).tolist()
-        rows = node.rows[np.argsort(codes, kind="stable")]  # row order per part
-        kids, acc, start = [], 0.0, 0
-        for c, end in enumerate(ends):
+        col, parts = cols[f], [[] for _ in range(arities[f])]
+        for i in node.rows:  # row order per part
+            parts[col[i]].append(i)
+        kids, acc = [], 0.0
+        for c, part in enumerate(parts):
             child = None
-            if end > start:
+            if part:
                 cat = node.cat + (c + 1) * step[f]
                 key = cat if node.prefix is None else (node.prefix, cat)
                 child = memo.get(key)
                 if child is None:
-                    child = memo[key] = state(rows[start:end], node.prefix, cat,
-                                              node.mask | 1 << f)
+                    keep = node.splits is not None
+                    child = state(part, node.prefix, cat, node.mask | 1 << f, keep)
+                    if keep:  # share it by key
+                        memo[key] = child
                 acc += child.weight / node.weight * child.imp
             kids.append(child)
-            start = end
         return node.imp - acc, nan, kids
 
     def threshold_split(node, f):
         """Best midpoint split of numeric feature f, scanning the rows in
         stable sorted order; f is admissible, so some midpoint exists."""
-        col, counts, total = lists[f], node.counts, node.weight
-        order = sorted(node.rows.tolist(), key=col.__getitem__)
+        col, counts, total = cols[f], node.counts, node.weight
+        order = sorted(node.rows, key=col.__getitem__)
         left = [0.0] * n_classes
         best = None
         for pos in range(1, len(order)):
@@ -349,37 +355,41 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
             if best is None or gain > best[0]:
                 best = (gain, (v + nxt) / 2.0, pos)
         gain, thr, cut = best
-        order = np.array(order, dtype=np.int32)
         key = node.cat if node.prefix is None else (node.prefix, node.cat)
-        return gain, thr, [state(part, (key, f, side), node.cat, node.mask)
+        return gain, thr, [state(part, (key, f, side), node.cat, node.mask,
+                                 node.splits is not None)
                            for side, part in enumerate((order[:cut], order[cut:]))]
 
     def split(node, f):
-        found = node.splits.get(f)
+        found = None if node.splits is None else node.splits.get(f)
         if found is None:
-            make = categorical_split if categorical[f] else threshold_split
-            found = node.splits[f] = make(node, f)
+            found = (categorical_split if categorical[f] else threshold_split)(node, f)
+            if node.splits is not None:
+                node.splits[f] = found
+                if len(node.splits) == len(node.admissible):
+                    node.rows = None  # every child exists
         return found
 
-    def leaf(state_id):
-        state_out.append(state_id)
-        feat_out.append(LEAF)
-        thr_out.append(nan)
+    def emit(f, thr, imp, mass, dist):
+        feat_out.append(f)
+        thr_out.append(thr)
         child_out.extend(no_children)
+        imp_out.append(imp)
+        mass_out.append(mass)
+        dist_out.extend(dist)
 
     def grow(node):
         """Append the subtree of `node` in preorder; True when it drew no
         random number."""
         adm = node.admissible
         if not adm:
-            leaf(node.id)
+            emit(LEAF, nan, node.imp, node.weight / total_weight, node.dist)
             return True
         if node.copy is not None:
             lo, hi = node.copy
-            state_out.extend(state_out[lo:hi])
-            feat_out.extend(feat_out[lo:hi])
-            thr_out.extend(thr_out[lo:hi])
-            child_out.extend(child_out[lo * width:hi * width])
+            for out, size in ((feat_out, 1), (thr_out, 1), (child_out, width),
+                              (imp_out, 1), (mass_out, 1), (dist_out, n_classes)):
+                out.extend(out[lo * size:hi * size])
             return True
         drew = len(adm) > k
         if not drew:
@@ -395,25 +405,22 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
                 best = (f, found)
         f, (_, thr, kids) = best
         node_id = len(feat_out)
-        state_out.append(node.id)
-        feat_out.append(f)
-        thr_out.append(thr)
-        child_out.extend(no_children)
+        emit(f, thr, node.imp, node.weight / total_weight, node.dist)
         fixed, rel = not drew, []
         for child in kids:
             rel.append(len(feat_out) - node_id)
-            if child is None:
-                leaf(~node.id)  # unseen category: zero mass, parent's dist
-            elif child.admissible:
-                fixed = grow(child) and fixed
+            if child is None:  # unseen category: zero mass, parent's dist
+                emit(LEAF, nan, 0.0, 0.0, node.dist)
             else:
-                leaf(child.id)
+                fixed = grow(child) and fixed
         child_out[node_id * width:node_id * width + len(rel)] = array("i", rel)
         if fixed:
             node.copy, node.rows, node.splits = (node_id, len(feat_out)), None, None
+        elif node.splits is None:
+            node.splits = {}  # seen once: keep its splits from now on
         return fixed
 
-    root = state(np.arange(ctx.n_rows, dtype=np.int32), None, 0, 0)
+    root = state(list(range(ctx.n_rows)), None, 0, 0, True)
     if not root.admissible and root.imp >= PURITY_EPS:
         raise NoAdmissibleFeature("no feature can split the root (all columns constant)")
     offsets, seeds = [0], []
@@ -422,18 +429,15 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
         offsets.append(len(feat_out))
         seeds.append(seed)
     del grow  # a recursive closure is a reference cycle: free the memo now
-    sid = np.array(state_out, dtype=np.int64)
-    live = sid >= 0
-    sid = np.where(live, sid, ~sid)
-    rel = np.array(child_out, dtype=np.int32).reshape(-1, width)
-    ids = np.arange(len(rel), dtype=np.int32)[:, None]
+    # the packed arrays are views of the output columns: no copies
+    kids = np.frombuffer(child_out, dtype=np.int32).reshape(-1, width)
+    none = kids == 0
+    kids += np.arange(len(kids), dtype=np.int32)[:, None]
+    kids[none] = LEAF
     return PackedTrees(
-        np.array(feat_out, dtype=np.int32),
-        np.array(thr_out),
-        np.where(rel == 0, LEAF, rel + ids).astype(np.int32),
-        np.where(live, np.array(state_imp)[sid], 0.0),
-        np.where(live, np.array(state_mass)[sid], 0.0),
-        np.array(state_dist).reshape(-1, n_classes)[sid],
+        np.frombuffer(feat_out, dtype=np.int32), np.frombuffer(thr_out), kids,
+        np.frombuffer(imp_out), np.frombuffer(mass_out),
+        np.frombuffer(dist_out).reshape(-1, n_classes),
         np.array(offsets, dtype=np.int64),
         tuple(seeds), k, impurity, ctx.n_rows, tuple(ctx.kinds), tuple(arities),
     )

@@ -312,6 +312,14 @@ def test_usage_errors_name_the_flag_given(capsys, monkeypatch):
         assert capsys.readouterr().err.splitlines() == [message]
 
 
+def test_class_index_is_checked_only_where_read(capsys):
+    """local-mdi never reads --class-index, so any value passes with it."""
+    argv = ["local", "--data", "led", "--trees", "3", "--method", "local-mdi",
+            "--instance", "1,1,1,0,1,1,1", "--class-index", "12"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "0"], ids=["not-integer", "zero"])
 def test_bad_thread_budget_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("IMPSHAP_THREADS", value)
