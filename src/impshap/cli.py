@@ -22,10 +22,9 @@ from . import __version__
 from .data import (
     builtin_dataset,
     builtin_joint,
-    dataset_to_joint,
     example_tables,
     load_csv,
-    load_joint_csv,
+    load_joint,
     write_csv,
 )
 from .errors import ImpshapError
@@ -66,7 +65,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
+class UsageError(ImpshapError):
     pass
 
 
@@ -79,9 +78,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args, argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ImpshapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -201,11 +197,7 @@ def _resolve_joint(args):
     if name in BUILTIN_JOINTS:
         return builtin_joint(name)
     if os.path.exists(name):
-        with open(name, newline="") as fh:
-            header = fh.readline().strip()
-        if header.endswith(",probability"):
-            return load_joint_csv(name)
-        return dataset_to_joint(load_csv(name))
+        return load_joint(name)
     raise UsageError(
         f"--data {name!r} is neither a builtin joint ({', '.join(BUILTIN_JOINTS)}) "
         "nor an existing CSV file"
@@ -306,7 +298,9 @@ def _load_schema():
 
 
 def _emit(args, argv, fingerprint, results, table_rows, table_header) -> None:
-    """Write the report in the requested format, atomically when to a file."""
+    """Write the report in the requested format, atomically when to a file.
+
+    `table_rows` is iterated only for CSV, so callers pass a generator."""
     report = {
         "provenance": _provenance(args, argv, fingerprint),
         "command": args.command,
@@ -358,7 +352,6 @@ def cmd_global(args, argv) -> int:
     ks = _forest_ks(args, dataset.n_features)
     names = dataset.feature_names()
     per_k = []
-    rows = []
     for k in ks:
         forest = build_forest(
             dataset, k, args.trees, impurity=args.impurity, seed=args.seed
@@ -367,9 +360,10 @@ def cmd_global(args, argv) -> int:
         per_k.append(
             {"k": k, "scores": [float(v) for v in scores], "features": list(names)}
         )
-        rows.extend(
-            (k, m, names[m], _fmt(scores[m])) for m in range(len(names))
-        )
+    rows = (
+        (item["k"], m, names[m], _fmt(v))
+        for item in per_k for m, v in enumerate(item["scores"])
+    )
     results = {
         "impurity": args.impurity,
         "n_trees": args.trees,
@@ -383,8 +377,10 @@ def cmd_global(args, argv) -> int:
 
 def _check_class_index(args, dataset):
     """--class-index must name an output class (checked before any growth)."""
-    n_classes = dataset.arities[-1]
-    if args.class_index is not None and not 0 <= args.class_index < n_classes:
+    n_classes = dataset.arities[-1]  # None for a numeric output, refused later
+    if args.class_index is None or n_classes is None:
+        return
+    if not 0 <= args.class_index < n_classes:
         raise UsageError(
             f"--class-index must be in 0..{n_classes - 1}, got {args.class_index}"
         )
@@ -419,11 +415,12 @@ def _local_matrices(args, methods):
 
 
 def _emit_local(args, argv, dataset, matrices) -> int:
-    rows = []
-    for mat in matrices:
-        for i, inst_id in enumerate(mat.instance_ids):
-            for m in range(mat.n_features):
-                rows.append((inst_id, m, _fmt(mat.scores[i, m]), mat.method))
+    rows = (
+        (inst_id, m, _fmt(v), mat.method)
+        for mat in matrices
+        for inst_id, scores in zip(mat.instance_ids, mat.scores.tolist())
+        for m, v in enumerate(scores)
+    )
     results = {
         "impurity": args.impurity,
         "n_trees": args.trees,
@@ -454,47 +451,40 @@ def cmd_shapley(args, argv) -> int:
         raise UsageError("shapley supports --impurity entropy or variance")
     variance = args.impurity == VARIANCE
     payload = []
-    rows = []
     if args.instance:
         xs = _parse_instances(args.instance, joint.input_arities)
         lattice = subset_lattice(joint, VARIANCE if variance else ENTROPY, xs)
         for x, game in zip(xs, lattice_games(lattice)[1]):
-            vec = shapley_exact(game)
-            payload.append({"instance": list(x), **vec.to_json_dict()})
-            rows.extend(
-                (",".join(map(str, x)), m, _fmt(v))
-                for m, v in enumerate(vec.payoffs)
-            )
+            payload.append({"instance": list(x), **shapley_exact(game).to_json_dict()})
     else:
         game = (game_global_variance if variance else game_global_info)(joint)
-        vec = shapley_exact(game)
-        payload.append(vec.to_json_dict())
-        rows.extend(("", m, _fmt(v)) for m, v in enumerate(vec.payoffs))
-    _emit(args, argv, joint.fingerprint(), {"games": payload}, rows,
-          ("instance", "feature", "payoff"))
+        payload.append(shapley_exact(game).to_json_dict())
+    _emit(args, argv, joint.fingerprint(), {"games": payload},
+          _score_rows(payload, "payoffs"), ("instance", "feature", "payoff"))
     return EXIT_OK
+
+
+def _score_rows(payload, key):
+    """CSV rows (instance, feature, value) of per-game or per-instance items."""
+    return (
+        (",".join(map(str, item.get("instance", ()))), m, _fmt(v))
+        for item in payload for m, v in enumerate(item[key])
+    )
 
 
 def cmd_pop_mdi(args, argv) -> int:
     joint = _resolve_joint(args)
-    payload = []
-    rows = []
     if args.instance:
         xs = _parse_instances(args.instance, joint.input_arities)
         scores = pop_local_mdi_batch(joint, xs, args.impurity)
-        for x, row in zip(xs, scores):
-            imp = PopulationImportance(row, args.impurity, instance=x)
-            payload.append(imp.to_json_dict())
-            rows.extend(
-                (",".join(map(str, x)), m, _fmt(v))
-                for m, v in enumerate(imp.scores)
-            )
+        payload = [
+            PopulationImportance(row, args.impurity, instance=x).to_json_dict()
+            for x, row in zip(xs, scores)
+        ]
     else:
-        imp = pop_global_mdi(joint, args.impurity)
-        payload.append(imp.to_json_dict())
-        rows.extend(("", m, _fmt(v)) for m, v in enumerate(imp.scores))
-    _emit(args, argv, joint.fingerprint(), {"importances": payload}, rows,
-          ("instance", "feature", "score"))
+        payload = [pop_global_mdi(joint, args.impurity).to_json_dict()]
+    _emit(args, argv, joint.fingerprint(), {"importances": payload},
+          _score_rows(payload, "scores"), ("instance", "feature", "score"))
     return EXIT_OK
 
 
@@ -503,11 +493,11 @@ def cmd_verify(args, argv) -> int:
     identities, blocks = run_identity_suite(
         joint, impurity=args.impurity, tol=args.tol, data_name=args.data
     )
-    rows = [
+    rows = (
         (item["name"], _fmt(item["max_residual"]), _fmt(item["tolerance"]),
          item["passed"])
         for item in identities
-    ]
+    )
     passed = all(item["passed"] for item in identities)
     results = {
         "impurity": args.impurity,
@@ -623,7 +613,6 @@ def cmd_compare(args, argv) -> int:
     _check_class_index(args, dataset)
     instances, ids = _resolve_instances(args, dataset)
     per_k = []
-    rows = []
     for k in ks:
         forest = build_forest(
             dataset, k, args.trees, impurity=args.impurity, seed=args.seed
@@ -632,14 +621,15 @@ def cmd_compare(args, argv) -> int:
         selector = "predicted" if args.class_index is None else "fixed"
         sb = saabas(forest, instances, class_selector=selector,
                     class_index=args.class_index, instance_ids=ids)
-        rep = correlation_report(lm, sb, mode="absolute")
-        per_k.append({"k": k, **rep.to_json_dict()})
-        for metric in ("pearson", "spearman"):
-            s = rep.summary[metric]
-            rows.append(
-                (k, metric, _fmt(s["mean"]), _fmt(s["min"]), _fmt(s["max"]),
-                 rep.n_undefined)
-            )
+        per_k.append(
+            {"k": k, **correlation_report(lm, sb, mode="absolute").to_json_dict()}
+        )
+    rows = (
+        (item["k"], metric,
+         *(_fmt(item["summary"][metric][q]) for q in ("mean", "min", "max")),
+         item["n_undefined"])
+        for item in per_k for metric in ("pearson", "spearman")
+    )
     results = {
         "impurity": args.impurity,
         "n_trees": args.trees,

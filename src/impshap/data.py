@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArityOverflow, EmptyDataset, ParseError
-from .info_theory import JointDistribution, joint_from_samples
+from .errors import ArityOverflow, EmptyDataset, InvalidValue, ParseError
+from .info_theory import JointDistribution, cell_sums, joint_from_samples
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -101,8 +101,8 @@ class Dataset:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (self.n_rows,):
                 raise ValueError("weights must have one entry per row")
-            if self.n_rows and weights.min() < 0.0:
-                raise ValueError("weights must be nonnegative")
+            if not (np.isfinite(weights) & (weights >= 0.0)).all():
+                raise InvalidValue("weights must be finite nonnegative numbers")
             weights.setflags(write=False)
         self.weights = weights
         self.name = name
@@ -341,112 +341,118 @@ def _column_index(dataset: Dataset, column) -> int:
     raise ValueError(f"no column named {column!r}")
 
 
+def _read_csv(path):
+    """Read a CSV once: its header, the '#kind:' rows right below it, and
+    its data rows as columns, with the line number of each row.
+
+    The header is the first row that is not empty and does not start with
+    '#'; later such rows are data and must have as many fields as the
+    header.  Every other row is a comment.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    lines = [r for r, row in enumerate(rows, 1) if row and not row[0].startswith("#")]
+    if not lines:
+        raise ParseError(f"{path}: no header row")
+    header = [h.strip() for h in rows[lines[0] - 1]]
+    kind_rows = []
+    for line, row in enumerate(rows[lines[0]:], start=lines[0] + 1):
+        if not row or not row[0].startswith("#"):
+            break
+        if row[0].startswith("#kind:"):
+            kind_rows.append((line, row))
+    lines = lines[1:]
+    if not lines:
+        raise EmptyDataset(f"{path}: no data rows")
+    body = [rows[r - 1] for r in lines]
+    for line, row in zip(lines, body):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
+            )
+    return header, kind_rows, list(zip(*body)), lines
+
+
+def _parse(path, name, cells, lines, conv=float) -> np.ndarray:
+    """A column of numbers, or of integers with conv=int; a cell that does
+    not convert is a ParseError naming its line."""
+    try:
+        return np.array(list(map(conv, cells)))
+    except ValueError:
+        for line, cell in zip(lines, cells):
+            try:
+                conv(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{line}: column {name!r}: cannot parse {cell!r}"
+                ) from None
+        raise
+
+
+def _codes(path, name, cells, lines) -> np.ndarray:
+    """A column of category codes: nonnegative integers."""
+    codes = _parse(path, name, cells, lines, int)
+    if codes.min() < 0:
+        r = int(np.argmax(codes < 0))
+        raise ParseError(
+            f"{path}:{lines[r]}: column {name!r}: negative category code {cells[r]!r}"
+        )
+    return codes
+
+
+def _dataset(path, header, kind_rows, cols, lines, name) -> Dataset:
+    kinds = None
+    for line, row in kind_rows:
+        declared = [row[0][len("#kind:"):].strip()] + [c.strip() for c in row[1:]]
+        if len(declared) != len(header):
+            raise ParseError(
+                f"{path}:{line}: kind row has {len(declared)} entries, "
+                f"header has {len(header)}"
+            )
+        for c, k in enumerate(declared):
+            if k not in (CATEGORICAL, NUMERIC):
+                raise ParseError(f"{path}:{line}: column {c + 1}: unknown kind {k!r}")
+        kinds = declared
+    weights = None
+    if header[-1] == "__weight__":
+        weights = _parse(path, header[-1], cols[-1], lines)
+        header, cols = header[:-1], cols[:-1]
+    columns, data = [], []
+    for c, cells in enumerate(cols):
+        kind = kinds[c] if kinds else None
+        meta, arr = _parse_column(path, header[c], cells, lines, kind)
+        columns.append(meta)
+        data.append(arr)
+    return Dataset(columns, data, weights=weights, name=name or str(path))
+
+
+def _parse_column(path, name, cells, lines, kind):
+    if kind == CATEGORICAL:
+        codes = _codes(path, name, cells, lines)
+        arity = int(codes.max()) + 1
+        if arity > MAX_ARITY:
+            raise ArityOverflow(
+                f"{path}: column {name!r}: {arity} categories exceed {MAX_ARITY}"
+            )
+        return ColumnMeta(name, CATEGORICAL, arity=arity), codes
+    if kind is None:  # infer
+        try:
+            codes = _codes(path, name, cells, lines)
+            if codes.max() < MAX_ARITY:
+                return ColumnMeta(name, CATEGORICAL, arity=int(codes.max()) + 1), codes
+        except ParseError:
+            pass
+    return ColumnMeta(name, NUMERIC), _parse(path, name, cells, lines)
+
+
 def load_csv(path, name=None) -> Dataset:
     """Load a dataset CSV: header row, optional '#kind:' row, data rows.
 
     Without a kind row, a column is categorical when every value is a
     nonnegative integer with at most MAX_ARITY distinct codes, numeric
-    otherwise.  Lines starting with '#' elsewhere are skipped.
+    otherwise.  Other rows starting with '#' are comments.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    kinds = None
-    body_start = 1
-    for r, row in enumerate(rows[1:], start=1):
-        if row and row[0].startswith("#"):
-            if row[0].startswith("#kind:"):
-                declared = [row[0][len("#kind:"):].strip()] + [
-                    c.strip() for c in row[1:]
-                ]
-                if len(declared) != len(header):
-                    raise ParseError(
-                        f"{path}:{r + 1}: kind row has {len(declared)} entries, "
-                        f"header has {len(header)}"
-                    )
-                for c, k in enumerate(declared):
-                    if k not in (CATEGORICAL, NUMERIC):
-                        raise ParseError(
-                            f"{path}:{r + 1}: column {c + 1}: unknown kind {k!r}"
-                        )
-                kinds = declared
-            body_start = r + 1
-        else:
-            break
-    weight_col = None
-    if header and header[-1] == "__weight__":
-        weight_col = len(header) - 1
-        header = header[:-1]
-        if kinds is not None:
-            kinds = kinds[:weight_col]
-    raw = [[] for _ in header]
-    weights = [] if weight_col is not None else None
-    for r, row in enumerate(rows[body_start:], start=body_start):
-        if not row or row[0].startswith("#"):
-            continue
-        expected = len(header) + (1 if weight_col is not None else 0)
-        if len(row) != expected:
-            raise ParseError(
-                f"{path}:{r + 1}: expected {expected} fields, got {len(row)}"
-            )
-        for c, cell in enumerate(row[: len(header)]):
-            raw[c].append(cell.strip())
-        if weight_col is not None:
-            weights.append(row[weight_col])
-    if not raw or not raw[0]:
-        raise EmptyDataset(f"{path}: no data rows")
-    columns = []
-    data = []
-    for c, cells in enumerate(raw):
-        kind = kinds[c] if kinds else None
-        meta, arr = _parse_column(path, header[c], cells, kind)
-        columns.append(meta)
-        data.append(arr)
-    if weights is not None:
-        try:
-            weights = np.array([float(w) for w in weights])
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad weight value: {exc}") from exc
-    return Dataset(columns, data, weights=weights, name=name or str(path))
-
-
-def _parse_column(path, name, cells, kind):
-    def parse_all(conv):
-        out = []
-        for r, cell in enumerate(cells):
-            try:
-                out.append(conv(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: column {name!r}, data row {r + 1}: "
-                    f"cannot parse {cell!r}"
-                ) from None
-        return out
-
-    if kind == NUMERIC:
-        return ColumnMeta(name, NUMERIC), np.array(parse_all(float))
-    if kind == CATEGORICAL:
-        codes = parse_all(int)
-        if any(v < 0 for v in codes):
-            raise ParseError(f"{path}: column {name!r}: negative category code")
-        arity = max(codes) + 1 if codes else 1
-        if arity > MAX_ARITY:
-            raise ArityOverflow(
-                f"{path}: column {name!r}: {arity} categories exceed {MAX_ARITY}"
-            )
-        return ColumnMeta(name, CATEGORICAL, arity=arity), np.array(codes)
-    # infer
-    try:
-        codes = [int(c) for c in cells]
-        if all(v >= 0 for v in codes) and len(set(codes)) <= MAX_ARITY:
-            arity = max(codes) + 1 if codes else 1
-            if arity <= MAX_ARITY:
-                return ColumnMeta(name, CATEGORICAL, arity=arity), np.array(codes)
-    except ValueError:
-        pass
-    return ColumnMeta(name, NUMERIC), np.array(parse_all(float))
+    return _dataset(path, *_read_csv(path), name)
 
 
 def write_csv(dataset: Dataset, path, provenance=None) -> None:
@@ -474,42 +480,36 @@ def write_csv(dataset: Dataset, path, provenance=None) -> None:
             writer.writerow(row)
 
 
+def _joint(path, header, kind_rows, cols, lines, name) -> JointDistribution:
+    if len(header) < 3 or header[-1] != "probability":
+        raise ParseError(
+            f"{path}: expected header (inputs..., output, probability)"
+        )
+    codes = [_codes(path, h, c, lines) for h, c in zip(header, cols[:-1])]
+    arities = tuple(int(c.max()) + 1 for c in codes)
+    table = cell_sums(codes, arities, _parse(path, header[-1], cols[-1], lines))
+    return JointDistribution(arities, table, name=name or str(path))
+
+
 def load_joint_csv(path, name=None) -> JointDistribution:
     """Load a joint distribution from rows of (config..., probability).
 
     The header names the input variables, then the output, then a final
     column called `probability`.  Arities are inferred from the largest
-    code seen per variable; omitted configurations have probability zero.
+    code seen per variable; omitted configurations have probability zero
+    and repeated ones add up.
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 3 or header[-1] != "probability":
-        raise ParseError(
-            f"{path}: expected header (inputs..., output, probability)"
-        )
-    n_vars = len(header) - 1
-    configs = []
-    probs = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}:{r}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            configs.append(tuple(int(v) for v in row[:n_vars]))
-            probs.append(float(row[-1]))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{r}: {exc}") from exc
-    if any(v < 0 for cfg in configs for v in cfg):
-        raise ParseError(f"{path}: negative category code")
-    arities = tuple(max(cfg[i] for cfg in configs) + 1 for i in range(n_vars))
-    table = np.zeros(arities)
-    for cfg, prob in zip(configs, probs):
-        table[cfg] += prob
-    return JointDistribution(arities, table, name=name or str(path))
+    return _joint(path, *_read_csv(path), name)
+
+
+def load_joint(path, name=None) -> JointDistribution:
+    """The joint of a CSV, read once: a joint CSV (last header field
+    `probability`) as `load_joint_csv` reads it, any other CSV as the
+    empirical joint of the dataset `load_csv` reads from it."""
+    table = _read_csv(path)
+    if table[0][-1] == "probability":
+        return _joint(path, *table, name)
+    return joint_from_samples(_dataset(path, *table, name))
 
 
 def write_joint_csv(j: JointDistribution, path, names=None) -> None:

@@ -37,6 +37,11 @@ class UnnormalizedTable(ImpshapError, ValueError):
     """Joint probabilities that do not sum to 1 within 1e-12."""
 
 
+class InvalidValue(ImpshapError, ValueError):
+    """A value the computation cannot use: a NaN or negative probability or
+    weight, or a numeric column where category codes are needed."""
+
+
 class NonZeroEmptyCoalition(ImpshapError):
     """A characteristic function with v(empty) != 0."""
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     EmptyDataset,
     InternalConsistencyError,
+    InvalidValue,
     PlayerCountTooLarge,
     TableTooLarge,
     UnnormalizedTable,
@@ -29,6 +30,22 @@ CLAMP_TOL = 1e-10
 MAX_CELLS = 1 << 27
 # Exact enumeration over all 2^p feature subsets stops here.
 MAX_FEATURES = 20
+
+
+def cell_count(arities) -> int:
+    """Cells of a dense table over `arities`; refuses more than MAX_CELLS."""
+    n_cells = int(np.prod([float(a) for a in arities]))
+    if n_cells > MAX_CELLS:
+        raise TableTooLarge(f"table of {n_cells} cells exceeds limit {MAX_CELLS}")
+    return n_cells
+
+
+def cell_sums(codes, arities, weights) -> np.ndarray:
+    """Flat table of `weights` summed per configuration of `codes` (one array
+    per variable), in input order as `table[cfg] += w` would add them."""
+    n_cells = cell_count(arities)
+    flat = np.ravel_multi_index(tuple(np.asarray(c, np.intp) for c in codes), arities)
+    return np.bincount(flat, weights=weights, minlength=n_cells)
 
 
 def check_feature_count(p: int) -> None:
@@ -63,10 +80,6 @@ def as_mask(subset, nvars: int) -> int:
 def mask_members(mask: int):
     """Indices of the set bits, ascending."""
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
-def mask_size(mask: int) -> int:
-    return int(mask).bit_count()
 
 
 def subset_sizes(p: int) -> np.ndarray:
@@ -110,17 +123,15 @@ class JointDistribution:
             raise ValueError("need at least one input variable and the output")
         if any(a < 1 for a in arities):
             raise ValueError(f"arities must be >= 1, got {arities}")
-        n_cells = int(np.prod([float(a) for a in arities]))
-        if n_cells > MAX_CELLS:
-            raise TableTooLarge(f"table of {n_cells} cells exceeds limit {MAX_CELLS}")
+        n_cells = cell_count(arities)
         table = np.asarray(probs, dtype=np.float64)
         if table.size != n_cells:
             raise ValueError(
                 f"probability table has {table.size} cells, arities imply {n_cells}"
             )
         table = table.reshape(arities).copy()
-        if table.min() < 0.0:
-            raise ValueError("probabilities must be nonnegative")
+        if not (table >= 0.0).all():  # NaN fails every comparison
+            raise InvalidValue("probabilities must be nonnegative numbers")
         total = float(table.sum())
         if abs(total - 1.0) > 1e-12:
             raise UnnormalizedTable(f"probabilities sum to {total!r}, expected 1")
@@ -333,7 +344,7 @@ def joint_from_samples(dataset, name: str | None = None) -> JointDistribution:
     """
     numeric = [c.name for c in dataset.columns if c.kind != "categorical"]
     if numeric:
-        raise ValueError(
+        raise InvalidValue(
             f"columns {numeric} are numeric; quantize them before building a joint"
         )
     if dataset.n_rows == 0:
@@ -345,9 +356,5 @@ def joint_from_samples(dataset, name: str | None = None) -> JointDistribution:
     total = float(weights.sum())
     if total <= 0.0:
         raise EmptyDataset("dataset has zero total weight")
-    flat_index = np.ravel_multi_index(
-        tuple(col.astype(np.intp) for col in dataset.data), arities
-    )
-    n_cells = int(np.prod(arities))
-    probs = np.bincount(flat_index, weights=weights, minlength=n_cells) / total
+    probs = cell_sums(dataset.data, arities, weights) / total
     return JointDistribution(arities, probs, name=name or dataset.name)

@@ -13,7 +13,6 @@ global node ids.  A `Tree` is a view of one tree's slice of those arrays.
 Saabas, class probabilities, `predict`) accumulates what it visits.
 """
 
-import json
 import random
 from array import array
 from dataclasses import dataclass, replace
@@ -21,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import CATEGORICAL, Dataset
-from .errors import EmptyDataset, MissingFeatureValue, NoAdmissibleFeature
+from .errors import EmptyDataset, InvalidValue, MissingFeatureValue, NoAdmissibleFeature
 from .impurity import ENTROPY, check_kind, impurity_from_counts
 
 LEAF = -1
@@ -187,9 +186,6 @@ class Tree:
             "nodes": nodes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 class _BuildContext:
     """Dataset unpacked for growth: the rows with positive weight, as one
@@ -204,7 +200,7 @@ class _BuildContext:
             raise EmptyDataset("cannot grow a tree from zero rows")
         out_meta = dataset.output_meta
         if out_meta.kind != CATEGORICAL:
-            raise ValueError(
+            raise InvalidValue(
                 f"output column {out_meta.name!r} must be categorical "
                 "(quantize numeric outputs first)"
             )

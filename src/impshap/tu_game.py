@@ -7,7 +7,6 @@ an exact Fraction.  The information and variance games read their
 coalition tables from one subset-lattice walk of the joint.
 """
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -86,9 +85,6 @@ class ShapleyVector:
             "payoffs": [float(v) for v in self.payoffs],
             "total": float(self.game_total),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def shapley_weights(p: int) -> list:

@@ -11,6 +11,18 @@ from math import comb, log2
 import numpy as np
 
 
+def joint_table_by_rows(path) -> np.ndarray:
+    """Joint CSV table filled with one `+=` per data row, in file order."""
+    rows = [line.split(",") for line in open(path).read().splitlines()
+            if line and not line.startswith("#")][1:]
+    configs = [tuple(int(v) for v in row[:-1]) for row in rows]
+    table = np.zeros(tuple(max(c[i] for c in configs) + 1
+                           for i in range(len(configs[0]))))
+    for cfg, row in zip(configs, rows):
+        table[cfg] += float(row[-1])
+    return table
+
+
 def h_binary(q: float) -> float:
     """Entropy of a Bernoulli(q) in bits."""
     if q <= 0.0 or q >= 1.0:

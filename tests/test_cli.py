@@ -1,12 +1,16 @@
 """CLI surface: determinism, formats, exit codes, schema validation."""
 
+import builtins
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from impshap import cli
-from impshap.data import load_csv
+from impshap.data import load_csv, load_joint_csv, random_joint, write_joint_csv
+
+from oracles import joint_table_by_rows
 
 
 def run(capsys, argv):
@@ -276,16 +280,40 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["saabas", "--data", "led", "--trees", "5", "--class-index", "12"],
         ["compare", "--data", "led", "--trees", "5", "--class-index", "12"],
         ["global", "--data", "led", "--k-sweep", "1..9"],
+        ["pop-mdi", "--data", "{nan_probability}", "--format", "json"],
+        ["verify", "--data", "{negative_probability}"],
+        ["pop-mdi", "--data", "{negative_weight}"],
+        ["global", "--data", "{negative_weight}", "--trees", "3"],
+        ["global", "--data", "{nan_weight}", "--trees", "3"],
+        ["pop-mdi", "--data", "{numeric_input}"],
+        ["shapley", "--data", "{numeric_input}"],
+        ["verify", "--data", "{numeric_input}"],
+        ["global", "--data", "{numeric_output}", "--trees", "3"],
+        ["local", "--data", "{numeric_output}", "--trees", "3"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
          "class-index-beyond-arity-local", "class-index-beyond-arity-saabas",
-         "class-index-beyond-arity-compare", "k-sweep-beyond-p"],
+         "class-index-beyond-arity-compare", "k-sweep-beyond-p",
+         "joint-nan-probability", "joint-negative-probability",
+         "negative-weight-pop-mdi", "negative-weight-global", "nan-weight-global",
+         "numeric-input-pop-mdi", "numeric-input-shapley", "numeric-input-verify",
+         "numeric-output-global", "numeric-output-local"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
-    unnormalized = tmp_path / "f.csv"  # probabilities sum to 0.99
-    unnormalized.write_text("x1,y,probability\n0,0,0.5\n1,1,0.49\n")
-    code = cli.main([a.format(unnormalized=unnormalized) for a in argv])
+    files = {
+        "unnormalized": "x1,y,probability\n0,0,0.5\n1,1,0.49\n",  # sums to 0.99
+        "nan_probability": "x1,y,probability\n0,0,0.5\n1,1,nan\n",
+        "negative_probability": "x1,y,probability\n0,0,1.5\n1,1,-0.5\n",
+        "negative_weight": "a,y,__weight__\n0,0,1\n1,1,-1\n",
+        "nan_weight": "a,y,__weight__\n0,0,1\n1,1,nan\n",
+        "numeric_input": "a,y\n0.5,0\n1.5,1\n",
+        "numeric_output": "a,y\n0,0.5\n1,1.5\n",
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    paths = {name: tmp_path / f"{name}.csv" for name in files}
+    code = cli.main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -358,3 +386,76 @@ def test_verify_gini(capsys):
                              "gini", "--format", "json"])
     assert code == 0
     assert json.loads(out)["results"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["local", "--data", "led", "--trees", "30", "--seed", "0"],
+         "b5a690991b17de8b4dd52a39374be4208e14bc7c3a0db2d4d133d60aefa64af8"),
+        (["global", "--data", "led", "--trees", "50", "--seed", "0",
+          "--k-sweep", "1..3"],
+         "c63189743fecc1ba919c5c92b7b877f1a8ad8f3308fc30c3ecfc77af02bd7d07"),
+    ],
+    ids=["local", "global"],
+)
+def test_csv_report_bytes_are_pinned(capsys, argv, digest):
+    """The CSV tables are built only for --format csv, and stay byte for
+    byte what they were when they were built for every report."""
+    code, out = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _joint_results(capsys, command, path):
+    code, out = run(capsys, [command, "--data", str(path), "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    return report["provenance"]["dataset_fingerprint"], report["results"]
+
+
+@pytest.mark.parametrize("variant", ["comment-line", "spaced-header", "repeated-row"])
+def test_joint_csv_variants_match_clean_file(capsys, tmp_path, variant):
+    """Comment lines, a spaced `probability` header and a configuration
+    split over two rows give the clean file's reports."""
+    clean = tmp_path / "clean.csv"
+    write_joint_csv(random_joint(4, p=3, max_arity=2), clean)
+    header, first, *rest = clean.read_text().splitlines()
+    if variant == "comment-line":
+        lines = ["# a note", header, first, *rest]
+    elif variant == "spaced-header":
+        lines = [header.replace(",probability", ", probability"), first, *rest]
+    else:
+        cfg, prob = first.rsplit(",", 1)
+        half = repr(float(prob) / 2)  # halving is exact, so the sum is too
+        lines = [header, f"{cfg},{half}", *rest, f"{cfg},{half}"]
+    path = tmp_path / f"{variant}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert np.array_equal(load_joint_csv(path).table, joint_table_by_rows(path))
+    for command in ("pop-mdi", "verify"):
+        assert _joint_results(capsys, command, path) == _joint_results(
+            capsys, command, clean
+        )
+
+
+@pytest.mark.parametrize("kind", ["joint", "dataset"])
+def test_joint_commands_open_data_once(capsys, tmp_path, monkeypatch, tables, kind):
+    path = tmp_path / "data.csv"
+    if kind == "joint":
+        write_joint_csv(tables["table1-y1"], path)
+    else:
+        assert cli.main(["gen-data", "--data", "table1-y1", "--out", str(path)]) == 0
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for command in ("pop-mdi", "shapley", "verify"):
+        opened.clear()
+        code, _ = run(capsys, [command, "--data", str(path)])
+        assert code == 0
+        assert len(opened) == 1, command

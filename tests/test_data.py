@@ -19,7 +19,9 @@ from impshap.data import (
     sample_from_joint,
     write_csv,
 )
-from impshap.errors import ArityOverflow, ParseError
+from impshap.errors import ArityOverflow, EmptyDataset, InvalidValue, ParseError
+
+from oracles import joint_table_by_rows
 
 # The canonical encoding, frozen here independently of the implementation.
 # Bit order: top, top-left, top-right, middle, bottom-left, bottom-right, bottom.
@@ -231,6 +233,75 @@ def test_joint_csv_errors(tmp_path):
     bad2.write_text("x1,y,probability\n0,0,0.4\n1,0,0.4\n")  # sums to 0.8
     with pytest.raises(ValueError):
         load_joint_csv(bad2)
+
+
+@pytest.mark.parametrize("p", [6, 12])
+def test_joint_csv_fill_matches_row_by_row(tmp_path, p):
+    """The bincount fill equals one `+=` per row, repeated rows included,
+    on joints of the benchmark's shape."""
+    from impshap.data import load_joint_csv, write_joint_csv
+
+    path = tmp_path / "j.csv"
+    write_joint_csv(random_joint(p, p=p, max_arity=2), path)
+    header, *rows = path.read_text().splitlines()
+    # split three configurations over two rows each, the second at the end
+    extra = []
+    for r in (0, len(rows) // 2, len(rows) - 1):
+        cfg, prob = rows[r].rsplit(",", 1)
+        part = float(prob) / 3
+        rows[r] = f"{cfg},{part!r}"
+        extra.append(f"{cfg},{float(prob) - part!r}")
+    path.write_text("\n".join([header, *rows, *extra]) + "\n")
+    assert np.array_equal(load_joint_csv(path).table, joint_table_by_rows(path))
+
+
+def test_csv_comment_before_header(tmp_path):
+    """A dataset CSV may start with comment lines; load_joint reads it as
+    its empirical joint."""
+    from impshap.data import load_joint
+
+    path = tmp_path / "d.csv"
+    path.write_text("# note\na,y\n#kind: numeric,categorical\n0,0\n1,1\n")
+    ds = load_csv(path)
+    assert ds.feature_names() == ("a",) and ds.columns[0].kind == "numeric"
+    with pytest.raises(InvalidValue):
+        load_joint(path)  # a numeric column has no joint
+    path.write_text("# note\na,y\n0,0\n1,1\n1,1\n")
+    want = dataset_to_joint(load_csv(path)).table
+    assert np.array_equal(load_joint(path).table, want)
+
+
+def test_joint_csv_has_no_arity_limit(tmp_path):
+    from impshap.data import MAX_ARITY, load_joint_csv
+
+    path = tmp_path / "wide.csv"
+    path.write_text(f"x1,y,probability\n0,0,0.5\n{MAX_ARITY + 6},1,0.5\n")
+    assert load_joint_csv(path).arities == (MAX_ARITY + 7, 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1,y,probability\n0,0,0.5\n1,1\n", ":3: expected 3 fields, got 2"),
+        ("# c\nx1,y,probability\n0,0,0.5\na,1,0.5\n", ":4: column 'x1'"),
+        ("x1,y,probability\n0,0,0.5\n1,-1,0.5\n", ":3: column 'y': negative"),
+        ("x1,y,probability\n0,0,0.5\n1,1,half\n", ":3: column 'probability'"),
+        ("x1,y,probability\n", None),
+    ],
+    ids=["field-count", "non-integer-code", "negative-code", "bad-probability",
+         "no-rows"],
+)
+def test_joint_csv_errors_name_the_line(tmp_path, text, message):
+    from impshap.data import load_joint_csv
+
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    if message is None:
+        with pytest.raises(EmptyDataset):
+            load_joint_csv(path)
+        return
+    with pytest.raises(ParseError, match=message):
+        load_joint_csv(path)
 
 
 def test_constant_input_flagged():
