@@ -25,15 +25,7 @@ from .forest import (
     predict_proba,
     saabas,
 )
-from .info_theory import (
-    JointDistribution,
-    cond_entropy_at,
-    cond_entropy_mean,
-    cond_mutual_info,
-    entropy,
-    joint_from_samples,
-    mutual_info,
-)
+from .info_theory import JointDistribution, joint_from_samples
 from .population import (
     PopulationImportance,
     check_decompositions,
@@ -75,13 +67,9 @@ __all__ = [
     "check_axioms",
     "check_decompositions",
     "check_strong_monotonicity",
-    "cond_entropy_at",
-    "cond_entropy_mean",
-    "cond_mutual_info",
     "correlation_report",
     "dataset_from_joint",
     "dataset_to_joint",
-    "entropy",
     "example_tables",
     "game_global_info",
     "game_global_variance",
@@ -97,7 +85,6 @@ __all__ = [
     "load_csv",
     "load_joint_csv",
     "local_mdi",
-    "mutual_info",
     "pop_global_mdi",
     "pop_local_mdi",
     "pop_local_mdi_batch",

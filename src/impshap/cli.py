@@ -28,7 +28,7 @@ from .data import (
     write_csv,
 )
 from .errors import ImpshapError
-from .info_theory import cond_mutual_info, mutual_info
+from .info_theory import clamp_mi
 from .forest import (
     LOCAL_MDI,
     SAABAS,
@@ -69,15 +69,20 @@ class UsageError(ImpshapError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError, so it prints one line."""
+
+    def error(self, message):
+        raise UsageError(f"{message} (see {self.prog} --help)")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the message
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, argv)
+    except SystemExit as exc:  # --help and --version print, then exit
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ImpshapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -87,7 +92,7 @@ def main(argv=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="impshap",
         description="Tree-ensemble importances, exact Shapley values and "
         "their population-level identities.",
@@ -95,13 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trees=True):
+    def common(p, forest=True):
         p.add_argument("--data", required=True,
                        help="builtin name (led, led-sampled, table1-y1, "
                             "table1-y2, table2, digits) or a CSV path")
-        p.add_argument("--k", type=int, default=1,
-                       help="candidate features drawn per node (default 1)")
-        if trees:
+        if forest:
+            p.add_argument("--k", type=int, default=1,
+                           help="candidate features drawn per node (default 1)")
             p.add_argument("--trees", type=int, default=1000,
                            help="ensemble size (default 1000)")
         p.add_argument("--seed", type=int, default=0)
@@ -131,19 +136,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_saabas)
 
     p = sub.add_parser("shapley", help="exact Shapley values on a joint")
-    common(p, trees=False)
+    common(p, forest=False)
     p.add_argument("--instance", action="append", default=None,
                    help="comma-separated category codes; local game")
     p.set_defaults(func=cmd_shapley)
 
     p = sub.add_parser("pop-mdi", help="population MDI formulas on a joint")
-    common(p, trees=False)
+    common(p, forest=False)
     p.add_argument("--instance", action="append", default=None,
                    help="comma-separated category codes; local measure")
     p.set_defaults(func=cmd_pop_mdi)
 
     p = sub.add_parser("verify", help="run the identity suite on a joint")
-    common(p, trees=False)
+    common(p, forest=False)
     p.add_argument("--tol", type=float, default=1e-9,
                    help="decomposition tolerance (default 1e-9)")
     p.set_defaults(func=cmd_verify)
@@ -188,7 +193,7 @@ def _resolve_dataset(args):
         return builtin_dataset(
             name, n=getattr(args, "n", 200), seed=getattr(args, "seed", 0)
         )
-    except ValueError as exc:
+    except (ValueError, ImportError) as exc:  # unknown name, missing package
         raise UsageError(str(exc)) from exc
 
 
@@ -400,10 +405,8 @@ def _local_matrices(args, methods):
         if method == LOCAL_MDI:
             matrices.append(local_mdi(forest, instances, instance_ids=ids))
         elif method == SAABAS:
-            selector = "predicted" if args.class_index is None else "fixed"
             matrices.append(
                 saabas(forest, instances,
-                       class_selector=selector,
                        class_index=args.class_index,
                        instance_ids=ids)
             )
@@ -574,17 +577,14 @@ def _monotonicity_block():
     """The two-output example where payoff order flips against the
     marginal-contribution order once trees compete for splits (K = 2)."""
     tables = example_tables()
-    j1, j2 = tables["table1-y1"], tables["table1-y2"]
-    mi = {
-        "I(Y1;X1)": mutual_info(j1, [2], [0]),
-        "I(Y1;X1|X2)": cond_mutual_info(j1, [2], 0, [1]),
-        "I(Y1;X2)": mutual_info(j1, [2], [1]),
-        "I(Y1;X2|X1)": cond_mutual_info(j1, [2], 1, [0]),
-        "I(Y2;X1)": mutual_info(j2, [2], [0]),
-        "I(Y2;X1|X2)": cond_mutual_info(j2, [2], 0, [1]),
-        "I(Y2;X2)": mutual_info(j2, [2], [1]),
-        "I(Y2;X2|X1)": cond_mutual_info(j2, [2], 1, [0]),
-    }
+    mi = {}
+    for y in (1, 2):
+        h = subset_lattice(tables[f"table1-y{y}"], ENTROPY).mean  # H(Y | X_S)
+        for m, b in ((1, 2), (2, 1)):
+            bit, given = 1 << (m - 1), 1 << (b - 1)
+            mi[f"I(Y{y};X{m})"] = h[0] - h[bit]
+            mi[f"I(Y{y};X{m}|X{b})"] = h[given] - h[given | bit]
+    mi = {name: float(clamp_mi(v, name)) for name, v in mi.items()}
     imp = {}
     for name in ("table1-y1", "table1-y2"):
         forest = build_forest(builtin_dataset(name), k=2, n_trees=1, seed=0)
@@ -600,7 +600,7 @@ def _monotonicity_block():
     )
     violated_x2 = imp["table1-y1"][1] > imp["table1-y2"][1]
     return {
-        "mutual_informations": {k: float(v) for k, v in mi.items()},
+        "mutual_informations": mi,
         "k2_importances": imp,
         "premise_holds": {"x1": premise_x1, "x2": premise_x2},
         "violated": {"x1": violated_x1, "x2": violated_x2},
@@ -618,8 +618,7 @@ def cmd_compare(args, argv) -> int:
             dataset, k, args.trees, impurity=args.impurity, seed=args.seed
         )
         lm = local_mdi(forest, instances, instance_ids=ids)
-        selector = "predicted" if args.class_index is None else "fixed"
-        sb = saabas(forest, instances, class_selector=selector,
+        sb = saabas(forest, instances,
                     class_index=args.class_index, instance_ids=ids)
         per_k.append(
             {"k": k, **correlation_report(lm, sb, mode="absolute").to_json_dict()}

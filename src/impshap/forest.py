@@ -80,18 +80,6 @@ class Forest:
         """Training class distribution (the shared root distribution)."""
         return self.nodes.dist[0]
 
-    def to_json_dict(self, include_trees: bool = True) -> dict:
-        d = {
-            "n_trees": self.n_trees,
-            "k": self.k,
-            "impurity": self.impurity,
-            "seed": self.seed,
-            "dataset_fingerprint": self.dataset_fingerprint,
-        }
-        if include_trees:
-            d["trees"] = [t.to_json_dict() for t in self.trees]
-        return d
-
 
 def _build_range(dataset, k, impurity, seed, lo, hi) -> PackedTrees:
     seeds = [_tree_seed(seed, i) for i in range(lo, hi)]
@@ -211,29 +199,24 @@ def predict_proba(forest: Forest, instances) -> np.ndarray:
 def saabas(
     forest: Forest,
     instances,
-    class_selector: str = "predicted",
     class_index: int | None = None,
     instance_ids=None,
 ) -> LocalImportanceMatrix:
     """Changes in the probability of one class collected along paths.
 
-    `class_selector` is "predicted" (the forest's predicted class per
-    instance, ties to the lowest class) or "fixed" with `class_index`.
-    Per instance, the scores plus the training prior of the class sum to
-    the forest probability of that class.
+    The class is `class_index`, or when None the forest's predicted class
+    per instance (ties to the lowest class).  Per instance, the scores plus
+    the training prior of the class sum to the forest probability of that
+    class.
     """
-    if class_selector == "predicted":
+    if class_index is None:
         classes = predict_proba(forest, instances).argmax(axis=1)
-    elif class_selector == "fixed":
-        if class_index is None:
-            raise ValueError("class_selector='fixed' needs class_index")
-        if not 0 <= class_index < forest.n_classes:
-            raise ValueError(
-                f"class index {class_index} outside 0..{forest.n_classes - 1}"
-            )
+    elif 0 <= class_index < forest.n_classes:
         classes = np.full(len(instances), class_index, dtype=int)
     else:
-        raise ValueError("class_selector must be 'predicted' or 'fixed'")
+        raise ValueError(
+            f"class index {class_index} outside 0..{forest.n_classes - 1}"
+        )
     dist = forest.nodes.dist
 
     def move(buf, pair, row, node, child, f):

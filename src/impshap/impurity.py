@@ -1,20 +1,19 @@
 """Impurity abstraction shared by the population formulas and the trees.
 
 Three kinds are supported: Shannon entropy (bits), the Gini index, and the
-variance of the output with category codes read as real values.  Population
-variants condition the exact joint; the count-based variants serve the tree
-builder.  `subset_lattice` computes every conditional impurity the
-population layer reads, over all 2^p feature subsets, in one walk.
+variance of the output with category codes read as real values.
+`subset_lattice` computes every conditional impurity of the exact joint
+that the population layer reads, over all 2^p feature subsets, in one walk;
+`impurity_from_counts` serves the tree builder.
 """
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from math import log2
 
 import numpy as np
 
 from .errors import TableTooLarge
-from .info_theory import MAX_CELLS, JointDistribution, as_mask, check_feature_count
+from .info_theory import MAX_CELLS, JointDistribution, check_feature_count
 
 ENTROPY = "entropy"
 GINI = "gini"
@@ -26,47 +25,6 @@ def check_kind(kind: str) -> str:
     if kind not in KINDS:
         raise ValueError(f"impurity must be one of {KINDS}, got {kind!r}")
     return kind
-
-
-def impurity_of_dist(probs: np.ndarray, kind: str) -> float:
-    """Impurity of a normalized distribution over output categories 0..|Y|-1."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if kind == ENTROPY:
-        pos = probs[probs > 0.0]
-        return float(-(pos * np.log2(pos)).sum())
-    if kind == GINI:
-        return float(1.0 - (probs * probs).sum())
-    if kind == VARIANCE:
-        codes = np.arange(probs.size, dtype=np.float64)
-        mean = float(probs @ codes)
-        return float(probs @ (codes * codes) - mean * mean)
-    raise ValueError(f"unknown impurity kind {kind!r}")
-
-
-def prior_impurity(j: JointDistribution, kind: str) -> float:
-    """Impurity of the output marginal, i(Y)."""
-    return impurity_of_dist(j.marginal(1 << j.p), kind)
-
-
-def conditional_impurity_at(
-    j: JointDistribution, values: Mapping[int, int], kind: str
-) -> float:
-    """Impurity of P(Y | assignment); the pointwise (per-context) quantity."""
-    return impurity_of_dist(j.cond_output_dist(values), kind)
-
-
-def mean_conditional_impurity(j: JointDistribution, subset, kind: str) -> float:
-    """E_b[i(Y | subset = b)] over contexts with positive probability.
-
-    For entropy this is the mean conditional entropy H(Y | subset); for
-    variance it is E[Var(Y | subset)].
-    """
-    mask = as_mask(subset, j.p)
-    if mask == 0:
-        return prior_impurity(j, kind)
-    marg = j.marginal(mask | (1 << j.p))  # output is the last axis
-    ctx, _, per_ctx = _context_impurities(marg.reshape(-1, j.output_arity), kind)
-    return float(ctx @ per_ctx)
 
 
 def _context_impurities(flat: np.ndarray, kind: str) -> tuple:

@@ -1,13 +1,14 @@
-"""Exact information-theoretic quantities over dense categorical joint tables.
+"""Dense categorical joint tables and the subset-mask helpers over them.
 
 The central object is :class:`JointDistribution`, a dense probability table
 over p categorical input variables and one categorical output (always the
 last axis).  Variable subsets are plain integer bitmasks over the input
 indices 0..p-1; the output can be addressed as pseudo-index p where a
-function documents that it accepts it.  All quantities are in bits.
+function documents that it accepts it.  Conditional entropies and mutual
+informations (in bits) are read from `impurity.subset_lattice`.
 """
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .errors import (
     PlayerCountTooLarge,
     TableTooLarge,
     UnnormalizedTable,
-    ZeroProbabilityContext,
     ZeroProbabilityInstance,
 )
 
@@ -150,14 +150,6 @@ class JointDistribution:
     def input_arities(self) -> tuple:
         return self.arities[:-1]
 
-    def constant_inputs(self) -> tuple:
-        """Input indices whose marginal puts all mass on a single category."""
-        flagged = []
-        for m in range(self.p):
-            if np.count_nonzero(self.marginal(1 << m)) <= 1:
-                flagged.append(m)
-        return tuple(flagged)
-
     def marginal(self, subset) -> np.ndarray:
         """Marginal table over `subset` (may include the output index p).
 
@@ -167,38 +159,6 @@ class JointDistribution:
         keep = set(mask_members(mask))
         drop = tuple(i for i in range(self.p + 1) if i not in keep)
         return self.table.sum(axis=drop) if drop else self.table
-
-    def prob_of(self, values: Mapping[int, int]) -> float:
-        """Probability of a partial assignment {variable index: category}."""
-        return float(self._slice(values).sum())
-
-    def cond_output_dist(self, values: Mapping[int, int]) -> np.ndarray:
-        """P(Y | assignment); raises ZeroProbabilityContext on impossible context."""
-        if self.p in values:
-            raise ValueError("cannot condition the output on itself")
-        sub = self._slice(values)
-        drop = tuple(range(sub.ndim - 1))
-        dist = sub.sum(axis=drop) if drop else sub
-        total = float(dist.sum())
-        if total <= 0.0:
-            raise ZeroProbabilityContext(
-                f"assignment {dict(values)} has probability 0"
-            )
-        return dist / total
-
-    def _slice(self, values: Mapping[int, int]) -> np.ndarray:
-        index = []
-        for axis, arity in enumerate(self.arities):
-            if axis in values:
-                v = int(values[axis])
-                if not 0 <= v < arity:
-                    raise ValueError(
-                        f"value {v} out of range for variable {axis} (arity {arity})"
-                    )
-                index.append(v)
-            else:
-                index.append(slice(None))
-        return self.table[tuple(index)]
 
     def instance_probs(self, instances) -> tuple:
         """Validated full instances and their probabilities P(V = x).
@@ -249,59 +209,6 @@ class JointDistribution:
         return f"JointDistribution(p={self.p}, arities={self.arities}{tag})"
 
 
-def _plogp_sum(probs: np.ndarray) -> float:
-    """-sum p log2 p with the 0 log 0 := 0 convention."""
-    pos = probs[probs > 0.0]
-    return float(-(pos * np.log2(pos)).sum()) + 0.0
-
-
-def entropy(j: JointDistribution, subset) -> float:
-    """Joint Shannon entropy of the variables in `subset`, in bits.
-
-    The output variable may be addressed as index p.  The empty subset
-    has zero entropy.
-    """
-    mask = as_mask(subset, j.p + 1)
-    if mask == 0:
-        return 0.0
-    return _plogp_sum(j.marginal(mask))
-
-
-def cond_entropy_mean(j: JointDistribution, target, given) -> float:
-    """Mean conditional entropy H(target | given) = -sum P(t,g) log2 P(t|g)."""
-    t_mask = as_mask(target, j.p + 1)
-    g_mask = as_mask(given, j.p + 1)
-    if t_mask & g_mask:
-        raise ValueError("target and conditioning subsets overlap")
-    if t_mask == 0:
-        return 0.0
-    if g_mask == 0:
-        return entropy(j, t_mask)
-    both = j.marginal(t_mask | g_mask)
-    members = mask_members(t_mask | g_mask)
-    t_axes = tuple(i for i, v in enumerate(members) if (t_mask >> v) & 1)
-    given_marg = both.sum(axis=t_axes)
-    denom = np.expand_dims(given_marg, t_axes)
-    denom = np.broadcast_to(denom, both.shape)
-    pos = both > 0.0
-    vals = both[pos]
-    return float(-(vals * (np.log2(vals) - np.log2(denom[pos]))).sum()) + 0.0
-
-
-def cond_entropy_at(j: JointDistribution, target, values: Mapping[int, int]) -> float:
-    """Pointwise conditional entropy of `target` given a concrete assignment.
-
-    Raises ZeroProbabilityContext when the assignment has probability zero.
-    Currently the target must be the output variable.
-    """
-    t_mask = as_mask(target, j.p + 1)
-    if t_mask != (1 << j.p):
-        raise ValueError("pointwise conditional entropy supports the output target only")
-    if any(k in values for k in (j.p,)):
-        raise ValueError("cannot condition the output on itself")
-    return _plogp_sum(j.cond_output_dist(values))
-
-
 def clamp_mi(value, label: str):
     """Clamp rounding noise in a mutual information (or an array of them).
 
@@ -314,26 +221,6 @@ def clamp_mi(value, label: str):
             f"{label} = {worst!r} is negative beyond tolerance"
         )
     return np.maximum(value, 0.0)
-
-
-def mutual_info(j: JointDistribution, target, subset) -> float:
-    """I(target; subset) = H(target) - H(target | subset), clamped at 0."""
-    t_mask = as_mask(target, j.p + 1)
-    value = entropy(j, t_mask) - cond_entropy_mean(j, t_mask, subset)
-    return float(clamp_mi(value, "mutual information"))
-
-
-def cond_mutual_info(j: JointDistribution, target, m: int, given) -> float:
-    """Mean conditional mutual information I(target; X_m | given)."""
-    g_mask = as_mask(given, j.p + 1)
-    m_bit = 1 << int(m)
-    if g_mask & m_bit:
-        raise ValueError(f"variable {m} appears in the conditioning subset")
-    t_mask = as_mask(target, j.p + 1)
-    value = cond_entropy_mean(j, t_mask, g_mask) - cond_entropy_mean(
-        j, t_mask, g_mask | m_bit
-    )
-    return float(clamp_mi(value, "conditional mutual information"))
 
 
 def joint_from_samples(dataset, name: str | None = None) -> JointDistribution:

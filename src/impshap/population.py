@@ -126,17 +126,6 @@ class DecompositionReport:
             and self.double_sum_residual < self.tolerance
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "impurity": self.impurity,
-            "total": self.total,
-            "efficiency_residual": self.efficiency_residual,
-            "instance_residual": self.instance_residual,
-            "double_sum_residual": self.double_sum_residual,
-            "global_scores": [float(v) for v in self.global_scores],
-            "passed": self.passed,
-        }
-
 
 def check_decompositions(
     j: JointDistribution, impurity: str = ENTROPY, tol: float = 1e-9, lattice=None

@@ -175,20 +175,6 @@ class EquivalenceReport:
     def passed(self) -> bool:
         return all(g == l for _, g, l in self.agreements)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "per_feature": [
-                {
-                    "feature": m,
-                    "globally_irrelevant": g,
-                    "locally_irrelevant_everywhere": l,
-                    "agree": g == l,
-                }
-                for m, g, l in self.agreements
-            ],
-            "passed": self.passed,
-        }
-
 
 def verify_global_local_equivalence(
     j: JointDistribution, tol: float = 1e-10, lattice=None
@@ -221,14 +207,6 @@ class NullScoreReport:
     @property
     def passed(self) -> bool:
         return self.max_violation < self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_abs_score_at_irrelevant": self.max_violation,
-            "locally_irrelevant_pairs": self.checked,
-            "zero_score_but_relevant": self.zero_score_but_relevant,
-            "passed": self.passed,
-        }
 
 
 def verify_local_null_scores(

@@ -161,31 +161,6 @@ class Tree:
         local = np.where(self.children == LEAF, LEAF, self.children - self.offset)
         return self.feature.tobytes() + local.tobytes() + self.threshold.tobytes()
 
-    def to_json_dict(self) -> dict:
-        nodes = []
-        for i in range(self.n_nodes):
-            view = self.node(i)
-            nodes.append(
-                {
-                    "id": i,
-                    "feature": view.feature,
-                    "kind": view.kind,
-                    "threshold": view.threshold,
-                    "children": list(view.children),
-                    "impurity": view.impurity,
-                    "mass": view.mass,
-                    "dist": [float(v) for v in view.dist],
-                }
-            )
-        return {
-            "k": self.k,
-            "impurity": self.impurity_kind,
-            "seed": self.seed,
-            "n_train": self.packed.n_train,
-            "root": self.root,
-            "nodes": nodes,
-        }
-
 
 class _BuildContext:
     """Dataset unpacked for growth: the rows with positive weight, as one

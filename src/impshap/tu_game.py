@@ -1,10 +1,10 @@
 """Exact Shapley values for transferable-utility games over <= 20 players.
 
-Coalitions are integer bitmasks.  The characteristic function is memoized
-over all 2^p coalitions once, then every payoff is a float sum of marginal
+Coalitions are integer bitmasks.  A game is its characteristic function as
+a table over all 2^p coalitions; every payoff is a float sum of marginal
 contributions weighted by |S|!(p-|S|-1)!/p!, each weight rounded once from
-an exact Fraction.  The information and variance games read their
-coalition tables from one subset-lattice walk of the joint.
+an exact Fraction.  The information and variance games are rows of one
+subset-lattice walk of the joint.
 """
 
 from dataclasses import dataclass, field
@@ -36,29 +36,46 @@ GAME_LABELS = {
 
 @dataclass
 class TUGame:
-    """A cooperative game: player count and coalition evaluator v(mask).
+    """A cooperative game over p players: `values[S]` is v(S) for every
+    coalition mask S = 0 .. 2^p - 1, so p is set by the table's length.
 
-    v(0) must be 0; the evaluator must be deterministic per coalition.
+    v(0) must be 0.  The table is read-only; a writable one is copied.
     """
 
-    p: int
-    evaluate: callable
+    values: np.ndarray
     label: str = "custom"
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("need at least one player")
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.flags.writeable:
+            values = values.copy()
+            values.setflags(write=False)
+        n = values.size
+        if values.ndim != 1 or n < 2 or n & (n - 1):
+            raise ValueError(
+                f"need 2^p coalition values with p >= 1, got shape {values.shape}"
+            )
+        self.values = values
         check_feature_count(self.p)
-        v0 = float(self.evaluate(0))
-        if abs(v0) > 1e-12:
-            raise NonZeroEmptyCoalition(f"v(empty) = {v0!r}, expected 0")
+        if abs(values[0]) > 1e-12:
+            raise NonZeroEmptyCoalition(f"v(empty) = {float(values[0])!r}, expected 0")
 
-    def coalition_values(self) -> np.ndarray:
-        """Memo table v over all 2^p coalition masks."""
-        values = np.empty(1 << self.p)
-        for mask in range(1 << self.p):
-            values[mask] = self.evaluate(mask)
-        return values
+    @property
+    def p(self) -> int:
+        return self.values.size.bit_length() - 1
+
+
+def _extensions(p: int):
+    """For each player m: every coalition B without m, ascending, and B + m.
+
+    Kept apart from `info_theory.extension_pairs`, which the MDI sums use,
+    so that verify's Shapley identities compare two independent pairings.
+    """
+    masks = np.arange(1 << p)
+    for m in range(p):
+        bit = 1 << m
+        without = masks[(masks & bit) == 0]
+        yield without, without | bit
 
 
 @dataclass
@@ -95,30 +112,16 @@ def shapley_weights(p: int) -> list:
     ]
 
 
-def shapley_exact(game: TUGame, values: np.ndarray | None = None) -> ShapleyVector:
-    """Payoffs by direct evaluation of the permutation-weighted sum.
-
-    `values` may carry a precomputed coalition table to avoid re-evaluating
-    the characteristic function.
-    """
-    p = game.p
-    if values is None:
-        values = game.coalition_values()
+def shapley_exact(game: TUGame) -> ShapleyVector:
+    """Payoffs by direct evaluation of the permutation-weighted sum."""
+    p, values = game.p, game.values
     weights = np.array(shapley_weights(p))
     sizes = subset_sizes(p)
-    masks = np.arange(1 << p)
     payoffs = np.empty(p)
-    for m in range(p):
-        bit = 1 << m
-        without = masks[(masks & bit) == 0]
-        mc = values[without | bit] - values[without]
+    for m, (without, with_m) in enumerate(_extensions(p)):
+        mc = values[with_m] - values[without]
         payoffs[m] = float(weights[sizes[without]] @ mc)
     return ShapleyVector(payoffs, float(values[-1]), game.label)
-
-
-def _table_game(values: np.ndarray, label: str) -> TUGame:
-    values.setflags(write=False)
-    return TUGame(values.size.bit_length() - 1, values.item, label)
 
 
 def lattice_games(lattice: SubsetLattice) -> tuple:
@@ -134,9 +137,10 @@ def lattice_games(lattice: SubsetLattice) -> tuple:
     if lattice.kind == ENTROPY:
         values = clamp_mi(values, "mutual information")
     local = lattice.at[:, :1] - lattice.at
+    local.setflags(write=False)  # each local game holds a row, not a copy
     return (
-        _table_game(values, global_label),
-        [_table_game(row, local_label) for row in local],
+        TUGame(values, global_label),
+        [TUGame(row, local_label) for row in local],
     )
 
 
@@ -189,40 +193,18 @@ class AxiomReport:
     def passed(self) -> bool:
         return self.efficiency_ok and self.null_player_ok and self.symmetry_ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "efficiency_residual": self.efficiency_residual,
-            "null_players": [
-                {"player": m, "abs_payoff": mag} for m, mag in self.null_players
-            ],
-            "symmetric_pairs": [
-                {"players": [i, k], "payoff_diff": d}
-                for i, k, d in self.symmetric_pairs
-            ],
-            "passed": self.passed,
-        }
 
-
-def check_axioms(
-    game: TUGame,
-    vector: ShapleyVector,
-    values: np.ndarray | None = None,
-    tol: float = 1e-10,
-) -> AxiomReport:
+def check_axioms(game: TUGame, vector: ShapleyVector, tol: float = 1e-10) -> AxiomReport:
     """Exhaustively detect null players and symmetric pairs, then check the
     vector against efficiency, the null-player and the symmetry axioms."""
-    p = game.p
-    if values is None:
-        values = game.coalition_values()
+    p, values = game.p, game.values
     masks = np.arange(1 << p)
     report = AxiomReport(
         efficiency_residual=abs(float(vector.payoffs.sum()) - float(values[-1])),
         tolerance=tol,
     )
-    for m in range(p):
-        bit = 1 << m
-        without = masks[(masks & bit) == 0]
-        if np.abs(values[without | bit] - values[without]).max() < tol:
+    for m, (without, with_m) in enumerate(_extensions(p)):
+        if np.abs(values[with_m] - values[without]).max() < tol:
             report.null_players.append((m, abs(float(vector.payoffs[m]))))
     for i in range(p):
         for k in range(i + 1, p):
@@ -256,18 +238,13 @@ def check_strong_monotonicity(game_v: TUGame, game_w: TUGame) -> list:
     """
     if game_v.p != game_w.p:
         raise ValueError("games must share the player set")
-    p = game_v.p
-    vals_v = game_v.coalition_values()
-    vals_w = game_w.coalition_values()
-    phi_v = shapley_exact(game_v, vals_v).payoffs
-    phi_w = shapley_exact(game_w, vals_w).payoffs
-    masks = np.arange(1 << p)
+    vals_v, vals_w = game_v.values, game_w.values
+    phi_v = shapley_exact(game_v).payoffs
+    phi_w = shapley_exact(game_w).payoffs
     out = []
-    for m in range(p):
-        bit = 1 << m
-        without = masks[(masks & bit) == 0]
-        mc_v = vals_v[without | bit] - vals_v[without]
-        mc_w = vals_w[without | bit] - vals_w[without]
+    for m, (without, with_m) in enumerate(_extensions(game_v.p)):
+        mc_v = vals_v[with_m] - vals_v[without]
+        mc_w = vals_w[with_m] - vals_w[without]
         out.append(
             MonotonicityComparison(
                 player=m,

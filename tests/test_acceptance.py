@@ -9,6 +9,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles import mean_impurity
+
 from impshap import cli
 from impshap.data import (
     builtin_dataset,
@@ -25,8 +27,8 @@ from impshap.forest import (
     local_mdi,
     saabas,
 )
-from impshap.impurity import mean_conditional_impurity, prior_impurity
-from impshap.info_theory import JointDistribution, cond_mutual_info, mutual_info
+from impshap.impurity import subset_lattice
+from impshap.info_theory import JointDistribution
 from impshap.population import pop_global_mdi, pop_local_mdi
 from impshap.relevance import (
     verify_global_local_equivalence,
@@ -102,16 +104,18 @@ def test_criterion_2_local_shapley_equivalence(joint_set):
 
 def test_criterion_3_worked_example_one():
     tables = example_tables()
-    j1, j2 = tables["table1-y1"], tables["table1-y2"]
+    # H(Y | X_S) per mask S: I(Y; X_S) = h[0] - h[S], I(Y; X_m | X_B) = h[B] - h[B + m]
+    h1 = subset_lattice(tables["table1-y1"], "entropy").mean
+    h2 = subset_lattice(tables["table1-y2"], "entropy").mean
     mi = {
-        "I(Y1;X1)": (mutual_info(j1, [2], [0]), 0.091),
-        "I(Y1;X2)": (mutual_info(j1, [2], [1]), 0.002),
-        "I(Y1;X1|X2)": (cond_mutual_info(j1, [2], 0, [1]), 0.269),
-        "I(Y1;X2|X1)": (cond_mutual_info(j1, [2], 1, [0]), 0.180),
-        "I(Y2;X1)": (mutual_info(j2, [2], [0]), 0.002),
-        "I(Y2;X2)": (mutual_info(j2, [2], [1]), 0.016),
-        "I(Y2;X1|X2)": (cond_mutual_info(j2, [2], 0, [1]), 0.243),
-        "I(Y2;X2|X1)": (cond_mutual_info(j2, [2], 1, [0]), 0.258),
+        "I(Y1;X1)": (h1[0] - h1[0b01], 0.091),
+        "I(Y1;X2)": (h1[0] - h1[0b10], 0.002),
+        "I(Y1;X1|X2)": (h1[0b10] - h1[0b11], 0.269),
+        "I(Y1;X2|X1)": (h1[0b01] - h1[0b11], 0.180),
+        "I(Y2;X1)": (h2[0] - h2[0b01], 0.002),
+        "I(Y2;X2)": (h2[0] - h2[0b10], 0.016),
+        "I(Y2;X1|X2)": (h2[0b10] - h2[0b11], 0.243),
+        "I(Y2;X2|X1)": (h2[0b01] - h2[0b11], 0.258),
     }
     for name, (got, want) in mi.items():
         assert got == pytest.approx(want, abs=5e-4), name
@@ -160,8 +164,8 @@ def test_criterion_5_monte_carlo_convergence(mc_led):
 def test_criterion_6_efficiency_identities(joint_set, mc_led):
     # (a) population scores decompose the full mutual information
     for j in joint_set:
-        total = prior_impurity(j, "entropy") - mean_conditional_impurity(
-            j, (1 << j.p) - 1, "entropy"
+        total = mean_impurity(j.table, 0, "entropy") - mean_impurity(
+            j.table, (1 << j.p) - 1, "entropy"
         )
         residual = abs(float(pop_global_mdi(j).scores.sum()) - total)
         assert residual < 1e-9, j.name
@@ -228,7 +232,7 @@ def test_criterion_10_local_measure_correlation():
     forest = build_forest(led, k=1, n_trees=1000, seed=0)
     instances = led.instances()
     lm = local_mdi(forest, instances)
-    sb = saabas(forest, instances, class_selector="predicted")
+    sb = saabas(forest, instances)
     rep = correlation_report(lm, sb, mode="absolute")
     elapsed = time.perf_counter() - t0
     assert rep.n_undefined == 0
@@ -252,8 +256,8 @@ def regression_joint():
 def test_criterion_11_variance_impurity(joint_set):
     j = regression_joint()
     scores = pop_global_mdi(j, "variance").scores
-    total = prior_impurity(j, "variance") - mean_conditional_impurity(
-        j, (1 << j.p) - 1, "variance"
+    total = mean_impurity(j.table, 0, "variance") - mean_impurity(
+        j.table, (1 << j.p) - 1, "variance"
     )
     assert abs(float(scores.sum()) - total) < 1e-9
     assert abs(scores[2]) < 1e-12  # the independent input

@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +291,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["verify", "--data", "{numeric_input}"],
         ["global", "--data", "{numeric_output}", "--trees", "3"],
         ["local", "--data", "{numeric_output}", "--trees", "3"],
+        ["verify", "--data", "table2", "--k", "1"],
+        ["shapley", "--data", "table2", "--trees", "5"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
@@ -298,7 +301,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "joint-nan-probability", "joint-negative-probability",
          "negative-weight-pop-mdi", "negative-weight-global", "nan-weight-global",
          "numeric-input-pop-mdi", "numeric-input-shapley", "numeric-input-verify",
-         "numeric-output-global", "numeric-output-local"],
+         "numeric-output-global", "numeric-output-local",
+         "k-on-joint-command", "trees-on-joint-command"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {
@@ -319,6 +323,18 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_missing_optional_package_is_usage_error(capsys, monkeypatch):
+    """`digits` needs scikit-learn; without it the CLI says so in one line."""
+    monkeypatch.setitem(sys.modules, "sklearn.datasets", None)  # import fails
+    code = cli.main(["compare", "--data", "digits", "--trees", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "scikit-learn" in lines[0]
+    assert lines[0].startswith("error: ")
 
 
 def test_usage_errors_name_the_flag_given(capsys, monkeypatch):

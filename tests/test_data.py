@@ -9,7 +9,6 @@ from impshap.data import (
     builtin_dataset,
     dataset_from_joint,
     dataset_to_joint,
-    example_tables,
     expand_to_rows,
     led_population,
     led_sampled,
@@ -60,9 +59,8 @@ def test_led_digit_8_all_segments():
 
 def test_led_population_joint(led_joint):
     for d in range(10):
-        cell = dict(enumerate(SEGMENTS[d]))
-        cell[7] = d
-        assert led_joint.prob_of(cell) == pytest.approx(0.1, abs=1e-15)
+        cell = tuple(SEGMENTS[d]) + (d,)
+        assert led_joint.table[cell] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_led_sampled_frequencies():
@@ -78,10 +76,10 @@ def test_led_sampled_frequencies():
 
 def test_example_tables_exact_cells(tables):
     # spot checks against the defining conditional rates
-    assert tables["table1-y1"].prob_of({0: 0, 1: 0, 2: 1}) == 0.25 * 0.1
-    assert tables["table1-y1"].prob_of({0: 1, 1: 0, 2: 1}) == 0.25 * 0.9
-    assert tables["table1-y2"].prob_of({0: 1, 1: 1, 2: 1}) == 0.25 * 0.3
-    assert tables["table2"].prob_of({0: 1, 1: 1}) == 0.0
+    assert tables["table1-y1"].table[0, 0, 1] == 0.25 * 0.1
+    assert tables["table1-y1"].table[1, 0, 1] == 0.25 * 0.9
+    assert tables["table1-y2"].table[1, 1, 1] == 0.25 * 0.3
+    assert tables["table2"].table[1, 1] == 0.0
     assert float(tables["table2"].marginal([1])[0]) == 0.75
 
 
@@ -109,8 +107,8 @@ def test_weighted_two_rows():
         weights=np.array([3.0, 1.0]),
     )
     j = dataset_to_joint(ds)
-    assert j.prob_of({0: 0, 1: 0}) == 0.75
-    assert j.prob_of({0: 1, 1: 1}) == 0.25
+    assert j.table[0, 0] == 0.75
+    assert j.table[1, 1] == 0.25
 
 
 def test_sampling_converges(led_joint):
@@ -302,18 +300,6 @@ def test_joint_csv_errors_name_the_line(tmp_path, text, message):
         return
     with pytest.raises(ParseError, match=message):
         load_joint_csv(path)
-
-
-def test_constant_input_flagged():
-    from impshap.info_theory import JointDistribution
-
-    # first input has a single category (arity 1)
-    j = JointDistribution((1, 2, 2), [0.25, 0.25, 0.25, 0.25])
-    assert j.constant_inputs() == (0,)
-    # arity 2 with all mass on one category is just as unsplittable
-    j2 = JointDistribution((2, 2), [0.5, 0.5, 0.0, 0.0])
-    assert j2.constant_inputs() == (0,)
-    assert example_tables()["table2"].constant_inputs() == ()
 
 
 def test_digits_dataset_quantized():

@@ -115,21 +115,23 @@ def test_null_player_scores_exactly_zero():
 
 def test_strong_monotonicity_violation():
     """The K=2 importances order against the marginal contributions."""
-    from impshap.info_theory import cond_mutual_info, mutual_info
     from impshap.data import example_tables
+    from impshap.impurity import subset_lattice
 
     tables = example_tables()
-    j1, j2 = tables["table1-y1"], tables["table1-y2"]
+    # H(Y | X_S) per mask S
+    h1 = subset_lattice(tables["table1-y1"], "entropy").mean
+    h2 = subset_lattice(tables["table1-y2"], "entropy").mean
     imp1 = global_mdi(build_forest(builtin_dataset("table1-y1"), 2, 10, seed=0))
     imp2 = global_mdi(build_forest(builtin_dataset("table1-y2"), 2, 10, seed=0))
-    # X1 contributes more to Y1 in both contexts ...
-    assert mutual_info(j1, [2], [0]) >= mutual_info(j2, [2], [0])
-    assert cond_mutual_info(j1, [2], 0, [1]) >= cond_mutual_info(j2, [2], 0, [1])
+    # X1 contributes more to Y1 in both contexts: I(Y; X1), I(Y; X1 | X2) ...
+    assert h1[0] - h1[0b01] >= h2[0] - h2[0b01]
+    assert h1[0b10] - h1[0b11] >= h2[0b10] - h2[0b11]
     # ... yet ends up less important to Y1
     assert imp1[0] < imp2[0]
-    # and symmetrically for X2
-    assert mutual_info(j1, [2], [1]) <= mutual_info(j2, [2], [1])
-    assert cond_mutual_info(j1, [2], 1, [0]) <= cond_mutual_info(j2, [2], 1, [0])
+    # and symmetrically for X2: I(Y; X2), I(Y; X2 | X1)
+    assert h1[0] - h1[0b10] <= h2[0] - h2[0b10]
+    assert h1[0b01] - h1[0b11] <= h2[0b01] - h2[0b11]
     assert imp1[1] > imp2[1]
 
 
@@ -175,16 +177,14 @@ def test_saabas_table1_sum():
     """Hand value: leaf P(Y1=1 | 1, 0) = 0.9 minus prior 0.475."""
     ds = builtin_dataset("table1-y1")
     forest = build_forest(ds, k=2, n_trees=10, seed=0)
-    sb = saabas(forest, [(1, 0)], class_selector="fixed", class_index=1)
+    sb = saabas(forest, [(1, 0)], class_index=1)
     assert sb.scores[0].sum() == pytest.approx(0.9 - 0.475, abs=1e-12)
 
 
 def test_saabas_class_validation(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=5, seed=0)
     with pytest.raises(ValueError):
-        saabas(forest, led_ds.instances(), class_selector="fixed", class_index=10)
-    with pytest.raises(ValueError):
-        saabas(forest, led_ds.instances(), class_selector="nope")
+        saabas(forest, led_ds.instances(), class_index=10)
 
 
 def test_correlation_report_identity(led_ds):

@@ -4,25 +4,28 @@ the trees."""
 import numpy as np
 import pytest
 
-from oracles import entropy_of_counts, weighted_variance
-
-from impshap.impurity import (
-    conditional_impurity_at,
-    impurity_from_counts,
-    impurity_of_dist,
-    mean_conditional_impurity,
-    prior_impurity,
+from oracles import (
+    entropy_of_counts,
+    impurity_of,
+    subset_marginal,
+    table_cond_entropy,
+    weighted_variance,
 )
-from impshap.info_theory import cond_entropy_mean
+
+from impshap.impurity import impurity_from_counts, subset_lattice
+from impshap.info_theory import JointDistribution, mask_members
 
 
 def test_impurity_of_dist():
-    assert impurity_of_dist(np.array([0.5, 0.5]), "entropy") == 1.0
-    assert impurity_of_dist(np.array([1.0, 0.0]), "entropy") == 0.0
-    assert impurity_of_dist(np.array([0.5, 0.5]), "gini") == 0.5
-    assert impurity_of_dist(np.array([0.5, 0.5]), "variance") == 0.25
+    # i(Y) = mean[0] of the lattice, here with Y independent of the input
+    fair = JointDistribution((2, 2), [0.25, 0.25, 0.25, 0.25])
+    assert subset_lattice(fair, "entropy").mean[0] == 1.0
+    assert subset_lattice(fair, "gini").mean[0] == 0.5
+    assert subset_lattice(fair, "variance").mean[0] == 0.25
+    sure = JointDistribution((2, 2), [0.5, 0.0, 0.5, 0.0])
+    assert subset_lattice(sure, "entropy").mean[0] == 0.0
     with pytest.raises(ValueError):
-        impurity_of_dist(np.array([1.0]), "mse")
+        subset_lattice(fair, "mse")
 
 
 def test_counts_match_dist():
@@ -31,7 +34,7 @@ def test_counts_match_dist():
     dist = np.array([c / total for c in counts])
     for kind in ("entropy", "gini", "variance"):
         assert impurity_from_counts(counts, kind) == pytest.approx(
-            impurity_of_dist(dist, kind), abs=1e-12
+            impurity_of(dist, kind), abs=1e-12
         )
     assert impurity_from_counts(counts, "entropy") == pytest.approx(
         entropy_of_counts(counts), abs=1e-12
@@ -40,40 +43,38 @@ def test_counts_match_dist():
 
 
 def test_mean_conditional_entropy_matches_info_route(tables, random_joints):
-    """Two independent routes to H(Y | S) agree."""
+    """The lattice's H(Y | S) agrees with H(Y, S) - H(S) by enumeration."""
     for j in list(tables.values()) + random_joints[:5]:
+        mean = subset_lattice(j, "entropy").mean
         for mask in (0b01, (1 << j.p) - 1):
-            a = mean_conditional_impurity(j, mask, "entropy")
-            b = cond_entropy_mean(j, 1 << j.p, mask)
-            assert a == pytest.approx(b, abs=1e-12)
+            want = table_cond_entropy(j.table, [j.p], mask_members(mask))
+            assert mean[mask] == pytest.approx(want, abs=1e-12)
 
 
 def test_mean_conditional_variance_by_enumeration(random_joints):
     for j in random_joints[:4]:
         mask = 0b01
-        marg = j.marginal([0])
         want = 0.0
-        for b in range(j.arities[0]):
-            pb = float(marg[b])
+        for row in subset_marginal(j.table, mask):  # P(X_0 = b, Y)
+            pb = float(row.sum())
             if pb <= 0.0:
                 continue
-            cond = j.cond_output_dist({0: b})
-            want += pb * weighted_variance(np.arange(j.output_arity), cond)
-        got = mean_conditional_impurity(j, mask, "variance")
+            want += pb * weighted_variance(np.arange(j.output_arity), row / pb)
+        got = subset_lattice(j, "variance").mean[mask]
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_conditional_at_matches_prior_on_empty(tables):
     j = tables["table1-y1"]
     for kind in ("entropy", "gini", "variance"):
-        assert conditional_impurity_at(j, {}, kind) == pytest.approx(
-            prior_impurity(j, kind), abs=1e-15
-        )
+        lat = subset_lattice(j, kind, j.positive_instances())
+        np.testing.assert_allclose(lat.at[:, 0], lat.mean[0], rtol=0.0, atol=1e-15)
 
 
 def test_empty_subset_mean_is_prior(tables):
     j = tables["table2"]
+    y = subset_marginal(j.table, 0).reshape(-1)  # P(Y)
     for kind in ("entropy", "gini", "variance"):
-        assert mean_conditional_impurity(j, 0, kind) == pytest.approx(
-            prior_impurity(j, kind), abs=1e-15
+        assert subset_lattice(j, kind).mean[0] == pytest.approx(
+            impurity_of(y, kind), abs=1e-15
         )

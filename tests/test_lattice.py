@@ -21,7 +21,7 @@ from oracles import (
 
 from impshap.data import example_tables, random_joint
 from impshap.errors import ImpshapError, TableTooLarge
-from impshap.impurity import KINDS, mean_conditional_impurity, subset_lattice
+from impshap.impurity import KINDS, subset_lattice
 from impshap.population import (
     check_decompositions,
     pop_global_mdi,
@@ -71,8 +71,6 @@ def test_mean_impurity_matches_direct_marginals(j, kind):
     for mask in range(1 << j.p):
         want = mean_impurity(j.table, mask, kind)
         assert lattice.mean[mask] == pytest.approx(want, abs=1e-12)
-        direct = mean_conditional_impurity(j, mask, kind)
-        assert lattice.mean[mask] == pytest.approx(direct, abs=1e-12)
 
 
 @PROPERTY

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import h_binary, weighted_variance
+from oracles import h_binary, mean_impurity, weighted_variance
 
 from impshap.errors import ZeroProbabilityInstance
-from impshap.impurity import mean_conditional_impurity, prior_impurity
+from impshap.impurity import subset_lattice
 from impshap.info_theory import JointDistribution
 from impshap.population import (
     check_decompositions,
@@ -171,9 +171,10 @@ def test_variance_total_is_explained_variance(random_joints):
         scores = pop_global_mdi(j, "variance").scores
         y_marg = j.marginal(1 << j.p)
         var_y = weighted_variance(np.arange(j.output_arity), y_marg)
-        evar = mean_conditional_impurity(j, (1 << j.p) - 1, "variance")
+        evar = mean_impurity(j.table, (1 << j.p) - 1, "variance")
         assert scores.sum() == pytest.approx(var_y - evar, abs=1e-9)
-        assert prior_impurity(j, "variance") == pytest.approx(var_y, abs=1e-12)
+        prior = subset_lattice(j, "variance").mean[0]
+        assert prior == pytest.approx(var_y, abs=1e-12)
 
 
 def test_global_scores_nonnegative(random_joints):

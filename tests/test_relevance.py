@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from impshap.errors import ZeroProbabilityInstance
-from impshap.info_theory import JointDistribution, mutual_info
+from impshap.impurity import subset_lattice
+from impshap.info_theory import JointDistribution
 from impshap.population import pop_global_mdi, pop_local_mdi
 from impshap.relevance import (
     IRRELEVANT,
@@ -50,7 +51,8 @@ def test_table1_x1_relevant_with_empty_witness(tables):
 def test_xor_needs_conditioning():
     """Marginally independent but relevant given the other input."""
     j = xor_joint()
-    assert mutual_info(j, [2], [0]) == pytest.approx(0.0, abs=1e-12)
+    h = subset_lattice(j, "entropy").mean
+    assert h[0] - h[0b01] == pytest.approx(0.0, abs=1e-12)  # I(Y; X1)
     v = is_irrelevant(j, 0)
     assert v.verdict == RELEVANT
     assert v.witness["subset"] == [1]

@@ -208,16 +208,6 @@ def test_node_impurity_matches_oracle(led_ds):
     )
 
 
-def test_tree_json(led_ds):
-    tree = build_tree(led_ds, k=1, rng=0)
-    d = tree.to_json_dict()
-    assert d["k"] == 1 and d["impurity"] == "entropy"
-    assert len(d["nodes"]) == tree.n_nodes
-    root = d["nodes"][0]
-    assert root["id"] == 0 and root["mass"] == 1.0
-    assert set(root) >= {"feature", "children", "impurity", "mass", "dist"}
-
-
 def test_k_validation(led_ds):
     with pytest.raises(ValueError):
         build_tree(led_ds, k=0, rng=0)

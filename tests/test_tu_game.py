@@ -28,8 +28,13 @@ def _mask_to_set(mask):
     return frozenset(mask_members(mask))
 
 
+def _table(p, v):
+    """The coalition table of v over all 2^p masks."""
+    return np.array([v(mask) for mask in range(1 << p)], dtype=float)
+
+
 def test_two_player_symmetric_split():
-    game = TUGame(2, lambda m: 1.0 if m == 0b11 else 0.0)
+    game = TUGame(np.array([0.0, 0.0, 0.0, 1.0]))
     vec = shapley_exact(game)
     assert vec.payoffs == pytest.approx([0.5, 0.5], abs=1e-15)
     assert vec.game_total == 1.0
@@ -52,7 +57,7 @@ def test_null_player_gets_zero():
         covered = mask & 0b011
         return float(bin(covered).count("1"))
 
-    game = TUGame(3, v)
+    game = TUGame(_table(3, v))
     vec = shapley_exact(game)
     assert abs(vec.payoffs[2]) < 1e-15
     report = check_axioms(game, vec)
@@ -67,7 +72,7 @@ def test_against_permutation_oracle():
         values = {0: 0.0}
         for mask in range(1, 1 << p):
             values[mask] = float(rng.normal())
-        game = TUGame(p, values.__getitem__)
+        game = TUGame(_table(p, values.__getitem__))
         got = shapley_exact(game).payoffs
         want = shapley_by_permutations(
             p, lambda s: values[sum(1 << i for i in s)]
@@ -77,16 +82,29 @@ def test_against_permutation_oracle():
 
 def test_rejects_bad_games():
     with pytest.raises(NonZeroEmptyCoalition):
-        TUGame(2, lambda m: 1.0)
+        TUGame(np.ones(4))
     with pytest.raises(PlayerCountTooLarge):
-        TUGame(21, lambda m: 0.0)
+        TUGame(np.zeros(1 << 21))
+    for bad in (np.zeros(1), np.zeros(6), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            TUGame(bad)  # not 2^p values with p >= 1
+
+
+def test_game_table_is_read_only():
+    table = np.array([0.0, 1.0, 2.0, 4.0])
+    game = TUGame(table)
+    assert game.p == 2
+    table[3] = 9.0  # a writable table is copied
+    assert game.values[3] == 4.0
+    with pytest.raises(ValueError):
+        game.values[3] = 9.0
 
 
 def test_global_info_game_values(tables):
     j = tables["table1-y1"]
     game = game_global_info(j)
-    assert game.evaluate(0) == 0.0
-    assert game.evaluate(0b01) == pytest.approx(0.091, abs=5e-4)
+    assert game.values[0] == 0.0
+    assert game.values[0b01] == pytest.approx(0.091, abs=5e-4)
     # hand expansion of the two-player weighted sum:
     # phi(X1) = (I(Y1;X1) + I(Y1;X1|X2)) / 2
     vec = shapley_exact(game)
@@ -96,15 +114,15 @@ def test_global_info_game_values(tables):
 
 def test_global_info_game_led(led_joint):
     game = game_global_info(led_joint)
-    assert game.evaluate((1 << 7) - 1) == pytest.approx(np.log2(10), abs=1e-12)
+    assert game.values[(1 << 7) - 1] == pytest.approx(np.log2(10), abs=1e-12)
 
 
 def test_local_info_game(tables):
     t2 = tables["table2"]
     game = game_local_info(t2, (0,))
-    assert game.evaluate(0) == 0.0
+    assert game.values[0] == 0.0
     # 0.8113 - 1.0: knowing x1=0 raises the uncertainty
-    assert game.evaluate(0b1) == pytest.approx(-0.1887, abs=5e-5)
+    assert game.values[0b1] == pytest.approx(-0.1887, abs=5e-5)
     with pytest.raises(ZeroProbabilityInstance):
         game_local_info(JointDistribution((2, 2), [0.5, 0.5, 0, 0]), (1,))
 
@@ -113,11 +131,11 @@ def test_local_info_game_led(led_joint):
     for d in (0, 8):
         x = None
         for cand in led_joint.positive_instances():
-            if led_joint.prob_of({**dict(enumerate(cand)), 7: d}) > 0:
+            if led_joint.table[cand + (d,)] > 0:
                 x = cand
                 break
         game = game_local_info(led_joint, x)
-        assert game.evaluate((1 << 7) - 1) == pytest.approx(np.log2(10), abs=1e-12)
+        assert game.values[(1 << 7) - 1] == pytest.approx(np.log2(10), abs=1e-12)
 
 
 def test_variance_games():
@@ -128,12 +146,12 @@ def test_variance_games():
             table[x1, x2, x1] = 0.25
     j = JointDistribution((2, 2, 2), table)
     game = game_global_variance(j)
-    assert game.evaluate(0b01) == pytest.approx(0.25, abs=1e-15)  # Var(Y)
+    assert game.values[0b01] == pytest.approx(0.25, abs=1e-15)  # Var(Y)
     vec = shapley_exact(game)
     assert vec.payoffs == pytest.approx([0.25, 0.0], abs=1e-12)
     local = game_local_variance(j, (1, 0))
-    assert local.evaluate(0) == 0.0
-    assert local.evaluate(0b01) == pytest.approx(0.25, abs=1e-15)
+    assert local.values[0] == 0.0
+    assert local.values[0b01] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_variance_game_constant_output():
@@ -179,7 +197,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(5)
     values = {mask: float(rng.normal()) for mask in range(1 << 3)}
     values[0] = 0.0
-    game = TUGame(3, values.__getitem__)
+    game = TUGame(_table(3, values.__getitem__))
     base = shapley_exact(game).payoffs
     # relabel players by the cycle 0->1->2->0
     perm = [1, 2, 0]
@@ -191,13 +209,13 @@ def test_permutation_equivariance():
                 orig |= 1 << i
         return values[orig]
 
-    swapped = shapley_exact(TUGame(3, relabeled)).payoffs
+    swapped = shapley_exact(TUGame(_table(3, relabeled))).payoffs
     for i in range(3):
         assert swapped[perm[i]] == pytest.approx(base[i], abs=1e-12)
 
 
 def test_shapley_vector_json():
-    game = TUGame(2, lambda m: 1.0 if m == 0b11 else 0.0)
+    game = TUGame(np.array([0.0, 0.0, 0.0, 1.0]))
     d = shapley_exact(game).to_json_dict()
     assert d["method"] == "shapley-exact"
     assert d["payoffs"] == [0.5, 0.5]
@@ -217,9 +235,9 @@ def test_information_game_clamps_rounding_noise():
                              empty, empty[..., None])
 
     game, _ = lattice_games(lattice("entropy", [1.0, 1.0 + 1e-12]))
-    assert list(game.coalition_values()) == [0.0, 0.0]
+    assert list(game.values) == [0.0, 0.0]
     with pytest.raises(InternalConsistencyError):
         lattice_games(lattice("entropy", [1.0, 1.0 + 1e-9]))
     # the variance game is not a mutual information and is not clamped
     game, _ = lattice_games(lattice("variance", [1.0, 1.0 + 1e-9]))
-    assert game.coalition_values()[1] < 0.0
+    assert game.values[1] < 0.0
