@@ -210,11 +210,18 @@ def _resolve_joint(args):
 
 
 def _check_codes(x, arities, what):
-    """An instance needs one value per feature, within each known arity."""
+    """An instance needs one value per feature: an integer code within the
+    arity of each categorical feature."""
     if len(x) != len(arities):
         raise UsageError(f"{what} has {len(x)} values, expected {len(arities)}")
     for m, (v, arity) in enumerate(zip(x, arities)):
-        if arity is not None and not 0 <= v < arity:
+        if arity is None:
+            continue
+        if not float(v).is_integer():
+            raise UsageError(
+                f"{what}: value {v} for feature {m} is not an integer code"
+            )
+        if not 0 <= v < arity:
             raise UsageError(
                 f"{what}: value {v} out of range for feature {m} (arity {arity})"
             )
@@ -642,13 +649,9 @@ def cmd_compare(args, argv) -> int:
 
 def cmd_gen_data(args, argv) -> int:
     dataset = _resolve_dataset(args)
-    provenance = [
-        f"version: {__version__}",
-        f"command_line: impshap {' '.join(argv)}",
-        f"seed: {args.seed}",
-        f"dataset_fingerprint: {dataset.fingerprint()}",
-    ]
-    write_csv(dataset, args.out, provenance=provenance)
+    provenance = _provenance(args, argv, dataset.fingerprint())
+    write_csv(dataset, args.out,
+              provenance=[f"{key}: {value}" for key, value in provenance.items()])
     return EXIT_OK
 
 

@@ -52,7 +52,6 @@ class ColumnMeta:
     kind: str  # CATEGORICAL or NUMERIC
     arity: int | None = None
     bin_edges: tuple | None = None  # recorded by quantize
-    constant: bool = False
 
 
 class Dataset:
@@ -83,14 +82,9 @@ class Dataset:
                     raise ValueError(
                         f"column {meta.name!r} has codes outside 0..{meta.arity - 1}"
                     )
-                meta = replace(
-                    meta, constant=self.n_rows > 0 and np.unique(col).size <= 1
-                )
             elif meta.kind == NUMERIC:
                 col = col.astype(np.float64)
-                meta = replace(
-                    meta, arity=None, constant=self.n_rows > 0 and np.unique(col).size <= 1
-                )
+                meta = replace(meta, arity=None)
             else:
                 raise ValueError(f"unknown column kind {meta.kind!r}")
             col.setflags(write=False)

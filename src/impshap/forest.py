@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset
 from .errors import InvalidSetting
@@ -56,14 +55,13 @@ class Forest:
     """An ensemble of trees sharing impurity kind, K and training data,
     stored packed in `nodes`."""
 
-    def __init__(self, nodes: PackedTrees, *, k, impurity, seed, dataset_fingerprint):
+    def __init__(self, nodes: PackedTrees, *, k, impurity, seed):
         if nodes.n_trees < 1:
             raise ValueError("a forest needs at least one tree")
         self.nodes = nodes
         self.k = k
         self.impurity = impurity
         self.seed = seed
-        self.dataset_fingerprint = dataset_fingerprint
         self.n_features = nodes.n_features
         self.n_classes = nodes.n_classes
 
@@ -112,13 +110,7 @@ def build_forest(
                     for lo, hi in zip(bounds[:-1], bounds[1:])
                 ]),
             ))
-    return Forest(
-        nodes,
-        k=k,
-        impurity=impurity,
-        seed=seed,
-        dataset_fingerprint=dataset.fingerprint(),
-    )
+    return Forest(nodes, k=k, impurity=impurity, seed=seed)
 
 
 def global_mdi(forest: Forest, normalize: bool = False) -> np.ndarray:
@@ -262,6 +254,28 @@ class CorrelationReport:
         }
 
 
+def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each row of `x` with the same row of `y`;
+    no row may be constant.  Centred rows are scaled by their largest
+    magnitude first, so the sums of squares neither underflow nor overflow."""
+    x = x - x.mean(axis=1, keepdims=True)
+    y = y - y.mean(axis=1, keepdims=True)
+    x /= np.abs(x).max(axis=1, keepdims=True)
+    y /= np.abs(y).max(axis=1, keepdims=True)
+    r = np.einsum("ij,ij->i", x, y) / np.sqrt(
+        np.einsum("ij,ij->i", x, x) * np.einsum("ij,ij->i", y, y)
+    )
+    return np.clip(r, -1.0, 1.0)
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks within each row; tied values share their mean rank.
+    Compares all pairs in a row: O(p^2) memory per row."""
+    lower = (a[:, :, None] > a[:, None, :]).sum(axis=2)
+    equal = (a[:, :, None] == a[:, None, :]).sum(axis=2)
+    return lower + (equal + 1) / 2
+
+
 def correlation_report(
     a: LocalImportanceMatrix, b: LocalImportanceMatrix, mode: str = "absolute"
 ) -> CorrelationReport:
@@ -276,16 +290,12 @@ def correlation_report(
         raise ValueError("mode must be 'absolute' or 'raw'")
     xs = np.abs(a.scores) if mode == "absolute" else a.scores
     ys = np.abs(b.scores) if mode == "absolute" else b.scores
-    n = xs.shape[0]
-    pearson = np.full(n, np.nan)
-    spearman = np.full(n, np.nan)
-    undefined = 0
-    for i in range(n):
-        if np.ptp(xs[i]) == 0.0 or np.ptp(ys[i]) == 0.0:
-            undefined += 1
-            continue
-        pearson[i] = stats.pearsonr(xs[i], ys[i]).statistic
-        spearman[i] = stats.spearmanr(xs[i], ys[i]).statistic
+    undefined = (np.ptp(xs, axis=1) == 0.0) | (np.ptp(ys, axis=1) == 0.0)
+    xs, ys = xs[~undefined], ys[~undefined]
+    pearson = np.full(len(undefined), np.nan)
+    spearman = np.full(len(undefined), np.nan)
+    pearson[~undefined] = _row_pearson(xs, ys)
+    spearman[~undefined] = _row_pearson(_average_ranks(xs), _average_ranks(ys))
     summary = {}
     for label, arr in (("pearson", pearson), ("spearman", spearman)):
         ok = arr[~np.isnan(arr)]
@@ -299,7 +309,7 @@ def correlation_report(
         spearman=spearman,
         mode=mode,
         methods=(a.method, b.method),
-        n_undefined=undefined,
+        n_undefined=int(undefined.sum()),
         summary=summary,
     )
 

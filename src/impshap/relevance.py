@@ -34,14 +34,6 @@ class RelevanceVerdict:
     witness: dict | None = None  # present iff relevant / strongly-relevant
     instance: tuple | None = None
 
-    def to_json_dict(self) -> dict:
-        d = {"feature": self.feature, "scope": self.scope, "verdict": self.verdict}
-        if self.witness is not None:
-            d["witness"] = self.witness
-        if self.instance is not None:
-            d["instance"] = list(self.instance)
-        return d
-
 
 def _dependence_witness(j: JointDistribution, m: int, b_mask: int, tol: float):
     """Find (b, x_m, y) where P(y | x_m, b) deviates from P(y | b).

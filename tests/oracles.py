@@ -6,7 +6,7 @@ checks.
 """
 
 from itertools import permutations
-from math import comb, log2
+from math import comb, fsum, log2, sqrt
 
 import numpy as np
 
@@ -424,3 +424,32 @@ def grow_trees_recursive(dataset, k, impurity, rngs):
         np.array(offsets, dtype=np.int64),
         tuple(seeds), k, impurity, n_rows, tuple(kinds), tuple(arities),
     )
+
+
+def pearson(xs, ys) -> float:
+    """Pearson correlation of two equal-length sequences (not constant)."""
+    mx, my = fsum(xs) / len(xs), fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    sxy = fsum(a * b for a, b in zip(dx, dy))
+    return sxy / sqrt(fsum(a * a for a in dx) * fsum(b * b for b in dy))
+
+
+def average_ranks(xs) -> list:
+    """1-based ranks; each run of tied values gets the mean of its ranks."""
+    order = sorted(range(len(xs)), key=lambda i: xs[i])
+    ranks = [0.0] * len(xs)
+    start = 0
+    while start < len(order):
+        end = start
+        while end + 1 < len(order) and xs[order[end + 1]] == xs[order[start]]:
+            end += 1
+        for i in order[start:end + 1]:
+            ranks[i] = (start + end) / 2 + 1
+        start = end + 1
+    return ranks
+
+
+def spearman(xs, ys) -> float:
+    """Spearman correlation: Pearson of the average ranks."""
+    return pearson(average_ranks(xs), average_ranks(ys))

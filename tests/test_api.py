@@ -1,4 +1,11 @@
-"""The package's public names: the export list stays whole and unique."""
+"""The package's public names: the export list stays whole and unique; and
+what importing the CLI loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import impshap
 
@@ -16,3 +23,21 @@ def test_star_import():
     namespace = {}
     exec("from impshap import *", namespace)
     assert set(impshap.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_only_numpy():
+    """Importing the CLI loads the standard library, numpy and impshap, and
+    no other package (jsonschema is imported only to validate JSON)."""
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import impshap.cli\n"
+        "new = {m.split('.')[0] for m in sys.modules if m not in before}\n"
+        "print(json.dumps(sorted(new - sys.stdlib_module_names)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(impshap.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    # dunder names such as __mp_main__ are aliases of modules, not packages
+    packages = [m for m in json.loads(out) if not m.startswith("__")]
+    assert packages == ["impshap", "numpy"]

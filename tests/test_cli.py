@@ -176,6 +176,20 @@ def test_instances_file(capsys, tmp_path):
     assert len(json.loads(out)["results"]["matrices"][0]["scores"]) == 2
 
 
+def test_instances_file_accepts_integral_floats(capsys, tmp_path):
+    """`1.0` is the code 1; only a non-integral value is refused."""
+    header = "top,top_left,top_right,middle,bottom_left,bottom_right,bottom\n"
+    scores = []
+    for row in ("1,1,1,0,1,1,1\n", "1.0,1,1,0,1,1,1\n"):
+        inst = tmp_path / "inst.csv"
+        inst.write_text(header + row)
+        code, out = run(capsys, ["local", "--data", "led", "--trees", "10",
+                                 "--instances", str(inst), "--format", "json"])
+        assert code == 0
+        scores.append(json.loads(out)["results"]["matrices"][0]["scores"])
+    assert scores[0] == scores[1]
+
+
 def test_empty_instances_file_is_usage_error(capsys, tmp_path):
     inst = tmp_path / "empty.csv"
     inst.write_text("top,top_left,top_right,middle,bottom_left,bottom_right,bottom\n")
@@ -293,6 +307,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["local", "--data", "{numeric_output}", "--trees", "3"],
         ["verify", "--data", "table2", "--k", "1"],
         ["shapley", "--data", "table2", "--trees", "5"],
+        ["local", "--data", "led", "--trees", "10",
+         "--instances", "{non_integer_instances}"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
@@ -302,7 +318,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "negative-weight-pop-mdi", "negative-weight-global", "nan-weight-global",
          "numeric-input-pop-mdi", "numeric-input-shapley", "numeric-input-verify",
          "numeric-output-global", "numeric-output-local",
-         "k-on-joint-command", "trees-on-joint-command"],
+         "k-on-joint-command", "trees-on-joint-command",
+         "non-integer-instance-file"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {
@@ -313,6 +330,7 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
         "nan_weight": "a,y,__weight__\n0,0,1\n1,1,nan\n",
         "numeric_input": "a,y\n0.5,0\n1.5,1\n",
         "numeric_output": "a,y\n0,0.5\n1,1.5\n",
+        "non_integer_instances": "a,b,c,d,e,f,g\n1.7,1,1,0,1,1,1\n",
     }
     for name, text in files.items():
         (tmp_path / f"{name}.csv").write_text(text)

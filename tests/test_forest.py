@@ -1,12 +1,20 @@
 """Forest construction and the three importance measures with their
 linking identities."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from impshap.data import ColumnMeta, Dataset, builtin_dataset, led_population
 from impshap.errors import InvalidSetting
 from impshap.forest import (
+    LOCAL_MDI,
+    SAABAS,
+    LocalImportanceMatrix,
     _thread_budget,
     build_forest,
     correlation_report,
@@ -215,6 +223,47 @@ def test_correlation_report_constant_vectors(led_ds):
     assert rep.n_undefined == 1
     assert np.isnan(rep.pearson[0])
     assert rep.summary["pearson"]["mean"] is not None
+
+
+@st.composite
+def score_matrix_pairs(draw):
+    """Two n x p score matrices of small integers (many ties), scaled, with
+    rows forced constant now and then."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    cell = st.integers(-3, 3)
+    row = st.one_of(st.lists(cell, min_size=p, max_size=p),
+                    cell.map(lambda v: [v] * p))
+    scale = st.sampled_from([1.0, 0.1, 1e-3])
+    return tuple(
+        np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
+        * draw(scale)
+        for _ in range(2)
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair=score_matrix_pairs(), mode=st.sampled_from(["absolute", "raw"]))
+def test_correlation_report_matches_oracle(pair, mode):
+    a, b = pair
+    ids = tuple(range(len(a)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = correlation_report(
+            LocalImportanceMatrix(a, LOCAL_MDI, ids, 1, "entropy", 0),
+            LocalImportanceMatrix(b, SAABAS, ids, 1, "entropy", 0),
+            mode=mode,
+        )
+    if mode == "absolute":
+        a, b = np.abs(a), np.abs(b)
+    undefined = [len(set(x)) == 1 or len(set(y)) == 1
+                 for x, y in zip(a.tolist(), b.tolist())]
+    assert np.isnan(rep.pearson).tolist() == undefined
+    assert np.isnan(rep.spearman).tolist() == undefined
+    assert rep.n_undefined == sum(undefined)
+    for i in np.flatnonzero(~np.array(undefined)):
+        x, y = a[i].tolist(), b[i].tolist()
+        assert abs(rep.pearson[i] - oracles.pearson(x, y)) <= 1e-12
+        assert abs(rep.spearman[i] - oracles.spearman(x, y)) <= 1e-12
 
 
 def test_correlation_report_shape_mismatch(led_ds):

@@ -142,10 +142,3 @@ def test_relevant_feature_has_nonzero_local_score_somewhere(tables, random_joint
                     for x in j.positive_instances()
                 ]
                 assert max(peaks) > 1e-10
-
-
-def test_verdict_json():
-    v = is_irrelevant(xor_joint(), 0)
-    d = v.to_json_dict()
-    assert d["verdict"] == RELEVANT
-    assert "witness" in d
