@@ -351,8 +351,9 @@ def _write_out(path, body: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x: float | None) -> str:
+    """A CSV field: the float's repr, or empty for an undefined value."""
+    return "" if x is None else repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +371,7 @@ def cmd_global(args, argv) -> int:
         )
         scores = global_mdi(forest, normalize=args.normalize)
         per_k.append(
-            {"k": k, "scores": [float(v) for v in scores], "features": list(names)}
+            {"k": k, "scores": scores.tolist(), "features": list(names)}
         )
     rows = (
         (item["k"], m, names[m], _fmt(v))

@@ -150,7 +150,7 @@ class LocalImportanceMatrix:
             "impurity": self.impurity,
             "seed": self.seed,
             "instance_ids": list(self.instance_ids),
-            "scores": [[float(v) for v in row] for row in self.scores],
+            "scores": self.scores.tolist(),
         }
         if self.classes is not None:
             d["classes"] = list(self.classes)

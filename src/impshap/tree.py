@@ -25,8 +25,8 @@ from .impurity import ENTROPY, check_kind, impurity_from_counts
 
 LEAF = -1
 PURITY_EPS = 1e-12
-# (tree, instance) pairs that `traverse` advances together; its scratch
-# arrays stay under about CHUNK_PAIRS * (2 * width + 16) * 8 bytes
+# (tree, distinct instance) pairs that `traverse` advances together; its
+# scratch arrays stay under about CHUNK_PAIRS * (2 * width + 16) * 8 bytes
 CHUNK_PAIRS = 1 << 13
 NODE_ARRAYS = ("feature", "threshold", "children", "impurity", "mass", "dist")
 
@@ -447,14 +447,20 @@ def tree_mdi(tree: Tree) -> np.ndarray:
 def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
              trees=None) -> np.ndarray:
     """Walk every instance down every tree; returns the (n, width) sum over
-    trees of what the walks put into their rows.
+    trees of what the walks put into each instance's row.
 
-    Per chunk of (tree, instance) pairs, tree-major, the walks advance one
-    depth level at a time.  After each level `move(buf, pair, row, node,
-    child, feature)` sees the pairs that moved, and at the end `end(buf,
-    node)` sees the node where each pair stopped; both add into `buf`,
-    which has one row per pair.  The rows of each tree are then added to
-    the result in tree order, so the sums depend on the input alone.
+    Each distinct instance (distinct float64 bytes) is walked once, in
+    order of first occurrence, and its result row is copied to every
+    duplicate.  Per chunk of at most CHUNK_PAIRS (tree, distinct instance)
+    pairs, tree-major, the walks advance one depth level at a time.  After
+    each level `move(buf, pair, row, node, child, feature)` sees the pairs
+    that moved, and at the end `end(buf, node)` sees the node where each
+    pair stopped; both add into `buf`, which has one row per pair.  `row`
+    indexes `instances`: the first occurrence of the pair's instance.  The
+    rows of each tree are then added to the result in tree order, so each
+    sum depends on its instance alone.  Scratch memory is bounded by the
+    chunk; only the (distinct, width) sums, the keys and the result grow
+    with the input.
 
     A walk stops at a leaf, or at the current node when a categorical split
     sends it to a zero-mass child (a category unseen there in training).
@@ -464,14 +470,21 @@ def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
     """
     lo, hi = (0, packed.n_trees) if trees is None else trees
     n = len(instances)
-    acc = np.zeros((n, width))
     if n == 0:
-        return acc
+        return np.zeros((0, width))
     x = np.array(instances, dtype=np.float64)
-    if x.shape != (n, packed.n_features):
-        raise ValueError(f"instances must have {packed.n_features} values each")
-    x = x.ravel()
     p = packed.n_features
+    if x.shape != (n, p):
+        raise ValueError(f"instances must have {p} values each")
+    # distinct rows keyed on their bytes, in order of first occurrence:
+    # instance i is distinct row inverse[i], first met at first[inverse[i]]
+    keys = x.view(np.dtype((np.void, x.itemsize * p))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    first, inverse = first[order], np.argsort(order)[inverse.reshape(-1)]
+    m = len(first)
+    acc = np.zeros((m, width))
+    x = x.ravel()
     categorical = np.array([kd == CATEGORICAL for kd in packed.feature_kinds])
     arity = np.array([a or 0 for a in packed.feature_arities], dtype=np.float64)
     # usable values: any number, or a category code c with int(c) in 0..arity-1;
@@ -482,13 +495,13 @@ def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
     kids = packed.children.ravel()
     fanout = packed.children.shape[1]
     offsets = packed.offsets
-    rows_per = min(n, CHUNK_PAIRS)
+    rows_per = min(m, CHUNK_PAIRS)
     trees_per = CHUNK_PAIRS // rows_per
     for t0 in range(lo, hi, trees_per):
         t1 = min(hi, t0 + trees_per)
-        for r0 in range(0, n, rows_per):
-            r1 = min(n, r0 + rows_per)
-            rows = np.tile(np.arange(r0, r1), t1 - t0)
+        for r0 in range(0, m, rows_per):
+            r1 = min(m, r0 + rows_per)
+            rows = np.tile(first[r0:r1], t1 - t0)
             node = np.repeat(offsets[t0:t1], r1 - r0)
             stack = np.zeros((t1 - t0 + 1, r1 - r0, width))
             stack[0] = acc[r0:r1]
@@ -524,7 +537,7 @@ def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
                 end(buf, stop)
             np.cumsum(stack, axis=0, out=stack)
             acc[r0:r1] = stack[-1]
-    return acc
+    return acc[inverse]
 
 
 def predict(tree: Tree, x):

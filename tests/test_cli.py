@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from impshap import cli
-from impshap.data import load_csv, load_joint_csv, random_joint, write_joint_csv
+from impshap.data import (
+    builtin_dataset,
+    load_csv,
+    load_joint_csv,
+    random_joint,
+    write_joint_csv,
+)
 
 from oracles import joint_table_by_rows
 
@@ -141,6 +147,20 @@ def test_compare_led(capsys):
     per_k = json.loads(out)["results"]["per_k"][0]
     assert per_k["summary"]["pearson"]["mean"] > 0.9
     assert per_k["summary"]["spearman"]["mean"] > 0.9
+
+
+def test_compare_csv_with_no_defined_correlation(capsys):
+    """table2 has one feature, so no instance has a correlation: the CSV
+    leaves the summary fields empty, as the JSON report writes null."""
+    code, out = run(capsys, ["compare", "--data", "table2", "--trees", "5",
+                             "--format", "csv"])
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "k,metric,mean,min,max,n_undefined"
+    n_rows = builtin_dataset("table2").n_rows
+    assert [l.split(",") for l in lines[1:]] == [
+        ["1", metric, "", "", "", str(n_rows)] for metric in ("pearson", "spearman")
+    ]
 
 
 def test_local_with_instance_flags(capsys):

@@ -138,6 +138,13 @@ GLOBAL_SWEEP_DIGESTS = {
     "variance": "176276eb58bb036e2c5d8e4af89b906ee4189201c23b079597d504cfd63b5a91",
 }
 LOCAL_REPORT_DIGEST = "7bf201dfc943f9f2bc5bd5e28ebb3ec97918dbe024dd6d36b6f86919d9d563b3"
+# whole stdout on 500 sampled LED rows (10 distinct ones), computed when
+# every row was walked down every tree
+REPEATED_ROWS_DIGESTS = {
+    "local": "2bec3439cf75228ed3b99984451009bd3750258701bbf01c95956711c67252ef",
+    "saabas": "53ce51664e4d73bbf0a2e89a4fc2922af3ae7b6a410ab3f09546921e7db91ad2",
+    "compare": "4a9422b5f2fdff014ae08040afe28b0957535f5cc36dc241bb3a105d2c5a4233",
+}
 
 
 def sha256(text: str) -> str:
@@ -158,3 +165,24 @@ def test_local_report_is_frozen(capsys):
                      "--seed", "5", "--method", "local-mdi,saabas", "--format", "json"])
     assert code == 0
     assert sha256(capsys.readouterr().out) == LOCAL_REPORT_DIGEST
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local", "--method", "local-mdi,saabas", "--k", "2", "--trees", "30",
+         "--seed", "5", "--format", "json"],
+        ["saabas", "--class-index", "3", "--format", "csv"],
+        ["compare", "--k-sweep", "1..3", "--trees", "20", "--format", "json"],
+    ],
+    ids=list(REPEATED_ROWS_DIGESTS),
+)
+def test_repeated_rows_reports_are_frozen(capsys, tmp_path, monkeypatch, argv):
+    """Scored rows repeat here, unlike in `led`; the command line is part of
+    the report, so the file is named relative to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-data", "--data", "led-sampled", "--n", "500",
+                     "--seed", "1", "--out", "rows.csv"]) == 0
+    code = cli.main(argv[:1] + ["--data", "rows.csv"] + argv[1:])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == REPEATED_ROWS_DIGESTS[argv[0]]

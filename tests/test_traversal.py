@@ -7,6 +7,7 @@ by zero.  Examples are drawn deterministically, so every run checks the
 same forests.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,61 @@ def test_instances_beyond_one_chunk(grown, n):
         assert_matches_walks(forest, random_instances(forest.seed, kinds, n))
 
 
+def read_features(forest, x):
+    """Features whose value some walk of `x` reads: those it splits on,
+    and the one at a node where it stops before a zero-mass child."""
+    read = set()
+    for tree in forest.trees:
+        (moves,) = walk_rows(tree, [x])
+        read.update(f for _, _, f in moves)
+        stop = tree.node(moves[-1][1] if moves else 0)
+        if not stop.is_leaf:
+            read.add(stop.feature)
+    return read
+
+
+def assert_rows_match_single_calls(forest, kinds, pool_size, picks):
+    """Instances drawn with repeats from a pool, in the order of `picks`:
+    each row of a batch call equals the call on that instance alone.  Pool
+    rows hold unseen categories, and None or NaN on unread features."""
+    pool = []
+    for j, x in enumerate(random_instances(forest.seed, kinds, pool_size)):
+        if j % 3 < 2:  # every third row keeps all its values
+            blank, read = (None, float("nan"))[j % 3], read_features(forest, x)
+            x = tuple(v if m in read else blank for m, v in enumerate(x))
+        pool.append(x)
+    instances = [pool[i % pool_size] for i in picks]
+    lm, sb = local_mdi(forest, instances), saabas(forest, instances)
+    proba = predict_proba(forest, instances)
+    alone = [(local_mdi(forest, [x]), saabas(forest, [x]), predict_proba(forest, [x]))
+             for x in pool]
+    for i, j in enumerate(picks):
+        lm_one, sb_one, proba_one = alone[j % pool_size]
+        assert np.array_equal(lm.scores[i], lm_one.scores[0])
+        assert np.array_equal(sb.scores[i], sb_one.scores[0])
+        assert sb.classes[i] == sb_one.classes[0]
+        assert np.array_equal(proba[i], proba_one[0])
+
+
+@PROPERTY
+@given(grown=FORESTS, pool_size=st.integers(1, 5),
+       picks=st.lists(st.integers(0, 4), min_size=6, max_size=24))
+def test_repeated_instances_score_as_alone(grown, pool_size, picks):
+    """More picks than pool rows: some instances repeat."""
+    forest, kinds = grown
+    assert_rows_match_single_calls(forest, kinds, pool_size, picks)
+
+
+@PROPERTY
+@given(grown=FORESTS, pool_size=st.integers(9, 12),
+       picks=st.lists(st.integers(0, 11), min_size=13, max_size=30))
+def test_repeated_instances_beyond_one_chunk(grown, pool_size, picks):
+    """More distinct instances than a chunk of 8 pairs holds."""
+    forest, kinds = grown
+    with mock.patch.object(tree_module, "CHUNK_PAIRS", 8):
+        assert_rows_match_single_calls(forest, kinds, pool_size, picks)
+
+
 @PROPERTY
 @given(grown=FORESTS, n=st.integers(1, 6))
 def test_tree_mdi_and_predict_match_per_node_loops(grown, n):
@@ -187,3 +243,15 @@ def test_visited_bad_value_raises(value):
         predict(forest.trees[0], (1, value))
     with pytest.raises(MissingFeatureValue):
         local_mdi(forest, [(value, 0)])
+
+
+@pytest.mark.parametrize("value", [None, float("nan"), 2, -1])
+def test_repeated_visited_bad_value_raises(value):
+    """A bad row met several times is walked once and still raises; the
+    message quotes the value as passed, in the first row that fails."""
+    forest = two_feature_forest()
+    other = 3 if value is None or value != value else None
+    bad = [(0, 0), (1, value), (1, 1), (1, other), (1, value), (0, 0), (1, other)]
+    for measure in (local_mdi, saabas, predict_proba):
+        with pytest.raises(MissingFeatureValue, match=re.escape(f"({value!r})")):
+            measure(forest, bad)
