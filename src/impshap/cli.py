@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -340,15 +341,17 @@ def _write_out(path, body: str) -> None:
         sys.stdout.write(body)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".impshap-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".impshap-")
         with os.fdopen(fd, "w") as fh:
             fh.write(body)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _fmt(x: float | None) -> str:
@@ -500,6 +503,8 @@ def cmd_pop_mdi(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise UsageError(f"--tol must be a finite number > 0, got {args.tol!r}")
     joint = _resolve_joint(args)
     identities, blocks = run_identity_suite(
         joint, impurity=args.impurity, tol=args.tol, data_name=args.data

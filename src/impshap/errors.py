@@ -34,7 +34,10 @@ class TableTooLarge(ImpshapError, ValueError):
 
 
 class UnnormalizedTable(ImpshapError, ValueError):
-    """Joint probabilities that do not sum to 1 within 1e-12."""
+    """Joint probabilities that do not sum to 1 within 1e-6.
+
+    Sums within 1e-12 of 1 are used as given; sums off by more, up to 1e-6,
+    are renormalised (see info_theory.RENORMALIZE_TOL)."""
 
 
 class InvalidValue(ImpshapError, ValueError):

@@ -19,6 +19,8 @@ ENTROPY = "entropy"
 GINI = "gini"
 VARIANCE = "variance"
 KINDS = (ENTROPY, GINI, VARIANCE)
+# marginal cells the lattice walk queues before scoring them in one call
+LATTICE_CHUNK = 1 << 13
 
 
 def check_kind(kind: str) -> str:
@@ -27,24 +29,40 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of the rows of a 2-D array, adding its columns left to right.
+
+    Every row's sum is the same float however many rows are stacked, and
+    on rows as short as |Y| it is far cheaper than `sum(axis=1)`.
+    """
+    total = a[:, 0].copy()
+    for col in range(1, a.shape[1]):
+        total += a[:, col]
+    return total
+
+
 def _context_impurities(flat: np.ndarray, kind: str) -> tuple:
     """Per-context mass P(b), conditional P(Y | b) and impurity i(Y | b).
 
-    `flat` is a (contexts, |Y|) slice of a joint table.  Contexts of
-    probability zero get an all-zero conditional; their impurity is
-    meaningless but carries weight P(b) = 0 in every mean.
+    `flat` is a (contexts, |Y|) stack of rows of joint tables.  All
+    arithmetic is per row, so a row's results do not depend on the rows
+    stacked with it.  Contexts of probability zero get an all-zero
+    conditional; their impurity is meaningless but carries weight
+    P(b) = 0 in every mean.
     """
-    ctx = flat.sum(axis=1)
+    ctx = _row_sums(flat)
     cond = flat / np.where(ctx > 0.0, ctx, 1.0)[:, None]
     if kind == ENTROPY:
-        safe = np.where(cond > 0.0, cond, 1.0)
-        per_ctx = -(cond * np.log2(safe)).sum(axis=1)
+        terms = np.where(cond > 0.0, cond, 1.0)
+        np.log2(terms, out=terms)
+        terms *= cond
+        per_ctx = -_row_sums(terms)
     elif kind == GINI:
-        per_ctx = 1.0 - (cond * cond).sum(axis=1)
+        per_ctx = 1.0 - _row_sums(cond * cond)
     elif kind == VARIANCE:
         codes = np.arange(flat.shape[1], dtype=np.float64)
-        means = cond @ codes
-        per_ctx = cond @ (codes * codes) - means * means
+        means = _row_sums(cond * codes)
+        per_ctx = _row_sums(cond * (codes * codes)) - means * means
     else:
         raise ValueError(f"unknown impurity kind {kind!r}")
     return ctx, cond, per_ctx
@@ -104,10 +122,13 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
     Each marginal P(X_S, Y) is its parent's with one input axis summed out,
     so only one chain of tables is alive at a time: under twice the joint
     when every arity is at least 2.  Binary inputs make about 3^p * |Y|
-    cells summed in total.  `instances` (full configurations with positive
-    probability) add n * 2^p * (|Y| + 1) cells of per-instance tables; a
-    batch whose n * 2^p * |Y| exceeds MAX_CELLS raises TableTooLarge before
-    anything is allocated.
+    cells summed in total.  Marginals are queued and scored together once
+    about LATTICE_CHUNK cells wait, so the walk also holds one scoring
+    chunk of about that many cells (or one marginal, if larger); the
+    results do not depend on the chunk size.  `instances` (full
+    configurations with positive probability) add n * 2^p * (|Y| + 1)
+    cells of per-instance tables; a batch whose n * 2^p * |Y| exceeds
+    MAX_CELLS raises TableTooLarge before anything is allocated.
     """
     check_kind(kind)
     check_feature_count(j.p)
@@ -126,17 +147,36 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
     mean = np.empty(1 << p)
     at = np.empty((n, 1 << p))
     cond = np.empty((n, 1 << p, n_y))
+    queue = []  # (mask, members, rows of P(X_members, Y)) awaiting scoring
+    queued = 0
+
+    def flush():
+        rows = [flat for _, _, flat in queue]
+        ctx, c, per_ctx = _context_impurities(
+            rows[0] if len(rows) == 1 else np.concatenate(rows), kind
+        )
+        lo = 0
+        for mask, members, flat in queue:
+            hi = lo + len(flat)
+            mean[mask] = ctx[lo:hi] @ per_ctx[lo:hi]
+            if n:
+                idx = np.zeros(n, dtype=np.intp)
+                for i in members:
+                    idx = idx * arities[i] + xs[:, i]
+                idx += lo
+                at[:, mask] = per_ctx[idx]
+                cond[:, mask] = c[idx]
+            lo = hi
+        queue.clear()
 
     def visit(table, mask, members, limit):
         # `table` is P(X_members, Y), axes in ascending member order
-        ctx, c, per_ctx = _context_impurities(table.reshape(-1, n_y), kind)
-        mean[mask] = ctx @ per_ctx
-        if n:
-            idx = np.zeros(n, dtype=np.intp)
-            for i in members:
-                idx = idx * arities[i] + xs[:, i]
-            at[:, mask] = per_ctx[idx]
-            cond[:, mask] = c[idx]
+        nonlocal queued
+        queue.append((mask, members, table.reshape(-1, n_y)))
+        queued += table.size
+        if queued >= LATTICE_CHUNK:
+            flush()
+            queued = 0
         # removing members in descending order reaches each subset once
         for axis, i in enumerate(members):
             if i >= limit:
@@ -145,6 +185,8 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
             visit(table.sum(axis=axis), mask & ~(1 << i), child, i)
 
     visit(j.table, (1 << p) - 1, tuple(range(p)), p)
+    if queue:
+        flush()
     return SubsetLattice(kind, mean, xs, prob, at, cond)
 
 

@@ -24,6 +24,11 @@ from .errors import (
 
 # Probabilities below this are treated as exact zeros (0*log 0 := 0).
 PROB_EPS = 1e-15
+# A table summing to within SUM_TOL of 1 is kept as given; one off by up to
+# RENORMALIZE_TOL (say, probabilities written to 6 significant digits) is
+# divided by its sum; anything further off is refused.
+SUM_TOL = 1e-12
+RENORMALIZE_TOL = 1e-6
 # Negative MI within this of zero is rounding noise and clamps to 0.
 CLAMP_TOL = 1e-10
 # Dense tables larger than this are rejected before they are allocated.
@@ -133,8 +138,12 @@ class JointDistribution:
         if not (table >= 0.0).all():  # NaN fails every comparison
             raise InvalidValue("probabilities must be nonnegative numbers")
         total = float(table.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise UnnormalizedTable(f"probabilities sum to {total!r}, expected 1")
+        if abs(total - 1.0) > RENORMALIZE_TOL:
+            raise UnnormalizedTable(
+                f"probabilities sum to {total!r}, expected 1 within {RENORMALIZE_TOL}"
+            )
+        if abs(total - 1.0) > SUM_TOL:
+            table /= total
         table[table < PROB_EPS] = 0.0
         table.setflags(write=False)
         self.arities = arities

@@ -140,6 +140,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+def test_six_digit_joint_is_renormalized(capsys, tmp_path):
+    """A 4096-cell joint written to 6 significant digits sums to 1 only
+    within about 1e-8; it loads, and its scores stay close to the exact
+    joint's."""
+    j = random_joint(3, p=11, max_arity=2, zero_fraction=0.0,
+                     append_irrelevant=False)
+    assert j.table.size == 4096
+    path = tmp_path / "six-digits.csv"
+    lines = [",".join([f"x{i + 1}" for i in range(11)] + ["y", "probability"])]
+    for idx in np.argwhere(j.table > 0.0):
+        lines.append(",".join(map(str, idx)) + f",{j.table[tuple(idx)]:.6g}")
+    path.write_text("\n".join(lines) + "\n")
+    rounded = joint_table_by_rows(path)
+    assert 1e-12 < abs(rounded.sum() - 1.0) <= 1e-6  # renormalised, not kept
+
+    exact = tmp_path / "exact.csv"
+    write_joint_csv(j, exact)
+    scores = []
+    for data in (path, exact):
+        code, out = run(capsys, ["pop-mdi", "--data", str(data), "--format", "json"])
+        assert code == 0
+        scores.append(np.array(json.loads(out)["results"]["importances"][0]["scores"]))
+    assert np.abs(scores[0] - scores[1]).max() <= 1e-5
+
+
 def test_compare_led(capsys):
     code, out = run(capsys, ["compare", "--data", "led", "--trees", "300",
                              "--seed", "0", "--format", "json"])
@@ -231,10 +256,16 @@ def test_bad_flags_are_usage_errors(capsys):
     assert code == 2
 
 
-def test_io_error_exit_code(capsys):
-    code, _ = run(capsys, ["global", "--data", "led", "--trees", "5",
-                           "--out", "/nonexistent-dir/report.csv"])
-    assert code == 3
+def test_io_error_exit_code(capsys, tmp_path):
+    """The one-line message quotes the --out path as given, not the
+    temporary file the report is first written to."""
+    for path in ("/nonexistent-dir/report.csv", str(tmp_path)):
+        code = cli.main(["global", "--data", "led", "--trees", "5", "--out", path])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+        assert lines[0].endswith(repr(path)) and ".impshap-" not in lines[0]
+    assert not list(tmp_path.iterdir())  # no temp litter
 
 
 def test_out_file_atomic(capsys, tmp_path):
@@ -310,6 +341,11 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["global", "--data", "led", "--k", "9"],
         ["global", "--data", "led", "--trees", "0"],
         ["pop-mdi", "--data", "{unnormalized}"],
+        ["verify", "--data", "{just_unnormalized}"],
+        ["verify", "--data", "table2", "--tol", "nan"],
+        ["verify", "--data", "table2", "--tol", "-1"],
+        ["verify", "--data", "table2", "--tol", "0"],
+        ["verify", "--data", "table2", "--tol", "inf"],
         ["local", "--data", "led", "--trees", "5", "--method", "saabas",
          "--class-index", "12"],
         ["saabas", "--data", "led", "--trees", "5", "--class-index", "12"],
@@ -332,6 +368,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
+         "joint-sum-beyond-renormalizing",
+         "verify-tol-nan", "verify-tol-negative", "verify-tol-zero", "verify-tol-inf",
          "class-index-beyond-arity-local", "class-index-beyond-arity-saabas",
          "class-index-beyond-arity-compare", "k-sweep-beyond-p",
          "joint-nan-probability", "joint-negative-probability",
@@ -344,6 +382,7 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {
         "unnormalized": "x1,y,probability\n0,0,0.5\n1,1,0.49\n",  # sums to 0.99
+        "just_unnormalized": "x1,y,probability\n0,0,0.5\n1,1,0.500002\n",  # 1 + 2e-6
         "nan_probability": "x1,y,probability\n0,0,0.5\n1,1,nan\n",
         "negative_probability": "x1,y,probability\n0,0,1.5\n1,1,-0.5\n",
         "negative_weight": "a,y,__weight__\n0,0,1\n1,1,-1\n",

@@ -212,6 +212,19 @@ def test_rejects_oversized_tables():
         JointDistribution((1 << 28, 2), np.zeros(2))
 
 
+def test_normalisation_tolerance():
+    """Within 1e-12 of 1 a table is used as given; up to 1e-6 off it is
+    divided by its sum; further off it is refused."""
+    kept = np.array([0.5, 0.0, 0.0, 0.5 + 4e-13])
+    assert np.array_equal(JointDistribution((2, 2), kept).table.reshape(-1), kept)
+    off = np.array([0.5, 0.0, 0.0, 0.5 + 9e-7])
+    table = JointDistribution((2, 2), off).table.reshape(-1)
+    assert np.array_equal(table, off / off.sum())
+    for beyond in (2e-6, -2e-6):
+        with pytest.raises(UnnormalizedTable, match="expected 1 within 1e-06"):
+            JointDistribution((2, 2), [0.5, 0.0, 0.0, 0.5 + beyond])
+
+
 def test_table_errors_are_impshap_errors():
     """Both refusals reach the CLI as usage errors (exit 2)."""
     with pytest.raises(UnnormalizedTable):

@@ -5,6 +5,9 @@ arities and zero cells, and all three impurities.  Examples are drawn
 deterministically so that every run checks the same joints.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,10 @@ from oracles import (
     shapley_by_permutations,
 )
 
-from impshap.data import example_tables, random_joint
+from impshap import cli
+from impshap.data import example_tables, random_joint, write_joint_csv
 from impshap.errors import ImpshapError, TableTooLarge
+from impshap import impurity
 from impshap.impurity import KINDS, subset_lattice
 from impshap.population import (
     check_decompositions,
@@ -88,6 +93,38 @@ def test_pointwise_tables_match_slicing(j, kind, data):
                 impurity_of(want, kind), abs=1e-12
             )
 
+
+# up to 5^6 * 4 marginal cells, so small chunks split the walk many times
+WIDE_JOINTS = st.builds(
+    random_joint,
+    seed=st.integers(0, 2**16),
+    p=st.integers(1, 6),
+    max_arity=st.integers(2, 4),
+    zero_fraction=st.sampled_from([0.0, 0.25, 0.5]),
+    append_irrelevant=st.just(False),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(j=WIDE_JOINTS, kind=KIND, with_instances=st.booleans(), data=st.data())
+def test_lattice_does_not_depend_on_chunk_size(j, kind, with_instances, data):
+    xs = _some_instances(j, data) if with_instances else None
+    walks = []
+    for chunk in (1, 7, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(impurity, "LATTICE_CHUNK", chunk)
+            walks.append(subset_lattice(j, kind, xs))
+    first = walks[0]
+    for other in walks[1:]:
+        for field in ("mean", "at", "cond"):
+            assert np.array_equal(getattr(first, field), getattr(other, field))
+    for mask in range(1 << j.p):
+        want = mean_impurity(j.table, mask, kind)
+        assert first.mean[mask] == pytest.approx(want, abs=1e-12)
+        for k, x in enumerate(xs or ()):
+            want = cond_at(j.table, x, mask)
+            assert np.abs(first.cond[k, mask] - want).max() <= 1e-12
+            assert first.at[k, mask] == pytest.approx(impurity_of(want, kind), abs=1e-12)
 
 @PROPERTY
 @given(j=JOINTS, kind=KIND, data=st.data())
@@ -169,3 +206,57 @@ def test_shared_lattice_is_checked():
             check_decompositions(j, "entropy", lattice=lattice)
         with pytest.raises(ValueError):
             verify_local_null_scores(j, "entropy", lattice=lattice)
+
+
+# sha256 of json.dumps(results, sort_keys=True) of `--format json` reports,
+# taken when every subset was scored on its own, keyed by (command, data,
+# impurity, with three --instance flags).  "wide" is a 12-input joint whose
+# walk sums about 3^12 * 2 marginal cells, so it spans many scoring chunks.
+# |Y| = 2 in all.
+POPULATION_DIGESTS = {
+    ("pop-mdi", "wide", "entropy", False):
+        "b7317e1762020f92b2456c24db3c583a32142b053a3ace5f4ec08948f1396b8e",
+    ("pop-mdi", "wide", "gini", False):
+        "cbf3b4ec5a3ec4323d36de871d7e6b1f8f27c09a7e658633cb9f4dcdf8444f69",
+    ("pop-mdi", "wide", "variance", False):
+        "274f38e67f8d0f8aeb824a5f61d463acd70305430bbe28e41971390bbb07f08f",
+    ("pop-mdi", "wide", "gini", True):
+        "de15e116ed3ffa8aedac5acc00a0a605c3bb5772363bf59b821564272aba5aa3",
+    ("shapley", "wide", "entropy", False):
+        "5567235869737ce6ec67faab2d17374344724ce008ca98f18aa1a0d482d52cbf",
+    ("shapley", "wide", "variance", False):
+        "8650d28c13395d75e513cfa5be0e76a068a3507fc5e0d6d90ad1c4b20fe2a5f2",
+    ("shapley", "wide", "entropy", True):
+        "f7f2b74e49a133caafd44c0b432a896fcb0c5009442e90b5ecc93a164321cce1",
+    ("verify", "table1-y1", "entropy", False):
+        "dd064d740d3d0bf891e2234f99dc108d41742a39875f238f30a08eb6a68ab388",
+    ("verify", "table1-y1", "gini", False):
+        "ef8e01c5e7b1fd206465fb41ea4a36691183e288e18be67a6a92bfafb434393a",
+    ("verify", "table1-y1", "variance", False):
+        "2fa24bf8e82adf06feae6cb11aeb0e9b8bf312d333957486f539d4bdfcb78926",
+}
+
+
+@pytest.fixture(scope="module")
+def wide_joint(tmp_path_factory):
+    j = random_joint(12, p=12, max_arity=2, append_irrelevant=False)
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    write_joint_csv(j, path)
+    xs = j.positive_instances()
+    picks = [",".join(map(str, xs[k])) for k in (0, len(xs) // 2, len(xs) - 1)]
+    return str(path), [a for x in picks for a in ("--instance", x)]
+
+
+@pytest.mark.parametrize(
+    "case", list(POPULATION_DIGESTS),
+    ids=lambda case: "-".join(case[:3]) + "-xs" * case[3],
+)
+def test_population_results_are_frozen(capsys, wide_joint, case):
+    path, instances = wide_joint
+    command, data, kind, with_instances = case
+    argv = [command, "--data", path if data == "wide" else data,
+            "--impurity", kind, "--format", "json"]
+    assert cli.main(argv + instances * with_instances) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == POPULATION_DIGESTS[case]
