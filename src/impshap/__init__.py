@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .data import (
     Dataset,
     dataset_from_joint,
-    dataset_to_joint,
     example_tables,
     led_population,
     led_sampled,
@@ -40,7 +39,6 @@ from .relevance import (
     verify_global_local_equivalence,
     verify_local_null_scores,
 )
-from .tree import Tree, build_tree, predict, tree_mdi
 from .tu_game import (
     ShapleyVector,
     TUGame,
@@ -61,15 +59,12 @@ __all__ = [
     "PopulationImportance",
     "ShapleyVector",
     "TUGame",
-    "Tree",
     "build_forest",
-    "build_tree",
     "check_axioms",
     "check_decompositions",
     "check_strong_monotonicity",
     "correlation_report",
     "dataset_from_joint",
-    "dataset_to_joint",
     "example_tables",
     "game_global_info",
     "game_global_variance",
@@ -88,13 +83,11 @@ __all__ = [
     "pop_global_mdi",
     "pop_local_mdi",
     "pop_local_mdi_batch",
-    "predict",
     "predict_proba",
     "quantize",
     "random_joint",
     "saabas",
     "shapley_exact",
-    "tree_mdi",
     "verify_global_local_equivalence",
     "verify_local_null_scores",
 ]

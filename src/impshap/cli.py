@@ -415,15 +415,11 @@ def _local_matrices(args, methods):
     for method in methods:
         if method == LOCAL_MDI:
             matrices.append(local_mdi(forest, instances, instance_ids=ids))
-        elif method == SAABAS:
+        else:
             matrices.append(
                 saabas(forest, instances,
                        class_index=args.class_index,
                        instance_ids=ids)
-            )
-        else:
-            raise UsageError(
-                f"unknown method {method!r}; expected {LOCAL_MDI} or {SAABAS}"
             )
     return dataset, matrices
 
@@ -450,6 +446,11 @@ def cmd_local(args, argv) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise UsageError("--method must name at least one measure")
+    for method in methods:  # checked before any growth
+        if method not in (LOCAL_MDI, SAABAS):
+            raise UsageError(
+                f"unknown method {method!r}; expected {LOCAL_MDI} or {SAABAS}"
+            )
     dataset, matrices = _local_matrices(args, methods)
     return _emit_local(args, argv, dataset, matrices)
 

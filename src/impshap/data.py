@@ -227,26 +227,6 @@ def expand_to_rows(j: JointDistribution, n: int, names=None, name=None) -> Datas
     return Dataset(cols, data, name=name or j.name)
 
 
-def dataset_to_joint(dataset: Dataset) -> JointDistribution:
-    """Empirical joint of a fully categorical dataset (weights honoured)."""
-    return joint_from_samples(dataset)
-
-
-def sample_from_joint(j: JointDistribution, n: int, seed: int = 0) -> Dataset:
-    """n i.i.d. rows drawn from the joint."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(j.table.size, size=n, p=j.table.reshape(-1))
-    configs = np.array(np.unravel_index(flat, j.arities)).T
-    names = [f"x{i + 1}" for i in range(j.p)] + ["y"]
-    cols = [
-        ColumnMeta(nm, CATEGORICAL, arity=a) for nm, a in zip(names, j.arities)
-    ]
-    data = [configs[:, k] for k in range(j.p + 1)]
-    return Dataset(cols, data, name=f"{j.name or 'joint'}-sampled-{n}")
-
-
 def random_joint(
     seed: int,
     p: int | None = None,
@@ -569,7 +549,7 @@ def builtin_joint(name: str) -> JointDistribution:
     if name in tables:
         return tables[name]
     if name == "led":
-        return dataset_to_joint(led_population())
+        return joint_from_samples(led_population())
     raise ValueError(
         f"unknown builtin joint {name!r}; expected led, table1-y1, table1-y2 "
         "or table2"

@@ -20,14 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import InvalidSetting
 from .impurity import ENTROPY
-from .tree import (
-    LEAF,
-    PackedTrees,
-    Tree,
-    grow_trees,
-    mdi_by_tree,
-    traverse,
-)
+from .tree import PackedTrees, Tree, grow_trees, mdi_by_tree, traverse
 
 LOCAL_MDI = "local-mdi"
 SAABAS = "saabas"
@@ -71,7 +64,9 @@ class Forest:
 
     @property
     def trees(self) -> list:
-        """Views of the trees, in order (made on each access)."""
+        """A `tree.Tree` slice view per tree, in order, made on each access.
+        Nothing in the package reads it; perfbench/tracing.py counts trees,
+        nodes and array bytes from it."""
         return [Tree(self.nodes, i) for i in range(self.n_trees)]
 
     def prior(self) -> np.ndarray:
@@ -313,16 +308,3 @@ def correlation_report(
         summary=summary,
     )
 
-
-def efficiency_gap(forest: Forest) -> float:
-    """Average over trees of root impurity minus weighted leaf impurity;
-    equals the sum of global MDI scores for fully developed trees."""
-    nodes = forest.nodes
-    leaves = nodes.feature == LEAF
-    roots = float(nodes.impurity[nodes.offsets[:-1]].sum())
-    return (roots - float(nodes.mass[leaves] @ nodes.impurity[leaves])) / forest.n_trees
-
-
-def distinct_structures(forest: Forest) -> int:
-    """Number of structurally distinct trees in the forest."""
-    return len({t.structure_key() for t in forest.trees})

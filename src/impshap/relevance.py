@@ -77,12 +77,18 @@ def _dependence_witness(j: JointDistribution, m: int, b_mask: int, tol: float):
     return None
 
 
+def _check_feature(j: JointDistribution, m: int) -> None:
+    if not 0 <= m < j.p:
+        raise ValueError(f"feature index m = {m} outside 0..{j.p - 1}")
+
+
 def is_irrelevant(j: JointDistribution, m: int, tol: float = 1e-10) -> RelevanceVerdict:
     """Exhaustive scan over every subset of the other features.
 
     Verdict `relevant` carries the first witness context found.
     """
     check_feature_count(j.p)
+    _check_feature(j, m)
     rest = ((1 << j.p) - 1) & ~(1 << m)
     # smallest subsets first, so the reported witness is a minimal one
     for sub in sorted(submasks(rest), key=lambda s: (s.bit_count(), s)):
@@ -102,6 +108,7 @@ def is_strongly_relevant(
     relevant (weakly) or strongly-relevant.
     """
     check_feature_count(j.p)
+    _check_feature(j, m)
     rest = ((1 << j.p) - 1) & ~(1 << m)
     witness = _dependence_witness(j, m, rest, tol)
     if witness is not None:
@@ -114,6 +121,7 @@ def is_locally_irrelevant(
 ) -> RelevanceVerdict:
     """Scan all subsets B with values pinned to x_B, x_m pinned to the
     instance's own value."""
+    _check_feature(j, m)
     lattice = subset_lattice(j, ENTROPY, [x])
     x = tuple(int(v) for v in lattice.instances[0])
     cond = lattice.cond[0]

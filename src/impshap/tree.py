@@ -8,12 +8,10 @@ developed: recursion stops only at purity or feature exhaustion.
 
 Any number of trees share one struct-of-arrays (`PackedTrees`): the node
 arrays of all trees concatenated, per-tree root offsets, and children as
-global node ids.  A `Tree` is a view of one tree's slice of those arrays.
-`traverse` is the single traversal routine; every path measure (local MDI,
-Saabas, class probabilities, `predict`) accumulates what it visits.
+global node ids.  `traverse` is the single traversal routine; every path
+measure (local MDI, Saabas, class probabilities) accumulates what it visits.
 """
 
-import random
 from array import array
 from dataclasses import dataclass, replace
 
@@ -21,7 +19,7 @@ import numpy as np
 
 from .data import CATEGORICAL, Dataset
 from .errors import EmptyDataset, InvalidValue, MissingFeatureValue, NoAdmissibleFeature
-from .impurity import ENTROPY, check_kind, impurity_from_counts
+from .impurity import check_kind, impurity_from_counts
 
 LEAF = -1
 PURITY_EPS = 1e-12
@@ -29,24 +27,6 @@ PURITY_EPS = 1e-12
 # scratch arrays stay under about CHUNK_PAIRS * (2 * width + 16) * 8 bytes
 CHUNK_PAIRS = 1 << 13
 NODE_ARRAYS = ("feature", "threshold", "children", "impurity", "mass", "dist")
-
-
-@dataclass
-class TreeNode:
-    """Read-only view of one stored node."""
-
-    node_id: int
-    feature: int | None  # None at leaves
-    kind: str | None  # "exhaustive" or "threshold"
-    threshold: float | None
-    children: tuple
-    impurity: float
-    mass: float
-    dist: np.ndarray
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
 
 @dataclass
@@ -108,58 +88,19 @@ class PackedTrees:
 
 
 class Tree:
-    """One tree of a `PackedTrees`: its node arrays are slices of the packed
-    arrays, indexed by local node id (root 0).  `children` keeps the packed
-    global ids; `node(i).children` gives local ones."""
+    """One tree's slices of the `NODE_ARRAYS` of a `PackedTrees`.  Nothing
+    in the package reads it: `Forest.trees` yields these views only so that
+    perfbench/tracing.py can count trees, nodes and array bytes from them
+    (`n_nodes` and every ndarray in `vars(view)`)."""
 
-    def __init__(self, packed: PackedTrees, index: int = 0):
+    def __init__(self, packed: PackedTrees, index: int):
         lo, hi = int(packed.offsets[index]), int(packed.offsets[index + 1])
-        self.packed, self.index, self.offset, self.root = packed, index, lo, 0
         for name in NODE_ARRAYS:
             setattr(self, name, getattr(packed, name)[lo:hi])
-        self.seed = packed.seeds[index]
-        self.k = packed.k
-        self.impurity_kind = packed.impurity_kind
-        self.feature_kinds = packed.feature_kinds
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_kinds)
-
-    @property
-    def n_classes(self) -> int:
-        return self.dist.shape[1]
-
-    def node(self, i: int) -> TreeNode:
-        f = int(self.feature[i])
-        is_leaf = f == LEAF
-        kids = tuple(int(c) - self.offset for c in self.children[i] if c != LEAF)
-        return TreeNode(
-            node_id=i,
-            feature=None if is_leaf else f,
-            kind=None
-            if is_leaf
-            else ("exhaustive" if self.feature_kinds[f] == CATEGORICAL else "threshold"),
-            threshold=None if is_leaf or np.isnan(self.threshold[i]) else float(self.threshold[i]),
-            children=kids,
-            impurity=float(self.impurity[i]),
-            mass=float(self.mass[i]),
-            dist=self.dist[i],
-        )
-
-    def leaf_weighted_impurity(self) -> float:
-        """sum over leaves of p(l) * i(l)."""
-        leaves = self.feature == LEAF
-        return float(self.mass[leaves] @ self.impurity[leaves])
-
-    def structure_key(self) -> bytes:
-        """Stable encoding of the split structure (for distinctness checks)."""
-        local = np.where(self.children == LEAF, LEAF, self.children - self.offset)
-        return self.feature.tobytes() + local.tobytes() + self.threshold.tobytes()
 
 
 class _BuildContext:
@@ -212,25 +153,15 @@ class _Node:
                  "dist", "admissible", "splits", "copy")
 
 
-def build_tree(dataset: Dataset, k: int, impurity: str = ENTROPY, rng=None) -> Tree:
-    """Grow one fully developed randomized tree.
+def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
+    """One tree per (rng, seed) pair of `rngs`, in order, grown straight
+    into packed columns from one memo of node states.
 
     At every impure node, min(k, #admissible) candidate features are drawn
     uniformly without replacement and the candidate with the largest mean
     impurity decrease splits the node (ties broken towards the lowest
     feature index, then the smallest threshold).  k=1 is the totally
     randomized regime: the drawn feature splits unconditionally.
-    """
-    seed = None
-    if rng is None or isinstance(rng, int):
-        seed = 0 if rng is None else rng
-        rng = random.Random(seed)
-    return Tree(grow_trees(dataset, k, impurity, [(rng, seed)]))
-
-
-def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
-    """One tree per (rng, seed) pair of `rngs`, in order, grown straight
-    into packed columns from one memo of node states.
 
     A node state is keyed on its path.  On categorical paths the key is one
     integer holding the value + 1 of every used feature f in digit f of
@@ -414,10 +345,10 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
     )
 
 
-def node_drops(packed: PackedTrees, lo: int, hi: int) -> np.ndarray:
-    """p(t) i(t) - sum_c p(c) i(c) for the nodes lo..hi-1 of `packed`."""
-    drop = packed.mass[lo:hi] * packed.impurity[lo:hi]
-    for col in packed.children[lo:hi].T:
+def node_drops(packed: PackedTrees) -> np.ndarray:
+    """p(t) i(t) - sum_c p(c) i(c) for every node of `packed`."""
+    drop = packed.mass * packed.impurity
+    for col in packed.children.T:
         drop -= np.where(col == LEAF, 0.0, packed.mass[col] * packed.impurity[col])
     return drop
 
@@ -426,7 +357,7 @@ def mdi_by_tree(packed: PackedTrees) -> np.ndarray:
     """(n_trees, n_features) table: per tree and feature, the sum of the
     node drops of the nodes splitting on the feature, in node order.  One
     bincount over the packed nodes."""
-    drop = node_drops(packed, 0, len(packed.feature))
+    drop = node_drops(packed)
     split = packed.feature != LEAF
     tree = np.repeat(np.arange(packed.n_trees), np.diff(packed.offsets))
     cells = packed.n_trees * packed.n_features
@@ -435,17 +366,8 @@ def mdi_by_tree(packed: PackedTrees) -> np.ndarray:
     return sums.reshape(packed.n_trees, packed.n_features)
 
 
-def tree_mdi(tree: Tree) -> np.ndarray:
-    """Per-feature importance: sum of p(t) * impurity decrease over the
-    nodes splitting on the feature.  Features never split upon score 0."""
-    drop = node_drops(tree.packed, tree.offset, tree.offset + tree.n_nodes)
-    split = tree.feature != LEAF
-    return np.bincount(tree.feature[split], weights=drop[split],
-                       minlength=tree.n_features)
-
-
-def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
-             trees=None) -> np.ndarray:
+def traverse(packed: PackedTrees, instances, width: int, move=None,
+             end=None) -> np.ndarray:
     """Walk every instance down every tree; returns the (n, width) sum over
     trees of what the walks put into each instance's row.
 
@@ -466,9 +388,7 @@ def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
     sends it to a zero-mass child (a category unseen there in training).
     A missing value (None or NaN) or an out-of-range category raises
     MissingFeatureValue, but only when a walk reaches that feature.
-    `trees` = (lo, hi) restricts the walk to those trees.
     """
-    lo, hi = (0, packed.n_trees) if trees is None else trees
     n = len(instances)
     if n == 0:
         return np.zeros((0, width))
@@ -497,8 +417,8 @@ def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
     offsets = packed.offsets
     rows_per = min(m, CHUNK_PAIRS)
     trees_per = CHUNK_PAIRS // rows_per
-    for t0 in range(lo, hi, trees_per):
-        t1 = min(hi, t0 + trees_per)
+    for t0 in range(0, packed.n_trees, trees_per):
+        t1 = min(packed.n_trees, t0 + trees_per)
         for r0 in range(0, m, rows_per):
             r1 = min(m, r0 + rows_per)
             rows = np.tile(first[r0:r1], t1 - t0)
@@ -539,24 +459,3 @@ def traverse(packed: PackedTrees, instances, width: int, move=None, end=None,
             acc[r0:r1] = stack[-1]
     return acc[inverse]
 
-
-def predict(tree: Tree, x):
-    """Class distribution and traversed path (local node ids) for one
-    instance: `traverse` over this tree alone.
-
-    Traversal stops early when an exhaustive split routes the instance to
-    a zero-mass child (a category unseen at that node during training);
-    the distribution of the last visited positive-mass node is returned.
-    """
-    path = [tree.root]
-    dist = tree.packed.dist
-
-    def move(buf, pair, row, node, child, f):
-        path.extend((child - tree.offset).tolist())
-
-    def end(buf, node):
-        buf += dist[node]
-
-    proba = traverse(tree.packed, [tuple(x)], tree.n_classes, move, end,
-                     trees=(tree.index, tree.index + 1))
-    return proba[0], path

@@ -225,10 +225,6 @@ class MonotonicityComparison:
     payoff_first: float
     payoff_second: float
 
-    @property
-    def conclusion_holds(self) -> bool:
-        return self.payoff_first >= self.payoff_second - 1e-10
-
 
 def check_strong_monotonicity(game_v: TUGame, game_w: TUGame) -> list:
     """Per-player comparison of two games over the same player set.

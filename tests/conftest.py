@@ -1,11 +1,7 @@
 import pytest
 
-from impshap.data import (
-    dataset_to_joint,
-    example_tables,
-    led_population,
-    random_joint,
-)
+from impshap.data import example_tables, led_population, random_joint
+from impshap.info_theory import joint_from_samples
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +16,7 @@ def led_ds():
 
 @pytest.fixture(scope="session")
 def led_joint(led_ds):
-    return dataset_to_joint(led_ds)
+    return joint_from_samples(led_ds)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ enumeration, explicit loops) and shares no code with the package paths it
 checks.
 """
 
+from dataclasses import dataclass
 from itertools import permutations
 from math import comb, fsum, log2, sqrt
 
@@ -165,20 +166,83 @@ def locally_irrelevant_scan(table: np.ndarray, m: int, x, tol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Per-tree references for the forest layer: each instance walked down each
-# tree one node at a time through `Tree.node` views, and the per-node loop
-# of tree MDI.
+# Per-tree references for the forest layer: each tree read as a list of
+# node views, each instance walked down it one node at a time, and the
+# per-node loops of tree MDI and of the efficiency gap.
 
 
-def walk_rows(tree, instances):
-    """Per-instance move lists [(node, child, feature), ...] in local ids.
+@dataclass
+class NodeView:
+    """One stored node, children as local ids (root 0)."""
+
+    feature: int | None  # None at leaves
+    kind: str | None  # "exhaustive" or "threshold"
+    threshold: float | None
+    children: tuple
+    impurity: float
+    mass: float
+    dist: np.ndarray
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def tree_nodes(packed, index: int = 0) -> list:
+    """Node views of tree `index` of a `PackedTrees`, by local id."""
+    lo, hi = int(packed.offsets[index]), int(packed.offsets[index + 1])
+    views = []
+    for i in range(lo, hi):
+        f = int(packed.feature[i])
+        leaf = f < 0
+        views.append(NodeView(
+            feature=None if leaf else f,
+            kind=None if leaf else (
+                "exhaustive" if packed.feature_kinds[f] == "categorical" else "threshold"
+            ),
+            threshold=None if leaf or np.isnan(packed.threshold[i])
+            else float(packed.threshold[i]),
+            children=tuple(int(c) - lo for c in packed.children[i] if c >= 0),
+            impurity=float(packed.impurity[i]),
+            mass=float(packed.mass[i]),
+            dist=packed.dist[i],
+        ))
+    return views
+
+
+def structure_keys(packed) -> list:
+    """Per tree, a byte string of its split features, local child ids and
+    thresholds: equal exactly when two trees split alike."""
+    keys = []
+    for lo, hi in zip(packed.offsets[:-1], packed.offsets[1:]):
+        kids = packed.children[lo:hi]
+        local = np.where(kids < 0, kids, kids - lo)
+        keys.append(packed.feature[lo:hi].tobytes() + local.tobytes()
+                    + packed.threshold[lo:hi].tobytes())
+    return keys
+
+
+def efficiency_gap(packed) -> float:
+    """Average over trees of root impurity minus the mass-weighted leaf
+    impurities, node by node."""
+    total = 0.0
+    for t in range(packed.n_trees):
+        views = tree_nodes(packed, t)
+        total += views[0].impurity - sum(
+            v.mass * v.impurity for v in views if v.is_leaf
+        )
+    return total / packed.n_trees
+
+
+def walk_rows(views, instances):
+    """Per-instance move lists [(node, child, feature), ...] in local ids
+    of the tree whose node views are `views`.
 
     A move is recorded only when the instance proceeds to a positive-mass
     child; an unseen category (zero-mass child) ends the list early.
     """
     from impshap.errors import MissingFeatureValue
 
-    views = [tree.node(i) for i in range(tree.n_nodes)]
     for x in instances:
         moves = []
         node = 0
@@ -204,45 +268,44 @@ def walk_rows(tree, instances):
 
 def local_mdi_by_walks(forest, instances) -> np.ndarray:
     acc = np.zeros((len(instances), forest.n_features))
-    for tree in forest.trees:
-        imp = tree.impurity
-        for row, moves in enumerate(walk_rows(tree, instances)):
+    for t in range(forest.n_trees):
+        views = tree_nodes(forest.nodes, t)
+        for row, moves in enumerate(walk_rows(views, instances)):
             for node, child, f in moves:
-                acc[row, f] += imp[node] - imp[child]
+                acc[row, f] += views[node].impurity - views[child].impurity
     return acc / forest.n_trees
 
 
 def predict_proba_by_walks(forest, instances) -> np.ndarray:
     acc = np.zeros((len(instances), forest.n_classes))
-    for tree in forest.trees:
-        for row, moves in enumerate(walk_rows(tree, instances)):
-            node = moves[-1][1] if moves else 0
-            acc[row] += tree.dist[node]
+    for t in range(forest.n_trees):
+        views = tree_nodes(forest.nodes, t)
+        for row, moves in enumerate(walk_rows(views, instances)):
+            acc[row] += views[moves[-1][1] if moves else 0].dist
     return acc / forest.n_trees
 
 
 def saabas_by_walks(forest, instances, classes) -> np.ndarray:
     acc = np.zeros((len(instances), forest.n_features))
-    for tree in forest.trees:
-        dist = tree.dist
-        for row, moves in enumerate(walk_rows(tree, instances)):
+    for t in range(forest.n_trees):
+        views = tree_nodes(forest.nodes, t)
+        for row, moves in enumerate(walk_rows(views, instances)):
             cls = classes[row]
             for node, child, f in moves:
-                acc[row, f] += dist[child][cls] - dist[node][cls]
+                acc[row, f] += views[child].dist[cls] - views[node].dist[cls]
     return acc / forest.n_trees
 
 
-def tree_mdi_by_nodes(tree) -> np.ndarray:
-    """Sum of p(t) i(t) - sum_c p(c) i(c) per split feature, node by node."""
-    scores = np.zeros(tree.n_features)
-    for t in range(tree.n_nodes):
-        view = tree.node(t)
+def tree_mdi_by_nodes(views, n_features: int) -> np.ndarray:
+    """Sum of p(t) i(t) - sum_c p(c) i(c) per split feature, node by node,
+    over one tree's node views."""
+    scores = np.zeros(n_features)
+    for view in views:
         if view.is_leaf:
             continue
         drop = view.mass * view.impurity
         for c in view.children:
-            child = tree.node(c)
-            drop -= child.mass * child.impurity
+            drop -= views[c].mass * views[c].impurity
         scores[view.feature] += drop
     return scores
 

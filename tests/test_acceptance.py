@@ -9,12 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import mean_impurity
+from oracles import efficiency_gap, mean_impurity
 
 from impshap import cli
 from impshap.data import (
     builtin_dataset,
-    dataset_to_joint,
     example_tables,
     led_population,
     random_joint,
@@ -22,13 +21,12 @@ from impshap.data import (
 from impshap.forest import (
     build_forest,
     correlation_report,
-    efficiency_gap,
     global_mdi,
     local_mdi,
     saabas,
 )
 from impshap.impurity import subset_lattice
-from impshap.info_theory import JointDistribution
+from impshap.info_theory import JointDistribution, joint_from_samples
 from impshap.population import pop_global_mdi, pop_local_mdi
 from impshap.relevance import (
     verify_global_local_equivalence,
@@ -53,7 +51,7 @@ def report(n, text):
 def joint_set():
     """Table1-Y1, Table1-Y2, Table2, LED and ten random joints (p <= 5)."""
     tables = example_tables()
-    led = dataset_to_joint(led_population())
+    led = joint_from_samples(led_population())
     randoms = [random_joint(seed) for seed in range(10)]
     assert all(j.p <= 5 for j in randoms)
     return [tables["table1-y1"], tables["table1-y2"], tables["table2"], led] + randoms
@@ -146,7 +144,7 @@ def test_criterion_4_worked_example_two():
 
 
 def test_criterion_5_monte_carlo_convergence(mc_led):
-    led_joint = dataset_to_joint(mc_led["dataset"])
+    led_joint = joint_from_samples(mc_led["dataset"])
     pop = pop_global_mdi(led_joint).scores
     dev_global = float(np.abs(mc_led["global"] - pop).max())
     loc_pop = np.vstack(
@@ -175,10 +173,10 @@ def test_criterion_6_efficiency_identities(joint_set, mc_led):
         p = ds.n_features
         for k in sorted({1, int(round(p ** 0.5)), p}):
             forest = build_forest(ds, k=k, n_trees=25, seed=6)
-            gap = abs(float(global_mdi(forest).sum()) - efficiency_gap(forest))
+            gap = abs(float(global_mdi(forest).sum()) - efficiency_gap(forest.nodes))
             assert gap < 1e-12, (name, k)
     # (c) the LED total is the ten-way output entropy
-    led_joint = dataset_to_joint(mc_led["dataset"])
+    led_joint = joint_from_samples(mc_led["dataset"])
     assert abs(
         float(pop_global_mdi(led_joint).scores.sum()) - np.log2(10)
     ) < 1e-9

@@ -415,8 +415,8 @@ def test_missing_optional_package_is_usage_error(capsys, monkeypatch):
 
 
 def test_usage_errors_name_the_flag_given(capsys, monkeypatch):
-    """The K and class-index checks run before any tree grows and name the
-    flag the user typed."""
+    """The K, class-index and method checks run before any tree grows and
+    name what the user typed."""
     monkeypatch.setattr(cli, "build_forest", None)  # any growth would raise
     cases = [
         (["global", "--data", "led", "--k-sweep", "1..9"],
@@ -427,6 +427,10 @@ def test_usage_errors_name_the_flag_given(capsys, monkeypatch):
          "error: --class-index must be in 0..9, got 10"),
         (["compare", "--data", "led", "--class-index", "-1"],
          "error: --class-index must be in 0..9, got -1"),
+        (["local", "--data", "led", "--method", "local-mdi,foo"],
+         "error: unknown method 'foo'; expected local-mdi or saabas"),
+        (["local", "--data", "led", "--method", "foo"],
+         "error: unknown method 'foo'; expected local-mdi or saabas"),
     ]
     for argv, message in cases:
         assert cli.main(argv) == 2

@@ -103,6 +103,17 @@ def test_local_rejects_zero_probability():
         is_locally_irrelevant(j, 0, (1,))
 
 
+@pytest.mark.parametrize("m", [-1, 7, 8])
+@pytest.mark.parametrize("check", [
+    is_irrelevant,
+    is_strongly_relevant,
+    lambda j, m: is_locally_irrelevant(j, m, (1, 1, 1, 0, 1, 1, 1)),
+], ids=["irrelevant", "strongly-relevant", "locally-irrelevant"])
+def test_feature_index_outside_range(led_joint, check, m):
+    with pytest.raises(ValueError, match=rf"^feature index m = {m} outside 0\.\.6$"):
+        check(led_joint, m)
+
+
 def test_equivalence_led(led_joint):
     assert verify_global_local_equivalence(led_joint).passed
 

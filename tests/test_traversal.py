@@ -20,6 +20,7 @@ from oracles import (
     predict_proba_by_walks,
     saabas_by_walks,
     tree_mdi_by_nodes,
+    tree_nodes,
     walk_rows,
 )
 
@@ -28,7 +29,7 @@ from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset
 from impshap.errors import EmptyDataset, MissingFeatureValue, NoAdmissibleFeature
 from impshap.forest import build_forest, global_mdi, local_mdi, predict_proba, saabas
 from impshap.impurity import KINDS
-from impshap.tree import CHUNK_PAIRS, predict, tree_mdi
+from impshap.tree import CHUNK_PAIRS, mdi_by_tree
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 NUMERIC_VALUES = (0.0, 0.5, 1.0, 2.5, 3.0)
@@ -130,10 +131,11 @@ def read_features(forest, x):
     """Features whose value some walk of `x` reads: those it splits on,
     and the one at a node where it stops before a zero-mass child."""
     read = set()
-    for tree in forest.trees:
-        (moves,) = walk_rows(tree, [x])
+    for t in range(forest.n_trees):
+        views = tree_nodes(forest.nodes, t)
+        (moves,) = walk_rows(views, [x])
         read.update(f for _, _, f in moves)
-        stop = tree.node(moves[-1][1] if moves else 0)
+        stop = views[moves[-1][1] if moves else 0]
         if not stop.is_leaf:
             read.add(stop.feature)
     return read
@@ -182,21 +184,16 @@ def test_repeated_instances_beyond_one_chunk(grown, pool_size, picks):
 
 
 @PROPERTY
-@given(grown=FORESTS, n=st.integers(1, 6))
-def test_tree_mdi_and_predict_match_per_node_loops(grown, n):
-    forest, kinds = grown
+@given(grown=FORESTS)
+def test_tree_mdi_matches_per_node_loop(grown):
+    forest, _ = grown
+    by_tree = mdi_by_tree(forest.nodes)
     per_tree = []
-    for tree in forest.trees:
-        want = tree_mdi_by_nodes(tree)
-        assert np.abs(tree_mdi(tree) - want).max() <= TOL
+    for t in range(forest.n_trees):
+        want = tree_mdi_by_nodes(tree_nodes(forest.nodes, t), forest.n_features)
+        assert np.abs(by_tree[t] - want).max() <= TOL
         per_tree.append(want)
     assert np.abs(global_mdi(forest) - np.mean(per_tree, axis=0)).max() <= TOL
-    instances = random_instances(forest.seed, kinds, n)
-    for tree in forest.trees[:5]:
-        for x, moves in zip(instances, walk_rows(tree, instances)):
-            dist, path = predict(tree, x)
-            assert path == [0] + [child for _, child, _ in moves]
-            assert np.array_equal(dist, tree.dist[path[-1]])
 
 
 @pytest.mark.parametrize("extra", [0, 7], ids=["one-tree-per-chunk", "beyond-chunk"])
@@ -220,14 +217,13 @@ def two_feature_forest():
 @pytest.mark.parametrize("value", [None, float("nan"), 2, -1])
 def test_unvisited_bad_value_scores_as_before(value):
     forest = two_feature_forest()
-    assert all(t.node(0).feature == 0 for t in forest.trees)
+    roots = forest.nodes.offsets[:-1]
+    assert (forest.nodes.feature[roots] == 0).all()
     clean = [(0, 0), (1, 1)]
     odd = [(0, value), (1, 1)]
     assert np.array_equal(local_mdi(forest, odd).scores, local_mdi(forest, clean).scores)
     assert np.array_equal(saabas(forest, odd).scores, saabas(forest, clean).scores)
     assert np.array_equal(predict_proba(forest, odd), predict_proba(forest, clean))
-    dist, path = predict(forest.trees[0], (0, value))
-    assert path == [0, forest.trees[0].node(0).children[0]]
     assert np.array_equal(local_mdi(forest, odd).scores,
                           local_mdi_by_walks(forest, clean))
 
@@ -239,8 +235,6 @@ def test_visited_bad_value_raises(value):
     for measure in (local_mdi, saabas, predict_proba):
         with pytest.raises(MissingFeatureValue):
             measure(forest, bad)
-    with pytest.raises(MissingFeatureValue):
-        predict(forest.trees[0], (1, value))
     with pytest.raises(MissingFeatureValue):
         local_mdi(forest, [(value, 0)])
 

@@ -1,13 +1,34 @@
-"""Tree construction, impurity bookkeeping and path prediction."""
+"""Tree construction, impurity bookkeeping and path prediction, on trees
+grown one at a time: `grow_trees` with one (rng, seed) pair."""
+
+import random
 
 import numpy as np
 import pytest
 
-from oracles import entropy_of_counts
+from oracles import (
+    efficiency_gap,
+    entropy_of_counts,
+    structure_keys,
+    tree_nodes,
+    walk_rows,
+)
 
 from impshap.data import ColumnMeta, Dataset, builtin_dataset
 from impshap.errors import EmptyDataset, MissingFeatureValue, NoAdmissibleFeature
-from impshap.tree import build_tree, predict, tree_mdi
+from impshap.forest import Forest, predict_proba
+from impshap.impurity import ENTROPY
+from impshap.tree import grow_trees, mdi_by_tree
+
+
+def one_tree(ds, k, seed, impurity=ENTROPY):
+    return grow_trees(ds, k, impurity, [(random.Random(seed), seed)])
+
+
+def proba(packed, instances):
+    """Class distribution where each instance's walk stops."""
+    forest = Forest(packed, k=packed.k, impurity=packed.impurity_kind, seed=0)
+    return predict_proba(forest, instances)
 
 
 def test_table1_k2_structure_and_mdi():
@@ -16,17 +37,17 @@ def test_table1_k2_structure_and_mdi():
     empirical (conditional) informations."""
     ds = builtin_dataset("table1-y1")
     for seed in (0, 1, 99):
-        tree = build_tree(ds, k=2, rng=seed)
-        root = tree.node(0)
-        assert root.feature == 0
-        assert all(tree.node(c).feature == 1 for c in root.children)
-        scores = tree_mdi(tree)
+        tree = one_tree(ds, 2, seed)
+        nodes = tree_nodes(tree)
+        assert nodes[0].feature == 0
+        assert all(nodes[c].feature == 1 for c in nodes[0].children)
+        scores = mdi_by_tree(tree)[0]
         assert scores == pytest.approx([0.091, 0.180], abs=5e-4)
 
     ds2 = builtin_dataset("table1-y2")
-    tree2 = build_tree(ds2, k=2, rng=0)
-    assert tree2.node(0).feature == 1
-    assert tree_mdi(tree2) == pytest.approx([0.243, 0.016], abs=5e-4)
+    tree2 = one_tree(ds2, 2, 0)
+    assert tree_nodes(tree2)[0].feature == 1
+    assert mdi_by_tree(tree2)[0] == pytest.approx([0.243, 0.016], abs=5e-4)
 
 
 def test_pure_output_single_leaf():
@@ -34,10 +55,10 @@ def test_pure_output_single_leaf():
         [ColumnMeta("a", "categorical", 2), ColumnMeta("y", "categorical", 2)],
         [np.array([0, 1, 0]), np.array([1, 1, 1])],
     )
-    tree = build_tree(ds, k=1, rng=0)
-    assert tree.n_nodes == 1
-    assert tree.node(0).is_leaf
-    assert np.abs(tree_mdi(tree)).max() == 0.0
+    tree = one_tree(ds, 1, 0)
+    assert len(tree.feature) == 1
+    assert tree_nodes(tree)[0].is_leaf
+    assert np.abs(mdi_by_tree(tree)[0]).max() == 0.0
 
 
 def test_constant_columns_raise():
@@ -46,7 +67,7 @@ def test_constant_columns_raise():
         [np.array([1, 1, 1]), np.array([0, 1, 0])],
     )
     with pytest.raises(NoAdmissibleFeature):
-        build_tree(ds, k=1, rng=0)
+        one_tree(ds, 1, 0)
 
 
 def test_empty_dataset_raises():
@@ -55,18 +76,18 @@ def test_empty_dataset_raises():
         [np.array([], dtype=int), np.array([], dtype=int)],
     )
     with pytest.raises(EmptyDataset):
-        build_tree(ds, k=1, rng=0)
+        one_tree(ds, 1, 0)
 
 
 def test_led_structural_invariants(led_ds):
     """Fully developed exhaustive trees never reuse a feature on a path
     and bottom out within p levels."""
     for seed in (0, 7, 123):
-        tree = build_tree(led_ds, k=1, rng=seed)
+        nodes = tree_nodes(one_tree(led_ds, 1, seed))
         stack = [(0, 0, frozenset())]
         while stack:
             node_id, depth, used = stack.pop()
-            view = tree.node(node_id)
+            view = nodes[node_id]
             assert depth <= 7
             if view.is_leaf:
                 continue
@@ -78,31 +99,29 @@ def test_led_structural_invariants(led_ds):
 def test_led_telescoping(led_ds):
     """Total importance equals root impurity minus weighted leaf impurity."""
     for k in (1, 3, 7):
-        tree = build_tree(led_ds, k=k, rng=5)
-        total = tree_mdi(tree).sum()
-        want = float(tree.impurity[0]) - tree.leaf_weighted_impurity()
-        assert abs(total - want) < 1e-12
+        tree = one_tree(led_ds, k, 5)
+        total = mdi_by_tree(tree)[0].sum()
+        assert abs(total - efficiency_gap(tree)) < 1e-12
         assert float(tree.impurity[0]) == pytest.approx(np.log2(10), abs=1e-12)
 
 
 def test_mass_conservation(led_ds):
-    tree = build_tree(led_ds, k=1, rng=3)
-    for i in range(tree.n_nodes):
-        view = tree.node(i)
+    nodes = tree_nodes(one_tree(led_ds, 1, 3))
+    for view in nodes:
         if view.is_leaf:
             continue
-        child_mass = sum(float(tree.mass[c]) for c in view.children)
+        child_mass = sum(nodes[c].mass for c in view.children)
         assert child_mass == pytest.approx(view.mass, abs=1e-12)
-    assert float(tree.mass[0]) == 1.0
+    assert nodes[0].mass == 1.0
 
 
 def test_determinism(led_ds):
-    a = build_tree(led_ds, k=1, rng=42)
-    b = build_tree(led_ds, k=1, rng=42)
-    assert a.structure_key() == b.structure_key()
+    a = one_tree(led_ds, 1, 42)
+    b = one_tree(led_ds, 1, 42)
+    assert structure_keys(a) == structure_keys(b)
     assert np.array_equal(a.impurity, b.impurity)
-    c = build_tree(led_ds, k=1, rng=43)
-    assert a.structure_key() != c.structure_key()
+    c = one_tree(led_ds, 1, 43)
+    assert structure_keys(a) != structure_keys(c)
 
 
 def test_zero_mass_children():
@@ -112,49 +131,47 @@ def test_zero_mass_children():
         [ColumnMeta("a", "categorical", 3), ColumnMeta("y", "categorical", 2)],
         [np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1])],
     )
-    tree = build_tree(ds, k=1, rng=0)
-    root = tree.node(0)
+    tree = one_tree(ds, 1, 0)
+    nodes = tree_nodes(tree)
+    root = nodes[0]
     assert root.feature == 0
     assert len(root.children) == 3
-    ghost = tree.node(root.children[2])  # category 2 never observed
+    ghost = nodes[root.children[2]]  # category 2 never observed
     assert ghost.mass == 0.0 and ghost.impurity == 0.0
     assert np.array_equal(ghost.dist, root.dist)
     # prediction truncates at the parent
-    dist, path = predict(tree, (2,))
-    assert path == [0]
-    assert np.array_equal(dist, root.dist)
+    assert list(walk_rows(nodes, [(2,)])) == [[]]
+    assert np.array_equal(proba(tree, [(2,)])[0], root.dist)
 
 
 def test_predict_paths():
     ds = builtin_dataset("table1-y1")
-    tree = build_tree(ds, k=2, rng=0)
-    dist, path = predict(tree, (1, 0))
-    assert dist[1] == pytest.approx(0.9, abs=1e-12)
-    assert len(path) == 3  # root, x1 child, leaf
+    tree = one_tree(ds, 2, 0)
+    assert proba(tree, [(1, 0)])[0, 1] == pytest.approx(0.9, abs=1e-12)
+    (moves,) = walk_rows(tree_nodes(tree), [(1, 0)])
+    assert len(moves) == 2  # root to x1 child to leaf
     # root-only tree returns the prior
     pure = Dataset(
         [ColumnMeta("a", "categorical", 2), ColumnMeta("y", "categorical", 2)],
         [np.array([0, 1]), np.array([0, 0])],
     )
-    root_only = build_tree(pure, k=1, rng=0)
-    dist, path = predict(root_only, (1,))
-    assert path == [0] and dist[0] == 1.0
+    root_only = one_tree(pure, 1, 0)
+    assert list(walk_rows(tree_nodes(root_only), [(1,)])) == [[]]
+    assert proba(root_only, [(1,)])[0, 0] == 1.0
 
 
 def test_predict_led_deterministic(led_ds):
-    tree = build_tree(led_ds, k=1, rng=9)
+    dists = proba(one_tree(led_ds, 1, 9), led_ds.instances())
     for d in range(10):
-        dist, _ = predict(tree, led_ds.instances()[d])
-        assert dist[d] == 1.0
+        assert dists[d, d] == 1.0
 
 
 def test_predict_missing_value(led_ds):
-    tree = build_tree(led_ds, k=1, rng=0)
-    root_feature = tree.node(0).feature
+    tree = one_tree(led_ds, 1, 0)
     x = list(led_ds.instances()[8])
-    x[root_feature] = None
+    x[tree_nodes(tree)[0].feature] = None
     with pytest.raises(MissingFeatureValue):
-        predict(tree, x)
+        proba(tree, [x])
 
 
 def test_numeric_threshold_split():
@@ -165,27 +182,25 @@ def test_numeric_threshold_split():
         [ColumnMeta("a", "numeric"), ColumnMeta("y", "categorical", 2)],
         [x, y],
     )
-    tree = build_tree(ds, k=1, rng=0)
-    root = tree.node(0)
+    tree = one_tree(ds, 1, 0)
+    nodes = tree_nodes(tree)
+    root = nodes[0]
     assert root.kind == "threshold"
     assert root.threshold in (1.5, 3.5)  # both are optimal; lowest wins
     assert root.threshold == 1.5
     # fully developed: every leaf pure
-    for i in range(tree.n_nodes):
-        view = tree.node(i)
+    for view in nodes:
         if view.is_leaf:
             assert view.impurity < 1e-12
-    dist, _ = predict(tree, (2.5,))
-    assert dist[1] == 1.0
+    assert proba(tree, [(2.5,)])[0, 1] == 1.0
 
 
 def test_gini_and_variance_impurities():
     ds = builtin_dataset("table1-y1")
     for kind in ("gini", "variance"):
-        tree = build_tree(ds, k=2, impurity=kind, rng=0)
-        total = tree_mdi(tree).sum()
-        want = float(tree.impurity[0]) - tree.leaf_weighted_impurity()
-        assert abs(total - want) < 1e-12
+        tree = one_tree(ds, 2, 0, impurity=kind)
+        total = mdi_by_tree(tree)[0].sum()
+        assert abs(total - efficiency_gap(tree)) < 1e-12
 
 
 def test_weighted_equals_expanded(tables):
@@ -195,13 +210,13 @@ def test_weighted_equals_expanded(tables):
 
     weighted = dataset_from_joint(tables["table1-y1"])
     expanded = expand_to_rows(tables["table1-y1"], 40)
-    tw = build_tree(weighted, k=2, rng=0)
-    te = build_tree(expanded, k=2, rng=0)
-    assert tree_mdi(tw) == pytest.approx(tree_mdi(te), abs=1e-12)
+    tw = one_tree(weighted, 2, 0)
+    te = one_tree(expanded, 2, 0)
+    assert mdi_by_tree(tw)[0] == pytest.approx(mdi_by_tree(te)[0], abs=1e-12)
 
 
 def test_node_impurity_matches_oracle(led_ds):
-    tree = build_tree(led_ds, k=1, rng=1)
+    tree = one_tree(led_ds, 1, 1)
     # the root sees all ten digits once
     assert float(tree.impurity[0]) == pytest.approx(
         entropy_of_counts([1] * 10), abs=1e-12
@@ -210,9 +225,9 @@ def test_node_impurity_matches_oracle(led_ds):
 
 def test_k_validation(led_ds):
     with pytest.raises(ValueError):
-        build_tree(led_ds, k=0, rng=0)
+        one_tree(led_ds, 0, 0)
     with pytest.raises(ValueError):
-        build_tree(led_ds, k=8, rng=0)
+        one_tree(led_ds, 8, 0)
 
 
 def test_tie_breaks_to_lowest_feature():
@@ -226,5 +241,4 @@ def test_tie_breaks_to_lowest_feature():
         [np.array([0, 0, 1, 1]), np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])],
     )
     for seed in range(5):
-        tree = build_tree(ds, k=2, rng=seed)
-        assert tree.node(0).feature == 0
+        assert tree_nodes(one_tree(ds, 2, seed))[0].feature == 0

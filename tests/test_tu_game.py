@@ -190,7 +190,7 @@ def test_strong_monotonicity_for_shapley(tables):
     g2 = game_global_info(tables["table1-y2"])
     for cmp in check_strong_monotonicity(g1, g2):
         if cmp.premise_holds:
-            assert cmp.conclusion_holds
+            assert cmp.payoff_first >= cmp.payoff_second - 1e-10
 
 
 def test_permutation_equivariance():
