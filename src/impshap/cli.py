@@ -320,9 +320,12 @@ def _emit(args, argv, fingerprint, results, table_rows, table_header) -> None:
         "results": results,
     }
     if args.format == "json":
-        import jsonschema
+        from jsonschema.validators import validator_for
 
-        jsonschema.validate(report, _load_schema())
+        # The bundled schema is checked against its metaschema by the tests,
+        # not on every call as jsonschema.validate would.
+        schema = _load_schema()
+        validator_for(schema)(schema).validate(report)
         body = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()

@@ -8,6 +8,8 @@ population machinery can use them.
 
 import csv
 import hashlib
+import io
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -315,36 +317,114 @@ def _column_index(dataset: Dataset, column) -> int:
     raise ValueError(f"no column named {column!r}")
 
 
-def _read_csv(path):
-    """Read a CSV once: its header, the '#kind:' rows right below it, and
-    its data rows as columns, with the line number of each row.
+# Characters that send a file down the row path: str.splitlines breaks lines
+# at \v, \f and \x1c-\x1e where csv does not, and np.loadtxt reads \x1c-\x1f
+# as blanks where int() and float() refuse them.
+_ROW_PATH_CHARS = "\v\f\x1c\x1d\x1e\x1f"
+
+
+def _read_text(path) -> str:
+    """A file's text as UTF-8 with an optional byte-order mark (utf-8-sig),
+    decoded so that an error names its byte offset in the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not valid UTF-8") from None
+    return text.removeprefix("\ufeff")
+
+
+@dataclass(frozen=True)
+class _CsvText:
+    """A CSV read once: its header, the '#kind:' rows right below it, and
+    its text, whose data part starts at offset `start`.
 
     The header is the first row that is not empty and does not start with
     '#'; later such rows are data and must have as many fields as the
     header.  Every other row is a comment.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    lines = [r for r, row in enumerate(rows, 1) if row and not row[0].startswith("#")]
-    if not lines:
+
+    path: object
+    text: str
+    header: list
+    kind_rows: list
+    start: int
+
+    def load(self, dtypes):
+        """The data columns from one np.loadtxt call, column c read as
+        dtypes[c], or None where the row path must read the file.
+
+        An entry of `dtypes` may be a tuple: a column np.loadtxt refuses as
+        one of them is read again as the next.  The data part must be ASCII
+        (np.loadtxt takes some other letters for digits) without
+        _ROW_PATH_CHARS, a line there must fit csv's field size limit, and
+        a comment line must not hold a quote, which could open a field that
+        runs on over the lines below.  Each data line must come back as one
+        row: that keeps out records spanning lines and any line np.loadtxt
+        would skip, such as a blank one.
+        """
+        body = self.text[self.start:]
+        if (not body.isascii() or any(c in body for c in _ROW_PATH_CHARS)
+                or ('"' in body and "#" in body)):
+            return None
+        lines = [s for s in body.splitlines() if s and s[0] != "#"]
+        if not lines or max(map(len, lines)) > csv.field_size_limit():
+            return None
+        choices = [d if isinstance(d, tuple) else (d,) for d in dtypes]
+        pick = [0] * len(choices)
+        while True:
+            dtype = np.dtype([(f"c{c}", d[i]) for c, (d, i) in enumerate(zip(choices, pick))])
+            try:
+                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1)
+                break
+            except ValueError as exc:
+                # numpy names the column it cannot convert, counting from 1
+                bad = re.search(r"column (\d+)\.$", str(exc))
+                c = int(bad[1]) - 1 if bad else len(pick)
+                if c >= len(pick) or pick[c] + 1 == len(choices[c]):
+                    return None
+                pick[c] += 1
+        if len(rows) != len(lines):
+            return None
+        return [np.ascontiguousarray(rows[name]) for name in dtype.names]
+
+    def scan(self):
+        """The row path: the data rows as columns of cells, with the line
+        number of each, from one csv row and one field count at a time."""
+        rows = list(csv.reader(io.StringIO(self.text, newline="")))
+        lines = [r for r, row in enumerate(rows, 1) if row and not row[0].startswith("#")]
+        lines = lines[1:]
+        if not lines:
+            raise EmptyDataset(f"{self.path}: no data rows")
+        body = [rows[r - 1] for r in lines]
+        for line, row in zip(lines, body):
+            if len(row) != len(self.header):
+                raise ParseError(
+                    f"{self.path}:{line}: expected {len(self.header)} fields, got {len(row)}"
+                )
+        return list(zip(*body)), lines
+
+
+def _read_csv(path) -> _CsvText:
+    """Read a CSV once and parse its header and kind rows with csv."""
+    text = _read_text(path)
+    fh = io.StringIO(text, newline="")
+    rows = enumerate(csv.reader(fh), 1)
+    for _, row in rows:
+        if row and not row[0].startswith("#"):
+            break
+    else:
         raise ParseError(f"{path}: no header row")
-    header = [h.strip() for h in rows[lines[0] - 1]]
-    kind_rows = []
-    for line, row in enumerate(rows[lines[0]:], start=lines[0] + 1):
+    header, kind_rows, start = [h.strip() for h in row], [], fh.tell()
+    for line, row in rows:
         if not row or not row[0].startswith("#"):
             break
         if row[0].startswith("#kind:"):
             kind_rows.append((line, row))
-    lines = lines[1:]
-    if not lines:
-        raise EmptyDataset(f"{path}: no data rows")
-    body = [rows[r - 1] for r in lines]
-    for line, row in zip(lines, body):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
-            )
-    return header, kind_rows, list(zip(*body)), lines
+        start = fh.tell()
+    return _CsvText(path, text, header, kind_rows, start)
 
 
 def _parse(path, name, cells, lines, conv=float) -> np.ndarray:
@@ -374,19 +454,68 @@ def _codes(path, name, cells, lines) -> np.ndarray:
     return codes
 
 
-def _dataset(path, header, kind_rows, cols, lines, name) -> Dataset:
+def _kinds(table) -> list | None:
+    """The column kinds of the last '#kind:' row, None without one."""
     kinds = None
-    for line, row in kind_rows:
+    for line, row in table.kind_rows:
         declared = [row[0][len("#kind:"):].strip()] + [c.strip() for c in row[1:]]
-        if len(declared) != len(header):
+        if len(declared) != len(table.header):
             raise ParseError(
-                f"{path}:{line}: kind row has {len(declared)} entries, "
-                f"header has {len(header)}"
+                f"{table.path}:{line}: kind row has {len(declared)} entries, "
+                f"header has {len(table.header)}"
             )
         for c, k in enumerate(declared):
             if k not in (CATEGORICAL, NUMERIC):
-                raise ParseError(f"{path}:{line}: column {c + 1}: unknown kind {k!r}")
+                raise ParseError(
+                    f"{table.path}:{line}: column {c + 1}: unknown kind {k!r}"
+                )
         kinds = declared
+    return kinds
+
+
+def _dataset(table, name) -> Dataset:
+    try:
+        kinds = _kinds(table)
+    except ParseError:
+        table.scan()  # a wrong field count is reported first
+        raise
+    columns, data, weights = _columns(table, kinds) or _columns_by_rows(table, kinds)
+    return Dataset(columns, data, weights=weights, name=name or str(table.path))
+
+
+def _columns(table, kinds):
+    """Column metadata, data and weights from np.loadtxt, or None where the
+    row path must decide: it names the cell of any error."""
+    weighted = table.header[-1] == "__weight__"
+    names = table.header[:len(table.header) - weighted]
+    if kinds:
+        dtypes = [np.int64 if k == CATEGORICAL else np.float64 for k in kinds[:len(names)]]
+    else:
+        dtypes = [(np.int64, np.float64)] * len(names)
+    cols = table.load(dtypes + [np.float64] * weighted)
+    if cols is not None and not kinds:
+        # An integer column with a negative code or MAX_ARITY codes or more
+        # is numeric: read it again as float() reads it, so -0 is -0.0.
+        wide = [c.dtype == np.int64 and (c.min() < 0 or c.max() >= MAX_ARITY) for c in cols]
+        if any(wide):
+            cols = table.load([np.float64 if w else c.dtype for c, w in zip(cols, wide)])
+    if cols is None:
+        return None
+    columns = []
+    for name, col in zip(names, cols):
+        if col.dtype == np.float64:
+            columns.append(ColumnMeta(name, NUMERIC))
+        elif col.min() < 0 or col.max() >= MAX_ARITY:
+            return None
+        else:
+            columns.append(ColumnMeta(name, CATEGORICAL, arity=int(col.max()) + 1))
+    return columns, cols[:len(names)], cols[-1] if weighted else None
+
+
+def _columns_by_rows(table, kinds):
+    """What `_columns` reads, from the row path's cells."""
+    path, header = table.path, table.header
+    cols, lines = table.scan()
     weights = None
     if header[-1] == "__weight__":
         weights = _parse(path, header[-1], cols[-1], lines)
@@ -397,7 +526,7 @@ def _dataset(path, header, kind_rows, cols, lines, name) -> Dataset:
         meta, arr = _parse_column(path, header[c], cells, lines, kind)
         columns.append(meta)
         data.append(arr)
-    return Dataset(columns, data, weights=weights, name=name or str(path))
+    return columns, data, weights
 
 
 def _parse_column(path, name, cells, lines, kind):
@@ -426,12 +555,12 @@ def load_csv(path, name=None) -> Dataset:
     nonnegative integer with at most MAX_ARITY distinct codes, numeric
     otherwise.  Other rows starting with '#' are comments.
     """
-    return _dataset(path, *_read_csv(path), name)
+    return _dataset(_read_csv(path), name)
 
 
 def write_csv(dataset: Dataset, path, provenance=None) -> None:
     """Write a dataset in the format `load_csv` reads back."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = [c.name for c in dataset.columns]
         if dataset.weights is not None:
@@ -454,15 +583,22 @@ def write_csv(dataset: Dataset, path, provenance=None) -> None:
             writer.writerow(row)
 
 
-def _joint(path, header, kind_rows, cols, lines, name) -> JointDistribution:
+def _joint(table, name) -> JointDistribution:
+    path, header = table.path, table.header
     if len(header) < 3 or header[-1] != "probability":
+        table.scan()  # a wrong field count is reported first
         raise ParseError(
             f"{path}: expected header (inputs..., output, probability)"
         )
-    codes = [_codes(path, h, c, lines) for h, c in zip(header, cols[:-1])]
-    arities = tuple(int(c.max()) + 1 for c in codes)
-    table = cell_sums(codes, arities, _parse(path, header[-1], cols[-1], lines))
-    return JointDistribution(arities, table, name=name or str(path))
+    cols = table.load([np.int64] * (len(header) - 1) + [np.float64])
+    if cols is None or min(c.min() for c in cols[:-1]) < 0:
+        cells, lines = table.scan()  # names the cell of any error
+        cols = [_codes(path, h, c, lines) for h, c in zip(header, cells[:-1])]
+        cols.append(_parse(path, header[-1], cells[-1], lines))
+    arities = tuple(int(c.max()) + 1 for c in cols[:-1])
+    return JointDistribution(
+        arities, cell_sums(cols[:-1], arities, cols[-1]), name=name or str(path)
+    )
 
 
 def load_joint_csv(path, name=None) -> JointDistribution:
@@ -473,7 +609,7 @@ def load_joint_csv(path, name=None) -> JointDistribution:
     code seen per variable; omitted configurations have probability zero
     and repeated ones add up.
     """
-    return _joint(path, *_read_csv(path), name)
+    return _joint(_read_csv(path), name)
 
 
 def load_joint(path, name=None) -> JointDistribution:
@@ -481,16 +617,16 @@ def load_joint(path, name=None) -> JointDistribution:
     `probability`) as `load_joint_csv` reads it, any other CSV as the
     empirical joint of the dataset `load_csv` reads from it."""
     table = _read_csv(path)
-    if table[0][-1] == "probability":
-        return _joint(path, *table, name)
-    return joint_from_samples(_dataset(path, *table, name))
+    if table.header[-1] == "probability":
+        return _joint(table, name)
+    return joint_from_samples(_dataset(table, name))
 
 
 def write_joint_csv(j: JointDistribution, path, names=None) -> None:
     """Write the positive cells of a joint in the `load_joint_csv` format."""
     if names is None:
         names = [f"x{i + 1}" for i in range(j.p)] + ["y"]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(names) + ["probability"])
         for idx in np.argwhere(j.table > 0.0):

@@ -2,14 +2,20 @@
 
 Everything here is deliberately naive (dict counting, permutation
 enumeration, explicit loops) and shares no code with the package paths it
-checks.
+checks.  The reference CSV reader builds its results with the package's
+Dataset and JointDistribution, but reads every cell itself.
 """
 
+import csv
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb, fsum, log2, sqrt
 
 import numpy as np
+
+from impshap.data import CATEGORICAL, MAX_ARITY, NUMERIC, ColumnMeta, Dataset
+from impshap.errors import ArityOverflow, EmptyDataset, ParseError
+from impshap.info_theory import JointDistribution, cell_sums, joint_from_samples
 
 
 def joint_table_by_rows(path) -> np.ndarray:
@@ -516,3 +522,127 @@ def average_ranks(xs) -> list:
 def spearman(xs, ys) -> float:
     """Spearman correlation: Pearson of the average ranks."""
     return pearson(average_ranks(xs), average_ranks(ys))
+
+
+# ---------------------------------------------------------------------------
+# The reference CSV reader: one csv row and one int()/float() per cell, in
+# the order the package's readers report errors.
+
+
+def _csv_by_rows(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    lines = [r for r, row in enumerate(rows, 1) if row and not row[0].startswith("#")]
+    if not lines:
+        raise ParseError(f"{path}: no header row")
+    header = [h.strip() for h in rows[lines[0] - 1]]
+    kind_rows = []
+    for line, row in enumerate(rows[lines[0]:], start=lines[0] + 1):
+        if not row or not row[0].startswith("#"):
+            break
+        if row[0].startswith("#kind:"):
+            kind_rows.append((line, row))
+    lines = lines[1:]
+    if not lines:
+        raise EmptyDataset(f"{path}: no data rows")
+    body = [rows[r - 1] for r in lines]
+    for line, row in zip(lines, body):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
+            )
+    return header, kind_rows, list(zip(*body)), lines
+
+
+def _cells(path, name, cells, lines, conv=float) -> np.ndarray:
+    values = []
+    for line, cell in zip(lines, cells):
+        try:
+            values.append(conv(cell))
+        except ValueError:
+            raise ParseError(
+                f"{path}:{line}: column {name!r}: cannot parse {cell!r}"
+            ) from None
+    return np.array(values)
+
+
+def _code_cells(path, name, cells, lines) -> np.ndarray:
+    codes = _cells(path, name, cells, lines, int)
+    for line, cell, code in zip(lines, cells, codes):
+        if code < 0:
+            raise ParseError(
+                f"{path}:{line}: column {name!r}: negative category code {cell!r}"
+            )
+    return codes
+
+
+def _dataset_by_rows(path, header, kind_rows, cols, lines, name):
+    kinds = None
+    for line, row in kind_rows:
+        declared = [row[0][len("#kind:"):].strip()] + [c.strip() for c in row[1:]]
+        if len(declared) != len(header):
+            raise ParseError(
+                f"{path}:{line}: kind row has {len(declared)} entries, "
+                f"header has {len(header)}"
+            )
+        for c, k in enumerate(declared):
+            if k not in (CATEGORICAL, NUMERIC):
+                raise ParseError(f"{path}:{line}: column {c + 1}: unknown kind {k!r}")
+        kinds = declared
+    weights = None
+    if header[-1] == "__weight__":
+        weights = _cells(path, header[-1], cols[-1], lines)
+        header, cols = header[:-1], cols[:-1]
+    columns, data = [], []
+    for c, cells in enumerate(cols):
+        name_c, kind = header[c], kinds[c] if kinds else None
+        if kind == CATEGORICAL:
+            codes = _code_cells(path, name_c, cells, lines)
+            arity = int(codes.max()) + 1
+            if arity > MAX_ARITY:
+                raise ArityOverflow(
+                    f"{path}: column {name_c!r}: {arity} categories exceed {MAX_ARITY}"
+                )
+            meta, arr = ColumnMeta(name_c, CATEGORICAL, arity=arity), codes
+        else:
+            meta = None
+            if kind is None:
+                try:
+                    codes = _code_cells(path, name_c, cells, lines)
+                    if codes.max() < MAX_ARITY:
+                        arity = int(codes.max()) + 1
+                        meta, arr = ColumnMeta(name_c, CATEGORICAL, arity=arity), codes
+                except ParseError:
+                    pass
+            if meta is None:
+                meta, arr = ColumnMeta(name_c, NUMERIC), _cells(path, name_c, cells, lines)
+        columns.append(meta)
+        data.append(arr)
+    return Dataset(columns, data, weights=weights, name=name or str(path))
+
+
+def _joint_by_rows(path, header, kind_rows, cols, lines, name):
+    if len(header) < 3 or header[-1] != "probability":
+        raise ParseError(f"{path}: expected header (inputs..., output, probability)")
+    codes = [_code_cells(path, h, c, lines) for h, c in zip(header, cols[:-1])]
+    arities = tuple(int(c.max()) + 1 for c in codes)
+    table = cell_sums(codes, arities, _cells(path, header[-1], cols[-1], lines))
+    return JointDistribution(arities, table, name=name or str(path))
+
+
+def load_csv_by_rows(path, name=None) -> Dataset:
+    """What `load_csv` returns or raises, read one cell at a time."""
+    return _dataset_by_rows(path, *_csv_by_rows(path), name)
+
+
+def load_joint_csv_by_rows(path, name=None) -> JointDistribution:
+    """What `load_joint_csv` returns or raises, read one cell at a time."""
+    return _joint_by_rows(path, *_csv_by_rows(path), name)
+
+
+def load_joint_by_rows(path, name=None) -> JointDistribution:
+    """What `load_joint` returns or raises, read one cell at a time."""
+    table = _csv_by_rows(path)
+    if table[0][-1] == "probability":
+        return _joint_by_rows(path, *table, name)
+    return joint_from_samples(_dataset_by_rows(path, *table, name))

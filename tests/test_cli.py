@@ -365,6 +365,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["shapley", "--data", "table2", "--trees", "5"],
         ["local", "--data", "led", "--trees", "10",
          "--instances", "{non_integer_instances}"],
+        ["pop-mdi", "--data", "{invalid_utf8}"],
+        ["global", "--data", "{invalid_utf8}", "--trees", "3"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
@@ -377,7 +379,7 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "numeric-input-pop-mdi", "numeric-input-shapley", "numeric-input-verify",
          "numeric-output-global", "numeric-output-local",
          "k-on-joint-command", "trees-on-joint-command",
-         "non-integer-instance-file"],
+         "non-integer-instance-file", "invalid-utf8-joint", "invalid-utf8-dataset"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {
@@ -390,9 +392,11 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
         "numeric_input": "a,y\n0.5,0\n1.5,1\n",
         "numeric_output": "a,y\n0,0.5\n1,1.5\n",
         "non_integer_instances": "a,b,c,d,e,f,g\n1.7,1,1,0,1,1,1\n",
+        "invalid_utf8": b"x1,y,probability\n0,0,0.5\n1,1,0.\xff5\n",
     }
     for name, text in files.items():
-        (tmp_path / f"{name}.csv").write_text(text)
+        raw = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / f"{name}.csv").write_bytes(raw)
     paths = {name: tmp_path / f"{name}.csv" for name in files}
     code = cli.main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()

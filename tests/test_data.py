@@ -1,8 +1,13 @@
 """Dataset generators, worked-example joints, CSV loading and quantization."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import impshap.data
 from impshap.data import (
     ColumnMeta,
     Dataset,
@@ -12,14 +17,22 @@ from impshap.data import (
     led_population,
     led_sampled,
     load_csv,
+    load_joint,
+    load_joint_csv,
     quantize,
     random_joint,
     write_csv,
+    write_joint_csv,
 )
 from impshap.errors import ArityOverflow, EmptyDataset, InvalidValue, ParseError
 from impshap.info_theory import joint_from_samples
 
-from oracles import joint_table_by_rows
+from oracles import (
+    joint_table_by_rows,
+    load_csv_by_rows,
+    load_joint_by_rows,
+    load_joint_csv_by_rows,
+)
 
 # The canonical encoding, frozen here independently of the implementation.
 # Bit order: top, top-left, top-right, middle, bottom-left, bottom-right, bottom.
@@ -291,6 +304,163 @@ def test_joint_csv_errors_name_the_line(tmp_path, text, message):
         return
     with pytest.raises(ParseError, match=message):
         load_joint_csv(path)
+
+
+def test_csv_byte_order_mark_is_not_data(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffa,y\n0,0\n1,1\n".encode())
+    assert load_csv(path).feature_names() == ("a",)
+    path.write_bytes("\ufeff# note\na,y\n0,0\n1,1\n".encode())
+    assert load_csv(path).feature_names() == ("a",)
+    path.write_bytes("\ufeffx1,y,probability\n0,0,0.5\n1,1,0.5\n".encode())
+    assert load_joint(path).arities == (2, 2)
+
+
+def test_csv_invalid_utf8_names_the_byte(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x1,y,probability\n0,0,0.5\n1,1,0.\xff5\n")
+    for load in (load_csv, load_joint_csv, load_joint):
+        with pytest.raises(ParseError, match=r"bad\.csv: byte 31: not valid UTF-8"):
+            load(path)
+
+
+def test_csv_writers_write_utf8(tmp_path):
+    ds = Dataset(
+        [ColumnMeta("größe", "categorical", 2), ColumnMeta("y", "categorical", 2)],
+        [np.array([0, 1]), np.array([1, 0])],
+    )
+    path = tmp_path / "d.csv"
+    write_csv(ds, path)
+    assert path.read_bytes().startswith("größe,y".encode())
+    assert load_csv(path).fingerprint() == ds.fingerprint()
+    write_joint_csv(joint_from_samples(ds), path, names=["größe", "y"])
+    assert path.read_bytes().startswith("größe,y,probability".encode())
+    assert load_joint_csv(path).arities == (2, 2)
+
+
+def test_benchmark_shaped_csvs_take_one_pass(tmp_path, monkeypatch):
+    """Files as the writers make them never fall back to the row path."""
+    def no_row_path(self):
+        raise AssertionError(f"{self.path} took the row path")
+
+    monkeypatch.setattr(impshap.data._CsvText, "scan", no_row_path)
+    for s in range(3):
+        j = random_joint(s, p=12, max_arity=2)
+        write_joint_csv(j, tmp_path / "j.csv")
+        for load in (load_joint_csv, load_joint):
+            assert np.array_equal(load(tmp_path / "j.csv").table, j.table)
+        ds = led_sampled(2000, s)
+        write_csv(ds, tmp_path / "d.csv", provenance=[f"seed: {s}"])
+        assert load_csv(tmp_path / "d.csv").fingerprint() == ds.fingerprint()
+        assert load_joint(tmp_path / "d.csv").arities == ds.arities
+
+
+# Cells with a plain reading, and cells that int() or float() read where
+# np.loadtxt does not (or the reverse), or that the csv module reads as
+# something else than the bare text.
+PLAIN_CELLS = ["0", "1", "2", "1", "0"]
+ODD_CELLS = [" 1 ", "+2", "-1", "-0", "01", "1_0", "١", "٣", "Ǿ", "1\x1c",
+             "\t2", "\x0b1", "nan", "-nan", "inf", "-inf", "0.5", "1.0", "2e0",
+             "70", "99999999999999999999", '"1"', '" 2"', '"3', '"1\n"',
+             '"2\r\n3"', '"1""', "", "x", "#1", '"#"']
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts around the shapes the loaders accept, with comments, kind
+    rows, blank lines, quoting, odd cells and wrong field counts."""
+    fmt = draw(st.sampled_from(["joint", "kinds", "infer", "weighted"]))
+    n_in = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 5))
+    odd = draw(st.sampled_from([0, 0, 1, 3]))  # in ten cells
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def cell(pool=PLAIN_CELLS):
+        if draw(st.integers(0, 9)) >= 10 - odd:
+            return draw(st.sampled_from(ODD_CELLS))
+        return draw(st.sampled_from(pool))
+
+    def noise():
+        """Lines that are no rows, or that a row path must reject."""
+        lines = []
+        while draw(st.integers(0, 9)) >= 8:
+            lines.append(draw(st.sampled_from(
+                ["# note", "", "#kind: numeric", '# a "quote', "  ", "#"]
+            )))
+        return lines
+
+    names = [f"x{i}" for i in range(n_in)] + ["y"]
+    if fmt == "joint":
+        names.append(draw(st.sampled_from(["probability", " probability"])))
+    elif fmt == "weighted":
+        names.append("__weight__")
+    lines = noise() + [",".join(names)]
+    if fmt == "kinds" or draw(st.integers(0, 9)) == 9:
+        kinds = [draw(st.sampled_from(["categorical", "numeric"]))
+                 for _ in names[:n_in + 1]] + ["numeric"] * (len(names) - n_in - 1)
+        if draw(st.integers(0, 9)) == 9:
+            kinds[-1] = draw(st.sampled_from(["nominal", "numeric,numeric"]))
+        lines.append(f"#kind: {','.join(kinds)}")
+    share = repr(1.0 / n_rows)
+    for _ in range(n_rows):
+        row = [cell() for _ in range(n_in + 1)]
+        if fmt == "joint":
+            row.append(cell([share, f" {share}", f'"{share}"', f"{1.0 / n_rows:.6g}"]))
+        elif fmt == "weighted":
+            row.append(cell(["1", "0.5", "2"]))
+        if draw(st.integers(0, 19)) == 19:
+            row = row[:-1] if draw(st.booleans()) else row + [""]
+        lines += noise() + [",".join(row)]
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def _same(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    if isinstance(a, Dataset):
+        return (
+            a.columns == b.columns
+            and all(x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+                    for x, y in zip(a.data, b.data))
+            and (a.weights is None) == (b.weights is None)
+            and (a.weights is None or np.array_equal(a.weights, b.weights, equal_nan=True))
+            and a.fingerprint() == b.fingerprint()
+        )
+    return (a.arities == b.arities and a.name == b.name
+            and a.table.tobytes() == b.table.tobytes())
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=csv_texts())
+@example(text="a,y\n1,0\n#x,\"\n1,2\n#\"\n")  # a comment spanning a data line
+@example(text="x1,y,probability\n0,\"1\n0\",0.5\n1,1,0.5\n")  # a cell spanning lines
+@example(text="x1,y,probability\n0,0,0.5\n\u01fe,1,0.5\n")  # no digit to int()
+@example(text="a,y\n-0,0\n-1,1\n")  # an integer column read as numbers
+@example(text="x1,y,probability\n0,0,0.5\n \t\n1,1,0.5\n")  # a row of blanks
+@example(text="a,y\n0,0\n0,1e" + "0" * csv.field_size_limit() + "\n")  # csv refuses
+def test_loaders_match_the_reference_reader(csv_dir, text):
+    """load_csv, load_joint_csv and load_joint return what the reference
+    reader does, to the bit, or raise its exception with its message."""
+    path = csv_dir / "g.csv"
+    path.write_bytes(text.encode())
+    for load, reference in ((load_csv, load_csv_by_rows),
+                            (load_joint_csv, load_joint_csv_by_rows),
+                            (load_joint, load_joint_by_rows)):
+        got, want = _outcome(load, path), _outcome(reference, path)
+        assert _same(got, want), (load.__name__, text, got, want)
 
 
 def test_digits_dataset_quantized():
