@@ -374,7 +374,8 @@ class _CsvText:
         choices = [d if isinstance(d, tuple) else (d,) for d in dtypes]
         pick = [0] * len(choices)
         while True:
-            dtype = np.dtype([(f"c{c}", d[i]) for c, (d, i) in enumerate(zip(choices, pick))])
+            dtype = np.dtype([(f"c{c}", d[i])
+                              for c, (d, i) in enumerate(zip(choices, pick))])
             try:
                 rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                                   quotechar='"', ndmin=1)
@@ -395,7 +396,7 @@ class _CsvText:
         number of each, from one csv row and one field count at a time."""
         rows = list(csv.reader(io.StringIO(self.text, newline="")))
         lines = [r for r, row in enumerate(rows, 1) if row and not row[0].startswith("#")]
-        lines = lines[1:]
+        lines = lines[1:]  # the first is the header
         if not lines:
             raise EmptyDataset(f"{self.path}: no data rows")
         body = [rows[r - 1] for r in lines]
