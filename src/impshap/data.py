@@ -9,7 +9,7 @@ population machinery can use them.
 import csv
 import hashlib
 import io
-import re
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -355,14 +355,12 @@ class _CsvText:
         """The data columns from one np.loadtxt call, column c read as
         dtypes[c], or None where the row path must read the file.
 
-        An entry of `dtypes` may be a tuple: a column np.loadtxt refuses as
-        one of them is read again as the next.  The data part must be ASCII
-        (np.loadtxt takes some other letters for digits) without
-        _ROW_PATH_CHARS, a line there must fit csv's field size limit, and
-        a comment line must not hold a quote, which could open a field that
-        runs on over the lines below.  Each data line must come back as one
-        row: that keeps out records spanning lines and any line np.loadtxt
-        would skip, such as a blank one.
+        The data part must be ASCII (np.loadtxt takes some other letters for
+        digits) without _ROW_PATH_CHARS, a line there must fit csv's field
+        size limit, and a comment line must not hold a quote, which could
+        open a field that runs on over the lines below.  Each data line must
+        come back as one row: that keeps out records spanning lines and any
+        line np.loadtxt would skip, such as a blank one.
         """
         body = self.text[self.start:]
         if (not body.isascii() or any(c in body for c in _ROW_PATH_CHARS)
@@ -371,22 +369,17 @@ class _CsvText:
         lines = [s for s in body.splitlines() if s and s[0] != "#"]
         if not lines or max(map(len, lines)) > csv.field_size_limit():
             return None
-        choices = [d if isinstance(d, tuple) else (d,) for d in dtypes]
-        pick = [0] * len(choices)
-        while True:
-            dtype = np.dtype([(f"c{c}", d[i])
-                              for c, (d, i) in enumerate(zip(choices, pick))])
-            try:
+        dtype = np.dtype([(f"c{c}", d) for c, d in enumerate(dtypes)])
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.23 to 1.26 truncate an integer field that only
+                # float() reads, with a DeprecationWarning; as an error it
+                # becomes numpy's usual ValueError.
+                warnings.simplefilter("error", DeprecationWarning)
                 rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                                   quotechar='"', ndmin=1)
-                break
-            except ValueError as exc:
-                # numpy names the column it cannot convert, counting from 1
-                bad = re.search(r"column (\d+)\.$", str(exc))
-                c = int(bad[1]) - 1 if bad else len(pick)
-                if c >= len(pick) or pick[c] + 1 == len(choices[c]):
-                    return None
-                pick[c] += 1
+        except ValueError:
+            return None
         if len(rows) != len(lines):
             return None
         return [np.ascontiguousarray(rows[name]) for name in dtype.names]
@@ -486,25 +479,20 @@ def _dataset(table, name) -> Dataset:
 
 def _columns(table, kinds):
     """Column metadata, data and weights from np.loadtxt, or None where the
-    row path must decide: it names the cell of any error."""
+    row path must decide: it infers the kinds of a file without a kind row
+    and names the cell of any error."""
+    if kinds is None:
+        return None
     weighted = table.header[-1] == "__weight__"
     names = table.header[:len(table.header) - weighted]
-    if kinds:
-        dtypes = [np.int64 if k == CATEGORICAL else np.float64 for k in kinds[:len(names)]]
-    else:
-        dtypes = [(np.int64, np.float64)] * len(names)
+    kinds = kinds[:len(names)]
+    dtypes = [np.int64 if k == CATEGORICAL else np.float64 for k in kinds]
     cols = table.load(dtypes + [np.float64] * weighted)
-    if cols is not None and not kinds:
-        # An integer column with a negative code or MAX_ARITY codes or more
-        # is numeric: read it again as float() reads it, so -0 is -0.0.
-        wide = [c.dtype == np.int64 and (c.min() < 0 or c.max() >= MAX_ARITY) for c in cols]
-        if any(wide):
-            cols = table.load([np.float64 if w else c.dtype for c, w in zip(cols, wide)])
     if cols is None:
         return None
     columns = []
-    for name, col in zip(names, cols):
-        if col.dtype == np.float64:
+    for name, kind, col in zip(names, kinds, cols):
+        if kind == NUMERIC:
             columns.append(ColumnMeta(name, NUMERIC))
         elif col.min() < 0 or col.max() >= MAX_ARITY:
             return None

@@ -1,6 +1,7 @@
 """Dataset generators, worked-example joints, CSV loading and quantization."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,52 @@ def test_benchmark_shaped_csvs_take_one_pass(tmp_path, monkeypatch):
         write_csv(ds, tmp_path / "d.csv", provenance=[f"seed: {s}"])
         assert load_csv(tmp_path / "d.csv").fingerprint() == ds.fingerprint()
         assert load_joint(tmp_path / "d.csv").arities == ds.arities
+
+
+def _loadtxt_parsing_integers_via_floats(real):
+    """np.loadtxt as numpy 1.23 to 1.26 have it: an integer field that only
+    float() reads is truncated, with a DeprecationWarning that, raised as an
+    error, becomes numpy's ValueError."""
+    def loadtxt(lines, dtype, **kwargs):
+        try:
+            return real(lines, dtype=dtype, **kwargs)
+        except ValueError:
+            floats = np.dtype([(name, np.float64) for name in dtype.names])
+            rows = real(lines, dtype=floats, **kwargs)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string to int64, column 1.") from exc
+        return rows.astype(dtype)
+    return loadtxt
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1,y,probability\n0,0,0.5\n1.5,1,0.5\n",
+        "a,y\n#kind: categorical,categorical\n0,0\n0.5,1\n",
+        "a,y\n0.5,0\n1.5,1\n2.5,0\n",
+    ],
+    ids=["joint-code", "declared-code", "inferred-numeric"],
+)
+def test_integers_parsed_via_floats_are_not_truncated(tmp_path, monkeypatch, text):
+    """A numpy that truncates '1.5' to an int64 1 with only a warning does
+    not change what the loaders return."""
+    old = _loadtxt_parsing_integers_via_floats(np.loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pair = np.dtype([("a", np.int64), ("b", np.int64)])
+        assert old(["1.5,0"], dtype=pair, delimiter=",")["a"] == 1
+    monkeypatch.setattr(np, "loadtxt", old)
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    for load, reference in ((load_csv, load_csv_by_rows),
+                            (load_joint_csv, load_joint_csv_by_rows),
+                            (load_joint, load_joint_by_rows)):
+        got, want = _outcome(load, path), _outcome(reference, path)
+        assert _same(got, want), (load.__name__, got, want)
 
 
 # Cells with a plain reading, and cells that int() or float() read where
