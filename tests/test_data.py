@@ -493,11 +493,15 @@ def csv_dir(tmp_path_factory):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(text=csv_texts())
 @example(text="a,y\n1,0\n#x,\"\n1,2\n#\"\n")  # a comment spanning a data line
+@example(text="x1,y,probability\n0,0,0.5\n#x,\"\n1,1,0.5\n#\"\n")  # the same, joint
 @example(text="x1,y,probability\n0,\"1\n0\",0.5\n1,1,0.5\n")  # a cell spanning lines
 @example(text="x1,y,probability\n0,0,0.5\n\u01fe,1,0.5\n")  # no digit to int()
 @example(text="a,y\n-0,0\n-1,1\n")  # an integer column read as numbers
 @example(text="x1,y,probability\n0,0,0.5\n \t\n1,1,0.5\n")  # a row of blanks
 @example(text="a,y\n0,0\n0,1e" + "0" * csv.field_size_limit() + "\n")  # csv refuses
+@example(text="x1,y,probability\n0,0,0.5\n1,1,0." + "5" * csv.field_size_limit())  # the same, joint
+@example(text="x1,y,probability\n0,0,0.5\n1\x1c,1,0.5\n")  # a blank to numpy only
+@example(text="x1,y,probability\n0,0,0.5\f1,1,0.5\n")  # a line end to splitlines only
 def test_loaders_match_the_reference_reader(csv_dir, text):
     """load_csv, load_joint_csv and load_joint return what the reference
     reader does, to the bit, or raise its exception with its message."""
