@@ -244,7 +244,8 @@ def _parse_instances(texts, arities):
 
 
 def _resolve_instances(args, dataset):
-    """Instances for local scoring: flags, a CSV file, or the training rows."""
+    """Instances for local scoring: flags, a CSV file, or the training rows
+    as one (n, p) float64 array."""
     arities = dataset.arities[:-1]
     if getattr(args, "instance", None):
         rows = _parse_instances(args.instance, arities)
@@ -266,7 +267,8 @@ def _resolve_instances(args, dataset):
         for i, row in enumerate(rows):
             _check_codes(row, arities, f"row {i + 1} of {args.instances}")
         return rows, tuple(range(len(rows)))
-    return dataset.instances(), tuple(range(dataset.n_rows))
+    x = np.column_stack(dataset.data[:-1]).astype(np.float64, copy=False)
+    return x, tuple(range(dataset.n_rows))
 
 
 def _forest_ks(args, n_features):

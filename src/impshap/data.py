@@ -387,7 +387,7 @@ class _CsvText:
     def scan(self):
         """The row path: the data rows as columns of cells, with the line
         number of each, from one csv row and one field count at a time."""
-        rows = list(csv.reader(io.StringIO(self.text, newline="")))
+        rows = list(_records(self.path, io.StringIO(self.text, newline="")))
         lines = [r for r, row in enumerate(rows, 1) if row and not row[0].startswith("#")]
         lines = lines[1:]  # the first is the header
         if not lines:
@@ -401,11 +401,21 @@ class _CsvText:
         return list(zip(*body)), lines
 
 
+def _records(path, fh):
+    """The csv records of `fh`; a csv.Error (such as a field longer than
+    csv.field_size_limit()) is a ParseError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _read_csv(path) -> _CsvText:
     """Read a CSV once and parse its header and kind rows with csv."""
     text = _read_text(path)
     fh = io.StringIO(text, newline="")
-    rows = enumerate(csv.reader(fh), 1)
+    rows = enumerate(_records(path, fh), 1)
     for _, row in rows:
         if row and not row[0].startswith("#"):
             break

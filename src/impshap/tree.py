@@ -103,13 +103,33 @@ class Tree:
         return len(self.feature)
 
 
+def _distinct_rows(x: np.ndarray):
+    """(first, inverse) for the rows of the C-contiguous 2-d array `x`,
+    keyed on their bytes: first[j] is where distinct row j first occurs, in
+    increasing order, and row i of `x` is row first[inverse[i]]."""
+    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
 class _BuildContext:
-    """Dataset unpacked for growth: the rows with positive weight, as one
-    list per column (the tree builder works on few rows at a time, where
-    plain loops beat array calls)."""
+    """Dataset unpacked for growth: its entries, as one list per column
+    (the tree builder works on few rows at a time, where plain loops beat
+    array calls), and the weight `ws` of each.
+
+    Without weights, the rows with the same float64 bytes (features and
+    output) are one entry, in order of first occurrence, weighted by their
+    multiplicity.  Every class count is then a sum of integers, exact in
+    any order, so the trees are those grown from the rows one by one.  With
+    weights, each row of positive weight is an entry: there the order of
+    the sums shows in the last bits.  `n_train` counts the rows of positive
+    weight either way.  A NaN in a numeric feature is refused, in any row:
+    no threshold can place it.
+    """
 
     __slots__ = ("cols", "kinds", "arities", "ys", "ws", "n_classes",
-                 "total_weight", "n_rows", "n_features")
+                 "total_weight", "n_rows", "n_train", "n_features")
 
     def __init__(self, dataset: Dataset):
         if dataset.n_rows == 0:
@@ -120,29 +140,38 @@ class _BuildContext:
                 f"output column {out_meta.name!r} must be categorical "
                 "(quantize numeric outputs first)"
             )
-        keep = slice(None)
-        if dataset.weights is not None:
+        for meta, col in zip(dataset.columns[:-1], dataset.data[:-1]):
+            if meta.kind != CATEGORICAL and np.isnan(col).any():
+                raise InvalidValue(f"numeric feature {meta.name!r} holds NaN")
+        if dataset.weights is None:
+            x = np.column_stack(dataset.data).astype(np.float64, copy=False)
+            keep, inverse = _distinct_rows(x)
+            ws = np.bincount(inverse).astype(np.float64)
+            self.n_train = dataset.n_rows
+        else:
             # zero-weight rows carry no mass and would only distort which
             # categories count as "seen"; they are not training samples
             keep = np.flatnonzero(dataset.weights > 0.0)
             if keep.size == 0:
                 raise EmptyDataset("dataset has zero total weight")
+            ws = dataset.weights[keep]
+            self.n_train = keep.size
         self.cols = [col[keep].tolist() for col in dataset.data[:-1]]
         self.kinds = [c.kind for c in dataset.columns[:-1]]
         self.arities = [c.arity for c in dataset.columns[:-1]]
         self.ys = dataset.output[keep].tolist()
         self.n_rows = len(self.ys)
-        self.ws = ([1.0] * self.n_rows if dataset.weights is None
-                   else dataset.weights[keep].tolist())
+        self.ws = ws.tolist()
         self.n_classes = out_meta.arity
         self.total_weight = float(sum(self.ws))
         self.n_features = dataset.n_features
 
 
 class _Node:
-    """One node state of a build: what a node computes from its rows, and
-    its splits.  `splits` is None until the state's first subtree is grown
-    and then caches each split a later tree asks for.  `rows` is a list
+    """One node state of a build: what a node computes from its rows, its
+    output `record` (impurity, mass, class distribution), and its splits.
+    `splits` is None until the state's first subtree is grown and then
+    caches each split a later tree asks for.  `rows` is a list
     while only the subtree being grown can reach the state, an int array
     once the state is kept, and None once nothing can read it again: at a
     leaf, once every admissible feature's split is cached, and once `copy`,
@@ -150,12 +179,14 @@ class _Node:
     known."""
 
     __slots__ = ("rows", "prefix", "cat", "mask", "counts", "weight", "imp",
-                 "dist", "admissible", "splits", "copy")
+                 "record", "admissible", "splits", "copy")
 
 
 def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
     """One tree per (rng, seed) pair of `rngs`, in order, grown straight
-    into packed columns from one memo of node states.
+    into packed columns from one memo of node states.  Rows are the entries
+    of `_BuildContext`: on unweighted data each distinct row once, so growth
+    costs per distinct row.
 
     At every impure node, min(k, #admissible) candidate features are drawn
     uniformly without replacement and the candidate with the largest mean
@@ -171,6 +202,10 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
     that never repeat are dropped with their subtree.  The RNG only draws
     the candidates, call for call as in a recursive build; a subtree that
     drew none is copied as an output slice.
+
+    Each node state builds its output record [impurity, mass, *dist] once,
+    and a node is emitted with one extend of a (n_nodes, 2 + n_classes)
+    column, of which `impurity`, `mass` and `dist` are column views.
     """
     ctx = _BuildContext(dataset)
     check_kind(impurity)
@@ -181,10 +216,11 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
     categorical = [kd == CATEGORICAL for kd in ctx.kinds]
     step = [(max(a or 0 for a in arities) + 1) ** f for f in range(n_features)]
     memo = {}
-    # output columns; children as offsets from their parent (0: none), so
-    # that a copied subtree slice stays valid
-    feat_out, thr_out, child_out = array("i"), array("d"), array("i")
-    imp_out, mass_out, dist_out = array("d"), array("d"), array("d")
+    # output columns, rec_out holding one node record per row; children as
+    # offsets from their parent (0: none), so that a copied subtree slice
+    # stays valid
+    feat_out, thr_out = array("i"), array("d")
+    child_out, rec_out = array("i"), array("d")
     width = max([a if c else 2 for c, a in zip(categorical, arities)], default=1)
     no_children = array("i", [0] * width)
     nan = float("nan")
@@ -199,7 +235,8 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
             counts[ys[i]] += ws[i]
         node.counts, node.weight = counts, sum(counts)
         node.imp = impurity_from_counts(counts, impurity)
-        node.dist = [c / node.weight for c in counts]
+        node.record = array("d", [node.imp, node.weight / total_weight,
+                                  *[c / node.weight for c in counts]])
         node.splits, node.copy, node.admissible = None, None, []
         if node.imp >= PURITY_EPS:
             for f, col in enumerate(cols):
@@ -272,25 +309,23 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
                     node.rows = None  # every child exists
         return found
 
-    def emit(f, thr, imp, mass, dist):
+    def emit(f, thr, record):
         feat_out.append(f)
         thr_out.append(thr)
         child_out.extend(no_children)
-        imp_out.append(imp)
-        mass_out.append(mass)
-        dist_out.extend(dist)
+        rec_out.extend(record)
 
     def grow(node):
         """Append the subtree of `node` in preorder; True when it drew no
         random number."""
         adm = node.admissible
         if not adm:
-            emit(LEAF, nan, node.imp, node.weight / total_weight, node.dist)
+            emit(LEAF, nan, node.record)
             return True
         if node.copy is not None:
             lo, hi = node.copy
             for out, size in ((feat_out, 1), (thr_out, 1), (child_out, width),
-                              (imp_out, 1), (mass_out, 1), (dist_out, n_classes)):
+                              (rec_out, 2 + n_classes)):
                 out.extend(out[lo * size:hi * size])
             return True
         drew = len(adm) > k
@@ -307,12 +342,12 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
                 best = (f, found)
         f, (_, thr, kids) = best
         node_id = len(feat_out)
-        emit(f, thr, node.imp, node.weight / total_weight, node.dist)
+        emit(f, thr, node.record)
         fixed, rel = not drew, []
         for child in kids:
             rel.append(len(feat_out) - node_id)
             if child is None:  # unseen category: zero mass, parent's dist
-                emit(LEAF, nan, 0.0, 0.0, node.dist)
+                emit(LEAF, nan, array("d", [0.0, 0.0, *node.record[2:]]))
             else:
                 fixed = grow(child) and fixed
         child_out[node_id * width:node_id * width + len(rel)] = array("i", rel)
@@ -336,12 +371,12 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
     none = kids == 0
     kids += np.arange(len(kids), dtype=np.int32)[:, None]
     kids[none] = LEAF
+    record = np.frombuffer(rec_out).reshape(-1, 2 + n_classes)
     return PackedTrees(
         np.frombuffer(feat_out, dtype=np.int32), np.frombuffer(thr_out), kids,
-        np.frombuffer(imp_out), np.frombuffer(mass_out),
-        np.frombuffer(dist_out).reshape(-1, n_classes),
+        record[:, 0], record[:, 1], record[:, 2:],
         np.array(offsets, dtype=np.int64),
-        tuple(seeds), k, impurity, ctx.n_rows, tuple(ctx.kinds), tuple(arities),
+        tuple(seeds), k, impurity, ctx.n_train, tuple(ctx.kinds), tuple(arities),
     )
 
 
@@ -396,12 +431,8 @@ def traverse(packed: PackedTrees, instances, width: int, move=None,
     p = packed.n_features
     if x.shape != (n, p):
         raise ValueError(f"instances must have {p} values each")
-    # distinct rows keyed on their bytes, in order of first occurrence:
     # instance i is distinct row inverse[i], first met at first[inverse[i]]
-    keys = x.view(np.dtype((np.void, x.itemsize * p))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    first, inverse = first[order], np.argsort(order)[inverse.reshape(-1)]
+    first, inverse = _distinct_rows(x)
     m = len(first)
     acc = np.zeros((m, width))
     x = x.ravel()

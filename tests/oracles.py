@@ -531,7 +531,11 @@ def spearman(xs, ys) -> float:
 
 def _csv_by_rows(path):
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     lines = [r for r, row in enumerate(rows, 1) if row and not row[0].startswith("#")]
     if not lines:
         raise ParseError(f"{path}: no header row")

@@ -367,6 +367,9 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "--instances", "{non_integer_instances}"],
         ["pop-mdi", "--data", "{invalid_utf8}"],
         ["global", "--data", "{invalid_utf8}", "--trees", "3"],
+        ["global", "--data", "{nan_feature}", "--trees", "3"],
+        ["local", "--data", "{nan_feature}", "--trees", "3"],
+        ["pop-mdi", "--data", "{long_field}"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
@@ -379,7 +382,9 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "numeric-input-pop-mdi", "numeric-input-shapley", "numeric-input-verify",
          "numeric-output-global", "numeric-output-local",
          "k-on-joint-command", "trees-on-joint-command",
-         "non-integer-instance-file", "invalid-utf8-joint", "invalid-utf8-dataset"],
+         "non-integer-instance-file", "invalid-utf8-joint", "invalid-utf8-dataset",
+         "nan-numeric-feature-global", "nan-numeric-feature-local",
+         "field-beyond-csv-limit"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {
@@ -393,6 +398,8 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
         "numeric_output": "a,y\n0,0.5\n1,1.5\n",
         "non_integer_instances": "a,b,c,d,e,f,g\n1.7,1,1,0,1,1,1\n",
         "invalid_utf8": b"x1,y,probability\n0,0,0.5\n1,1,0.\xff5\n",
+        "nan_feature": "a,y\n0.5,0\nnan,1\n1.5,1\n",
+        "long_field": "x1,y,probability\n0,0,0.5\n1,1,0.5" + "0" * 131072 + "\n",
     }
     for name, text in files.items():
         raw = text if isinstance(text, bytes) else text.encode()

@@ -325,6 +325,25 @@ def test_csv_invalid_utf8_names_the_byte(tmp_path):
             load(path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("x1,y,probability\n0,0,0.5\n1,1,0.5" + "0" * csv.field_size_limit() + "\n", 3),
+        ("a,y\n#kind: categorical,categorical\n0,0\n1,1" + "0" * csv.field_size_limit(), 4),
+        ("a" * (csv.field_size_limit() + 1) + ",y\n0,0\n", 1),
+    ],
+    ids=["joint-data", "dataset-data", "header"],
+)
+def test_csv_field_beyond_the_limit_is_a_parse_error(tmp_path, text, line):
+    """csv refuses a field longer than csv.field_size_limit(); every loader
+    says so in a ParseError naming the file and the line."""
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    for load in (load_csv, load_joint_csv, load_joint):
+        with pytest.raises(ParseError, match=rf"long\.csv:{line}: field larger than field limit"):
+            load(path)
+
+
 def test_csv_writers_write_utf8(tmp_path):
     ds = Dataset(
         [ColumnMeta("größe", "categorical", 2), ColumnMeta("y", "categorical", 2)],

@@ -12,6 +12,8 @@ drawn deterministically, so every run checks the same builds.
 import hashlib
 import json
 import random
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from oracles import grow_trees_recursive
 
 from impshap import cli
-from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset
+from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset, write_csv
 from impshap.errors import EmptyDataset, NoAdmissibleFeature
 from impshap.impurity import KINDS
 from impshap.tree import NODE_ARRAYS, grow_trees
@@ -186,3 +188,97 @@ def test_repeated_rows_reports_are_frozen(capsys, tmp_path, monkeypatch, argv):
     code = cli.main(argv[:1] + ["--data", "rows.csv"] + argv[1:])
     assert code == 0
     assert sha256(capsys.readouterr().out) == REPEATED_ROWS_DIGESTS[argv[0]]
+
+
+UNWEIGHTED = {name: s for name, s in DATASETS.items() if name != "weighted"}
+
+
+@PROPERTY
+@given(n_distinct=st.integers(1, 12), **UNWEIGHTED)
+def test_repeated_rows_grow_as_their_counts(seed, kinds, n_rows, n_classes, k,
+                                            n_trees, impurity, n_distinct):
+    """An unweighted dataset with repeated rows, its distinct rows once each
+    weighted by their multiplicities, and a row permutation of it grow the
+    same trees and leave every RNG in the same state: every class count is
+    a sum of integers, exact in any order."""
+    rng = np.random.default_rng(seed)
+    pool = random_rows(rng, kinds, n_classes, n_distinct)
+    data = [col[rng.integers(0, n_distinct, n_rows)] for col in pool]
+    meta = columns(kinds, n_classes)
+    # distinct rows in sorted order, not in order of first occurrence
+    distinct, counts = np.unique(np.column_stack(data), axis=0, return_counts=True)
+    perm = rng.permutation(n_rows)
+    datasets = [
+        Dataset(meta, data),
+        Dataset(meta, list(distinct.T), weights=counts.astype(np.float64)),
+        Dataset(meta, [col[perm] for col in data]),
+    ]
+    k = min(k, len(kinds))
+    rngs = [seeded(seed, n_trees) for _ in datasets]
+    got = [build(grow_trees, ds, k, impurity, r) for ds, r in zip(datasets, rngs)]
+    for packed in got[1:]:
+        if not isinstance(packed, type):
+            packed = replace(packed, n_train=got[0].n_train)
+        assert_same_trees(packed, got[0])
+    states = [[r.getstate() for r, _ in pairs] for pairs in rngs]
+    assert states[1] == states[0] and states[2] == states[0]
+    if not isinstance(got[0], type):
+        assert [p.n_train for p in got] == [n_rows, len(counts), n_rows]
+
+
+def repeated_mixed_rows(seed, n_rows=400, n_distinct=30):
+    """Rows drawn with repeats from a pool of `n_distinct`: two numeric
+    features with tied values and two categorical ones, three classes."""
+    rng = np.random.default_rng(seed)
+    kinds = (0, 3, 0, 4)
+    pool = random_rows(rng, kinds, 3, n_distinct, top=True)
+    pool[2] = np.round(rng.normal(size=n_distinct), 1)
+    pick = rng.integers(0, n_distinct, n_rows)
+    return Dataset(columns(kinds, 3), [col[pick] for col in pool])
+
+
+# whole stdout on `repeated_mixed_rows(17)`, computed when every row was
+# grown and walked one at a time
+REPEATED_MIXED_DIGESTS = {
+    "global": "3549bb985ba580b68de3a86ea582c222424cf206bee1c24e95db2d431b843a71",
+    "local": "1a3a529922f0336dce9b10b4baa566be17b0268985ad53705e839c6ad645575c",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["global", "--k-sweep", "1..3", "--trees", "25", "--seed", "8",
+         "--format", "json"],
+        ["local", "--method", "local-mdi,saabas", "--k", "2", "--trees", "25",
+         "--seed", "8", "--format", "json"],
+    ],
+    ids=list(REPEATED_MIXED_DIGESTS),
+)
+def test_repeated_mixed_rows_reports_are_frozen(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_csv(repeated_mixed_rows(17), "mixed.csv")
+    code = cli.main(argv[:1] + ["--data", "mixed.csv"] + argv[1:])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == REPEATED_MIXED_DIGESTS[argv[0]]
+
+
+# tracemalloc peak of the build below, in bytes, measured when every row
+# was grown one at a time; growth may take at most 10% more
+GROWTH_PEAK_BYTES = 190_084
+
+
+def test_growth_peak_memory():
+    rng = np.random.default_rng(5)
+    n_rows, n_features = 300, 5
+    data = [rng.normal(size=n_rows) for _ in range(n_features)]
+    data.append(rng.integers(0, 3, n_rows))
+    ds = Dataset(columns((0,) * n_features, 3), data)
+    grow_trees(ds, 3, "entropy", seeded(1, 1))  # first-call allocations
+    tracemalloc.start()
+    try:
+        grow_trees(ds, 3, "entropy", seeded(1, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.10 * GROWTH_PEAK_BYTES, peak

@@ -15,7 +15,12 @@ from oracles import (
 )
 
 from impshap.data import ColumnMeta, Dataset, builtin_dataset
-from impshap.errors import EmptyDataset, MissingFeatureValue, NoAdmissibleFeature
+from impshap.errors import (
+    EmptyDataset,
+    InvalidValue,
+    MissingFeatureValue,
+    NoAdmissibleFeature,
+)
 from impshap.forest import Forest, predict_proba
 from impshap.impurity import ENTROPY
 from impshap.tree import grow_trees, mdi_by_tree
@@ -67,6 +72,20 @@ def test_constant_columns_raise():
         [np.array([1, 1, 1]), np.array([0, 1, 0])],
     )
     with pytest.raises(NoAdmissibleFeature):
+        one_tree(ds, 1, 0)
+
+
+@pytest.mark.parametrize("weights", [None, [1.0, 0.0, 1.0]], ids=["unweighted", "zero-weight"])
+def test_nan_in_numeric_feature_raises(weights):
+    """No threshold can place a NaN, and sorting it would make the trees
+    depend on row order: refused, also on a zero-weight row."""
+    ds = Dataset(
+        [ColumnMeta("a", "categorical", 2), ColumnMeta("size", "numeric"),
+         ColumnMeta("y", "categorical", 2)],
+        [np.array([0, 1, 0]), np.array([0.5, np.nan, 1.5]), np.array([0, 1, 1])],
+        weights=weights,
+    )
+    with pytest.raises(InvalidValue, match="numeric feature 'size' holds NaN"):
         one_tree(ds, 1, 0)
 
 
