@@ -59,6 +59,7 @@ from .tu_game import (
     shapley_exact,
 )
 
+BUILTIN_DATASETS = ("led", "led-sampled", "table1-y1", "table1-y2", "table2", "digits")
 BUILTIN_JOINTS = ("led", "table1-y1", "table1-y2", "table2")
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -187,8 +188,10 @@ def _instance_flags(p):
 
 
 def _resolve_dataset(args):
+    """A builtin name first, like `_resolve_joint`; `./led` reaches a file
+    named led."""
     name = args.data
-    if os.path.exists(name):
+    if name not in BUILTIN_DATASETS and os.path.exists(name):
         return load_csv(name)
     try:
         return builtin_dataset(
@@ -244,31 +247,25 @@ def _parse_instances(texts, arities):
 
 
 def _resolve_instances(args, dataset):
-    """Instances for local scoring: flags, a CSV file, or the training rows
-    as one (n, p) float64 array."""
+    """Instances for local scoring, as one (n, p) float64 array: the
+    --instance flags, the feature columns of an --instances file (a last
+    extra column, such as the output, is dropped), or the training rows."""
     arities = dataset.arities[:-1]
     if getattr(args, "instance", None):
-        rows = _parse_instances(args.instance, arities)
-        return rows, tuple(range(len(rows)))
+        return np.array(_parse_instances(args.instance, arities), dtype=np.float64)
+    cols = dataset.data[:-1]
     if getattr(args, "instances", None):
-        ds = load_csv(args.instances)
+        ds = load_csv(args.instances)  # a file without data rows exits 2
         want = dataset.n_features
-        if len(ds.columns) == want + 1:
-            rows = ds.instances()
-        elif len(ds.columns) == want:
-            rows = [ds.row(i) for i in range(ds.n_rows)]
-        else:
+        if len(ds.columns) not in (want, want + 1):
             raise UsageError(
                 f"instance file has {len(ds.columns)} columns, "
                 f"expected {want} or {want + 1}"
             )
-        if not rows:
-            raise UsageError(f"instance file {args.instances} has no rows")
-        for i, row in enumerate(rows):
+        cols = ds.data[:want]
+        for i, row in enumerate(zip(*cols)):
             _check_codes(row, arities, f"row {i + 1} of {args.instances}")
-        return rows, tuple(range(len(rows)))
-    x = np.column_stack(dataset.data[:-1]).astype(np.float64, copy=False)
-    return x, tuple(range(dataset.n_rows))
+    return np.column_stack(cols).astype(np.float64, copy=False)
 
 
 def _forest_ks(args, n_features):
@@ -412,20 +409,16 @@ def _local_matrices(args, methods):
     _forest_ks(args, dataset.n_features)
     if SAABAS in methods:
         _check_class_index(args, dataset)
-    instances, ids = _resolve_instances(args, dataset)
+    instances = _resolve_instances(args, dataset)
     forest = build_forest(
         dataset, args.k, args.trees, impurity=args.impurity, seed=args.seed
     )
     matrices = []
     for method in methods:
         if method == LOCAL_MDI:
-            matrices.append(local_mdi(forest, instances, instance_ids=ids))
+            matrices.append(local_mdi(forest, instances))
         else:
-            matrices.append(
-                saabas(forest, instances,
-                       class_index=args.class_index,
-                       instance_ids=ids)
-            )
+            matrices.append(saabas(forest, instances, class_index=args.class_index))
     return dataset, matrices
 
 
@@ -433,7 +426,7 @@ def _emit_local(args, argv, dataset, matrices) -> int:
     rows = (
         (inst_id, m, _fmt(v), mat.method)
         for mat in matrices
-        for inst_id, scores in zip(mat.instance_ids, mat.scores.tolist())
+        for inst_id, scores in enumerate(mat.scores.tolist())
         for m, v in enumerate(scores)
     )
     results = {
@@ -630,18 +623,15 @@ def cmd_compare(args, argv) -> int:
     dataset = _resolve_dataset(args)
     ks = _forest_ks(args, dataset.n_features)
     _check_class_index(args, dataset)
-    instances, ids = _resolve_instances(args, dataset)
+    instances = _resolve_instances(args, dataset)
     per_k = []
     for k in ks:
         forest = build_forest(
             dataset, k, args.trees, impurity=args.impurity, seed=args.seed
         )
-        lm = local_mdi(forest, instances, instance_ids=ids)
-        sb = saabas(forest, instances,
-                    class_index=args.class_index, instance_ids=ids)
-        per_k.append(
-            {"k": k, **correlation_report(lm, sb, mode="absolute").to_json_dict()}
-        )
+        lm = local_mdi(forest, instances)
+        sb = saabas(forest, instances, class_index=args.class_index)
+        per_k.append({"k": k, **correlation_report(lm, sb).to_json_dict()})
     rows = (
         (item["k"], metric,
          *(_fmt(item["summary"][metric][q]) for q in ("mean", "min", "max")),

@@ -145,14 +145,14 @@ class Dataset:
         return f"Dataset(n_rows={self.n_rows}, n_features={self.n_features}{tag})"
 
 
-def led_population(name: str = "led") -> Dataset:
+def led_population() -> Dataset:
     """The 10-row noiseless LED population: one row per digit."""
     cols = [
         ColumnMeta(name, CATEGORICAL, arity=2) for name in LED_SEGMENT_NAMES
     ] + [ColumnMeta("digit", CATEGORICAL, arity=10)]
     data = [np.array([LED_PATTERNS[d][s] for d in range(10)]) for s in range(7)]
     data.append(np.arange(10))
-    return Dataset(cols, data, name=name)
+    return Dataset(cols, data, name="led")
 
 
 def led_sampled(n: int, seed: int = 0) -> Dataset:
@@ -267,15 +267,19 @@ def random_joint(
     )
 
 
-def quantize(dataset: Dataset, column, bins: int) -> Dataset:
-    """Equal-width binning of one numeric column over its observed range.
+def quantize(dataset: Dataset, column: str, bins: int) -> Dataset:
+    """Equal-width binning of the numeric column named `column` over its
+    observed range.
 
     The replacement column is categorical with `bins` categories and the
     interior edges recorded in its metadata.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    idx = _column_index(dataset, column)
+    names = [meta.name for meta in dataset.columns]
+    if column not in names:
+        raise ValueError(f"no column named {column!r}")
+    idx = names.index(column)
     meta = dataset.columns[idx]
     if meta.kind != NUMERIC:
         raise ValueError(f"column {meta.name!r} is already categorical")
@@ -303,18 +307,6 @@ def quantize_all(dataset: Dataset, bins: int) -> Dataset:
         if meta.kind == NUMERIC:
             out = quantize(out, meta.name, bins)
     return out
-
-
-def _column_index(dataset: Dataset, column) -> int:
-    if isinstance(column, (int, np.integer)):
-        idx = int(column)
-        if not 0 <= idx < len(dataset.columns):
-            raise ValueError(f"column index {idx} out of range")
-        return idx
-    for i, meta in enumerate(dataset.columns):
-        if meta.name == column:
-            return i
-    raise ValueError(f"no column named {column!r}")
 
 
 # Characters that send a file down the row path: str.splitlines breaks lines
@@ -477,14 +469,14 @@ def _kinds(table) -> list | None:
     return kinds
 
 
-def _dataset(table, name) -> Dataset:
+def _dataset(table) -> Dataset:
     try:
         kinds = _kinds(table)
     except ParseError:
         table.scan()  # a wrong field count is reported first
         raise
     columns, data, weights = _columns(table, kinds) or _columns_by_rows(table, kinds)
-    return Dataset(columns, data, weights=weights, name=name or str(table.path))
+    return Dataset(columns, data, weights=weights, name=str(table.path))
 
 
 def _columns(table, kinds):
@@ -547,14 +539,14 @@ def _parse_column(path, name, cells, lines, kind):
     return ColumnMeta(name, NUMERIC), _parse(path, name, cells, lines)
 
 
-def load_csv(path, name=None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a dataset CSV: header row, optional '#kind:' row, data rows.
 
     Without a kind row, a column is categorical when every value is a
     nonnegative integer with at most MAX_ARITY distinct codes, numeric
     otherwise.  Other rows starting with '#' are comments.
     """
-    return _dataset(_read_csv(path), name)
+    return _dataset(_read_csv(path))
 
 
 def write_csv(dataset: Dataset, path, provenance=None) -> None:
@@ -582,7 +574,7 @@ def write_csv(dataset: Dataset, path, provenance=None) -> None:
             writer.writerow(row)
 
 
-def _joint(table, name) -> JointDistribution:
+def _joint(table) -> JointDistribution:
     path, header = table.path, table.header
     if len(header) < 3 or header[-1] != "probability":
         table.scan()  # a wrong field count is reported first
@@ -596,11 +588,11 @@ def _joint(table, name) -> JointDistribution:
         cols.append(_parse(path, header[-1], cells[-1], lines))
     arities = tuple(int(c.max()) + 1 for c in cols[:-1])
     return JointDistribution(
-        arities, cell_sums(cols[:-1], arities, cols[-1]), name=name or str(path)
+        arities, cell_sums(cols[:-1], arities, cols[-1]), name=str(path)
     )
 
 
-def load_joint_csv(path, name=None) -> JointDistribution:
+def load_joint_csv(path) -> JointDistribution:
     """Load a joint distribution from rows of (config..., probability).
 
     The header names the input variables, then the output, then a final
@@ -608,17 +600,17 @@ def load_joint_csv(path, name=None) -> JointDistribution:
     code seen per variable; omitted configurations have probability zero
     and repeated ones add up.
     """
-    return _joint(_read_csv(path), name)
+    return _joint(_read_csv(path))
 
 
-def load_joint(path, name=None) -> JointDistribution:
+def load_joint(path) -> JointDistribution:
     """The joint of a CSV, read once: a joint CSV (last header field
     `probability`) as `load_joint_csv` reads it, any other CSV as the
     empirical joint of the dataset `load_csv` reads from it."""
     table = _read_csv(path)
     if table.header[-1] == "probability":
-        return _joint(table, name)
-    return joint_from_samples(_dataset(table, name))
+        return _joint(table)
+    return joint_from_samples(_dataset(table))
 
 
 def write_joint_csv(j: JointDistribution, path, names=None) -> None:

@@ -49,10 +49,6 @@ class NonZeroEmptyCoalition(ImpshapError):
     """A characteristic function with v(empty) != 0."""
 
 
-class InvalidSetting(ImpshapError):
-    """An environment variable holds a value the package cannot use."""
-
-
 class InternalConsistencyError(ImpshapError):
     """A quantity violated a tolerance that rounding alone cannot explain."""
 

@@ -10,7 +10,6 @@ the three path measures each make one `tree.traverse` call.
 """
 
 import hashlib
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidSetting
 from .impurity import ENTROPY
 from .tree import PackedTrees, Tree, grow_trees, mdi_by_tree, traverse
 
@@ -29,19 +27,6 @@ SAABAS = "saabas"
 def _tree_seed(master_seed: int, index: int) -> int:
     digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _thread_budget() -> int:
-    text = os.environ.get("IMPSHAP_THREADS", "1")
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise InvalidSetting(
-            f"IMPSHAP_THREADS must be an integer >= 1, got {text!r}"
-        )
-    return n
 
 
 class Forest:
@@ -85,14 +70,12 @@ def build_forest(
     n_trees: int,
     impurity: str = ENTROPY,
     seed: int = 0,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
 ) -> Forest:
     """Grow `n_trees` independent trees; deterministic in (dataset, k,
     n_trees, impurity, seed) whatever the worker count."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
-    if n_jobs is None:
-        n_jobs = _thread_budget()
     if n_jobs <= 1 or n_trees < 4 * n_jobs:
         nodes = _build_range(dataset, k, impurity, seed, 0, n_trees)
     else:
@@ -124,7 +107,6 @@ class LocalImportanceMatrix:
 
     scores: np.ndarray  # (n_instances, n_features)
     method: str  # LOCAL_MDI or SAABAS
-    instance_ids: tuple
     k: int
     impurity: str
     seed: int
@@ -144,7 +126,7 @@ class LocalImportanceMatrix:
             "k": self.k,
             "impurity": self.impurity,
             "seed": self.seed,
-            "instance_ids": list(self.instance_ids),
+            "instance_ids": list(range(self.n_instances)),
             "scores": self.scores.tolist(),
         }
         if self.classes is not None:
@@ -152,7 +134,7 @@ class LocalImportanceMatrix:
         return d
 
 
-def local_mdi(forest: Forest, instances, instance_ids=None) -> LocalImportanceMatrix:
+def local_mdi(forest: Forest, instances) -> LocalImportanceMatrix:
     """Sum of impurity drops i(t) - i(t_child) along each instance's paths,
     per split feature, averaged over trees.  Scores can be negative."""
     imp = forest.nodes.impurity
@@ -165,7 +147,6 @@ def local_mdi(forest: Forest, instances, instance_ids=None) -> LocalImportanceMa
     return LocalImportanceMatrix(
         scores=acc,
         method=LOCAL_MDI,
-        instance_ids=tuple(instance_ids or range(len(instances))),
         k=forest.k,
         impurity=forest.impurity,
         seed=forest.seed,
@@ -184,10 +165,7 @@ def predict_proba(forest: Forest, instances) -> np.ndarray:
 
 
 def saabas(
-    forest: Forest,
-    instances,
-    class_index: int | None = None,
-    instance_ids=None,
+    forest: Forest, instances, class_index: int | None = None
 ) -> LocalImportanceMatrix:
     """Changes in the probability of one class collected along paths.
 
@@ -215,7 +193,6 @@ def saabas(
     return LocalImportanceMatrix(
         scores=acc,
         method=SAABAS,
-        instance_ids=tuple(instance_ids or range(len(instances))),
         k=forest.k,
         impurity=forest.impurity,
         seed=forest.seed,
@@ -233,14 +210,13 @@ class CorrelationReport:
 
     pearson: np.ndarray  # NaN where undefined
     spearman: np.ndarray
-    mode: str
     methods: tuple
     n_undefined: int = 0
     summary: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "absolute",
             "methods": list(self.methods),
             "pearson": [None if np.isnan(v) else float(v) for v in self.pearson],
             "spearman": [None if np.isnan(v) else float(v) for v in self.spearman],
@@ -272,19 +248,15 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 
 def correlation_report(
-    a: LocalImportanceMatrix, b: LocalImportanceMatrix, mode: str = "absolute"
+    a: LocalImportanceMatrix, b: LocalImportanceMatrix
 ) -> CorrelationReport:
-    """Instance-wise Pearson and Spearman between two score matrices."""
+    """Instance-wise Pearson and Spearman between the absolute values of two
+    score matrices."""
     if a.scores.shape != b.scores.shape:
         raise ValueError(
             f"shape mismatch: {a.scores.shape} vs {b.scores.shape}"
         )
-    if a.instance_ids != b.instance_ids:
-        raise ValueError("instance sets differ")
-    if mode not in ("absolute", "raw"):
-        raise ValueError("mode must be 'absolute' or 'raw'")
-    xs = np.abs(a.scores) if mode == "absolute" else a.scores
-    ys = np.abs(b.scores) if mode == "absolute" else b.scores
+    xs, ys = np.abs(a.scores), np.abs(b.scores)
     undefined = (np.ptp(xs, axis=1) == 0.0) | (np.ptp(ys, axis=1) == 0.0)
     xs, ys = xs[~undefined], ys[~undefined]
     pearson = np.full(len(undefined), np.nan)
@@ -302,7 +274,6 @@ def correlation_report(
     return CorrelationReport(
         pearson=pearson,
         spearman=spearman,
-        mode=mode,
         methods=(a.method, b.method),
         n_undefined=int(undefined.sum()),
         summary=summary,

@@ -292,7 +292,11 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
                 + wr / total * impurity_from_counts(right, impurity)
             )
             if best is None or gain > best[0]:
-                best = (gain, (v + nxt) / 2.0, pos)
+                # a row goes right when its value is > the threshold, so the cut
+                # must lie in [v, nxt): the midpoint does not with an infinite
+                # value, an overflowing sum, or a sum that rounds up to nxt
+                mid = (v + nxt) / 2.0
+                best = (gain, mid if v <= mid < nxt else v, pos)
         gain, thr, cut = best
         key = node.cat if node.prefix is None else (node.prefix, node.cat)
         return gain, thr, [state(part, (key, f, side), node.cat, node.mask,

@@ -404,7 +404,11 @@ def grow_trees_recursive(dataset, k, impurity, rngs):
                 + wr / total * impurity_from_counts(right, impurity)
             )
             if best is None or gain > best[0]:
-                best = (gain, (v + nxt) / 2.0, pos)
+                # a row goes right when its value is > the threshold, so the cut
+                # must lie in [v, nxt): the midpoint does not with an infinite
+                # value, an overflowing sum, or a sum that rounds up to nxt
+                mid = (v + nxt) / 2.0
+                best = (gain, mid if v <= mid < nxt else v, pos)
         if best is None:
             return None
         gain, thr, cut = best

@@ -231,7 +231,7 @@ def test_criterion_10_local_measure_correlation():
     instances = led.instances()
     lm = local_mdi(forest, instances)
     sb = saabas(forest, instances)
-    rep = correlation_report(lm, sb, mode="absolute")
+    rep = correlation_report(lm, sb)
     elapsed = time.perf_counter() - t0
     assert rep.n_undefined == 0
     assert rep.summary["pearson"]["mean"] >= 0.93

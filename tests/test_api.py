@@ -1,6 +1,7 @@
-"""The package's public names: the export list stays whole and unique; and
-what importing the CLI loads."""
+"""The package's public names: the export list stays whole and unique;
+what importing the CLI loads; and that no module reads the environment."""
 
+import ast
 import json
 import os
 import subprocess
@@ -41,3 +42,22 @@ def test_cli_import_loads_only_numpy():
     # dunder names such as __mp_main__ are aliases of modules, not packages
     packages = [m for m in json.loads(out) if not m.startswith("__")]
     assert packages == ["impshap", "numpy"]
+
+
+def test_package_reads_no_environment_variable():
+    """Reports depend on the command line and the input files alone, so
+    identical invocations give byte-identical reports in any environment."""
+    env_names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(impshap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names if n in env_names]
+    assert found == []

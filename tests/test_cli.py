@@ -209,16 +209,78 @@ def test_saabas_command(capsys):
 
 
 def test_instances_file(capsys, tmp_path):
-    inst = tmp_path / "inst.csv"
-    inst.write_text(
-        "top,top_left,top_right,middle,bottom_left,bottom_right,bottom\n"
-        "1,1,1,1,1,1,1\n0,0,1,0,0,1,0\n"
-    )
-    code, out = run(capsys, ["local", "--data", "led", "--trees", "30",
-                             "--seed", "0", "--instances", str(inst),
-                             "--format", "json"])
-    assert code == 0
-    assert len(json.loads(out)["results"]["matrices"][0]["scores"]) == 2
+    """A file holds the p feature columns, or p + 1 with a last column (the
+    output) that is dropped; both give the same scores."""
+    header = "top,top_left,top_right,middle,bottom_left,bottom_right,bottom"
+    rows = ["1,1,1,1,1,1,1", "0,0,1,0,0,1,0"]
+    files = {
+        "inst.csv": [header] + rows,
+        "inst-y.csv": [header + ",digit"] + [r + ",8" for r in rows],
+    }
+    matrices = []
+    for name, lines in files.items():
+        inst = tmp_path / name
+        inst.write_text("\n".join(lines) + "\n")
+        code, out = run(capsys, ["local", "--data", "led", "--trees", "30",
+                                 "--seed", "0", "--method", "local-mdi,saabas",
+                                 "--instances", str(inst), "--format", "json"])
+        assert code == 0
+        matrices.append(json.loads(out)["results"]["matrices"])
+    assert len(matrices[0][0]["scores"]) == 2
+    assert matrices[0] == matrices[1]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--instance", "1,1"], "--instance '1,1' has 2 values, expected 7"),
+        (["--instance", "1,a,1,1,1,1,1"],
+         "bad --instance '1,a,1,1,1,1,1': values must be integer codes"),
+        (["--instance", "2,1,1,1,1,1,1"],
+         "--instance '2,1,1,1,1,1,1': value 2 out of range for feature 0 (arity 2)"),
+        (["--instances", "nonint.csv"],
+         "row 1 of nonint.csv: value 1.7 for feature 0 is not an integer code"),
+        (["--instances", "oor.csv"],
+         "row 1 of oor.csv: value 2 out of range for feature 6 (arity 2)"),
+        (["--instances", "narrow.csv"],
+         "instance file has 3 columns, expected 7 or 8"),
+        (["--instances", "empty.csv"], "empty.csv: no data rows"),
+    ],
+    ids=["instance-too-few", "instance-not-integer", "instance-beyond-arity",
+         "file-not-integral", "file-beyond-arity", "file-column-count",
+         "file-no-rows"],
+)
+def test_instance_input_errors_are_pinned(capsys, tmp_path, monkeypatch, flags,
+                                          message):
+    header = "a,b,c,d,e,f,g\n"
+    files = {
+        "nonint.csv": header + "1.7,1,1,0,1,1,1\n",
+        "oor.csv": header + "0,0,1,0,0,1,2\n",
+        "narrow.csv": "a,b,c\n1,1,1\n",
+        "empty.csv": header,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["local", "--data", "led", "--trees", "3", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_builtin_data_names_come_before_files(capsys, tmp_path, monkeypatch):
+    """--data led is the builtin for every command, even with a file named
+    led in the working directory; ./led reaches the file."""
+    (tmp_path / "led").write_text("a,y\n0,0\n1,1\n")
+    monkeypatch.chdir(tmp_path)
+    for data, p in (("led", 7), ("./led", 1)):
+        code, out = run(capsys, ["global", "--data", data, "--trees", "3",
+                                 "--format", "json"])
+        assert code == 0
+        assert len(json.loads(out)["results"]["per_k"][0]["scores"]) == p
+        code, out = run(capsys, ["pop-mdi", "--data", data, "--format", "json"])
+        assert code == 0
+        assert len(json.loads(out)["results"]["importances"][0]["scores"]) == p
 
 
 def test_instances_file_accepts_integral_floats(capsys, tmp_path):
@@ -454,17 +516,6 @@ def test_class_index_is_checked_only_where_read(capsys):
             "--instance", "1,1,1,0,1,1,1", "--class-index", "12"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("value", ["abc", "0"], ids=["not-integer", "zero"])
-def test_bad_thread_budget_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("IMPSHAP_THREADS", value)
-    code = cli.main(["global", "--data", "led", "--trees", "5"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: IMPSHAP_THREADS")
 
 
 def test_several_instances_match_single_instance_calls(capsys, tables):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 import oracles
 from impshap.data import ColumnMeta, Dataset, builtin_dataset, led_population
-from impshap.errors import InvalidSetting
 from impshap.forest import (
     LOCAL_MDI,
     SAABAS,
     LocalImportanceMatrix,
-    _thread_budget,
     build_forest,
     correlation_report,
     global_mdi,
@@ -211,19 +209,10 @@ def test_saabas_class_validation(led_ds):
 def test_correlation_report_identity(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=100, seed=0)
     lm = local_mdi(forest, led_ds.instances())
-    rep = correlation_report(lm, lm, mode="absolute")
+    rep = correlation_report(lm, lm)
     assert rep.summary["pearson"]["mean"] == pytest.approx(1.0, abs=1e-12)
     assert rep.summary["spearman"]["mean"] == pytest.approx(1.0, abs=1e-12)
     assert rep.n_undefined == 0
-
-
-def test_correlation_report_anticorrelation(led_ds):
-    forest = build_forest(led_ds, k=1, n_trees=60, seed=0)
-    lm = local_mdi(forest, led_ds.instances())
-    flipped = local_mdi(forest, led_ds.instances())
-    flipped.scores = -flipped.scores
-    rep = correlation_report(lm, flipped, mode="raw")
-    assert np.allclose(rep.pearson, -1.0)
 
 
 def test_correlation_report_constant_vectors(led_ds):
@@ -255,19 +244,16 @@ def score_matrix_pairs(draw):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(pair=score_matrix_pairs(), mode=st.sampled_from(["absolute", "raw"]))
-def test_correlation_report_matches_oracle(pair, mode):
+@given(pair=score_matrix_pairs())
+def test_correlation_report_matches_oracle(pair):
     a, b = pair
-    ids = tuple(range(len(a)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = correlation_report(
-            LocalImportanceMatrix(a, LOCAL_MDI, ids, 1, "entropy", 0),
-            LocalImportanceMatrix(b, SAABAS, ids, 1, "entropy", 0),
-            mode=mode,
+            LocalImportanceMatrix(a, LOCAL_MDI, 1, "entropy", 0),
+            LocalImportanceMatrix(b, SAABAS, 1, "entropy", 0),
         )
-    if mode == "absolute":
-        a, b = np.abs(a), np.abs(b)
+    a, b = np.abs(a), np.abs(b)
     undefined = [len(set(x)) == 1 or len(set(y)) == 1
                  for x, y in zip(a.tolist(), b.tolist())]
     assert np.isnan(rep.pearson).tolist() == undefined
@@ -282,7 +268,7 @@ def test_correlation_report_matches_oracle(pair, mode):
 def test_correlation_report_shape_mismatch(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=10, seed=0)
     lm = local_mdi(forest, led_ds.instances())
-    sb = saabas(forest, led_ds.instances()[:5], instance_ids=range(5))
+    sb = saabas(forest, led_ds.instances()[:5])
     with pytest.raises(ValueError):
         correlation_report(lm, sb)
 
@@ -300,16 +286,3 @@ def test_forest_validation(led_ds):
     with pytest.raises(ValueError):
         local_mdi(forest, [(0, 1)])  # wrong width
 
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_thread_budget_refuses_non_positive_integers(monkeypatch, value):
-    monkeypatch.setenv("IMPSHAP_THREADS", value)
-    with pytest.raises(InvalidSetting, match="IMPSHAP_THREADS"):
-        _thread_budget()
-
-
-def test_thread_budget_reads_positive_integers(monkeypatch):
-    monkeypatch.delenv("IMPSHAP_THREADS", raising=False)
-    assert _thread_budget() == 1
-    monkeypatch.setenv("IMPSHAP_THREADS", "2")
-    assert _thread_budget() == 2

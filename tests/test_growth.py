@@ -25,6 +25,7 @@ from oracles import grow_trees_recursive
 from impshap import cli
 from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset, write_csv
 from impshap.errors import EmptyDataset, NoAdmissibleFeature
+from impshap.forest import Forest, predict_proba
 from impshap.impurity import KINDS
 from impshap.tree import NODE_ARRAYS, grow_trees
 
@@ -103,6 +104,27 @@ def test_memo_builder_matches_recursive_builder(seed, kinds, n_rows, n_classes,
     got = build(grow_trees, ds, k, impurity, got_rngs)
     assert_same_trees(got, want)
     assert [r.getstate() for r, _ in got_rngs] == [r.getstate() for r, _ in want_rngs]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(1.0, np.inf), (-np.inf, np.inf), (1e308, 1.7e308), (-1.7e308, -1e308),
+     (1 + 2**-52, 1 + 2**-51), (5e-324, 1e-323)],
+    ids=["inf", "both-inf", "overflow", "negative-overflow", "adjacent",
+         "subnormal-adjacent"],
+)
+@pytest.mark.parametrize("grow", [grow_trees, grow_trees_recursive],
+                         ids=["memo", "recursive"])
+def test_threshold_separates_its_training_rows(grow, values):
+    """Where the midpoint of two values is not below the upper one, the cut
+    is at the lower one, so each training row reaches its own leaf."""
+    ds = Dataset(columns([0], 2), [np.array(values), np.array([0, 1])])
+    packed = grow(ds, 1, KINDS[0], seeded(0, 1))
+    v, nxt = values
+    assert v <= packed.threshold[0] < nxt
+    forest = Forest(packed, k=1, impurity=KINDS[0], seed=0)
+    proba = predict_proba(forest, np.array(values)[:, None])
+    assert proba.argmax(axis=1).tolist() == [0, 1]
 
 
 @PROPERTY
