@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArityOverflow, EmptyDataset, InvalidValue, ParseError
-from .info_theory import JointDistribution, cell_sums, joint_from_samples
+from .errors import ArityOverflow, EmptyDataset, InvalidValue, ParseError, TableTooLarge
+from .info_theory import MAX_CELLS, JointDistribution, cell_sums, joint_from_samples
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -122,13 +122,6 @@ class Dataset:
     def feature_names(self) -> tuple:
         return tuple(c.name for c in self.columns[:-1])
 
-    def row(self, i: int) -> tuple:
-        return tuple(col[i] for col in self.data)
-
-    def instances(self) -> list:
-        """Feature tuples of all rows (output dropped)."""
-        return [tuple(col[i] for col in self.data[:-1]) for i in range(self.n_rows)]
-
     def fingerprint(self) -> str:
         """Content hash over schema, rows and weights."""
         h = hashlib.sha256()
@@ -156,9 +149,17 @@ def led_population() -> Dataset:
 
 
 def led_sampled(n: int, seed: int = 0) -> Dataset:
-    """n i.i.d. uniform digits with their exact segment patterns."""
+    """n i.i.d. uniform digits with their exact segment patterns.
+
+    Refuses, before allocating, n whose n x 8 cells exceed MAX_CELLS.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
+    width = len(LED_SEGMENT_NAMES) + 1
+    if n * width > MAX_CELLS:
+        raise TableTooLarge(
+            f"{n} samples x {width} columns exceed the {MAX_CELLS}-cell limit"
+        )
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, 10, size=n)
     cols = [

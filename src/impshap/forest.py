@@ -241,10 +241,26 @@ def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
     """1-based ranks within each row; tied values share their mean rank.
-    Compares all pairs in a row: O(p^2) memory per row."""
-    lower = (a[:, :, None] > a[:, None, :]).sum(axis=2)
-    equal = (a[:, :, None] == a[:, None, :]).sum(axis=2)
-    return lower + (equal + 1) / 2
+
+    One stable argsort per row, O(n p) memory.  A run of equal values at
+    sorted positions first..last (0-based) gets (first + last) / 2 + 1,
+    an integer or a half, so the ranks are exact.  NaN sorts last and,
+    equal to nothing, gets a rank of its own; scores from forests are
+    finite.
+    """
+    n, p = a.shape
+    order = np.argsort(a, axis=1, kind="stable")
+    ranked = np.take_along_axis(a, order, axis=1)
+    pos = np.broadcast_to(np.arange(p), (n, p))
+    starts = np.ones((n, p), dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    ends = np.ones((n, p), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, pos, p)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((n, p))
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=1)
+    return ranks
 
 
 def correlation_report(

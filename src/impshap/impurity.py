@@ -7,8 +7,10 @@ that the population layer reads, over all 2^p feature subsets, in one walk;
 `impurity_from_counts` serves the tree builder.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import log2
+from itertools import groupby
+from math import log2, prod
 
 import numpy as np
 
@@ -19,7 +21,7 @@ ENTROPY = "entropy"
 GINI = "gini"
 VARIANCE = "variance"
 KINDS = (ENTROPY, GINI, VARIANCE)
-# marginal cells the lattice walk queues before scoring them in one call
+# most cells of one block of the lattice walk, scored in one call
 LATTICE_CHUNK = 1 << 13
 
 
@@ -116,19 +118,64 @@ class SubsetLattice:
     cond: np.ndarray  # (n, 2^p, |Y|)
 
 
-def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLattice:
-    """Walk all 2^p feature subsets of `j` once, depth first.
+def _c_strides(shape: list) -> np.ndarray:
+    """Cells per step along each axis of a C-ordered array of `shape`."""
+    return np.array([prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.intp)
 
-    Each marginal P(X_S, Y) is its parent's with one input axis summed out,
-    so only one chain of tables is alive at a time: under twice the joint
-    when every arity is at least 2.  Binary inputs make about 3^p * |Y|
-    cells summed in total.  Marginals are queued and scored together once
-    about LATTICE_CHUNK cells wait, so the walk also holds one scoring
-    chunk of about that many cells (or one marginal, if larger); the
-    results do not depend on the chunk size.  `instances` (full
-    configurations with positive probability) add n * 2^p * (|Y| + 1)
-    cells of per-instance tables; a batch whose n * 2^p * |Y| exceeds
-    MAX_CELLS raises TableTooLarge before anything is allocated.
+
+def _block_plan(lead: tuple) -> tuple:
+    """Where the subsets of a block sit in its extended table.
+
+    A block extends each of its l leading axes (arities `lead`) by a slot
+    holding the sum over that axis, so a cell of the extended leading grid
+    belongs to the subset s that removes the axes at their sum slot (bit
+    i of s for axis i).  Returns (order, rank, by_count, runs, removed):
+    - `order` lists the grid's cells by (cells per subset, subset, C
+      order), so each subset's contexts are contiguous and in the order
+      its own marginal has them; `rank` is the inverse permutation;
+    - `by_count` lists the subsets in that order, and each (k0, k1, lo,
+      hi) of `runs` says that subsets by_count[k0:k1] have equally many
+      cells, which fill cells lo:hi of `order`;
+    - `removed[s, i]` is 1 when subset s removes axis i.
+    """
+    l = len(lead)
+    subset = np.zeros(1, dtype=np.intp)
+    for i, a in enumerate(lead):  # C order: the first axis varies slowest
+        slot = np.zeros(a + 1, dtype=np.intp)
+        slot[a] = 1 << i
+        subset = (subset[:, None] + slot).reshape(-1)
+    counts = np.bincount(subset, minlength=1 << l)
+    order = np.argsort((counts[subset] << l) | subset, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    by_count = np.argsort(counts, kind="stable")
+    runs, k0, lo = [], 0, 0
+    for size, run in groupby(counts[by_count].tolist()):
+        k = len(list(run))
+        runs.append((k0, k0 + k, lo, lo + k * size))
+        k0, lo = k0 + k, lo + k * size
+    removed = (np.arange(1 << l)[:, None] >> np.arange(l)) & 1
+    return order, rank, by_count, runs, removed
+
+
+def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLattice:
+    """Walk all 2^p feature subsets of `j` once, depth first, by blocks.
+
+    Each marginal P(X_S, Y) is its parent's with one input axis summed
+    out.  A node of the walk (members M, limit L) stands for the subsets
+    M minus R, R a subset of its members below L.  Extending its table's
+    first l of those axes by a sum slot, in descending order, lays out the
+    2^l marginals with R among them, summed exactly as one axis at a time
+    would; one `_context_impurities` call scores them all, and the walk
+    recurses only into the children that remove a later axis.  l is the
+    largest that keeps the extended table within LATTICE_CHUNK cells, so
+    the walk holds one chain of tables (under twice the joint when every
+    arity is at least 2) plus one block of at most LATTICE_CHUNK cells
+    (or one node's table, if larger) with its scoring arrays; the results
+    do not depend on the block sizes.  `instances` (full configurations
+    with positive probability) add n * 2^p * (|Y| + 1) cells of
+    per-instance tables; a batch whose n * 2^p * |Y| exceeds MAX_CELLS
+    raises TableTooLarge before anything is allocated.
     """
     check_kind(kind)
     check_feature_count(j.p)
@@ -147,46 +194,64 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
     mean = np.empty(1 << p)
     at = np.empty((n, 1 << p))
     cond = np.empty((n, 1 << p, n_y))
-    queue = []  # (mask, members, rows of P(X_members, Y)) awaiting scoring
-    queued = 0
-
-    def flush():
-        rows = [flat for _, _, flat in queue]
-        ctx, c, per_ctx = _context_impurities(
-            rows[0] if len(rows) == 1 else np.concatenate(rows), kind
-        )
-        lo = 0
-        for mask, members, flat in queue:
-            hi = lo + len(flat)
-            mean[mask] = ctx[lo:hi] @ per_ctx[lo:hi]
-            if n:
-                idx = np.zeros(n, dtype=np.intp)
-                for i in members:
-                    idx = idx * arities[i] + xs[:, i]
-                idx += lo
-                at[:, mask] = per_ctx[idx]
-                cond[:, mask] = c[idx]
-            lo = hi
-        queue.clear()
+    plans = {}  # _block_plan per tuple of leading arities
 
     def visit(table, mask, members, limit):
         # `table` is P(X_members, Y), axes in ascending member order
-        nonlocal queued
-        queue.append((mask, members, table.reshape(-1, n_y)))
-        queued += table.size
-        if queued >= LATTICE_CHUNK:
-            flush()
-            queued = 0
-        # removing members in descending order reaches each subset once
-        for axis, i in enumerate(members):
-            if i >= limit:
+        removable = bisect_left(members, limit)
+        l, size = 0, table.size
+        while l < removable:
+            a = arities[members[l]]
+            if size // a * (a + 1) > LATTICE_CHUNK:
                 break
+            size = size // a * (a + 1)
+            l += 1
+        lead = tuple(arities[i] for i in members[:l])
+        if lead not in plans:
+            plans[lead] = _block_plan(lead)
+        order, rank, by_count, runs, removed = plans[lead]
+        block = table
+        # descending, so a subset's axes are summed largest first, as one
+        # removal at a time does
+        for axis in reversed(range(l)):
+            block = np.concatenate(
+                [block, block.sum(axis=axis, keepdims=True)], axis=axis
+            )
+        rest = block.size // (len(order) * n_y)  # contexts of the later axes
+        if l:
+            block = block.reshape(len(order), -1)[order]
+        ctx, c, per_ctx = _context_impurities(block.reshape(-1, n_y), kind)
+        masks = mask - removed @ np.array([1 << i for i in members[:l]], dtype=np.intp)
+        # one BLAS dot per subset over its contiguous contexts, as
+        # `ctx @ per_ctx` on the subset's own rows would be
+        sums = np.empty(len(masks))
+        for k0, k1, lo, hi in runs:
+            np.matmul(
+                ctx[lo * rest:hi * rest].reshape(k1 - k0, 1, -1),
+                per_ctx[lo * rest:hi * rest].reshape(k1 - k0, -1, 1),
+                out=sums[k0:k1].reshape(-1, 1, 1),
+            )
+        mean[masks[by_count]] = sums
+        if n:
+            x = xs[:, members]
+            lead_strides = _c_strides([a + 1 for a in lead])
+            cells = (x[:, :l] @ lead_strides)[:, None]
+            for axis in range(l):  # bit `axis` of a column: that axis removed
+                step = (lead[axis] - x[:, axis:axis + 1]) * lead_strides[axis]
+                cells = np.concatenate([cells, cells + step], axis=1)
+            later = x[:, l:] @ _c_strides([arities[i] for i in members[l:]])
+            idx = rank[cells] * rest + later[:, None]
+            at[:, masks] = per_ctx[idx]
+            cond[:, masks] = c[idx]
+            del x, cells, idx
+        # free the block before going deeper: only the chain of tables stays
+        del block, ctx, c, per_ctx
+        for axis in range(l, removable):
+            i = members[axis]
             child = members[:axis] + members[axis + 1:]
             visit(table.sum(axis=axis), mask & ~(1 << i), child, i)
 
     visit(j.table, (1 << p) - 1, tuple(range(p)), p)
-    if queue:
-        flush()
     return SubsetLattice(kind, mean, xs, prob, at, cond)
 
 

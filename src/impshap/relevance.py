@@ -39,7 +39,9 @@ def _dependence_witness(j: JointDistribution, m: int, b_mask: int, tol: float):
     """Find (b, x_m, y) where P(y | x_m, b) deviates from P(y | b).
 
     Contexts with zero probability are skipped: the conditional is not
-    defined there and no tree branch ever visits them.
+    defined there and no tree branch ever visits them.  The witness is the
+    first deviation in C order over (b, x_m), each conditional computed
+    as one context at a time would.
     """
     members = mask_members(b_mask)
     ctx_joint = j.marginal(b_mask | (1 << m) | (1 << j.p))
@@ -50,31 +52,24 @@ def _dependence_witness(j: JointDistribution, m: int, b_mask: int, tol: float):
     ctx_shape = table.shape[:-2]
     flat = table.reshape(-1, j.arities[m], j.output_arity)
     p_ctx = flat.sum(axis=(1, 2))
-    for c in range(flat.shape[0]):
-        if p_ctx[c] <= 0.0:
-            continue
-        base = flat[c].sum(axis=0) / p_ctx[c]  # P(y | b)
-        for xm in range(j.arities[m]):
-            p_xm = flat[c, xm].sum()
-            if p_xm <= 0.0:
-                continue
-            cond = flat[c, xm] / p_xm  # P(y | x_m, b)
-            dev = np.abs(cond - base)
-            y = int(dev.argmax())
-            if dev[y] >= tol:
-                ctx_values = (
-                    np.unravel_index(c, ctx_shape) if ctx_shape else ()
-                )
-                b_members = [v for v in all_vars if v != m]
-                return {
-                    "subset": b_members,
-                    "context": [int(v) for v in ctx_values],
-                    "x_m": xm,
-                    "y": y,
-                    "p_given_xm": float(cond[y]),
-                    "p_base": float(base[y]),
-                }
-    return None
+    p_xm = flat.sum(axis=2)
+    base = flat.sum(axis=1) / np.where(p_ctx > 0.0, p_ctx, 1.0)[:, None]  # P(y | b)
+    cond = flat / np.where(p_xm > 0.0, p_xm, 1.0)[:, :, None]  # P(y | x_m, b)
+    dev = np.abs(cond - base[:, None, :])
+    found = (p_ctx[:, None] > 0.0) & (p_xm > 0.0) & (dev.max(axis=2) >= tol)
+    if not found.any():
+        return None
+    c, xm = divmod(int(found.argmax()), j.arities[m])
+    y = int(dev[c, xm].argmax())
+    ctx_values = np.unravel_index(c, ctx_shape) if ctx_shape else ()
+    return {
+        "subset": [v for v in all_vars if v != m],
+        "context": [int(v) for v in ctx_values],
+        "x_m": xm,
+        "y": y,
+        "p_given_xm": float(cond[c, xm, y]),
+        "p_base": float(base[c, y]),
+    }
 
 
 def _check_feature(j: JointDistribution, m: int) -> None:

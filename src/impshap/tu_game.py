@@ -112,36 +112,48 @@ def shapley_weights(p: int) -> list:
     ]
 
 
-def shapley_exact(game: TUGame) -> ShapleyVector:
-    """Payoffs by direct evaluation of the permutation-weighted sum."""
-    p, values = game.p, game.values
+def shapley_payoffs(values) -> np.ndarray:
+    """Payoffs of a batch of games by the permutation-weighted sum.
+
+    `values` holds one game per row, v(S) in column S, so it is (n, 2^p);
+    the result is (n, p).  Each payoff is one BLAS dot of a row of
+    marginal contributions, made contiguous, with the weights, so every
+    game gets the bits a batch of one would give it.
+    """
+    values = np.atleast_2d(values)
+    p = values.shape[1].bit_length() - 1
     weights = np.array(shapley_weights(p))
     sizes = subset_sizes(p)
-    payoffs = np.empty(p)
+    payoffs = np.empty((values.shape[0], p))
     for m, (without, with_m) in enumerate(_extensions(p)):
-        mc = values[with_m] - values[without]
-        payoffs[m] = float(weights[sizes[without]] @ mc)
-    return ShapleyVector(payoffs, float(values[-1]), game.label)
+        mc = np.ascontiguousarray(values[:, with_m] - values[:, without])
+        np.matmul(
+            mc[:, None, :], weights[sizes[without], None], out=payoffs[:, m, None, None]
+        )
+    return payoffs
+
+
+def shapley_exact(game: TUGame) -> ShapleyVector:
+    """Payoffs of one game; see `shapley_payoffs`."""
+    payoffs = shapley_payoffs(game.values)[0]
+    return ShapleyVector(payoffs, float(game.values[-1]), game.label)
 
 
 def lattice_games(lattice: SubsetLattice) -> tuple:
-    """The global game and one local game per instance of a lattice walk.
+    """The global game and the table of local games of a lattice walk.
 
     Global: v(S) = i(Y) - E[i(Y | X_S)], clamped at 0 for entropy, where it
     is the mutual information I(Y; X_S).  Local at x: v(S; x) = i(Y) -
-    i(Y | X_S = x_S), which can be negative.  Returns (global game, list of
-    local games in instance order).
+    i(Y | X_S = x_S), which can be negative.  Returns (global game,
+    read-only (n, 2^p) table whose row k holds the local game at instance
+    k), the table in the form `shapley_payoffs` reads.
     """
-    global_label, local_label = GAME_LABELS[lattice.kind]
     values = lattice.mean[0] - lattice.mean
     if lattice.kind == ENTROPY:
         values = clamp_mi(values, "mutual information")
     local = lattice.at[:, :1] - lattice.at
-    local.setflags(write=False)  # each local game holds a row, not a copy
-    return (
-        TUGame(values, global_label),
-        [TUGame(row, local_label) for row in local],
-    )
+    local.setflags(write=False)  # a local game built on a row holds it, not a copy
+    return TUGame(values, GAME_LABELS[lattice.kind][0]), local
 
 
 def game_global_info(j: JointDistribution) -> TUGame:
@@ -155,7 +167,7 @@ def game_local_info(j: JointDistribution, x) -> TUGame:
     Coalition values can be negative: observing particular values may raise
     the uncertainty about the output.
     """
-    return lattice_games(subset_lattice(j, ENTROPY, [x]))[1][0]
+    return TUGame(lattice_games(subset_lattice(j, ENTROPY, [x]))[1][0], LOCAL_INFO)
 
 
 def game_global_variance(j: JointDistribution) -> TUGame:
@@ -165,7 +177,9 @@ def game_global_variance(j: JointDistribution) -> TUGame:
 
 def game_local_variance(j: JointDistribution, x) -> TUGame:
     """v(S; x) = Var(Y) - Var(Y | S = x_S) for a fixed full instance x."""
-    return lattice_games(subset_lattice(j, VARIANCE, [x]))[1][0]
+    return TUGame(
+        lattice_games(subset_lattice(j, VARIANCE, [x]))[1][0], LOCAL_VARIANCE
+    )
 
 
 @dataclass

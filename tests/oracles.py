@@ -3,7 +3,10 @@
 Everything here is deliberately naive (dict counting, permutation
 enumeration, explicit loops) and shares no code with the package paths it
 checks.  The reference CSV reader builds its results with the package's
-Dataset and JointDistribution, but reads every cell itself.
+Dataset and JointDistribution, but reads every cell itself.  The former
+package paths kept here as bit-for-bit references (the subset-by-subset
+lattice walk, the single-game Shapley loop) share the package's per-context
+scoring and Shapley weights, so that only the layout they check differs.
 """
 
 import csv
@@ -15,7 +18,14 @@ import numpy as np
 
 from impshap.data import CATEGORICAL, MAX_ARITY, NUMERIC, ColumnMeta, Dataset
 from impshap.errors import ArityOverflow, EmptyDataset, ParseError
-from impshap.info_theory import JointDistribution, cell_sums, joint_from_samples
+from impshap.impurity import SubsetLattice, _context_impurities
+from impshap.info_theory import (
+    JointDistribution,
+    cell_sums,
+    joint_from_samples,
+    subset_sizes,
+)
+from impshap.tu_game import shapley_weights
 
 
 def joint_table_by_rows(path) -> np.ndarray:
@@ -81,6 +91,23 @@ def shapley_by_permutations(p: int, value) -> list:
             prev = cur
         count += 1
     return [t / count for t in totals]
+
+
+def shapley_by_marginals(values) -> np.ndarray:
+    """Payoffs of one game as `tu_game.shapley_exact` summed them before it
+    took batches: per player, one dot of the weights with a 1-D array of
+    marginal contributions."""
+    values = np.asarray(values, dtype=np.float64)
+    p = values.size.bit_length() - 1
+    weights = np.array(shapley_weights(p))
+    sizes = subset_sizes(p)
+    masks = np.arange(1 << p)
+    payoffs = np.empty(p)
+    for m in range(p):
+        without = masks[(masks >> m) & 1 == 0]
+        mc = values[without | (1 << m)] - values[without]
+        payoffs[m] = float(weights[sizes[without]] @ mc)
+    return payoffs
 
 
 def weighted_variance(values, weights) -> float:
@@ -169,6 +196,110 @@ def locally_irrelevant_scan(table: np.ndarray, m: int, x, tol: float) -> bool:
         if sub == 0:
             return True
         sub = (sub - 1) & rest
+
+
+def subset_lattice_dfs(j, kind: str, instances=None):
+    """The walk `impurity.subset_lattice` made before it scored blocks.
+
+    One visit per subset: each marginal is its parent's with one axis
+    summed out, queued, and scored about 2^13 cells at a time with the
+    package's own `_context_impurities`, so that the block walk can be
+    required to match it bit for bit; one dot per subset for the mean and
+    one index loop per subset for the instance tables.
+    """
+    p, n_y = j.p, j.output_arity
+    n = 0 if instances is None else len(instances)
+    if n:
+        xs, prob = j.instance_probs(instances)
+    else:
+        xs, prob = np.empty((0, p), dtype=np.intp), np.empty(0)
+    arities = j.input_arities
+    mean = np.empty(1 << p)
+    at = np.empty((n, 1 << p))
+    cond = np.empty((n, 1 << p, n_y))
+    queue = []
+    queued = 0
+
+    def flush():
+        rows = [flat for _, _, flat in queue]
+        ctx, c, per_ctx = _context_impurities(
+            rows[0] if len(rows) == 1 else np.concatenate(rows), kind
+        )
+        lo = 0
+        for mask, members, flat in queue:
+            hi = lo + len(flat)
+            mean[mask] = ctx[lo:hi] @ per_ctx[lo:hi]
+            if n:
+                idx = np.zeros(n, dtype=np.intp)
+                for i in members:
+                    idx = idx * arities[i] + xs[:, i]
+                idx += lo
+                at[:, mask] = per_ctx[idx]
+                cond[:, mask] = c[idx]
+            lo = hi
+        queue.clear()
+
+    def visit(table, mask, members, limit):
+        nonlocal queued
+        queue.append((mask, members, table.reshape(-1, n_y)))
+        queued += table.size
+        if queued >= 1 << 13:
+            flush()
+            queued = 0
+        for axis, i in enumerate(members):
+            if i >= limit:
+                break
+            child = members[:axis] + members[axis + 1:]
+            visit(table.sum(axis=axis), mask & ~(1 << i), child, i)
+
+    visit(j.table, (1 << p) - 1, tuple(range(p)), p)
+    if queue:
+        flush()
+    return SubsetLattice(kind, mean, xs, prob, at, cond)
+
+
+def dependence_witness_loop(j, m: int, b_mask: int, tol: float):
+    """What `relevance._dependence_witness` returns, one context and one
+    value of x_m at a time, in C order over the contexts."""
+    members = tuple(i for i in range(j.p) if (b_mask >> i) & 1)
+    ctx_joint = j.marginal(b_mask | (1 << m) | (1 << j.p))
+    all_vars = sorted(members + (m,))
+    table = np.moveaxis(ctx_joint, all_vars.index(m), -2)
+    ctx_shape = table.shape[:-2]
+    flat = table.reshape(-1, j.arities[m], j.output_arity)
+    p_ctx = flat.sum(axis=(1, 2))
+    for c in range(flat.shape[0]):
+        if p_ctx[c] <= 0.0:
+            continue
+        base = flat[c].sum(axis=0) / p_ctx[c]
+        for xm in range(j.arities[m]):
+            p_xm = flat[c, xm].sum()
+            if p_xm <= 0.0:
+                continue
+            cond = flat[c, xm] / p_xm
+            dev = np.abs(cond - base)
+            y = int(dev.argmax())
+            if dev[y] >= tol:
+                ctx_values = np.unravel_index(c, ctx_shape) if ctx_shape else ()
+                return {
+                    "subset": [v for v in all_vars if v != m],
+                    "context": [int(v) for v in ctx_values],
+                    "x_m": xm,
+                    "y": y,
+                    "p_given_xm": float(cond[y]),
+                    "p_base": float(base[y]),
+                }
+    return None
+
+
+def dataset_row(dataset: Dataset, i: int) -> tuple:
+    """Row i of a dataset, output last."""
+    return tuple(col[i] for col in dataset.data)
+
+
+def dataset_instances(dataset: Dataset) -> list:
+    """Feature tuples of all rows (output dropped)."""
+    return [dataset_row(dataset, i)[:-1] for i in range(dataset.n_rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +652,14 @@ def average_ranks(xs) -> list:
             ranks[i] = (start + end) / 2 + 1
         start = end + 1
     return ranks
+
+
+def average_ranks_pairwise(a: np.ndarray) -> np.ndarray:
+    """Row-wise average ranks from every pair in a row: O(n p^2) memory,
+    the form `forest._average_ranks` replaced."""
+    lower = (a[:, :, None] > a[:, None, :]).sum(axis=2)
+    equal = (a[:, :, None] == a[:, None, :]).sum(axis=2)
+    return lower + (equal + 1) / 2
 
 
 def spearman(xs, ys) -> float:

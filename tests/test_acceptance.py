@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import efficiency_gap, mean_impurity
+from oracles import dataset_instances, efficiency_gap, mean_impurity
 
 from impshap import cli
 from impshap.data import (
@@ -64,7 +64,7 @@ def mc_led():
     t0 = time.perf_counter()
     forest = build_forest(led, k=1, n_trees=LED_TREES, seed=0)
     glob = global_mdi(forest)
-    loc = local_mdi(forest, led.instances())
+    loc = local_mdi(forest, dataset_instances(led))
     elapsed = time.perf_counter() - t0
     return {"forest": forest, "global": glob, "local": loc.scores,
             "elapsed": elapsed, "dataset": led}
@@ -149,7 +149,7 @@ def test_criterion_5_monte_carlo_convergence(mc_led):
     dev_global = float(np.abs(mc_led["global"] - pop).max())
     loc_pop = np.vstack(
         [pop_local_mdi(led_joint, x).scores
-         for x in mc_led["dataset"].instances()]
+         for x in dataset_instances(mc_led["dataset"])]
     )
     dev_local = float(np.abs(mc_led["local"] - loc_pop).max())
     assert dev_global < 0.01
@@ -187,7 +187,7 @@ def test_criterion_6_efficiency_identities(joint_set, mc_led):
 def test_criterion_7_global_is_mean_of_local():
     for name in ("led", "table1-y1", "table1-y2"):
         ds = builtin_dataset(name)
-        instances = ds.instances()
+        instances = dataset_instances(ds)
         for k in (1, 2, ds.n_features):
             for kind in ("entropy", "gini"):
                 forest = build_forest(ds, k=k, n_trees=40, impurity=kind, seed=9)
@@ -228,7 +228,7 @@ def test_criterion_10_local_measure_correlation():
     t0 = time.perf_counter()
     led = led_population()
     forest = build_forest(led, k=1, n_trees=1000, seed=0)
-    instances = led.instances()
+    instances = dataset_instances(led)
     lm = local_mdi(forest, instances)
     sb = saabas(forest, instances)
     rep = correlation_report(lm, sb)

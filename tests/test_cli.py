@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["global", "--data", "{nan_feature}", "--trees", "3"],
         ["local", "--data", "{nan_feature}", "--trees", "3"],
         ["pop-mdi", "--data", "{long_field}"],
+        ["gen-data", "--data", "led-sampled", "--n", "1000000000000",
+         "--out", "{unnormalized}"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
@@ -446,7 +449,7 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "k-on-joint-command", "trees-on-joint-command",
          "non-integer-instance-file", "invalid-utf8-joint", "invalid-utf8-dataset",
          "nan-numeric-feature-global", "nan-numeric-feature-local",
-         "field-beyond-csv-limit"],
+         "field-beyond-csv-limit", "led-sampled-beyond-max-cells"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {
@@ -467,7 +470,13 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
         raw = text if isinstance(text, bytes) else text.encode()
         (tmp_path / f"{name}.csv").write_bytes(raw)
     paths = {name: tmp_path / f"{name}.csv" for name in files}
-    code = cli.main([a.format(**paths) for a in argv])
+    tracemalloc.start()
+    try:
+        code = cli.main([a.format(**paths) for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20  # refused before any large table is made
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -25,10 +25,17 @@ from impshap.data import (
     write_csv,
     write_joint_csv,
 )
-from impshap.errors import ArityOverflow, EmptyDataset, InvalidValue, ParseError
+from impshap.errors import (
+    ArityOverflow,
+    EmptyDataset,
+    InvalidValue,
+    ParseError,
+    TableTooLarge,
+)
 from impshap.info_theory import joint_from_samples
 
 from oracles import (
+    dataset_row,
     joint_table_by_rows,
     load_csv_by_rows,
     load_joint_by_rows,
@@ -55,7 +62,7 @@ def test_led_population_matches_encoding():
     ds = led_population()
     assert ds.n_rows == 10
     for d in range(10):
-        row = ds.row(d)
+        row = dataset_row(ds, d)
         assert row[:7] == SEGMENTS[d]
         assert row[7] == d
 
@@ -63,11 +70,11 @@ def test_led_population_matches_encoding():
 def test_led_patterns_injective():
     assert len(set(SEGMENTS.values())) == 10
     ds = led_population()
-    assert len({ds.row(d)[:7] for d in range(10)}) == 10
+    assert len({dataset_row(ds, d)[:7] for d in range(10)}) == 10
 
 
 def test_led_digit_8_all_segments():
-    assert led_population().row(8)[:7] == (1,) * 7
+    assert dataset_row(led_population(), 8)[:7] == (1,) * 7
 
 
 def test_led_population_joint(led_joint):
@@ -83,8 +90,17 @@ def test_led_sampled_frequencies():
         counts = np.bincount(ds.output, minlength=10)
         assert counts.min() >= 5 and counts.max() <= 45
         for i in range(ds.n_rows):
-            row = ds.row(i)
+            row = dataset_row(ds, i)
             assert row[:7] == SEGMENTS[row[7]]
+
+
+def test_led_sampled_refuses_beyond_max_cells(monkeypatch):
+    """n x 8 cells may reach MAX_CELLS but not pass it; the limit is
+    lowered here, so that neither side of it allocates much."""
+    monkeypatch.setattr(impshap.data, "MAX_CELLS", 80)
+    assert led_sampled(10).n_rows == 10
+    with pytest.raises(TableTooLarge, match="11 samples x 8 columns exceed"):
+        led_sampled(11)
 
 
 def test_example_tables_exact_cells(tables):

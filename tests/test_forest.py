@@ -14,6 +14,7 @@ from impshap.forest import (
     LOCAL_MDI,
     SAABAS,
     LocalImportanceMatrix,
+    _average_ranks,
     build_forest,
     correlation_report,
     global_mdi,
@@ -72,14 +73,14 @@ def test_seed_determinism(led_ds):
     a = build_forest(led_ds, k=1, n_trees=150, seed=7)
     b = build_forest(led_ds, k=1, n_trees=150, seed=7)
     assert np.array_equal(global_mdi(a), global_mdi(b))
-    la = local_mdi(a, led_ds.instances())
-    lb = local_mdi(b, led_ds.instances())
+    la = local_mdi(a, oracles.dataset_instances(led_ds))
+    lb = local_mdi(b, oracles.dataset_instances(led_ds))
     assert np.array_equal(la.scores, lb.scores)
 
 
 def test_parallel_matches_sequential(led_ds):
     seq = build_forest(led_ds, k=1, n_trees=64, seed=5, n_jobs=1)
-    instances = led_ds.instances()
+    instances = oracles.dataset_instances(led_ds)
     for n_jobs in (2, 3):
         par = build_forest(led_ds, k=1, n_trees=64, seed=5, n_jobs=n_jobs)
         assert np.array_equal(global_mdi(seq), global_mdi(par))
@@ -102,7 +103,7 @@ def test_global_decomposes_over_training_instances(led_ds):
     """Global MDI is the training-set mean of local MDI, every K and
     impurity."""
     for ds in (led_ds, builtin_dataset("table1-y1")):
-        instances = ds.instances()
+        instances = oracles.dataset_instances(ds)
         for k in (1, 2, ds.n_features):
             for kind in ("entropy", "gini", "variance"):
                 forest = build_forest(ds, k=k, n_trees=30, impurity=kind, seed=2)
@@ -128,7 +129,7 @@ def test_null_player_scores_exactly_zero():
     for k in (1, 3, 8):
         forest = build_forest(ds, k=k, n_trees=120, seed=0)
         assert float(global_mdi(forest)[noise]) == 0.0
-        lm = local_mdi(forest, ds.instances())
+        lm = local_mdi(forest, oracles.dataset_instances(ds))
         assert float(np.abs(lm.scores[:, noise]).max()) == 0.0
 
 
@@ -179,7 +180,7 @@ def test_saabas_telescoping(led_ds):
     """Per instance, scores plus the class prior equal the forest
     probability of the decomposed class."""
     forest = build_forest(led_ds, k=1, n_trees=200, seed=4)
-    instances = led_ds.instances()
+    instances = oracles.dataset_instances(led_ds)
     sb = saabas(forest, instances)
     proba = predict_proba(forest, instances)
     prior = forest.prior()
@@ -203,12 +204,12 @@ def test_saabas_table1_sum():
 def test_saabas_class_validation(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=5, seed=0)
     with pytest.raises(ValueError):
-        saabas(forest, led_ds.instances(), class_index=10)
+        saabas(forest, oracles.dataset_instances(led_ds), class_index=10)
 
 
 def test_correlation_report_identity(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=100, seed=0)
-    lm = local_mdi(forest, led_ds.instances())
+    lm = local_mdi(forest, oracles.dataset_instances(led_ds))
     rep = correlation_report(lm, lm)
     assert rep.summary["pearson"]["mean"] == pytest.approx(1.0, abs=1e-12)
     assert rep.summary["spearman"]["mean"] == pytest.approx(1.0, abs=1e-12)
@@ -217,8 +218,8 @@ def test_correlation_report_identity(led_ds):
 
 def test_correlation_report_constant_vectors(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=30, seed=0)
-    lm = local_mdi(forest, led_ds.instances())
-    other = local_mdi(forest, led_ds.instances())
+    lm = local_mdi(forest, oracles.dataset_instances(led_ds))
+    other = local_mdi(forest, oracles.dataset_instances(led_ds))
     other.scores = other.scores.copy()
     other.scores[0, :] = 0.0  # constant row: correlation undefined
     rep = correlation_report(lm, other)
@@ -267,15 +268,15 @@ def test_correlation_report_matches_oracle(pair):
 
 def test_correlation_report_shape_mismatch(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=10, seed=0)
-    lm = local_mdi(forest, led_ds.instances())
-    sb = saabas(forest, led_ds.instances()[:5])
+    lm = local_mdi(forest, oracles.dataset_instances(led_ds))
+    sb = saabas(forest, oracles.dataset_instances(led_ds)[:5])
     with pytest.raises(ValueError):
         correlation_report(lm, sb)
 
 
 def test_predict_proba_led(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=50, seed=0)
-    proba = predict_proba(forest, led_ds.instances())
+    proba = predict_proba(forest, oracles.dataset_instances(led_ds))
     assert np.allclose(proba, np.eye(10))
 
 
@@ -286,3 +287,19 @@ def test_forest_validation(led_ds):
     with pytest.raises(ValueError):
         local_mdi(forest, [(0, 1)])  # wrong width
 
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda p: st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e-300, 7.5]),
+                     min_size=p, max_size=p),
+            min_size=1, max_size=8,
+        )
+    )
+)
+def test_sorted_ranks_equal_pairwise_ranks(rows):
+    """Rows drawn from six values, so most have ties: the ranks from one
+    argsort per row are the pairwise counts' ranks, bit for bit."""
+    a = np.array(rows)
+    assert np.array_equal(_average_ranks(a), oracles.average_ranks_pairwise(a))

@@ -4,7 +4,7 @@ read from the entropy subset lattice."""
 import numpy as np
 import pytest
 
-from oracles import h_binary, table_cond_entropy, table_entropy
+from oracles import dataset_row, h_binary, table_cond_entropy, table_entropy
 
 from impshap.errors import (
     EmptyDataset,
@@ -162,7 +162,7 @@ def test_zero_probability_context():
 def test_joint_from_samples_counts(led_ds):
     j = joint_from_samples(led_ds)
     for d in range(10):
-        cell = tuple(led_ds.row(d)[:7]) + (d,)
+        cell = tuple(dataset_row(led_ds, d)[:7]) + (d,)
         assert j.table[cell] == pytest.approx(0.1, abs=1e-12)
 
 

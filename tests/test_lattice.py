@@ -7,6 +7,7 @@ deterministically so that every run checks the same joints.
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
     mdi_by_moebius,
     mean_impurity,
     shapley_by_permutations,
+    subset_lattice_dfs,
 )
 
 from impshap import cli
@@ -37,7 +39,7 @@ from impshap.relevance import (
     verify_global_local_equivalence,
     verify_local_null_scores,
 )
-from impshap.tu_game import lattice_games, shapley_exact
+from impshap.tu_game import TUGame, lattice_games, shapley_exact
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -94,11 +96,11 @@ def test_pointwise_tables_match_slicing(j, kind, data):
             )
 
 
-# up to 5^6 * 4 marginal cells, so small chunks split the walk many times
+# up to 5^7 * 4 extended cells, so small budgets split the walk into many blocks
 WIDE_JOINTS = st.builds(
     random_joint,
     seed=st.integers(0, 2**16),
-    p=st.integers(1, 6),
+    p=st.integers(1, 7),
     max_arity=st.integers(2, 4),
     zero_fraction=st.sampled_from([0.0, 0.25, 0.5]),
     append_irrelevant=st.just(False),
@@ -106,25 +108,47 @@ WIDE_JOINTS = st.builds(
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(j=WIDE_JOINTS, kind=KIND, with_instances=st.booleans(), data=st.data())
-def test_lattice_does_not_depend_on_chunk_size(j, kind, with_instances, data):
-    xs = _some_instances(j, data) if with_instances else None
-    walks = []
-    for chunk in (1, 7, 64):
+@given(j=WIDE_JOINTS, kind=KIND, with_instances=st.booleans())
+def test_lattice_does_not_depend_on_chunk_size(j, kind, with_instances):
+    """Blocks of one subset (budget 1), partial blocks and whole lattices
+    all give the tables of the subset-by-subset walk, bit for bit."""
+    positive = j.positive_instances()
+    xs = positive[::max(1, len(positive) // 40)] if with_instances else None
+    want = subset_lattice_dfs(j, kind, xs)
+    for chunk in (1, 8, 64, impurity.LATTICE_CHUNK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(impurity, "LATTICE_CHUNK", chunk)
-            walks.append(subset_lattice(j, kind, xs))
-    first = walks[0]
-    for other in walks[1:]:
-        for field in ("mean", "at", "cond"):
-            assert np.array_equal(getattr(first, field), getattr(other, field))
+            got = subset_lattice(j, kind, xs)
+        for field in ("mean", "prob", "at", "cond", "instances"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (chunk, field)
     for mask in range(1 << j.p):
-        want = mean_impurity(j.table, mask, kind)
-        assert first.mean[mask] == pytest.approx(want, abs=1e-12)
+        want_mean = mean_impurity(j.table, mask, kind)
+        assert got.mean[mask] == pytest.approx(want_mean, abs=1e-12)
         for k, x in enumerate(xs or ()):
-            want = cond_at(j.table, x, mask)
-            assert np.abs(first.cond[k, mask] - want).max() <= 1e-12
-            assert first.at[k, mask] == pytest.approx(impurity_of(want, kind), abs=1e-12)
+            want_cond = cond_at(j.table, x, mask)
+            assert np.abs(got.cond[k, mask] - want_cond).max() <= 1e-12
+            assert got.at[k, mask] == pytest.approx(impurity_of(want_cond, kind), abs=1e-12)
+
+
+def test_walk_memory_is_one_chain_and_one_block():
+    """The walk holds one chain of marginals (under twice the joint), one
+    block of at most LATTICE_CHUNK cells (or one node's table, if larger)
+    with its scoring arrays, and the mean table; a block kept alive across
+    the recursion would pile up one per level."""
+    j = random_joint(12, p=12, max_arity=2)
+    subset_lattice(j, "entropy")  # warm numpy's own caches
+    tracemalloc.start()
+    try:
+        subset_lattice(j, "entropy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = max(impurity.LATTICE_CHUNK, j.table.size) * 8
+    # the extended block, its reordered copy and _context_impurities'
+    # conditionals, log terms and row sums: under eight block-sized arrays
+    bound = 2 * j.table.nbytes + 8 * block + (1 << j.p) * 8
+    assert peak < bound, (peak, bound)
+
 
 @PROPERTY
 @given(j=JOINTS, kind=KIND, data=st.data())
@@ -145,7 +169,8 @@ def test_global_and_batched_local_mdi_match_moebius(j, kind, data):
 @given(j=SMALL_JOINTS, kind=KIND, data=st.data())
 def test_game_payoffs_match_permutation_average(j, kind, data):
     x = _some_instances(j, data, most=1)[0]
-    global_game, (local_game,) = lattice_games(subset_lattice(j, kind, [x]))
+    global_game, local = lattice_games(subset_lattice(j, kind, [x]))
+    local_game = TUGame(local[0])
     prior = mean_impurity(j.table, 0, kind)
 
     def bits(s):

@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dependence_witness_loop
+
+from impshap.data import random_joint
 from impshap.errors import ZeroProbabilityInstance
 from impshap.impurity import subset_lattice
 from impshap.info_theory import JointDistribution
 from impshap.population import pop_global_mdi, pop_local_mdi
 from impshap.relevance import (
     IRRELEVANT,
+    _dependence_witness,
     RELEVANT,
     STRONGLY_RELEVANT,
     is_irrelevant,
@@ -153,3 +159,26 @@ def test_relevant_feature_has_nonzero_local_score_somewhere(tables, random_joint
                     for x in j.positive_instances()
                 ]
                 assert max(peaks) > 1e-10
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    j=st.builds(
+        random_joint,
+        seed=st.integers(0, 2**16),
+        p=st.integers(1, 4),
+        max_arity=st.integers(2, 4),
+        zero_fraction=st.sampled_from([0.0, 0.25, 0.5]),
+    )
+)
+def test_witness_matches_context_by_context_scan(j):
+    """The array scan finds the witness the loop over contexts and x_m
+    values finds first, with the same floats, at loose and tight tols."""
+    for m in range(j.p):
+        rest = ((1 << j.p) - 1) & ~(1 << m)
+        for b_mask in range(1 << j.p):
+            if b_mask & ~rest:
+                continue
+            for tol in (1e-10, 1e-3, 0.05):
+                want = dependence_witness_loop(j, m, b_mask, tol)
+                assert _dependence_witness(j, m, b_mask, tol) == want

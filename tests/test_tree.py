@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dataset_instances,
     efficiency_gap,
     entropy_of_counts,
     structure_keys,
@@ -180,14 +181,14 @@ def test_predict_paths():
 
 
 def test_predict_led_deterministic(led_ds):
-    dists = proba(one_tree(led_ds, 1, 9), led_ds.instances())
+    dists = proba(one_tree(led_ds, 1, 9), dataset_instances(led_ds))
     for d in range(10):
         assert dists[d, d] == 1.0
 
 
 def test_predict_missing_value(led_ds):
     tree = one_tree(led_ds, 1, 0)
-    x = list(led_ds.instances()[8])
+    x = list(dataset_instances(led_ds)[8])
     x[tree_nodes(tree)[0].feature] = None
     with pytest.raises(MissingFeatureValue):
         proba(tree, [x])

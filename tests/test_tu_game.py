@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import shapley_by_permutations
+from oracles import shapley_by_marginals, shapley_by_permutations
 
 from impshap.errors import (
     NonZeroEmptyCoalition,
@@ -20,6 +22,7 @@ from impshap.tu_game import (
     game_local_info,
     game_local_variance,
     shapley_exact,
+    shapley_payoffs,
     shapley_weights,
 )
 
@@ -63,6 +66,32 @@ def test_null_player_gets_zero():
     report = check_axioms(game, vec)
     assert (2, abs(float(vec.payoffs[2]))) in report.null_players
     assert report.passed
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 9),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+    layout=st.sampled_from(["c", "fortran", "strided"]),
+)
+def test_batched_payoffs_equal_single_games_bit_for_bit(p, n, seed, layout):
+    """Each row of a batch gets the payoffs one game alone gets, also when
+    the batch is not C-contiguous."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, 1 << p)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+    values[:, 0] = 0.0
+    batch = {
+        "c": values,
+        "fortran": np.asfortranarray(values),
+        "strided": np.repeat(values, 2, axis=1)[:, ::2],
+    }[layout]
+    assert np.array_equal(batch, values)
+    got = shapley_payoffs(batch)
+    assert got.shape == (n, p)
+    for row, want in zip(got, values):
+        assert np.array_equal(row, shapley_by_marginals(want))
+    assert np.array_equal(shapley_exact(TUGame(values[0])).payoffs, got[0])
 
 
 def test_against_permutation_oracle():
