@@ -15,7 +15,6 @@ from .data import (
     random_joint,
 )
 from .forest import (
-    Forest,
     LocalImportanceMatrix,
     build_forest,
     correlation_report,
@@ -39,6 +38,7 @@ from .relevance import (
     verify_global_local_equivalence,
     verify_local_null_scores,
 )
+from .tree import PackedTrees
 from .tu_game import (
     ShapleyVector,
     TUGame,
@@ -53,9 +53,9 @@ from .tu_game import (
 
 __all__ = [
     "Dataset",
-    "Forest",
     "JointDistribution",
     "LocalImportanceMatrix",
+    "PackedTrees",
     "PopulationImportance",
     "ShapleyVector",
     "TUGame",

@@ -9,6 +9,7 @@ invocations produce byte-identical output.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -21,6 +22,8 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    BUILTIN_DATASETS,
+    BUILTIN_JOINTS,
     builtin_dataset,
     builtin_joint,
     example_tables,
@@ -29,7 +32,6 @@ from .data import (
     write_csv,
 )
 from .errors import ImpshapError
-from .info_theory import clamp_mi
 from .forest import (
     LOCAL_MDI,
     SAABAS,
@@ -55,6 +57,7 @@ from .relevance import (
 from .tu_game import (
     GAME_LABELS,
     TUGame,
+    check_strong_monotonicity,
     game_global_info,
     game_global_variance,
     lattice_games,
@@ -62,8 +65,6 @@ from .tu_game import (
     shapley_payoffs,
 )
 
-BUILTIN_DATASETS = ("led", "led-sampled", "table1-y1", "table1-y2", "table2", "digits")
-BUILTIN_JOINTS = ("led", "table1-y1", "table1-y2", "table2")
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -85,7 +86,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args, argv)
+        # looked up per call, so a replaced `cmd_*` attribute takes effect
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args, argv)
     except SystemExit as exc:  # --help and --version print, then exit
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ImpshapError as exc:
@@ -96,6 +99,7 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="impshap",
@@ -106,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, forest=True):
+        names = BUILTIN_DATASETS if forest else BUILTIN_JOINTS
         p.add_argument("--data", required=True,
-                       help="builtin name (led, led-sampled, table1-y1, "
-                            "table1-y2, table2, digits) or a CSV path")
+                       help=f"builtin name ({', '.join(names)}) or a CSV path")
         if forest:
             p.add_argument("--k", type=int, default=1,
                            help="candidate features drawn per node (default 1)")
@@ -126,53 +130,44 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="range like 1..7 or list like 1,2,4; overrides --k")
     p.add_argument("--normalize", action="store_true",
                    help="scale scores so absolute values sum to 1")
-    p.set_defaults(func=cmd_global)
 
     p = sub.add_parser("local", help="local importance scores from a forest")
     common(p)
     p.add_argument("--method", default=LOCAL_MDI,
                    help=f"comma list of {LOCAL_MDI},{SAABAS} (default {LOCAL_MDI})")
     _instance_flags(p)
-    p.set_defaults(func=cmd_local)
 
     p = sub.add_parser("saabas", help="prediction-decomposition scores")
     common(p)
     _instance_flags(p)
-    p.set_defaults(func=cmd_saabas)
 
     p = sub.add_parser("shapley", help="exact Shapley values on a joint")
     common(p, forest=False)
     p.add_argument("--instance", action="append", default=None,
                    help="comma-separated category codes; local game")
-    p.set_defaults(func=cmd_shapley)
 
     p = sub.add_parser("pop-mdi", help="population MDI formulas on a joint")
     common(p, forest=False)
     p.add_argument("--instance", action="append", default=None,
                    help="comma-separated category codes; local measure")
-    p.set_defaults(func=cmd_pop_mdi)
 
     p = sub.add_parser("verify", help="run the identity suite on a joint")
     common(p, forest=False)
     p.add_argument("--tol", type=float, default=1e-9,
                    help="decomposition tolerance (default 1e-9)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="correlate local measures across K")
     common(p)
     p.add_argument("--k-sweep", default=None,
                    help="range like 1..7 or list like 1,2,4; overrides --k")
     _instance_flags(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen-data", help="write a builtin dataset as CSV")
-    p.add_argument("--data", required=True,
-                   help="led, led-sampled, table1-y1, table1-y2, table2, digits")
+    p.add_argument("--data", required=True, help=", ".join(BUILTIN_DATASETS))
     p.add_argument("--n", type=int, default=200,
                    help="sample size for sampled generators (default 200)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
 
     return parser
 
@@ -590,35 +585,32 @@ def run_identity_suite(joint, impurity=ENTROPY, tol=1e-9, data_name=None):
 
 def _monotonicity_block():
     """The two-output example where payoff order flips against the
-    marginal-contribution order once trees compete for splits (K = 2)."""
+    marginal-contribution order once trees compete for splits (K = 2).
+
+    The mutual informations are the marginal contributions of the global
+    information games, v[B | X_m] - v[B] = I(Y; X_m | X_B)."""
     tables = example_tables()
+    games = [game_global_info(tables[f"table1-y{y}"]) for y in (1, 2)]
     mi = {}
-    for y in (1, 2):
-        h = subset_lattice(tables[f"table1-y{y}"], ENTROPY).mean  # H(Y | X_S)
+    for y, game in enumerate(games, 1):
+        v = game.values
         for m, b in ((1, 2), (2, 1)):
             bit, given = 1 << (m - 1), 1 << (b - 1)
-            mi[f"I(Y{y};X{m})"] = h[0] - h[bit]
-            mi[f"I(Y{y};X{m}|X{b})"] = h[given] - h[given | bit]
-    mi = {name: float(clamp_mi(v, name)) for name, v in mi.items()}
+            mi[f"I(Y{y};X{m})"] = float(v[bit] - v[0])
+            mi[f"I(Y{y};X{m}|X{b})"] = float(v[given | bit] - v[given])
     imp = {}
     for name in ("table1-y1", "table1-y2"):
         forest = build_forest(builtin_dataset(name), k=2, n_trees=1, seed=0)
         imp[name] = [float(v) for v in global_mdi(forest)]
-    premise_x1 = (
-        mi["I(Y1;X1)"] >= mi["I(Y2;X1)"]
-        and mi["I(Y1;X1|X2)"] >= mi["I(Y2;X1|X2)"]
-    )
-    violated_x1 = imp["table1-y1"][0] < imp["table1-y2"][0]
-    premise_x2 = (
-        mi["I(Y1;X2)"] <= mi["I(Y2;X2)"]
-        and mi["I(Y1;X2|X1)"] <= mi["I(Y2;X2|X1)"]
-    )
-    violated_x2 = imp["table1-y1"][1] > imp["table1-y2"][1]
+    # x1 contributes at least as much to Y1 as to Y2, x2 at most as much
+    x1 = check_strong_monotonicity(games[0], games[1])[0]
+    x2 = check_strong_monotonicity(games[1], games[0])[1]
     return {
         "mutual_informations": mi,
         "k2_importances": imp,
-        "premise_holds": {"x1": premise_x1, "x2": premise_x2},
-        "violated": {"x1": violated_x1, "x2": violated_x2},
+        "premise_holds": {"x1": x1.premise_holds, "x2": x2.premise_holds},
+        "violated": {"x1": imp["table1-y1"][0] < imp["table1-y2"][0],
+                     "x2": imp["table1-y1"][1] > imp["table1-y2"][1]},
     }
 
 

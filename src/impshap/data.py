@@ -21,6 +21,9 @@ CATEGORICAL = "categorical"
 NUMERIC = "numeric"
 
 MAX_ARITY = 64
+# names `builtin_dataset` and `builtin_joint` resolve
+BUILTIN_DATASETS = ("led", "led-sampled", "table1-y1", "table1-y2", "table2", "digits")
+BUILTIN_JOINTS = ("led", "table1-y1", "table1-y2", "table2")
 
 # Seven-segment encoding of the digits 0..9.  Bit order used throughout:
 # (top, top-left, top-right, middle, bottom-left, bottom-right, bottom).
@@ -666,8 +669,8 @@ def builtin_dataset(name: str, n: int = 200, seed: int = 0) -> Dataset:
     if name == "digits":
         return digits_dataset(n=n, seed=seed)
     raise ValueError(
-        f"unknown builtin dataset {name!r}; expected led, led-sampled, "
-        "table1-y1, table1-y2, table2 or digits"
+        f"unknown builtin dataset {name!r}; "
+        f"expected one of {', '.join(BUILTIN_DATASETS)}"
     )
 
 
@@ -679,6 +682,5 @@ def builtin_joint(name: str) -> JointDistribution:
     if name == "led":
         return joint_from_samples(led_population())
     raise ValueError(
-        f"unknown builtin joint {name!r}; expected led, table1-y1, table1-y2 "
-        "or table2"
+        f"unknown builtin joint {name!r}; expected one of {', '.join(BUILTIN_JOINTS)}"
     )

@@ -5,8 +5,9 @@ and the Saabas prediction decomposition.
 
 Tree i of a forest is grown from a private RNG stream derived by hashing
 (master seed, i), so results never depend on construction order or
-worker scheduling.  A forest keeps its trees packed (`tree.PackedTrees`);
-the three path measures each make one `tree.traverse` call.
+worker scheduling.  A forest is its packed trees (`tree.PackedTrees`),
+which record K, the impurity kind and the master seed; the three path
+measures each make one `tree.traverse` call.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .impurity import ENTROPY
-from .tree import PackedTrees, Tree, grow_trees, mdi_by_tree, traverse
+from .tree import PackedTrees, grow_trees, mdi_by_tree, traverse
 
 LOCAL_MDI = "local-mdi"
 SAABAS = "saabas"
@@ -29,39 +30,9 @@ def _tree_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class Forest:
-    """An ensemble of trees sharing impurity kind, K and training data,
-    stored packed in `nodes`."""
-
-    def __init__(self, nodes: PackedTrees, *, k, impurity, seed):
-        if nodes.n_trees < 1:
-            raise ValueError("a forest needs at least one tree")
-        self.nodes = nodes
-        self.k = k
-        self.impurity = impurity
-        self.seed = seed
-        self.n_features = nodes.n_features
-        self.n_classes = nodes.n_classes
-
-    @property
-    def n_trees(self) -> int:
-        return self.nodes.n_trees
-
-    @property
-    def trees(self) -> list:
-        """A `tree.Tree` slice view per tree, in order, made on each access.
-        Nothing in the package reads it; perfbench/tracing.py counts trees,
-        nodes and array bytes from it."""
-        return [Tree(self.nodes, i) for i in range(self.n_trees)]
-
-    def prior(self) -> np.ndarray:
-        """Training class distribution (the shared root distribution)."""
-        return self.nodes.dist[0]
-
-
 def _build_range(dataset, k, impurity, seed, lo, hi) -> PackedTrees:
-    seeds = [_tree_seed(seed, i) for i in range(lo, hi)]
-    return grow_trees(dataset, k, impurity, ((random.Random(s), s) for s in seeds))
+    rngs = (random.Random(_tree_seed(seed, i)) for i in range(lo, hi))
+    return grow_trees(dataset, k, impurity, rngs, seed)
 
 
 def build_forest(
@@ -71,29 +42,27 @@ def build_forest(
     impurity: str = ENTROPY,
     seed: int = 0,
     n_jobs: int = 1,
-) -> Forest:
+) -> PackedTrees:
     """Grow `n_trees` independent trees; deterministic in (dataset, k,
     n_trees, impurity, seed) whatever the worker count."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
     if n_jobs <= 1 or n_trees < 4 * n_jobs:
-        nodes = _build_range(dataset, k, impurity, seed, 0, n_trees)
-    else:
-        bounds = np.linspace(0, n_trees, n_jobs + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            nodes = PackedTrees.concat(pool.map(
-                _build_range,
-                *zip(*[
-                    (dataset, k, impurity, seed, int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                ]),
-            ))
-    return Forest(nodes, k=k, impurity=impurity, seed=seed)
+        return _build_range(dataset, k, impurity, seed, 0, n_trees)
+    bounds = np.linspace(0, n_trees, n_jobs + 1).astype(int)
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        return PackedTrees.concat(pool.map(
+            _build_range,
+            *zip(*[
+                (dataset, k, impurity, seed, int(lo), int(hi))
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]),
+        ))
 
 
-def global_mdi(forest: Forest, normalize: bool = False) -> np.ndarray:
+def global_mdi(forest: PackedTrees, normalize: bool = False) -> np.ndarray:
     """Per-feature importances averaged over the trees (fixed tree order)."""
-    acc = np.cumsum(mdi_by_tree(forest.nodes), axis=0)[-1] / forest.n_trees
+    acc = np.cumsum(mdi_by_tree(forest), axis=0)[-1] / forest.n_trees
     if normalize:
         total = np.abs(acc).sum()
         if total > 0.0:
@@ -134,38 +103,38 @@ class LocalImportanceMatrix:
         return d
 
 
-def local_mdi(forest: Forest, instances) -> LocalImportanceMatrix:
+def local_mdi(forest: PackedTrees, instances) -> LocalImportanceMatrix:
     """Sum of impurity drops i(t) - i(t_child) along each instance's paths,
     per split feature, averaged over trees.  Scores can be negative."""
-    imp = forest.nodes.impurity
+    imp = forest.impurity
 
     def move(buf, pair, row, node, child, f):
         buf[pair, f] += imp[node] - imp[child]
 
-    acc = traverse(forest.nodes, instances, forest.n_features, move=move)
+    acc = traverse(forest, instances, forest.n_features, move=move)
     acc /= forest.n_trees
     return LocalImportanceMatrix(
         scores=acc,
         method=LOCAL_MDI,
         k=forest.k,
-        impurity=forest.impurity,
+        impurity=forest.impurity_kind,
         seed=forest.seed,
     )
 
 
-def predict_proba(forest: Forest, instances) -> np.ndarray:
+def predict_proba(forest: PackedTrees, instances) -> np.ndarray:
     """Forest class probabilities: the tree-average of the distribution at
     each instance's reached node (leaf, or truncation point)."""
-    dist = forest.nodes.dist
+    dist = forest.dist
 
     def end(buf, node):
         buf += dist[node]
 
-    return traverse(forest.nodes, instances, forest.n_classes, end=end) / forest.n_trees
+    return traverse(forest, instances, forest.n_classes, end=end) / forest.n_trees
 
 
 def saabas(
-    forest: Forest, instances, class_index: int | None = None
+    forest: PackedTrees, instances, class_index: int | None = None
 ) -> LocalImportanceMatrix:
     """Changes in the probability of one class collected along paths.
 
@@ -182,19 +151,19 @@ def saabas(
         raise ValueError(
             f"class index {class_index} outside 0..{forest.n_classes - 1}"
         )
-    dist = forest.nodes.dist
+    dist = forest.dist
 
     def move(buf, pair, row, node, child, f):
         cls = classes[row]
         buf[pair, f] += dist[child, cls] - dist[node, cls]
 
-    acc = traverse(forest.nodes, instances, forest.n_features, move=move)
+    acc = traverse(forest, instances, forest.n_features, move=move)
     acc /= forest.n_trees
     return LocalImportanceMatrix(
         scores=acc,
         method=SAABAS,
         k=forest.k,
-        impurity=forest.impurity,
+        impurity=forest.impurity_kind,
         seed=forest.seed,
         classes=tuple(int(c) for c in classes),
     )

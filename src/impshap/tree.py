@@ -31,7 +31,8 @@ NODE_ARRAYS = ("feature", "threshold", "children", "impurity", "mass", "dist")
 
 @dataclass
 class PackedTrees:
-    """Nodes of one or more trees as parallel arrays.
+    """A forest: the nodes of one or more trees as parallel arrays, with
+    what the trees were grown with (`k`, `impurity_kind`, master `seed`).
 
     Tree i owns nodes offsets[i]..offsets[i+1]-1 and its root is node
     offsets[i].  `children` has one row per node, child ids global and
@@ -46,7 +47,7 @@ class PackedTrees:
     mass: np.ndarray  # p(t): weight share of the training rows
     dist: np.ndarray  # (n_nodes, n_classes)
     offsets: np.ndarray  # int64, (n_trees + 1,)
-    seeds: tuple
+    seed: int  # master seed the trees' RNG streams derive from
     k: int
     impurity_kind: str
     n_train: int
@@ -69,6 +70,13 @@ class PackedTrees:
     def n_classes(self) -> int:
         return self.dist.shape[1]
 
+    @property
+    def trees(self) -> list:
+        """A `Tree` slice view per tree, in order, made on each access.
+        Nothing in the package reads it; perfbench/tracing.py counts trees,
+        nodes and array bytes from it."""
+        return [Tree(self, i) for i in range(self.n_trees)]
+
     @classmethod
     def concat(cls, parts):
         """The trees of `parts`, in order, with child ids shifted to match."""
@@ -83,15 +91,12 @@ class PackedTrees:
         offsets = np.concatenate(
             [[0]] + [p.offsets[1:] + base for p, base in zip(parts, bases)]
         )
-        seeds = tuple(s for p in parts for s in p.seeds)
-        return replace(parts[0], **cols, offsets=offsets, seeds=seeds)
+        return replace(parts[0], **cols, offsets=offsets)
 
 
 class Tree:
-    """One tree's slices of the `NODE_ARRAYS` of a `PackedTrees`.  Nothing
-    in the package reads it: `Forest.trees` yields these views only so that
-    perfbench/tracing.py can count trees, nodes and array bytes from them
-    (`n_nodes` and every ndarray in `vars(view)`)."""
+    """One tree's slices of the `NODE_ARRAYS` of a `PackedTrees`, as its
+    `trees` yields them (`n_nodes` and every ndarray in `vars(view)`)."""
 
     def __init__(self, packed: PackedTrees, index: int):
         lo, hi = int(packed.offsets[index]), int(packed.offsets[index + 1])
@@ -182,10 +187,11 @@ class _Node:
                  "record", "admissible", "splits", "copy")
 
 
-def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
-    """One tree per (rng, seed) pair of `rngs`, in order, grown straight
-    into packed columns from one memo of node states.  Rows are the entries
-    of `_BuildContext`: on unweighted data each distinct row once, so growth
+def grow_trees(dataset: Dataset, k, impurity, rngs, seed) -> PackedTrees:
+    """One tree per `random.Random` of `rngs`, in order, grown straight
+    into packed columns from one memo of node states; `seed` is recorded as
+    the master seed the RNGs derive from.  Rows are the entries of
+    `_BuildContext`: on unweighted data each distinct row once, so growth
     costs per distinct row.
 
     At every impure node, min(k, #admissible) candidate features are drawn
@@ -364,11 +370,10 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
     root = state(list(range(ctx.n_rows)), None, 0, 0, True)
     if not root.admissible and root.imp >= PURITY_EPS:
         raise NoAdmissibleFeature("no feature can split the root (all columns constant)")
-    offsets, seeds = [0], []
-    for rng, seed in rngs:  # `grow` draws from the current `rng`
+    offsets = [0]
+    for rng in rngs:  # `grow` draws from the current `rng`
         grow(root)
         offsets.append(len(feat_out))
-        seeds.append(seed)
     del grow  # a recursive closure is a reference cycle: free the memo now
     # the packed arrays are views of the output columns: no copies
     kids = np.frombuffer(child_out, dtype=np.int32).reshape(-1, width)
@@ -380,7 +385,7 @@ def grow_trees(dataset: Dataset, k, impurity, rngs) -> PackedTrees:
         np.frombuffer(feat_out, dtype=np.int32), np.frombuffer(thr_out), kids,
         record[:, 0], record[:, 1], record[:, 2:],
         np.array(offsets, dtype=np.int64),
-        tuple(seeds), k, impurity, ctx.n_train, tuple(ctx.kinds), tuple(arities),
+        seed, k, impurity, ctx.n_train, tuple(ctx.kinds), tuple(arities),
     )
 
 

@@ -406,7 +406,7 @@ def walk_rows(views, instances):
 def local_mdi_by_walks(forest, instances) -> np.ndarray:
     acc = np.zeros((len(instances), forest.n_features))
     for t in range(forest.n_trees):
-        views = tree_nodes(forest.nodes, t)
+        views = tree_nodes(forest, t)
         for row, moves in enumerate(walk_rows(views, instances)):
             for node, child, f in moves:
                 acc[row, f] += views[node].impurity - views[child].impurity
@@ -416,7 +416,7 @@ def local_mdi_by_walks(forest, instances) -> np.ndarray:
 def predict_proba_by_walks(forest, instances) -> np.ndarray:
     acc = np.zeros((len(instances), forest.n_classes))
     for t in range(forest.n_trees):
-        views = tree_nodes(forest.nodes, t)
+        views = tree_nodes(forest, t)
         for row, moves in enumerate(walk_rows(views, instances)):
             acc[row] += views[moves[-1][1] if moves else 0].dist
     return acc / forest.n_trees
@@ -425,7 +425,7 @@ def predict_proba_by_walks(forest, instances) -> np.ndarray:
 def saabas_by_walks(forest, instances, classes) -> np.ndarray:
     acc = np.zeros((len(instances), forest.n_features))
     for t in range(forest.n_trees):
-        views = tree_nodes(forest.nodes, t)
+        views = tree_nodes(forest, t)
         for row, moves in enumerate(walk_rows(views, instances)):
             cls = classes[row]
             for node, child, f in moves:
@@ -453,8 +453,8 @@ def tree_mdi_by_nodes(views, n_features: int) -> np.ndarray:
 # It reads the package only for the impurity formula and the packed layout.
 
 
-def grow_trees_recursive(dataset, k, impurity, rngs):
-    """`tree.grow_trees` without a memo: one tree per (rng, seed) pair."""
+def grow_trees_recursive(dataset, k, impurity, rngs, seed):
+    """`tree.grow_trees` without a memo: one tree per rng of `rngs`."""
     from array import array
 
     from impshap.data import CATEGORICAL
@@ -612,11 +612,10 @@ def grow_trees_recursive(dataset, k, impurity, rngs):
         child_out[node_id * width:node_id * width + len(kids)] = array("i", kids)
         return node_id
 
-    offsets, seeds = [0], []
-    for rng, seed in rngs:
+    offsets = [0]
+    for rng in rngs:
         grow(list(range(n_rows)), 0, at_root=True)
         offsets.append(len(feat_out))
-        seeds.append(seed)
     del grow
     return PackedTrees(
         np.array(feat_out, dtype=np.int32),
@@ -626,7 +625,7 @@ def grow_trees_recursive(dataset, k, impurity, rngs):
         np.array(mass_out),
         np.array(dist_out).reshape(-1, n_classes),
         np.array(offsets, dtype=np.int64),
-        tuple(seeds), k, impurity, n_rows, tuple(kinds), tuple(arities),
+        seed, k, impurity, n_rows, tuple(kinds), tuple(arities),
     )
 
 

@@ -173,7 +173,7 @@ def test_criterion_6_efficiency_identities(joint_set, mc_led):
         p = ds.n_features
         for k in sorted({1, int(round(p ** 0.5)), p}):
             forest = build_forest(ds, k=k, n_trees=25, seed=6)
-            gap = abs(float(global_mdi(forest).sum()) - efficiency_gap(forest.nodes))
+            gap = abs(float(global_mdi(forest).sum()) - efficiency_gap(forest))
             assert gap < 1e-12, (name, k)
     # (c) the LED total is the ten-way output entropy
     led_joint = joint_from_samples(mc_led["dataset"])

@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import json
+import re
 import sys
 import tracemalloc
 
@@ -11,6 +12,7 @@ import pytest
 
 from impshap import cli
 from impshap.data import (
+    BUILTIN_JOINTS,
     builtin_dataset,
     load_csv,
     load_joint_csv,
@@ -317,6 +319,29 @@ def test_bad_flags_are_usage_errors(capsys):
     assert code == 2
     code, _ = run(capsys, ["global"])  # missing --data
     assert code == 2
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(capsys,
+                                                                 monkeypatch):
+    """The parser is built on the first call of the process only, and each
+    call looks its `cmd_*` function up in the module, so a replaced one
+    runs."""
+    assert run(capsys, ["verify", "--data", "table2"])[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, argv: calls.append(argv) or 0)
+    assert run(capsys, ["verify", "--data", "table2"])[0] == 0
+    assert calls == [["verify", "--data", "table2"]]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("command", ["pop-mdi", "shapley", "verify"])
+def test_joint_commands_offer_exactly_the_builtin_joints(capsys, monkeypatch,
+                                                         command):
+    monkeypatch.setenv("COLUMNS", "500")  # no wrapped help lines
+    code, out = run(capsys, [command, "--help"])
+    assert code == 0
+    names = re.search(r"builtin name \(([^)]*)\)", out).group(1).split(", ")
+    assert tuple(names) == BUILTIN_JOINTS
 
 
 def test_io_error_exit_code(capsys, tmp_path):

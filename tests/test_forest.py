@@ -22,7 +22,7 @@ from impshap.forest import (
     predict_proba,
     saabas,
 )
-from impshap.tree import NODE_ARRAYS, mdi_by_tree
+from impshap.tree import NODE_ARRAYS, PackedTrees, mdi_by_tree
 
 
 def led_with_noise():
@@ -40,22 +40,32 @@ def led_with_noise():
 
 def test_single_tree_forest(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=1, seed=3)
-    assert np.array_equal(global_mdi(forest), mdi_by_tree(forest.nodes)[0])
+    assert np.array_equal(global_mdi(forest), mdi_by_tree(forest)[0])
+
+
+def test_build_forest_returns_the_packed_trees(led_ds):
+    """A forest is its packed trees, carrying the K, impurity kind and
+    master seed it was grown with; `trees` and `n_trees` are what
+    perfbench/tracing.py reads from it."""
+    forest = build_forest(led_ds, k=3, n_trees=5, impurity="gini", seed=17)
+    assert isinstance(forest, PackedTrees)
+    assert (forest.seed, forest.k, forest.impurity_kind) == (17, 3, "gini")
+    assert forest.n_trees == len(forest.trees) == 5
 
 
 def test_tree_views_are_the_packed_slices(led_ds):
-    """`Forest.trees` holds one view per tree; a view's ndarrays are exactly
-    its tree's slices of the packed node arrays, so that counting nodes and
-    array bytes over the views counts every packed node once."""
+    """`PackedTrees.trees` holds one view per tree; a view's ndarrays are
+    exactly its tree's slices of the packed node arrays, so that counting
+    nodes and array bytes over the views counts every packed node once."""
     forest = build_forest(led_ds, k=2, n_trees=7, seed=4)
-    nodes, views = forest.nodes, forest.trees
+    views = forest.trees
     assert len(views) == forest.n_trees
-    assert sum(v.n_nodes for v in views) == len(nodes.feature)
-    for view, lo, hi in zip(views, nodes.offsets[:-1], nodes.offsets[1:]):
+    assert sum(v.n_nodes for v in views) == len(forest.feature)
+    for view, lo, hi in zip(views, forest.offsets[:-1], forest.offsets[1:]):
         arrays = {k: a for k, a in vars(view).items() if isinstance(a, np.ndarray)}
         assert sorted(arrays) == sorted(NODE_ARRAYS)
         for name, a in arrays.items():
-            whole = getattr(nodes, name)
+            whole = getattr(forest, name)
             assert np.shares_memory(a, whole) and a.shape == whole[lo:hi].shape
             assert np.array_equal(a, whole[lo:hi], equal_nan=True)
 
@@ -63,7 +73,7 @@ def test_tree_views_are_the_packed_slices(led_ds):
 def test_table1_forest_reduces_to_single_tree():
     ds = builtin_dataset("table1-y1")
     forest = build_forest(ds, k=2, n_trees=25, seed=11)
-    assert len(set(oracles.structure_keys(forest.nodes))) == 1
+    assert len(set(oracles.structure_keys(forest))) == 1
     assert global_mdi(forest) == pytest.approx([0.091, 0.180], abs=5e-4)
     forest2 = build_forest(builtin_dataset("table1-y2"), k=2, n_trees=25, seed=11)
     assert global_mdi(forest2) == pytest.approx([0.243, 0.016], abs=5e-4)
@@ -83,8 +93,9 @@ def test_parallel_matches_sequential(led_ds):
     instances = oracles.dataset_instances(led_ds)
     for n_jobs in (2, 3):
         par = build_forest(led_ds, k=1, n_trees=64, seed=5, n_jobs=n_jobs)
+        assert par.seed == seq.seed == 5
         assert np.array_equal(global_mdi(seq), global_mdi(par))
-        assert oracles.structure_keys(seq.nodes) == oracles.structure_keys(par.nodes)
+        assert oracles.structure_keys(seq) == oracles.structure_keys(par)
         assert np.array_equal(local_mdi(seq, instances).scores,
                               local_mdi(par, instances).scores)
         assert np.array_equal(saabas(seq, instances).scores,
@@ -96,7 +107,7 @@ def test_parallel_matches_sequential(led_ds):
 def test_distinct_structures_regression(led_ds):
     # frozen from a pilot run; guards the tree RNG plumbing
     forest = build_forest(led_ds, k=1, n_trees=1000, seed=0)
-    assert len(set(oracles.structure_keys(forest.nodes))) == 904
+    assert len(set(oracles.structure_keys(forest))) == 904
 
 
 def test_global_decomposes_over_training_instances(led_ds):
@@ -118,7 +129,7 @@ def test_forest_efficiency(led_ds):
     for k in (1, 3, 7):
         forest = build_forest(led_ds, k=k, n_trees=40, seed=1)
         total = float(global_mdi(forest).sum())
-        assert abs(total - oracles.efficiency_gap(forest.nodes)) < 1e-12
+        assert abs(total - oracles.efficiency_gap(forest)) < 1e-12
         # LED leaves are pure, so the total is the output entropy
         assert total == pytest.approx(np.log2(10), abs=1e-12)
 
@@ -183,7 +194,7 @@ def test_saabas_telescoping(led_ds):
     instances = oracles.dataset_instances(led_ds)
     sb = saabas(forest, instances)
     proba = predict_proba(forest, instances)
-    prior = forest.prior()
+    prior = forest.dist[0]
     for i in range(len(instances)):
         cls = sb.classes[i]
         assert sb.scores[i].sum() == pytest.approx(

@@ -25,7 +25,7 @@ from oracles import grow_trees_recursive
 from impshap import cli
 from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset, write_csv
 from impshap.errors import EmptyDataset, NoAdmissibleFeature
-from impshap.forest import Forest, predict_proba
+from impshap.forest import predict_proba
 from impshap.impurity import KINDS
 from impshap.tree import NODE_ARRAYS, grow_trees
 
@@ -55,13 +55,13 @@ def random_rows(rng, kinds, n_classes, n_rows, top=False):
 
 
 def seeded(seed, n_trees):
-    return [(random.Random(seed + i), seed + i) for i in range(n_trees)]
+    return [random.Random(seed + i) for i in range(n_trees)]
 
 
-def build(builder, ds, k, impurity, rngs):
+def build(builder, ds, k, impurity, rngs, seed):
     """The packed trees, or the type of the error the build raised."""
     try:
-        return builder(ds, k, impurity, rngs)
+        return builder(ds, k, impurity, rngs, seed)
     except (EmptyDataset, NoAdmissibleFeature) as exc:
         return type(exc)
 
@@ -74,7 +74,7 @@ def assert_same_trees(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b, equal_nan=name == "threshold"), name
-    assert (got.n_train, got.seeds) == (want.n_train, want.seeds)
+    assert (got.n_train, got.seed) == (want.n_train, want.seed)
 
 
 DATASETS = dict(
@@ -100,10 +100,10 @@ def test_memo_builder_matches_recursive_builder(seed, kinds, n_rows, n_classes,
     ds = Dataset(columns(kinds, n_classes), data, weights=weights)
     k = min(k, len(kinds))
     want_rngs, got_rngs = seeded(seed, n_trees), seeded(seed, n_trees)
-    want = build(grow_trees_recursive, ds, k, impurity, want_rngs)
-    got = build(grow_trees, ds, k, impurity, got_rngs)
+    want = build(grow_trees_recursive, ds, k, impurity, want_rngs, seed)
+    got = build(grow_trees, ds, k, impurity, got_rngs, seed)
     assert_same_trees(got, want)
-    assert [r.getstate() for r, _ in got_rngs] == [r.getstate() for r, _ in want_rngs]
+    assert [r.getstate() for r in got_rngs] == [r.getstate() for r in want_rngs]
 
 
 @pytest.mark.parametrize(
@@ -119,11 +119,10 @@ def test_threshold_separates_its_training_rows(grow, values):
     """Where the midpoint of two values is not below the upper one, the cut
     is at the lower one, so each training row reaches its own leaf."""
     ds = Dataset(columns([0], 2), [np.array(values), np.array([0, 1])])
-    packed = grow(ds, 1, KINDS[0], seeded(0, 1))
+    packed = grow(ds, 1, KINDS[0], seeded(0, 1), 0)
     v, nxt = values
     assert v <= packed.threshold[0] < nxt
-    forest = Forest(packed, k=1, impurity=KINDS[0], seed=0)
-    proba = predict_proba(forest, np.array(values)[:, None])
+    proba = predict_proba(packed, np.array(values)[:, None])
     assert proba.argmax(axis=1).tolist() == [0, 1]
 
 
@@ -146,10 +145,10 @@ def test_zero_weight_rows_change_nothing(seed, kinds, n_rows, n_classes, weighte
     )
     k = min(k, len(kinds))
     want_rngs, got_rngs = seeded(seed, n_trees), seeded(seed, n_trees)
-    want = build(grow_trees, base, k, impurity, want_rngs)
-    got = build(grow_trees, padded, k, impurity, got_rngs)
+    want = build(grow_trees, base, k, impurity, want_rngs, seed)
+    got = build(grow_trees, padded, k, impurity, got_rngs, seed)
     assert_same_trees(got, want)
-    assert [r.getstate() for r, _ in got_rngs] == [r.getstate() for r, _ in want_rngs]
+    assert [r.getstate() for r in got_rngs] == [r.getstate() for r in want_rngs]
 
 
 # sha256 of seeded reports, computed with the recursive builder; any change
@@ -237,12 +236,12 @@ def test_repeated_rows_grow_as_their_counts(seed, kinds, n_rows, n_classes, k,
     ]
     k = min(k, len(kinds))
     rngs = [seeded(seed, n_trees) for _ in datasets]
-    got = [build(grow_trees, ds, k, impurity, r) for ds, r in zip(datasets, rngs)]
+    got = [build(grow_trees, ds, k, impurity, r, seed) for ds, r in zip(datasets, rngs)]
     for packed in got[1:]:
         if not isinstance(packed, type):
             packed = replace(packed, n_train=got[0].n_train)
         assert_same_trees(packed, got[0])
-    states = [[r.getstate() for r, _ in pairs] for pairs in rngs]
+    states = [[r.getstate() for r in streams] for streams in rngs]
     assert states[1] == states[0] and states[2] == states[0]
     if not isinstance(got[0], type):
         assert [p.n_train for p in got] == [n_rows, len(counts), n_rows]
@@ -296,10 +295,10 @@ def test_growth_peak_memory():
     data = [rng.normal(size=n_rows) for _ in range(n_features)]
     data.append(rng.integers(0, 3, n_rows))
     ds = Dataset(columns((0,) * n_features, 3), data)
-    grow_trees(ds, 3, "entropy", seeded(1, 1))  # first-call allocations
+    grow_trees(ds, 3, "entropy", seeded(1, 1), 1)  # first-call allocations
     tracemalloc.start()
     try:
-        grow_trees(ds, 3, "entropy", seeded(1, 3))
+        grow_trees(ds, 3, "entropy", seeded(1, 3), 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

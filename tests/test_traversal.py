@@ -132,7 +132,7 @@ def read_features(forest, x):
     and the one at a node where it stops before a zero-mass child."""
     read = set()
     for t in range(forest.n_trees):
-        views = tree_nodes(forest.nodes, t)
+        views = tree_nodes(forest, t)
         (moves,) = walk_rows(views, [x])
         read.update(f for _, _, f in moves)
         stop = views[moves[-1][1] if moves else 0]
@@ -187,10 +187,10 @@ def test_repeated_instances_beyond_one_chunk(grown, pool_size, picks):
 @given(grown=FORESTS)
 def test_tree_mdi_matches_per_node_loop(grown):
     forest, _ = grown
-    by_tree = mdi_by_tree(forest.nodes)
+    by_tree = mdi_by_tree(forest)
     per_tree = []
     for t in range(forest.n_trees):
-        want = tree_mdi_by_nodes(tree_nodes(forest.nodes, t), forest.n_features)
+        want = tree_mdi_by_nodes(tree_nodes(forest, t), forest.n_features)
         assert np.abs(by_tree[t] - want).max() <= TOL
         per_tree.append(want)
     assert np.abs(global_mdi(forest) - np.mean(per_tree, axis=0)).max() <= TOL
@@ -217,8 +217,8 @@ def two_feature_forest():
 @pytest.mark.parametrize("value", [None, float("nan"), 2, -1])
 def test_unvisited_bad_value_scores_as_before(value):
     forest = two_feature_forest()
-    roots = forest.nodes.offsets[:-1]
-    assert (forest.nodes.feature[roots] == 0).all()
+    roots = forest.offsets[:-1]
+    assert (forest.feature[roots] == 0).all()
     clean = [(0, 0), (1, 1)]
     odd = [(0, value), (1, 1)]
     assert np.array_equal(local_mdi(forest, odd).scores, local_mdi(forest, clean).scores)

@@ -1,5 +1,5 @@
 """Tree construction, impurity bookkeeping and path prediction, on trees
-grown one at a time: `grow_trees` with one (rng, seed) pair."""
+grown one at a time: `grow_trees` with one rng."""
 
 import random
 
@@ -22,19 +22,13 @@ from impshap.errors import (
     MissingFeatureValue,
     NoAdmissibleFeature,
 )
-from impshap.forest import Forest, predict_proba
+from impshap.forest import predict_proba
 from impshap.impurity import ENTROPY
 from impshap.tree import grow_trees, mdi_by_tree
 
 
 def one_tree(ds, k, seed, impurity=ENTROPY):
-    return grow_trees(ds, k, impurity, [(random.Random(seed), seed)])
-
-
-def proba(packed, instances):
-    """Class distribution where each instance's walk stops."""
-    forest = Forest(packed, k=packed.k, impurity=packed.impurity_kind, seed=0)
-    return predict_proba(forest, instances)
+    return grow_trees(ds, k, impurity, [random.Random(seed)], seed)
 
 
 def test_table1_k2_structure_and_mdi():
@@ -161,13 +155,13 @@ def test_zero_mass_children():
     assert np.array_equal(ghost.dist, root.dist)
     # prediction truncates at the parent
     assert list(walk_rows(nodes, [(2,)])) == [[]]
-    assert np.array_equal(proba(tree, [(2,)])[0], root.dist)
+    assert np.array_equal(predict_proba(tree, [(2,)])[0], root.dist)
 
 
 def test_predict_paths():
     ds = builtin_dataset("table1-y1")
     tree = one_tree(ds, 2, 0)
-    assert proba(tree, [(1, 0)])[0, 1] == pytest.approx(0.9, abs=1e-12)
+    assert predict_proba(tree, [(1, 0)])[0, 1] == pytest.approx(0.9, abs=1e-12)
     (moves,) = walk_rows(tree_nodes(tree), [(1, 0)])
     assert len(moves) == 2  # root to x1 child to leaf
     # root-only tree returns the prior
@@ -177,11 +171,11 @@ def test_predict_paths():
     )
     root_only = one_tree(pure, 1, 0)
     assert list(walk_rows(tree_nodes(root_only), [(1,)])) == [[]]
-    assert proba(root_only, [(1,)])[0, 0] == 1.0
+    assert predict_proba(root_only, [(1,)])[0, 0] == 1.0
 
 
 def test_predict_led_deterministic(led_ds):
-    dists = proba(one_tree(led_ds, 1, 9), dataset_instances(led_ds))
+    dists = predict_proba(one_tree(led_ds, 1, 9), dataset_instances(led_ds))
     for d in range(10):
         assert dists[d, d] == 1.0
 
@@ -191,7 +185,7 @@ def test_predict_missing_value(led_ds):
     x = list(dataset_instances(led_ds)[8])
     x[tree_nodes(tree)[0].feature] = None
     with pytest.raises(MissingFeatureValue):
-        proba(tree, [x])
+        predict_proba(tree, [x])
 
 
 def test_numeric_threshold_split():
@@ -212,7 +206,7 @@ def test_numeric_threshold_split():
     for view in nodes:
         if view.is_leaf:
             assert view.impurity < 1e-12
-    assert proba(tree, [(2.5,)])[0, 1] == 1.0
+    assert predict_proba(tree, [(2.5,)])[0, 1] == 1.0
 
 
 def test_gini_and_variance_impurities():
