@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
 from importlib import resources
@@ -279,7 +280,9 @@ def _forest_ks(args, n_features):
         try:
             if ".." in text:
                 lo, hi = text.split("..", 1)
-                ks = list(range(int(lo), int(hi) + 1))
+                # a range, not a list, until every K is checked: the loop
+                # below stops at the first K out of 1..p, whatever hi is
+                ks = range(int(lo), int(hi) + 1)
             else:
                 ks = [int(v) for v in text.split(",")]
         except ValueError as exc:
@@ -289,7 +292,7 @@ def _forest_ks(args, n_features):
     for k in ks:
         if not 1 <= k <= n_features:
             raise UsageError(f"{flag} must be in 1..{n_features}, got {k}")
-    return ks
+    return list(ks)
 
 
 def _provenance(args, argv, fingerprint):
@@ -307,6 +310,88 @@ def _load_schema():
         return json.load(fh)
 
 
+@functools.cache
+def _report_validator():
+    """The bundled schema's validator, built once per process.  The schema
+    is checked against its metaschema by the tests, not on every call as
+    jsonschema.validate would."""
+    from jsonschema.validators import validator_for
+
+    schema = _load_schema()
+    return validator_for(schema)(schema)
+
+
+# the stdlib's one-line C encoder: a list of numbers comes out as
+# "[a, b, ...]", and the text of a number never holds ", "
+_encode = json.JSONEncoder(sort_keys=True).encode
+_FLOATS = frozenset((float,))
+_NUMBERS = frozenset((int, float))
+
+
+def _json_text(report) -> str:
+    """What the stdlib's `json.dumps` writes for `report` with an indent of
+    2 and sorted keys, byte for byte.
+
+    Dicts and lists are walked here in the stdlib's layout, into one list
+    of pieces joined once; a list of plain ints and floats (no bool, no
+    subclass) is one C-encoder call with its separators re-indented.  The
+    text of a list of floats is kept, keyed on its depth and float64
+    bytes, so a score row met again costs one lookup and one reference: a
+    report costs per distinct row.  The key is the bytes, not the values,
+    because 0.0 == -0.0 and 1 == 1.0 print differently and NaN != NaN."""
+    memo = {}
+    pieces = []
+    put = pieces.append
+
+    def write(o, level):
+        if isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = "\n" + "  " * (level + 1)
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    if key is not None and not isinstance(key, (int, float)):
+                        raise TypeError(
+                            "keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}"
+                        )
+                    key = _encode(key)  # as the stdlib names such keys
+                put(f"{sep}{_encode(key)}: ")
+                write(value, level + 1)
+                sep = "," + inner
+            put("\n" + "  " * level + "}")
+            return
+        if not isinstance(o, (list, tuple)):
+            put(_encode(o))
+            return
+        if not o:
+            put("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        types = set(map(type, o))
+        if not types <= _NUMBERS:
+            sep = "[" + inner
+            for v in o:
+                put(sep)
+                write(v, level + 1)
+                sep = "," + inner
+            put("\n" + "  " * level + "]")
+            return
+        key = (level, struct.pack("%dd" % len(o), *o)) if types == _FLOATS else None
+        text = memo.get(key)  # None is never a key
+        if text is None:
+            body = _encode(o)[1:-1].replace(", ", "," + inner)
+            text = f"[{inner}{body}\n{'  ' * level}]"
+            if key is not None:
+                memo[key] = text
+        put(text)
+
+    write(report, 0)
+    return "".join(pieces)
+
+
 def _emit(args, argv, fingerprint, results, table_rows, table_header) -> None:
     """Write the report in the requested format, atomically when to a file.
 
@@ -317,13 +402,8 @@ def _emit(args, argv, fingerprint, results, table_rows, table_header) -> None:
         "results": results,
     }
     if args.format == "json":
-        from jsonschema.validators import validator_for
-
-        # The bundled schema is checked against its metaschema by the tests,
-        # not on every call as jsonschema.validate would.
-        schema = _load_schema()
-        validator_for(schema)(schema).validate(report)
-        body = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _report_validator().validate(report)
+        body = _json_text(report) + "\n"
     else:
         buf = io.StringIO()
         for key, value in report["provenance"].items():

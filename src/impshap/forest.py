@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .impurity import ENTROPY
-from .tree import PackedTrees, grow_trees, mdi_by_tree, traverse
+from .tree import PackedTrees, _BuildContext, grow_trees, mdi_by_tree, traverse
 
 LOCAL_MDI = "local-mdi"
 SAABAS = "saabas"
@@ -30,9 +30,9 @@ def _tree_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _build_range(dataset, k, impurity, seed, lo, hi) -> PackedTrees:
+def _build_range(ctx, k, impurity, seed, lo, hi) -> PackedTrees:
     rngs = (random.Random(_tree_seed(seed, i)) for i in range(lo, hi))
-    return grow_trees(dataset, k, impurity, rngs, seed)
+    return grow_trees(ctx, k, impurity, rngs, seed)
 
 
 def build_forest(
@@ -44,17 +44,20 @@ def build_forest(
     n_jobs: int = 1,
 ) -> PackedTrees:
     """Grow `n_trees` independent trees; deterministic in (dataset, k,
-    n_trees, impurity, seed) whatever the worker count."""
+    n_trees, impurity, seed) whatever the worker count.  A forest whose
+    size bound passes `tree.GROWTH_BUDGET` is refused before any growth."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
+    ctx = _BuildContext(dataset)
+    ctx.check_size(n_trees)
     if n_jobs <= 1 or n_trees < 4 * n_jobs:
-        return _build_range(dataset, k, impurity, seed, 0, n_trees)
+        return _build_range(ctx, k, impurity, seed, 0, n_trees)
     bounds = np.linspace(0, n_trees, n_jobs + 1).astype(int)
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         return PackedTrees.concat(pool.map(
             _build_range,
             *zip(*[
-                (dataset, k, impurity, seed, int(lo), int(hi))
+                (ctx, k, impurity, seed, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]),
         ))

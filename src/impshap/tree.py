@@ -18,7 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import CATEGORICAL, Dataset
-from .errors import EmptyDataset, InvalidValue, MissingFeatureValue, NoAdmissibleFeature
+from .errors import (
+    EmptyDataset,
+    InvalidValue,
+    MissingFeatureValue,
+    NoAdmissibleFeature,
+    TableTooLarge,
+)
 from .impurity import check_kind, impurity_from_counts
 
 LEAF = -1
@@ -27,6 +33,9 @@ PURITY_EPS = 1e-12
 # scratch arrays stay under about CHUNK_PAIRS * (2 * width + 16) * 8 bytes
 CHUNK_PAIRS = 1 << 13
 NODE_ARRAYS = ("feature", "threshold", "children", "impurity", "mass", "dist")
+# bytes the packed arrays of one forest may take by `_BuildContext.check_size`'s
+# bound; the 50,000-tree LED forest of the acceptance tests bounds at 110 MB
+GROWTH_BUDGET = 1 << 30
 
 
 @dataclass
@@ -134,7 +143,7 @@ class _BuildContext:
     """
 
     __slots__ = ("cols", "kinds", "arities", "ys", "ws", "n_classes",
-                 "total_weight", "n_rows", "n_train", "n_features")
+                 "total_weight", "n_rows", "n_train", "n_features", "width")
 
     def __init__(self, dataset: Dataset):
         if dataset.n_rows == 0:
@@ -170,6 +179,23 @@ class _BuildContext:
         self.n_classes = out_meta.arity
         self.total_weight = float(sum(self.ws))
         self.n_features = dataset.n_features
+        # children per node: the largest arity, or 2 for a threshold split
+        self.width = max([a if k == CATEGORICAL else 2
+                          for k, a in zip(self.kinds, self.arities)], default=1)
+
+    def check_size(self, n_trees: int) -> None:
+        """Refuse `n_trees` trees whose packed arrays could pass
+        GROWTH_BUDGET bytes, before any grows.  Every split has at least two
+        non-empty children, so a tree of E entries has at most E - 1 splits
+        and (E - 1) * width + 1 nodes; a node takes its feature, threshold,
+        children and record [impurity, mass, *dist]."""
+        nodes = (self.n_rows - 1) * self.width + 1
+        node_bytes = 4 + 8 + 4 * self.width + 8 * (2 + self.n_classes)
+        if n_trees * nodes * node_bytes > GROWTH_BUDGET:
+            raise TableTooLarge(
+                f"{n_trees} trees of up to {nodes} nodes x {node_bytes} bytes "
+                f"exceed the {GROWTH_BUDGET}-byte growth budget"
+            )
 
 
 class _Node:
@@ -187,12 +213,14 @@ class _Node:
                  "record", "admissible", "splits", "copy")
 
 
-def grow_trees(dataset: Dataset, k, impurity, rngs, seed) -> PackedTrees:
+def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
     """One tree per `random.Random` of `rngs`, in order, grown straight
     into packed columns from one memo of node states; `seed` is recorded as
-    the master seed the RNGs derive from.  Rows are the entries of
-    `_BuildContext`: on unweighted data each distinct row once, so growth
-    costs per distinct row.
+    the master seed the RNGs derive from.  `dataset` is a `Dataset` or the
+    `_BuildContext` made from one (`forest.build_forest` makes it first to
+    check the forest's size).  Rows are the entries of `_BuildContext`: on
+    unweighted data each distinct row once, so growth costs per distinct
+    row.
 
     At every impure node, min(k, #admissible) candidate features are drawn
     uniformly without replacement and the candidate with the largest mean
@@ -213,7 +241,7 @@ def grow_trees(dataset: Dataset, k, impurity, rngs, seed) -> PackedTrees:
     and a node is emitted with one extend of a (n_nodes, 2 + n_classes)
     column, of which `impurity`, `mass` and `dist` are column views.
     """
-    ctx = _BuildContext(dataset)
+    ctx = dataset if isinstance(dataset, _BuildContext) else _BuildContext(dataset)
     check_kind(impurity)
     if not 1 <= k <= max(ctx.n_features, 1):
         raise ValueError(f"k must be in 1..{ctx.n_features}, got {k}")
@@ -227,7 +255,7 @@ def grow_trees(dataset: Dataset, k, impurity, rngs, seed) -> PackedTrees:
     # stays valid
     feat_out, thr_out = array("i"), array("d")
     child_out, rec_out = array("i"), array("d")
-    width = max([a if c else 2 for c, a in zip(categorical, arities)], default=1)
+    width = ctx.width
     no_children = array("i", [0] * width)
     nan = float("nan")
 

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impshap import cli
 from impshap.data import (
@@ -460,6 +462,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["pop-mdi", "--data", "{long_field}"],
         ["gen-data", "--data", "led-sampled", "--n", "1000000000000",
          "--out", "{unnormalized}"],
+        ["global", "--data", "led", "--k-sweep", "1..1000000000000000"],
+        ["global", "--data", "{wide_categories}", "--trees", "20"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
@@ -474,7 +478,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "k-on-joint-command", "trees-on-joint-command",
          "non-integer-instance-file", "invalid-utf8-joint", "invalid-utf8-dataset",
          "nan-numeric-feature-global", "nan-numeric-feature-local",
-         "field-beyond-csv-limit", "led-sampled-beyond-max-cells"],
+         "field-beyond-csv-limit", "led-sampled-beyond-max-cells",
+         "k-sweep-huge-range", "trees-beyond-growth-budget"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {
@@ -490,6 +495,12 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
         "invalid_utf8": b"x1,y,probability\n0,0,0.5\n1,1,0.\xff5\n",
         "nan_feature": "a,y\n0.5,0\nnan,1\n1.5,1\n",
         "long_field": "x1,y,probability\n0,0,0.5\n1,1,0.5" + "0" * 131072 + "\n",
+        # 4096 distinct rows over two arity-64 features: each tree is bounded
+        # by 4095 * 64 + 1 nodes of 300 bytes, 20 trees by 1.6 GB, while the
+        # trees themselves would hold 4161 nodes each
+        "wide_categories": "a,b,y\n" + "".join(
+            f"{a},{b},{(a + b) % 2}\n" for a in range(64) for b in range(64)
+        ),
     }
     for name, text in files.items():
         raw = text if isinstance(text, bytes) else text.encode()
@@ -598,6 +609,96 @@ def test_csv_report_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, argv + ["--format", "csv"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify", "--data", "table1-y1"],
+         "45c860e9b196c7c6b45cdbe4962cdcc91c7498e7bef6f4006fdd059f1b12d238"),
+        (["shapley", "--data", "table1-y1"],
+         "c618303841d9dfe24561fc3be63d2cf437e6ff67fdea73639172b018dbea1575"),
+        (["pop-mdi", "--data", "table1-y1"],
+         "942921ec97dd723744ad6d1d595ece599958d5c38fc09d0ea35b6e97643ee403"),
+        (["pop-mdi", "--data", "table1-y1", "--instance", "0,0",
+          "--instance", "1,1"],
+         "aebf15fd9d3431140310198a0e6aba2068c138e56f192b3e4ae8809a91d14675"),
+        (["global", "--data", "led", "--k-sweep", "1..3", "--trees", "50",
+          "--seed", "0"],
+         "49ff221afd6c051d3207ee50b72782b6ae5259ebaae17f1f1804cc798128628f"),
+        (["compare", "--data", "table2", "--trees", "5", "--seed", "0"],
+         "72490c5384e84f06bc7ab72fa609159a087af5e9fb5a8ec89f3e79b160cee131"),
+    ],
+    ids=["verify", "shapley", "pop-mdi", "pop-mdi-instances", "global-k-sweep",
+         "compare-undefined"],
+)
+def test_json_report_bytes_are_pinned(capsys, argv, digest):
+    """Whole JSON reports, with nested dicts, bools, `null` and keys such as
+    `I(Y1;X1)`, stay byte for byte what `json.dumps(report, indent=2,
+    sort_keys=True)` wrote."""
+    code, out = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# numbers whose texts differ while they compare equal (0.0 and -0.0, 1 and
+# 1.0), that never equal themselves (NaN), or that are extreme
+EDGE_FLOATS = (0.0, -0.0, 1.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+               2.2250738585072014e-308, 1e16, 0.1)
+floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+numbers = floats | st.sampled_from([0, 1, -1, 2**53 + 1, -(2**64)]) | st.integers()
+keys = st.sampled_from(["a, b", ", ", "I(Y1;X1)", "é", "\u2603", '"', ""]) | st.text()
+
+
+@st.composite
+def matrices(draw):
+    """Float rows that repeat, as one object or as a copy, or that differ
+    from a base row only in the sign of a zero or in int against float."""
+    base = draw(st.lists(floats, min_size=1, max_size=6))
+    variants = [
+        base,
+        list(base),
+        [-v if v == 0 else v for v in base],
+        [int(v) if v.is_integer() else v for v in base],
+        draw(st.lists(numbers, max_size=6)),
+    ]
+    return draw(st.lists(st.sampled_from(variants), max_size=8))
+
+
+leaves = (st.none() | st.booleans() | keys | numbers | matrices()
+          | st.lists(numbers, max_size=8) | st.lists(keys | st.booleans(), max_size=4))
+reports = st.recursive(
+    leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(keys, children, max_size=4)
+        | st.dictionaries(st.none() | st.booleans() | numbers | keys, children,
+                          max_size=3)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(reports)
+def test_json_text_matches_stdlib_indent_2(report):
+    """`cli._json_text` writes what `json.dumps(indent=2, sort_keys=True)`
+    writes, or raises what it raises (keys that do not sort together)."""
+    try:
+        want = json.dumps(report, indent=2, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._json_text(report)
+        return
+    assert cli._json_text(report) == want
+
+
+def test_json_text_memo_keeps_rows_apart():
+    """Rows equal as values but not in their text never share a memo entry."""
+    row = [0.0, 1.0, float("inf")]
+    report = {"m": [row, list(row), [-0.0, 1.0, float("inf")], [0.0, 1, float("inf")],
+                    [float("nan")], [float("nan")], row], "n": [[row]]}
+    assert cli._json_text(report) == json.dumps(report, indent=2, sort_keys=True)
 
 
 def _joint_results(capsys, command, path):

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from impshap import forest as forest_module
+from impshap import tree as tree_module
 from impshap.data import ColumnMeta, Dataset, builtin_dataset, led_population
+from impshap.errors import TableTooLarge
 from impshap.forest import (
     LOCAL_MDI,
     SAABAS,
@@ -297,6 +300,19 @@ def test_forest_validation(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=3, seed=0)
     with pytest.raises(ValueError):
         local_mdi(forest, [(0, 1)])  # wrong width
+
+
+def test_forest_size_is_checked_before_growth(led_ds, monkeypatch):
+    """On the LED population the bound is exact: 19 nodes of 116 bytes per
+    tree.  A forest one tree over the budget is refused before any grows."""
+    forest = build_forest(led_ds, k=1, n_trees=10, seed=0)
+    size = sum(getattr(forest, name).nbytes for name in NODE_ARRAYS)
+    assert size == 10 * 19 * 116
+    monkeypatch.setattr(tree_module, "GROWTH_BUDGET", size)
+    assert build_forest(led_ds, k=1, n_trees=10, seed=0).n_trees == 10
+    monkeypatch.setattr(forest_module, "grow_trees", None)  # growth would raise
+    with pytest.raises(TableTooLarge, match="11 trees of up to 19 nodes x 116"):
+        build_forest(led_ds, k=1, n_trees=11, seed=0)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

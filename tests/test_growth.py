@@ -14,6 +14,7 @@ import json
 import random
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from hypothesis import strategies as st
 from oracles import grow_trees_recursive
 
 from impshap import cli
+from impshap import tree as tree_module
 from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset, write_csv
-from impshap.errors import EmptyDataset, NoAdmissibleFeature
+from impshap.errors import EmptyDataset, NoAdmissibleFeature, TableTooLarge
 from impshap.forest import predict_proba
 from impshap.impurity import KINDS
-from impshap.tree import NODE_ARRAYS, grow_trees
+from impshap.tree import NODE_ARRAYS, _BuildContext, grow_trees
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 NUMERIC_VALUES = (0.0, 0.5, 1.0, 2.5, 3.0)
@@ -104,6 +106,30 @@ def test_memo_builder_matches_recursive_builder(seed, kinds, n_rows, n_classes,
     got = build(grow_trees, ds, k, impurity, got_rngs, seed)
     assert_same_trees(got, want)
     assert [r.getstate() for r in got_rngs] == [r.getstate() for r in want_rngs]
+
+
+@PROPERTY
+@given(**DATASETS)
+def test_size_bound_holds(seed, kinds, n_rows, n_classes, weighted, k, n_trees,
+                          impurity):
+    """Every build fits the bound `check_size` refuses by: with a budget one
+    byte under the packed arrays' size, the same forest is refused."""
+    rng = np.random.default_rng(seed)
+    data = random_rows(rng, kinds, n_classes, n_rows)
+    weights = rng.choice(WEIGHTS, n_rows) if weighted else None
+    try:
+        ctx = _BuildContext(Dataset(columns(kinds, n_classes), data, weights=weights))
+    except EmptyDataset:
+        return
+    trees = build(grow_trees, ctx, min(k, len(kinds)), impurity,
+                  seeded(seed, n_trees), seed)
+    if isinstance(trees, type):
+        return
+    size = sum(getattr(trees, name).nbytes for name in NODE_ARRAYS)
+    ctx.check_size(n_trees)
+    with mock.patch.object(tree_module, "GROWTH_BUDGET", size - 1):
+        with pytest.raises(TableTooLarge):
+            ctx.check_size(n_trees)
 
 
 @pytest.mark.parametrize(
