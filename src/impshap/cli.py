@@ -447,12 +447,12 @@ def cmd_global(args, argv) -> int:
     dataset = _resolve_dataset(args)
     ks = _forest_ks(args, dataset.n_features)
     names = dataset.feature_names()
-    per_k = []
+    per_k, streams = [], []  # the streams serve every K
     for k in ks:
-        forest = build_forest(
-            dataset, k, args.trees, impurity=args.impurity, seed=args.seed
-        )
+        forest = build_forest(dataset, k, args.trees, impurity=args.impurity,
+                              seed=args.seed, streams=streams)
         scores = global_mdi(forest, normalize=args.normalize)
+        del forest  # before the next K's build: one forest at a time
         per_k.append(
             {"k": k, "scores": scores.tolist(), "features": list(names)}
         )
@@ -699,13 +699,13 @@ def cmd_compare(args, argv) -> int:
     ks = _forest_ks(args, dataset.n_features)
     _check_class_index(args, dataset)
     instances = _resolve_instances(args, dataset)
-    per_k = []
+    per_k, streams = [], []
     for k in ks:
-        forest = build_forest(
-            dataset, k, args.trees, impurity=args.impurity, seed=args.seed
-        )
+        forest = build_forest(dataset, k, args.trees, impurity=args.impurity,
+                              seed=args.seed, streams=streams)
         lm = local_mdi(forest, instances)
         sb = saabas(forest, instances, class_index=args.class_index)
+        del forest
         per_k.append({"k": k, **correlation_report(lm, sb).to_json_dict()})
     rows = (
         (item["k"], metric,

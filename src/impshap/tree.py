@@ -214,7 +214,8 @@ class _Node:
 
 
 def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
-    """One tree per `random.Random` of `rngs`, in order, grown straight
+    """One tree per RNG of `rngs` (a `random.Random`, or the
+    `forest._TreeStream` `build_forest` passes), in order, grown straight
     into packed columns from one memo of node states; `seed` is recorded as
     the master seed the RNGs derive from.  `dataset` is a `Dataset` or the
     `_BuildContext` made from one (`forest.build_forest` makes it first to

@@ -82,6 +82,28 @@ def test_k_sweep(capsys):
         assert sum(shares) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv, ks, key",
+    [
+        (["global", "--data", "led", "--trees", "60", "--seed", "5"], range(1, 8),
+         "scores"),
+        (["compare", "--data", "led", "--trees", "20"], range(1, 4), None),
+    ],
+    ids=["global", "compare"],
+)
+def test_k_sweep_equals_separate_builds(capsys, argv, ks, key):
+    """A sweep replays each tree's stream for every K, so each K gets what
+    a build at that K alone gets."""
+    def per_k(flags):
+        code, out = run(capsys, argv + flags + ["--format", "json"])
+        assert code == 0
+        return [json.dumps(entry if key is None else entry[key], sort_keys=True)
+                for entry in json.loads(out)["results"]["per_k"]]
+
+    sweep = per_k(["--k-sweep", f"{ks[0]}..{ks[-1]}"])
+    assert sweep == [per_k(["--k", str(k)])[0] for k in ks]
+
+
 def test_shapley_command_matches_library(capsys, tables):
     from impshap.tu_game import game_global_info, shapley_exact
 
@@ -464,6 +486,8 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "--out", "{unnormalized}"],
         ["global", "--data", "led", "--k-sweep", "1..1000000000000000"],
         ["global", "--data", "{wide_categories}", "--trees", "20"],
+        ["global", "--data", "led", "--k-sweep", "1..7", "--trees", "1000000000"],
+        ["compare", "--data", "led", "--k-sweep", "1..7", "--trees", "1000000000"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
@@ -479,7 +503,9 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "non-integer-instance-file", "invalid-utf8-joint", "invalid-utf8-dataset",
          "nan-numeric-feature-global", "nan-numeric-feature-local",
          "field-beyond-csv-limit", "led-sampled-beyond-max-cells",
-         "k-sweep-huge-range", "trees-beyond-growth-budget"],
+         "k-sweep-huge-range", "trees-beyond-growth-budget",
+         "trees-beyond-growth-budget-k-sweep",
+         "trees-beyond-growth-budget-k-sweep-compare"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {

@@ -1,11 +1,12 @@
 """Forest construction and the three importance measures with their
 linking identities."""
 
+import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +19,8 @@ from impshap.forest import (
     SAABAS,
     LocalImportanceMatrix,
     _average_ranks,
+    _tree_seed,
+    _TreeStream,
     build_forest,
     correlation_report,
     global_mdi,
@@ -313,6 +316,61 @@ def test_forest_size_is_checked_before_growth(led_ds, monkeypatch):
     monkeypatch.setattr(forest_module, "grow_trees", None)  # growth would raise
     with pytest.raises(TableTooLarge, match="11 trees of up to 19 nodes x 116"):
         build_forest(led_ds, k=1, n_trees=11, seed=0)
+
+
+# randrange(n) at n = 1, small and up to 2**32 - 1; sample(range(n), k)
+# through both of the stdlib's paths: the pool for n <= 21 (more when
+# k > 5) and the set above
+DRAWS = st.one_of(
+    st.tuples(st.just("randrange"),
+              st.one_of(st.just(1), st.integers(2, 21), st.integers(22, 2**32 - 1))),
+    st.integers(1, 300).flatmap(
+        lambda n: st.tuples(st.just("sample"), st.just(n), st.integers(0, min(n, 40)))
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), draws=st.lists(DRAWS, max_size=60))
+@example(seed=2**64 - 1, draws=[("randrange", 1)] + [("sample", 300, 40)] * 12
+         + [("sample", 21, 5), ("sample", 22, 5), ("sample", 21, 21),
+            ("sample", 85, 6), ("sample", 86, 6)])
+def test_tree_stream_draws_equal_stdlib(seed, draws):
+    """Call for call, a stream draws what `random.Random` of its seed draws,
+    across refills; the next word agrees after, so both used as many
+    words; and rewound, the stream draws the same again."""
+    stream, want = _TreeStream(seed), random.Random(seed)
+
+    def same_draws():
+        for name, n, *k in draws:
+            args = (n,) if name == "randrange" else (range(n), *k)
+            assert getattr(stream, name)(*args) == getattr(want, name)(*args)
+
+    same_draws()
+    # the next word itself, unless it is 2**32 - 1, which no example meets
+    assert stream.randrange(2**32 - 1) == want.getrandbits(32)
+    stream.pos = 0
+    want.seed(seed)
+    same_draws()
+
+
+def test_tree_streams_are_made_after_the_size_check(led_ds, monkeypatch):
+    """A build extends the list it is given once its size check passes,
+    rewinds what it reads, and refuses the streams of another seed."""
+    streams = []
+    monkeypatch.setattr(tree_module, "GROWTH_BUDGET", 10 * 19 * 116)
+    with pytest.raises(TableTooLarge):
+        build_forest(led_ds, k=1, n_trees=11, seed=4, streams=streams)
+    assert streams == []
+    alone = [build_forest(led_ds, k=k, n_trees=10, seed=4) for k in (1, 2, 1)]
+    shared = [build_forest(led_ds, k=k, n_trees=n, seed=4, streams=streams)
+              for k, n in ((1, 10), (2, 5), (1, 10))]
+    assert [s.seed for s in streams] == [_tree_seed(4, i) for i in range(10)]
+    assert oracles.structure_keys(shared[0]) == oracles.structure_keys(alone[0])
+    assert oracles.structure_keys(shared[1]) == oracles.structure_keys(alone[1])[:5]
+    assert oracles.structure_keys(shared[2]) == oracles.structure_keys(alone[2])
+    with pytest.raises(ValueError, match="another master seed"):
+        build_forest(led_ds, k=1, n_trees=10, seed=5, streams=streams)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

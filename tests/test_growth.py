@@ -187,6 +187,9 @@ GLOBAL_SWEEP_DIGESTS = {
     "variance": "176276eb58bb036e2c5d8e4af89b906ee4189201c23b079597d504cfd63b5a91",
 }
 LOCAL_REPORT_DIGEST = "7bf201dfc943f9f2bc5bd5e28ebb3ec97918dbe024dd6d36b6f86919d9d563b3"
+# whole stdout of a compare sweep, computed when every K re-seeded its
+# trees' RNG streams
+COMPARE_SWEEP_DIGEST = "f41571c4845bfb0f221ff94f969c4bcba34c772a5f3fdcd5dc56e3bdff9cc4b8"
 # whole stdout on 500 sampled LED rows (10 distinct ones), computed when
 # every row was walked down every tree
 REPEATED_ROWS_DIGESTS = {
@@ -207,6 +210,13 @@ def test_global_k_sweep_results_are_frozen(capsys, impurity):
     assert code == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert sha256(json.dumps(results, sort_keys=True)) == GLOBAL_SWEEP_DIGESTS[impurity]
+
+
+def test_compare_k_sweep_report_is_frozen(capsys):
+    code = cli.main(["compare", "--data", "led", "--k-sweep", "1..3", "--trees", "20",
+                     "--seed", "4", "--format", "json"])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == COMPARE_SWEEP_DIGEST
 
 
 def test_local_report_is_frozen(capsys):
