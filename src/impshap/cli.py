@@ -232,11 +232,12 @@ def _check_codes(x, arities, what):
 
 
 def _parse_instances(texts, arities):
-    """Parse --instance flags: comma-separated integer codes, one per feature."""
+    """Parse --instance flags: one value per feature, a code unless numeric."""
     rows = []
     for text in texts:
         try:
-            x = tuple(int(v) for v in text.split(","))
+            x = tuple(float(v) if m < len(arities) and arities[m] is None else int(v)
+                      for m, v in enumerate(text.split(",")))
         except ValueError:
             raise UsageError(
                 f"bad --instance {text!r}: values must be integer codes"
@@ -421,10 +422,14 @@ def _write_out(path, body: str) -> None:
         sys.stdout.write(body)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".impshap-")
         with os.fdopen(fd, "w") as fh:
+            # mkstemp makes the file 0600; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(body)
         os.replace(tmp, path)
     except OSError as exc:  # name the path asked for, not the temp file

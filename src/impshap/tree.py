@@ -199,18 +199,18 @@ class _BuildContext:
 
 
 class _Node:
-    """One node state of a build: what a node computes from its rows, its
-    output `record` (impurity, mass, class distribution), and its splits.
-    `splits` is None until the state's first subtree is grown and then
-    caches each split a later tree asks for.  `rows` is a list
-    while only the subtree being grown can reach the state, an int array
-    once the state is kept, and None once nothing can read it again: at a
-    leaf, once every admissible feature's split is cached, and once `copy`,
-    the (lo, hi) output slice of a subtree that drew no random number, is
-    known."""
+    """One node state of a build, shared by every path that reaches its
+    rows: what a node computes from them, its output `record` (impurity,
+    mass, class distribution), and its splits.  `splits` is None until the
+    state's first subtree is grown and then caches each split a later tree
+    asks for.  `rows` is a list while only the subtree being grown can reach
+    the state, an int array once the state is kept, and None once nothing
+    can read it again: at a leaf, once every admissible feature's split is
+    cached, and once `copy`, the (lo, hi) output slice of a subtree that
+    drew no random number, is known."""
 
-    __slots__ = ("rows", "prefix", "cat", "mask", "counts", "weight", "imp",
-                 "record", "admissible", "splits", "copy")
+    __slots__ = ("rows", "counts", "weight", "imp", "record", "admissible",
+                 "splits", "copy")
 
 
 def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
@@ -229,14 +229,14 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
     feature index, then the smallest threshold).  k=1 is the totally
     randomized regime: the drawn feature splits unconditionally.
 
-    A node state is keyed on its path.  On categorical paths the key is one
-    integer holding the value + 1 of every used feature f in digit f of
-    base (max arity + 1), so the same splits in any order give the same key
-    and rows.  A threshold split starts a new prefix, (parent key, feature,
-    side).  A state keeps its splits from its second visit on, so states
-    that never repeat are dropped with their subtree.  The RNG only draws
-    the candidates, call for call as in a recursive build; a subtree that
-    drew none is copied as an output slice.
+    A node state is keyed on the bytes of its row ids in order, which fix
+    all it holds (counts summed in row order, impurity, record, admissible
+    features, splits, copy slice), so paths to the same rows share it.  A
+    feature split exhaustively above a node is constant on its rows, hence
+    not admissible.  A state is kept from its parent's second visit on, so
+    states that never repeat are dropped with their subtree.  The RNG only
+    draws the candidates, call for call as in a recursive build; a subtree
+    that drew none is copied as an output slice.
 
     Each node state builds its output record [impurity, mass, *dist] once,
     and a node is emitted with one extend of a (n_nodes, 2 + n_classes)
@@ -247,9 +247,8 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
     if not 1 <= k <= max(ctx.n_features, 1):
         raise ValueError(f"k must be in 1..{ctx.n_features}, got {k}")
     cols, ys, ws, arities = ctx.cols, ctx.ys, ctx.ws, ctx.arities
-    n_classes, total_weight, n_features = ctx.n_classes, ctx.total_weight, ctx.n_features
+    n_classes, total_weight = ctx.n_classes, ctx.total_weight
     categorical = [kd == CATEGORICAL for kd in ctx.kinds]
-    step = [(max(a or 0 for a in arities) + 1) ** f for f in range(n_features)]
     memo = {}
     # output columns, rec_out holding one node record per row; children as
     # offsets from their parent (0: none), so that a copied subtree slice
@@ -260,11 +259,15 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
     no_children = array("i", [0] * width)
     nan = float("nan")
 
-    def state(rows, prefix, cat, mask, keep):
-        """The record of a node state from the list of its row ids; a state
-        to `keep` holds them as an int array."""
+    def state(rows, keep):
+        """The node state of the list of row ids `rows`, keyed on their
+        bytes: the kept one if any, else a new one, which holds them as an
+        int array and goes into the memo when it is to `keep`."""
+        key = array("i", rows).tobytes()
+        node = memo.get(key)
+        if node is not None:
+            return node
         node = _Node()
-        node.rows, node.prefix, node.cat, node.mask = None, prefix, cat, mask
         counts = [0.0] * n_classes
         for i in rows:
             counts[ys[i]] += ws[i]
@@ -272,11 +275,9 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
         node.imp = impurity_from_counts(counts, impurity)
         node.record = array("d", [node.imp, node.weight / total_weight,
                                   *[c / node.weight for c in counts]])
-        node.splits, node.copy, node.admissible = None, None, []
+        node.rows, node.splits, node.copy, node.admissible = None, None, None, []
         if node.imp >= PURITY_EPS:
             for f, col in enumerate(cols):
-                if categorical[f] and mask >> f & 1:
-                    continue
                 first = col[rows[0]]
                 for i in rows:
                     if col[i] != first:
@@ -284,26 +285,19 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
                         break
             if node.admissible:
                 node.rows = array("i", rows) if keep else rows
+        if keep:
+            memo[key] = node
         return node
 
     def categorical_split(node, f):
         col, parts = cols[f], [[] for _ in range(arities[f])]
         for i in node.rows:  # row order per part
             parts[col[i]].append(i)
-        kids, acc = [], 0.0
-        for c, part in enumerate(parts):
-            child = None
-            if part:
-                cat = node.cat + (c + 1) * step[f]
-                key = cat if node.prefix is None else (node.prefix, cat)
-                child = memo.get(key)
-                if child is None:
-                    keep = node.splits is not None
-                    child = state(part, node.prefix, cat, node.mask | 1 << f, keep)
-                    if keep:  # share it by key
-                        memo[key] = child
-                acc += child.weight / node.weight * child.imp
-            kids.append(child)
+        kids = [state(part, node.splits is not None) if part else None
+                for part in parts]
+        acc = 0.0
+        for kid in filter(None, kids):
+            acc += kid.weight / node.weight * kid.imp
         return node.imp - acc, nan, kids
 
     def threshold_split(node, f):
@@ -333,10 +327,8 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
                 mid = (v + nxt) / 2.0
                 best = (gain, mid if v <= mid < nxt else v, pos)
         gain, thr, cut = best
-        key = node.cat if node.prefix is None else (node.prefix, node.cat)
-        return gain, thr, [state(part, (key, f, side), node.cat, node.mask,
-                                 node.splits is not None)
-                           for side, part in enumerate((order[:cut], order[cut:]))]
+        return gain, thr, [state(part, node.splits is not None)
+                           for part in (order[:cut], order[cut:])]
 
     def split(node, f):
         found = None if node.splits is None else node.splits.get(f)
@@ -396,7 +388,7 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
             node.splits = {}  # seen once: keep its splits from now on
         return fixed
 
-    root = state(list(range(ctx.n_rows)), None, 0, 0, True)
+    root = state(list(range(ctx.n_rows)), True)
     if not root.admissible and root.imp >= PURITY_EPS:
         raise NoAdmissibleFeature("no feature can split the root (all columns constant)")
     offsets = [0]
@@ -506,9 +498,11 @@ def traverse(packed: PackedTrees, instances, width: int, move=None,
                 ok = (v >= v_min[f]) & (v <= v_max[f])
                 if not ok.all():
                     i = int(np.flatnonzero(~ok)[0])
+                    bad = instances[row[i]][f[i]]  # not quoted as np.float64(...)
+                    bad = bad.item() if isinstance(bad, np.generic) else bad
                     raise MissingFeatureValue(
-                        f"feature {f[i]}: no usable value "
-                        f"({instances[row[i]][f[i]]!r}) where a path splits on it"
+                        f"feature {f[i]}: no usable value ({bad!r}) "
+                        "where a path splits on it"
                     )
                 # astype truncates a category code as int() does
                 side = np.where(categorical[f], v, v > threshold[node]).astype(np.intp)

@@ -3,7 +3,9 @@
 import builtins
 import hashlib
 import json
+import os
 import re
+import stat
 import sys
 import tracemalloc
 
@@ -255,6 +257,34 @@ def test_instances_file(capsys, tmp_path):
         matrices.append(json.loads(out)["results"]["matrices"])
     assert len(matrices[0][0]["scores"]) == 2
     assert matrices[0] == matrices[1]
+
+
+def test_numeric_instance_flag_matches_file(capsys, tmp_path):
+    """--instance takes a numeric feature's value as a float, as a file does."""
+    rows = "".join(f"{i / 4},{(i * 7 % 5) / 2},{i % 2}\n" for i in range(12))
+    (tmp_path / "num.csv").write_text("a,b,y\n" + rows)
+    (tmp_path / "inst.csv").write_text("a,b\n0.5,1.0\n")
+    base = ["local", "--data", str(tmp_path / "num.csv"), "--trees", "3",
+            "--method", "local-mdi,saabas", "--format", "json"]
+    matrices = []
+    for flags in (["--instance", "0.5,1.0"], ["--instances", str(tmp_path / "inst.csv")]):
+        code, out = run(capsys, base + flags)
+        assert code == 0
+        matrices.append(json.loads(out)["results"]["matrices"])
+    assert matrices[0] == matrices[1]
+
+
+def test_out_file_gets_the_mode_of_a_new_file(tmp_path, monkeypatch):
+    """A report written with --out is made as open() makes a file: 0o666
+    less the umask."""
+    monkeypatch.chdir(tmp_path)
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["global", "--data", "led", "--trees", "3",
+                         "--out", "r.csv"]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat("r.csv").st_mode) == 0o644
 
 
 @pytest.mark.parametrize(

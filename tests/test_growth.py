@@ -25,9 +25,11 @@ from oracles import grow_trees_recursive
 
 from impshap import cli
 from impshap import tree as tree_module
-from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset, write_csv
+from impshap.data import (
+    CATEGORICAL, NUMERIC, ColumnMeta, Dataset, led_population, write_csv,
+)
 from impshap.errors import EmptyDataset, NoAdmissibleFeature, TableTooLarge
-from impshap.forest import predict_proba
+from impshap.forest import build_forest, predict_proba
 from impshap.impurity import KINDS
 from impshap.tree import NODE_ARRAYS, _BuildContext, grow_trees
 
@@ -323,6 +325,21 @@ def test_repeated_mixed_rows_reports_are_frozen(capsys, tmp_path, monkeypatch, a
 # tracemalloc peak of the build below, in bytes, measured when every row
 # was grown one at a time; growth may take at most 10% more
 GROWTH_PEAK_BYTES = 190_084
+
+
+# node states (impurity_from_counts calls) of a K=1, 600-tree build on the
+# LED population, measured at 221-233 over seeds 1-3 when every state was
+# keyed on its rows; keyed on their paths the same builds computed 1396-1452
+LED_STATES_BOUND = 240
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_states_are_shared_by_their_rows(seed):
+    """Paths that reach the same rows share one node state."""
+    with mock.patch.object(tree_module, "impurity_from_counts",
+                           wraps=tree_module.impurity_from_counts) as states:
+        build_forest(led_population(), 1, 600, seed=seed)
+    assert states.call_count <= LED_STATES_BOUND
 
 
 def test_growth_peak_memory():

@@ -239,6 +239,15 @@ def test_visited_bad_value_raises(value):
         local_mdi(forest, [(value, 0)])
 
 
+@pytest.mark.parametrize("value, quoted", [(float("nan"), "nan"), (2, "2.0")])
+def test_bad_value_in_an_array_is_quoted_as_a_number(value, quoted):
+    """An ndarray's value is quoted as the Python float it holds."""
+    bad = np.array([(0, 0), (1, value)], dtype=np.float64)
+    message = f"feature 1: no usable value ({quoted}) where a path splits on it"
+    with pytest.raises(MissingFeatureValue, match=f"^{re.escape(message)}$"):
+        local_mdi(two_feature_forest(), bad)
+
+
 @pytest.mark.parametrize("value", [None, float("nan"), 2, -1])
 def test_repeated_visited_bad_value_raises(value):
     """A bad row met several times is walked once and still raises; the
