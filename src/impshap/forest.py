@@ -17,7 +17,6 @@ import math
 import random
 import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +123,9 @@ def build_forest(
         stream.pos = 0
     if n_jobs <= 1 or n_trees < 4 * n_jobs:
         return grow_trees(ctx, k, impurity, streams, seed)
+    # imported here, so processes that never use the pool do not load it
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, n_trees, n_jobs + 1).astype(int)
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         return PackedTrees.concat(pool.map(

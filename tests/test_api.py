@@ -26,22 +26,45 @@ def test_star_import():
     assert set(impshap.__all__) <= set(namespace)
 
 
-def test_cli_import_loads_only_numpy():
-    """Importing the CLI loads the standard library, numpy and impshap, and
-    no other package (jsonschema is imported only to validate JSON)."""
+def _fresh_process_modules(code):
+    """Run `code` in a new interpreter; the names in sys.modules at its end
+    that were not there before it ran."""
     probe = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import impshap.cli\n"
-        "new = {m.split('.')[0] for m in sys.modules if m not in before}\n"
-        "print(json.dumps(sorted(new - sys.stdlib_module_names)))\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(impshap.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env=env).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _packages(modules):
     # dunder names such as __mp_main__ are aliases of modules, not packages
-    packages = [m for m in json.loads(out) if not m.startswith("__")]
-    assert packages == ["impshap", "numpy"]
+    return sorted({m.split(".")[0] for m in modules
+                   if not m.startswith("__")} - sys.stdlib_module_names)
+
+
+def test_cli_import_loads_only_numpy():
+    """Importing the CLI loads the standard library, numpy and impshap, and
+    no other package."""
+    assert _packages(_fresh_process_modules("import impshap.cli")) == [
+        "impshap", "numpy"]
+
+
+def test_json_report_loads_only_numpy_and_no_pool():
+    """A command that writes a JSON report loads no package but numpy, and
+    not the process pool, which only `build_forest(n_jobs > 1)` uses."""
+    modules = _fresh_process_modules(
+        "from impshap.cli import main\n"
+        "assert main(['pop-mdi', '--data', 'table1-y1', '--format', 'json']) == 0"
+    )
+    assert _packages(modules) == ["impshap", "numpy"]
+    assert [m for m in modules
+            if m.split(".")[0] == "multiprocessing"
+            or m.startswith("concurrent.futures")] == []
 
 
 def test_package_reads_no_environment_variable():

@@ -8,6 +8,7 @@ import re
 import stat
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,15 +62,42 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_json_validates_against_schema(capsys):
+    """The bundled schema is the published report contract: it is a valid
+    schema, and a JSON report of every command that writes one meets it."""
     import jsonschema
 
-    code, out = run(capsys, ["local", "--data", "led", "--trees", "30",
-                             "--seed", "0", "--format", "json"])
-    assert code == 0
-    report = json.loads(out)
-    jsonschema.validate(report, cli._load_schema())
-    assert report["command"] == "local"
-    assert report["provenance"]["seed"] == 0
+    path = Path(cli.__file__).parent / "schemas" / "report.schema.json"
+    schema = json.loads(path.read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    validator = cls(schema)
+    forest = ["--data", "led", "--trees", "20", "--seed", "0"]
+    runs = [
+        ["global", *forest, "--k-sweep", "1,7", "--normalize"],
+        ["local", *forest, "--method", "local-mdi,saabas"],
+        ["saabas", *forest, "--class-index", "3"],
+        ["shapley", "--data", "table1-y1"],
+        ["shapley", "--data", "table2", "--instance", "0"],
+        ["pop-mdi", "--data", "table1-y1"],
+        ["pop-mdi", "--data", "table2", "--instance", "0"],
+        ["verify", "--data", "table1-y1"],
+        ["verify", "--data", "table2"],
+        ["verify", "--data", "led"],
+        ["compare", *forest, "--k-sweep", "1,4"],
+    ]
+    blocks = set()
+    for argv in runs:
+        code, out = run(capsys, [*argv, "--format", "json"])
+        assert code == 0, argv
+        report = json.loads(out)
+        validator.validate(report)
+        assert report["command"] == argv[0]
+        assert report["provenance"]["seed"] == 0
+        blocks |= set(report["results"].get("blocks", ()))
+    assert {"strong-monotonicity-violation", "negative-local-score"} <= blocks
+    # gen-data writes a dataset CSV, never a report
+    commands = set(schema["properties"]["command"]["enum"]) - {"gen-data"}
+    assert {argv[0] for argv in runs} == commands
 
 
 def test_k_sweep(capsys):
@@ -272,6 +300,35 @@ def test_numeric_instance_flag_matches_file(capsys, tmp_path):
         assert code == 0
         matrices.append(json.loads(out)["results"]["matrices"])
     assert matrices[0] == matrices[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["local", "--data", "num.csv", "--instance", "abc,1.0"],
+         "bad --instance 'abc,1.0': value 'abc' for feature 0 is not a number"),
+        (["local", "--data", "num.csv", "--instance", "1.0,2.0,abc"],
+         "--instance '1.0,2.0,abc' has 3 values, expected 2"),
+        (["local", "--data", "led", "--instance", "1,1,1,1,1,1,1,x"],
+         "--instance '1,1,1,1,1,1,1,x' has 8 values, expected 7"),
+        (["pop-mdi", "--data", "table1-y1", "--instance", "0,0,x"],
+         "--instance '0,0,x' has 3 values, expected 2"),
+    ],
+    ids=["numeric-not-a-number", "numeric-too-many", "led-too-many",
+         "joint-too-many"],
+)
+def test_instance_flag_checks_the_count_then_each_value(capsys, tmp_path,
+                                                        monkeypatch, argv,
+                                                        message):
+    """A wrong value count is named as such, whatever the values; a value
+    that is not a number at a numeric feature is named with its feature."""
+    (tmp_path / "num.csv").write_text("a,b,y\n0.5,1.0,0\n1.5,0.0,1\n")
+    monkeypatch.chdir(tmp_path)
+    flags = ["--trees", "3"] if argv[0] == "local" else []
+    code = cli.main([*argv, *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_out_file_gets_the_mode_of_a_new_file(tmp_path, monkeypatch):
