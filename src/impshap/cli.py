@@ -28,6 +28,7 @@ from .data import (
     builtin_joint,
     example_tables,
     load_csv,
+    load_csv_columns,
     load_joint,
     write_csv,
 )
@@ -260,14 +261,14 @@ def _resolve_instances(args, dataset):
         return np.array(_parse_instances(args.instance, arities), dtype=np.float64)
     cols = dataset.data[:-1]
     if getattr(args, "instances", None):
-        ds = load_csv(args.instances)  # a file without data rows exits 2
+        columns, data, _ = load_csv_columns(args.instances)  # no rows: exit 2
         want = dataset.n_features
-        if len(ds.columns) not in (want, want + 1):
+        if len(columns) not in (want, want + 1):
             raise UsageError(
-                f"instance file has {len(ds.columns)} columns, "
+                f"instance file has {len(columns)} columns, "
                 f"expected {want} or {want + 1}"
             )
-        cols = ds.data[:want]
+        cols = data[:want]
         for i, row in enumerate(zip(*cols)):
             _check_codes(row, arities, f"row {i + 1} of {args.instances}")
     return np.column_stack(cols).astype(np.float64, copy=False)
@@ -474,7 +475,8 @@ def _check_class_index(args, dataset):
         )
 
 
-def _local_matrices(args, methods):
+def _local(args, argv, methods) -> int:
+    """Score the instances by each of `methods` on one forest; one report."""
     dataset = _resolve_dataset(args)
     _forest_ks(args, dataset.n_features)
     if SAABAS in methods:
@@ -483,16 +485,9 @@ def _local_matrices(args, methods):
     forest = build_forest(
         dataset, args.k, args.trees, impurity=args.impurity, seed=args.seed
     )
-    matrices = []
-    for method in methods:
-        if method == LOCAL_MDI:
-            matrices.append(local_mdi(forest, instances))
-        else:
-            matrices.append(saabas(forest, instances, class_index=args.class_index))
-    return dataset, matrices
-
-
-def _emit_local(args, argv, dataset, matrices) -> int:
+    matrices = [local_mdi(forest, instances) if method == LOCAL_MDI
+                else saabas(forest, instances, class_index=args.class_index)
+                for method in methods]
     rows = (
         (inst_id, m, _fmt(v), mat.method)
         for mat in matrices
@@ -519,13 +514,11 @@ def cmd_local(args, argv) -> int:
             raise UsageError(
                 f"unknown method {method!r}; expected {LOCAL_MDI} or {SAABAS}"
             )
-    dataset, matrices = _local_matrices(args, methods)
-    return _emit_local(args, argv, dataset, matrices)
+    return _local(args, argv, methods)
 
 
 def cmd_saabas(args, argv) -> int:
-    dataset, matrices = _local_matrices(args, [SAABAS])
-    return _emit_local(args, argv, dataset, matrices)
+    return _local(args, argv, [SAABAS])
 
 
 def cmd_shapley(args, argv) -> int:
@@ -602,14 +595,8 @@ def run_identity_suite(joint, impurity=ENTROPY, tol=1e-9, data_name=None):
     identities = []
 
     def record(name, residual, tolerance):
-        identities.append(
-            {
-                "name": name,
-                "max_residual": float(residual),
-                "tolerance": tolerance,
-                "passed": bool(residual < tolerance),
-            }
-        )
+        identities.append({"name": name, "max_residual": float(residual),
+                           "tolerance": tolerance, "passed": bool(residual < tolerance)})
 
     # one lattice walk over every positive instance feeds every identity;
     # each Shapley check still sets the MDI weight sum over conditional
@@ -630,14 +617,7 @@ def run_identity_suite(joint, impurity=ENTROPY, tol=1e-9, data_name=None):
     record("double-decomposition", dec.double_sum_residual, tol)
 
     eq = verify_global_local_equivalence(joint, lattice=lattice)
-    identities.append(
-        {
-            "name": "global-local-relevance-agreement",
-            "max_residual": 0.0 if eq.passed else 1.0,
-            "tolerance": 1.0,
-            "passed": eq.passed,
-        }
-    )
+    record("global-local-relevance-agreement", 0.0 if eq.passed else 1.0, 1.0)
     nulls = verify_local_null_scores(joint, impurity, tol=tol, lattice=lattice)
     record("local-null-scores", nulls.max_violation, tol)
 

@@ -473,13 +473,20 @@ def _kinds(table) -> list | None:
     return kinds
 
 
-def _dataset(table) -> Dataset:
+def _table_columns(table):
+    """(columns, data, weights) of a CSV read as a dataset, of any width."""
     try:
         kinds = _kinds(table)
     except ParseError:
         table.scan()  # a wrong field count is reported first
         raise
-    columns, data, weights = _columns(table, kinds) or _columns_by_rows(table, kinds)
+    return _columns(table, kinds) or _columns_by_rows(table, kinds)
+
+
+def _dataset(table) -> Dataset:
+    columns, data, weights = _table_columns(table)
+    if len(columns) < 2:
+        raise ParseError(f"{table.path}: need at least one feature column and the output")
     return Dataset(columns, data, weights=weights, name=str(table.path))
 
 
@@ -551,6 +558,11 @@ def load_csv(path) -> Dataset:
     otherwise.  Other rows starting with '#' are comments.
     """
     return _dataset(_read_csv(path))
+
+
+def load_csv_columns(path):
+    """`load_csv`'s (columns, data, weights), also of a one-column CSV."""
+    return _table_columns(_read_csv(path))
 
 
 def write_csv(dataset: Dataset, path, provenance=None) -> None:

@@ -13,6 +13,10 @@ class NoAdmissibleFeature(ImpshapError):
     """Tree construction found no feature that can split the root node."""
 
 
+class TreeTooDeep(ImpshapError):
+    """A tree grows deeper than the recursive builder can follow."""
+
+
 class MissingFeatureValue(ImpshapError):
     """An instance lacks a value required to traverse a tree path."""
 

@@ -8,8 +8,9 @@ developed: recursion stops only at purity or feature exhaustion.
 
 Any number of trees share one struct-of-arrays (`PackedTrees`): the node
 arrays of all trees concatenated, per-tree root offsets, and children as
-global node ids.  `traverse` is the single traversal routine; every path
-measure (local MDI, Saabas, class probabilities) accumulates what it visits.
+global node ids.  Only nodes that training rows reach are stored.
+`traverse` is the single traversal routine; every path measure (local MDI,
+Saabas, class probabilities) accumulates what it visits.
 """
 
 from array import array
@@ -24,6 +25,7 @@ from .errors import (
     MissingFeatureValue,
     NoAdmissibleFeature,
     TableTooLarge,
+    TreeTooDeep,
 )
 from .impurity import check_kind, impurity_from_counts
 
@@ -45,8 +47,9 @@ class PackedTrees:
 
     Tree i owns nodes offsets[i]..offsets[i+1]-1 and its root is node
     offsets[i].  `children` has one row per node, child ids global and
-    padded with LEAF; a categorical split has one child per category, in
-    category order, and a threshold split (left, right).
+    padded with LEAF; a categorical split has one slot per category, in
+    category order, LEAF where no training row of the node has the
+    category, and a threshold split (left, right).  Every node has positive mass.
     """
 
     feature: np.ndarray  # int32, LEAF at leaves
@@ -186,9 +189,9 @@ class _BuildContext:
     def check_size(self, n_trees: int) -> None:
         """Refuse `n_trees` trees whose packed arrays could pass
         GROWTH_BUDGET bytes, before any grows.  Every split has at least two
-        non-empty children, so a tree of E entries has at most E - 1 splits
-        and (E - 1) * width + 1 nodes; a node takes its feature, threshold,
-        children and record [impurity, mass, *dist]."""
+        children, so a tree of E entries has at most E - 1 splits and 2E - 1
+        nodes, bounded here by (E - 1) * width + 1; a node takes its feature,
+        threshold, children and record [impurity, mass, *dist]."""
         nodes = (self.n_rows - 1) * self.width + 1
         node_bytes = 4 + 8 + 4 * self.width + 8 * (2 + self.n_classes)
         if n_trees * nodes * node_bytes > GROWTH_BUDGET:
@@ -375,11 +378,9 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
         node_id = len(feat_out)
         emit(f, thr, node.record)
         fixed, rel = not drew, []
-        for child in kids:
-            rel.append(len(feat_out) - node_id)
-            if child is None:  # unseen category: zero mass, parent's dist
-                emit(LEAF, nan, array("d", [0.0, 0.0, *node.record[2:]]))
-            else:
+        for child in kids:  # an unseen category (None) keeps 0: LEAF
+            rel.append(len(feat_out) - node_id if child else 0)
+            if child:
                 fixed = grow(child) and fixed
         child_out[node_id * width:node_id * width + len(rel)] = array("i", rel)
         if fixed:
@@ -392,9 +393,12 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
     if not root.admissible and root.imp >= PURITY_EPS:
         raise NoAdmissibleFeature("no feature can split the root (all columns constant)")
     offsets = [0]
-    for rng in rngs:  # `grow` draws from the current `rng`
-        grow(root)
-        offsets.append(len(feat_out))
+    try:
+        for rng in rngs:  # `grow` draws from the current `rng`
+            grow(root)
+            offsets.append(len(feat_out))
+    except RecursionError:
+        raise TreeTooDeep("a tree grows too deep for Python's recursion limit") from None
     del grow  # a recursive closure is a reference cycle: free the memo now
     # the packed arrays are views of the output columns: no copies
     kids = np.frombuffer(child_out, dtype=np.int32).reshape(-1, width)
@@ -450,7 +454,7 @@ def traverse(packed: PackedTrees, instances, width: int, move=None,
     with the input.
 
     A walk stops at a leaf, or at the current node when a categorical split
-    sends it to a zero-mass child (a category unseen there in training).
+    sends it to a LEAF slot (a category unseen there in training).
     A missing value (None or NaN) or an out-of-range category raises
     MissingFeatureValue, but only when a walk reaches that feature.
     """
@@ -472,7 +476,7 @@ def traverse(packed: PackedTrees, instances, width: int, move=None,
     # NaN fails both bounds
     v_min = np.where(categorical, np.nextafter(-1.0, 0.0), -np.inf)
     v_max = np.where(categorical, np.nextafter(arity, -np.inf), np.inf)
-    feature, threshold, mass = packed.feature, packed.threshold, packed.mass
+    feature, threshold = packed.feature, packed.threshold
     kids = packed.children.ravel()
     fanout = packed.children.shape[1]
     offsets = packed.offsets
@@ -507,7 +511,7 @@ def traverse(packed: PackedTrees, instances, width: int, move=None,
                 # astype truncates a category code as int() does
                 side = np.where(categorical[f], v, v > threshold[node]).astype(np.intp)
                 child = kids[node * fanout + side]
-                go = mass[child] > 0.0  # only exhaustive splits have empty children
+                go = child != LEAF  # only exhaustive splits have LEAF slots
                 if not go.all():
                     pair, row, node, child, f = (
                         pair[go], row[go], node[go], child[go], f[go]

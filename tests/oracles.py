@@ -310,7 +310,9 @@ def dataset_instances(dataset: Dataset) -> list:
 
 @dataclass
 class NodeView:
-    """One stored node, children as local ids (root 0)."""
+    """One stored node, children as local ids (root 0): one slot per
+    category of an exhaustive split, None where no training row of the node
+    has the category, and (left, right) for a threshold split."""
 
     feature: int | None  # None at leaves
     kind: str | None  # "exhaustive" or "threshold"
@@ -332,6 +334,7 @@ def tree_nodes(packed, index: int = 0) -> list:
     for i in range(lo, hi):
         f = int(packed.feature[i])
         leaf = f < 0
+        slots = 0 if leaf else packed.feature_arities[f] or 2
         views.append(NodeView(
             feature=None if leaf else f,
             kind=None if leaf else (
@@ -339,7 +342,8 @@ def tree_nodes(packed, index: int = 0) -> list:
             ),
             threshold=None if leaf or np.isnan(packed.threshold[i])
             else float(packed.threshold[i]),
-            children=tuple(int(c) - lo for c in packed.children[i] if c >= 0),
+            children=tuple(None if c < 0 else int(c) - lo
+                           for c in packed.children[i][:slots]),
             impurity=float(packed.impurity[i]),
             mass=float(packed.mass[i]),
             dist=packed.dist[i],
@@ -375,8 +379,8 @@ def walk_rows(views, instances):
     """Per-instance move lists [(node, child, feature), ...] in local ids
     of the tree whose node views are `views`.
 
-    A move is recorded only when the instance proceeds to a positive-mass
-    child; an unseen category (zero-mass child) ends the list early.
+    A move is recorded only when the instance proceeds to a child; a
+    category unseen at the node in training (no child) ends the list early.
     """
     from impshap.errors import MissingFeatureValue
 
@@ -394,7 +398,7 @@ def walk_rows(views, instances):
                 if not 0 <= c < len(view.children):
                     raise MissingFeatureValue(f"feature {f}: category {v!r}")
                 child = view.children[c]
-                if views[child].mass == 0.0:
+                if child is None:
                     break
             else:
                 child = view.children[0 if float(v) <= view.threshold else 1]
@@ -442,7 +446,8 @@ def tree_mdi_by_nodes(views, n_features: int) -> np.ndarray:
             continue
         drop = view.mass * view.impurity
         for c in view.children:
-            drop -= views[c].mass * views[c].impurity
+            if c is not None:
+                drop -= views[c].mass * views[c].impurity
         scores[view.feature] += drop
     return scores
 
@@ -603,8 +608,8 @@ def grow_trees_recursive(dataset, k, impurity, rngs, seed):
             for part in parts:
                 if part:
                     kids.append(grow(part, used_mask | (1 << f)))
-                else:  # unseen category: zero-mass child with the parent's dist
-                    kids.append(new_node(0.0, 0.0, dist))
+                else:  # unseen category: no child
+                    kids.append(LEAF)
         else:
             thr_out[node_id] = thr
             for part in parts:
@@ -764,6 +769,8 @@ def _dataset_by_rows(path, header, kind_rows, cols, lines, name):
                 meta, arr = ColumnMeta(name_c, NUMERIC), _cells(path, name_c, cells, lines)
         columns.append(meta)
         data.append(arr)
+    if len(columns) < 2:
+        raise ParseError(f"{path}: need at least one feature column and the output")
     return Dataset(columns, data, weights=weights, name=name or str(path))
 
 

@@ -1,9 +1,11 @@
 """The package's public names: the export list stays whole and unique;
-what importing the CLI loads; and that no module reads the environment."""
+what importing the CLI loads; that no module reads the environment; and
+that README's library sketch runs."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +86,13 @@ def test_package_reads_no_environment_variable():
                 continue
             found += [f"{path.name}:{node.lineno}: {n}" for n in names if n in env_names]
     assert found == []
+
+
+def test_readme_python_blocks_run():
+    """README's ```python blocks run in order, in one namespace."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

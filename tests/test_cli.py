@@ -287,6 +287,32 @@ def test_instances_file(capsys, tmp_path):
     assert matrices[0] == matrices[1]
 
 
+def test_one_feature_instance_file_matches_flags(capsys, tmp_path):
+    """An instance file of a one-feature dataset may hold that column alone."""
+    (tmp_path / "x1.csv").write_text("x1\n0\n1\n")
+    base = ["local", "--data", "table2", "--trees", "3", "--format", "json"]
+    matrices = []
+    for flags in (["--instance", "0", "--instance", "1"],
+                  ["--instances", str(tmp_path / "x1.csv")]):
+        code, out = run(capsys, base + flags)
+        assert code == 0
+        matrices.append(json.loads(out)["results"]["matrices"])
+    assert matrices[0] == matrices[1]
+
+
+def test_tree_past_the_recursion_limit_is_one_line(capsys, tmp_path):
+    """Alternating classes along one numeric feature split off one row per
+    level: 1,200 levels are past the recursion limit, which exits 2."""
+    rows = "".join(f"{i},{i % 2}\n" for i in range(1200))
+    (tmp_path / "deep.csv").write_text("x,y\n#kind: numeric,categorical\n" + rows)
+    code = cli.main(["global", "--data", str(tmp_path / "deep.csv"), "--trees", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "recursion limit" in lines[0]
+
+
 def test_numeric_instance_flag_matches_file(capsys, tmp_path):
     """--instance takes a numeric feature's value as a float, as a file does."""
     rows = "".join(f"{i / 4},{(i * 7 % 5) / 2},{i % 2}\n" for i in range(12))
@@ -575,6 +601,9 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["global", "--data", "{wide_categories}", "--trees", "20"],
         ["global", "--data", "led", "--k-sweep", "1..7", "--trees", "1000000000"],
         ["compare", "--data", "led", "--k-sweep", "1..7", "--trees", "1000000000"],
+        ["global", "--data", "{output_only}", "--trees", "3"],
+        ["global", "--data", "{weighted_output_only}", "--trees", "3"],
+        ["verify", "--data", "{weighted_output_only}"],
     ],
     ids=["non-integer-code", "wrong-count", "code-beyond-arity",
          "local-wrong-count", "k-beyond-p", "no-trees", "joint-sum-off",
@@ -592,7 +621,9 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
          "field-beyond-csv-limit", "led-sampled-beyond-max-cells",
          "k-sweep-huge-range", "trees-beyond-growth-budget",
          "trees-beyond-growth-budget-k-sweep",
-         "trees-beyond-growth-budget-k-sweep-compare"],
+         "trees-beyond-growth-budget-k-sweep-compare",
+         "output-only-global", "weighted-output-only-global",
+         "weighted-output-only-verify"],
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     files = {
@@ -607,6 +638,8 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
         "non_integer_instances": "a,b,c,d,e,f,g\n1.7,1,1,0,1,1,1\n",
         "invalid_utf8": b"x1,y,probability\n0,0,0.5\n1,1,0.\xff5\n",
         "nan_feature": "a,y\n0.5,0\nnan,1\n1.5,1\n",
+        "output_only": "y\n0\n1\n",
+        "weighted_output_only": "y,__weight__\n0,1\n1,1\n",
         "long_field": "x1,y,probability\n0,0,0.5\n1,1,0.5" + "0" * 131072 + "\n",
         # 4096 distinct rows over two arity-64 features: each tree is bounded
         # by 4095 * 64 + 1 nodes of 300 bytes, 20 trees by 1.6 GB, while the

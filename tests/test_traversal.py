@@ -2,9 +2,9 @@
 
 Property tests grow forests on random datasets that mix categorical and
 numeric features, hide the top category of some categorical features from
-training (so that walks stop at zero-mass children), and weight some rows
-by zero.  Examples are drawn deterministically, so every run checks the
-same forests.
+training (so that walks stop where a category has no child), and weight
+some rows by zero.  Examples are drawn deterministically, so every run
+checks the same forests.
 """
 
 import re
@@ -129,7 +129,7 @@ def test_instances_beyond_one_chunk(grown, n):
 
 def read_features(forest, x):
     """Features whose value some walk of `x` reads: those it splits on,
-    and the one at a node where it stops before a zero-mass child."""
+    and the one at a node where a category unseen there stops it."""
     read = set()
     for t in range(forest.n_trees):
         views = tree_nodes(forest, t)

@@ -24,7 +24,7 @@ from impshap.errors import (
 )
 from impshap.forest import predict_proba
 from impshap.impurity import ENTROPY
-from impshap.tree import grow_trees, mdi_by_tree
+from impshap.tree import LEAF, grow_trees, mdi_by_tree
 
 
 def one_tree(ds, k, seed, impurity=ENTROPY):
@@ -138,22 +138,19 @@ def test_determinism(led_ds):
     assert structure_keys(a) != structure_keys(c)
 
 
-def test_zero_mass_children():
-    """Unseen categories yield zero-mass children that keep the parent's
-    distribution and do not disturb the importance sums."""
+def test_unseen_category_has_no_child():
+    """A category that no training row of a node has gets no child: its
+    slot is LEAF, and a walk that takes it stops at the node."""
     ds = Dataset(
         [ColumnMeta("a", "categorical", 3), ColumnMeta("y", "categorical", 2)],
         [np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1])],
     )
     tree = one_tree(ds, 1, 0)
+    assert tree.children[0, 2] == LEAF  # category 2 never observed
+    assert len(tree.feature) == 3 and (tree.mass > 0).all()
     nodes = tree_nodes(tree)
     root = nodes[0]
-    assert root.feature == 0
-    assert len(root.children) == 3
-    ghost = nodes[root.children[2]]  # category 2 never observed
-    assert ghost.mass == 0.0 and ghost.impurity == 0.0
-    assert np.array_equal(ghost.dist, root.dist)
-    # prediction truncates at the parent
+    assert root.feature == 0 and root.children[2] is None
     assert list(walk_rows(nodes, [(2,)])) == [[]]
     assert np.array_equal(predict_proba(tree, [(2,)])[0], root.dist)
 
