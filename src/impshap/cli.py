@@ -42,7 +42,7 @@ from .forest import (
     local_mdi,
     saabas,
 )
-from .impurity import ENTROPY, KINDS, VARIANCE, subset_lattice
+from .impurity import ENTROPY, KINDS, subset_lattice
 from .population import (
     PopulationImportance,
     check_decompositions,
@@ -60,7 +60,6 @@ from .tu_game import (
     TUGame,
     check_strong_monotonicity,
     game_global_info,
-    game_global_variance,
     lattice_games,
     shapley_exact,
     shapley_payoffs,
@@ -523,20 +522,16 @@ def cmd_saabas(args, argv) -> int:
 
 def cmd_shapley(args, argv) -> int:
     joint = _resolve_joint(args)
-    if args.impurity not in (ENTROPY, VARIANCE):
-        raise UsageError("shapley supports --impurity entropy or variance")
-    variance = args.impurity == VARIANCE
-    payload = []
-    if args.instance:
-        xs = _parse_instances(args.instance, joint.input_arities)
-        lattice = subset_lattice(joint, VARIANCE if variance else ENTROPY, xs)
-        label = GAME_LABELS[lattice.kind][1]
-        for x, values in zip(xs, lattice_games(lattice)[1]):
-            game = TUGame(values, label)
-            payload.append({"instance": list(x), **shapley_exact(game).to_json_dict()})
+    xs = _parse_instances(args.instance, joint.input_arities) if args.instance else None
+    global_game, local_values = lattice_games(subset_lattice(joint, args.impurity, xs))
+    if xs:
+        label = GAME_LABELS[args.impurity][1]
+        payload = [
+            {"instance": list(x), **shapley_exact(TUGame(values, label)).to_json_dict()}
+            for x, values in zip(xs, local_values)
+        ]
     else:
-        game = (game_global_variance if variance else game_global_info)(joint)
-        payload.append(shapley_exact(game).to_json_dict())
+        payload = [shapley_exact(global_game).to_json_dict()]
     _emit(args, argv, joint.fingerprint(), {"games": payload},
           _score_rows(payload, "payoffs"), ("instance", "feature", "payoff"))
     return EXIT_OK

@@ -474,13 +474,37 @@ def _kinds(table) -> list | None:
 
 
 def _table_columns(table):
-    """(columns, data, weights) of a CSV read as a dataset, of any width."""
+    """(columns, data, weights) of a CSV read as a dataset, of any width.
+
+    The arrays come from one np.loadtxt pass where a kind row names every
+    kind and every categorical code lies in 0..MAX_ARITY-1, and from the
+    row path otherwise, which infers the kinds of a file without a kind row
+    and names the cell of any error.  Each column's metadata is then read
+    off its array: int64 codes are categorical with arity max + 1, float64
+    numbers numeric."""
     try:
         kinds = _kinds(table)
     except ParseError:
         table.scan()  # a wrong field count is reported first
         raise
-    return _columns(table, kinds) or _columns_by_rows(table, kinds)
+    path, header = table.path, table.header
+    weighted = header[-1] == "__weight__"
+    names = header[:len(header) - weighted]
+    cols = None
+    if kinds is not None:
+        cols = table.load([np.int64 if k == CATEGORICAL else np.float64
+                           for k in kinds[:len(names)]] + [np.float64] * weighted)
+    if cols is None or any(col.dtype == np.int64 and (col.min() < 0 or col.max() >= MAX_ARITY)
+                           for col in cols):
+        cells, lines = table.scan()
+        # the weights are parsed first, so theirs is the error reported
+        weights = [_parse(path, header[-1], cells[-1], lines)] if weighted else []
+        cols = [_parse_column(path, name, c, lines, kinds[i] if kinds else None)
+                for i, (name, c) in enumerate(zip(names, cells))] + weights
+    columns = [ColumnMeta(name, NUMERIC) if col.dtype == np.float64
+               else ColumnMeta(name, CATEGORICAL, arity=int(col.max()) + 1)
+               for name, col in zip(names, cols)]
+    return columns, cols[:len(names)], cols[-1] if weighted else None
 
 
 def _dataset(table) -> Dataset:
@@ -490,48 +514,9 @@ def _dataset(table) -> Dataset:
     return Dataset(columns, data, weights=weights, name=str(table.path))
 
 
-def _columns(table, kinds):
-    """Column metadata, data and weights from np.loadtxt, or None where the
-    row path must decide: it infers the kinds of a file without a kind row
-    and names the cell of any error."""
-    if kinds is None:
-        return None
-    weighted = table.header[-1] == "__weight__"
-    names = table.header[:len(table.header) - weighted]
-    kinds = kinds[:len(names)]
-    dtypes = [np.int64 if k == CATEGORICAL else np.float64 for k in kinds]
-    cols = table.load(dtypes + [np.float64] * weighted)
-    if cols is None:
-        return None
-    columns = []
-    for name, kind, col in zip(names, kinds, cols):
-        if kind == NUMERIC:
-            columns.append(ColumnMeta(name, NUMERIC))
-        elif col.min() < 0 or col.max() >= MAX_ARITY:
-            return None
-        else:
-            columns.append(ColumnMeta(name, CATEGORICAL, arity=int(col.max()) + 1))
-    return columns, cols[:len(names)], cols[-1] if weighted else None
-
-
-def _columns_by_rows(table, kinds):
-    """What `_columns` reads, from the row path's cells."""
-    path, header = table.path, table.header
-    cols, lines = table.scan()
-    weights = None
-    if header[-1] == "__weight__":
-        weights = _parse(path, header[-1], cols[-1], lines)
-        header, cols = header[:-1], cols[:-1]
-    columns, data = [], []
-    for c, cells in enumerate(cols):
-        kind = kinds[c] if kinds else None
-        meta, arr = _parse_column(path, header[c], cells, lines, kind)
-        columns.append(meta)
-        data.append(arr)
-    return columns, data, weights
-
-
 def _parse_column(path, name, cells, lines, kind):
+    """A column's int64 codes or float64 numbers; without a kind, codes
+    where every cell is an integer code in 0..MAX_ARITY-1."""
     if kind == CATEGORICAL:
         codes = _codes(path, name, cells, lines)
         arity = int(codes.max()) + 1
@@ -539,23 +524,23 @@ def _parse_column(path, name, cells, lines, kind):
             raise ArityOverflow(
                 f"{path}: column {name!r}: {arity} categories exceed {MAX_ARITY}"
             )
-        return ColumnMeta(name, CATEGORICAL, arity=arity), codes
+        return codes
     if kind is None:  # infer
         try:
             codes = _codes(path, name, cells, lines)
             if codes.max() < MAX_ARITY:
-                return ColumnMeta(name, CATEGORICAL, arity=int(codes.max()) + 1), codes
+                return codes
         except ParseError:
             pass
-    return ColumnMeta(name, NUMERIC), _parse(path, name, cells, lines)
+    return _parse(path, name, cells, lines)
 
 
 def load_csv(path) -> Dataset:
     """Load a dataset CSV: header row, optional '#kind:' row, data rows.
 
-    Without a kind row, a column is categorical when every value is a
-    nonnegative integer with at most MAX_ARITY distinct codes, numeric
-    otherwise.  Other rows starting with '#' are comments.
+    Without a kind row, a column is categorical when every value is an
+    integer code in 0..MAX_ARITY-1, and numeric otherwise.  Other rows
+    starting with '#' are comments.
     """
     return _dataset(_read_csv(path))
 
@@ -580,14 +565,11 @@ def write_csv(dataset: Dataset, path, provenance=None) -> None:
         if provenance:
             for line in provenance:
                 writer.writerow([f"# {line}"])
-        for i in range(dataset.n_rows):
-            row = []
-            for meta, col in zip(dataset.columns, dataset.data):
-                v = col[i]
-                row.append(int(v) if meta.kind == CATEGORICAL else repr(float(v)))
-            if dataset.weights is not None:
-                row.append(repr(float(dataset.weights[i])))
-            writer.writerow(row)
+        cols = [col.tolist() if meta.kind == CATEGORICAL else map(repr, col.tolist())
+                for meta, col in zip(dataset.columns, dataset.data)]
+        if dataset.weights is not None:
+            cols.append(map(repr, dataset.weights.tolist()))
+        writer.writerows(zip(*cols))
 
 
 def _joint(table) -> JointDistribution:
@@ -636,8 +618,8 @@ def write_joint_csv(j: JointDistribution, path, names=None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(names) + ["probability"])
-        for idx in np.argwhere(j.table > 0.0):
-            writer.writerow([int(v) for v in idx] + [repr(float(j.table[tuple(idx)]))])
+        cells = np.argwhere(j.table > 0.0).T
+        writer.writerows(zip(*cells.tolist(), map(repr, j.table[tuple(cells)].tolist())))
 
 
 def digits_dataset(n: int | None = None, bins: int = 4, seed: int = 0) -> Dataset:

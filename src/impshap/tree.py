@@ -188,11 +188,11 @@ class _BuildContext:
 
     def check_size(self, n_trees: int) -> None:
         """Refuse `n_trees` trees whose packed arrays could pass
-        GROWTH_BUDGET bytes, before any grows.  Every split has at least two
-        children, so a tree of E entries has at most E - 1 splits and 2E - 1
-        nodes, bounded here by (E - 1) * width + 1; a node takes its feature,
-        threshold, children and record [impurity, mass, *dist]."""
-        nodes = (self.n_rows - 1) * self.width + 1
+        GROWTH_BUDGET bytes, before any grows.  Only nodes that rows reach
+        are stored and every split has at least two of them, so a tree of E
+        entries has at most E - 1 splits and 2E - 1 nodes; a node takes its
+        feature, threshold, children and record [impurity, mass, *dist]."""
+        nodes = 2 * self.n_rows - 1
         node_bytes = 4 + 8 + 4 * self.width + 8 * (2 + self.n_classes)
         if n_trees * nodes * node_bytes > GROWTH_BUDGET:
             raise TableTooLarge(

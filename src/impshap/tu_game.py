@@ -2,13 +2,12 @@
 
 Coalitions are integer bitmasks.  A game is its characteristic function as
 a table over all 2^p coalitions; every payoff is a float sum of marginal
-contributions weighted by |S|!(p-|S|-1)!/p!, each weight rounded once from
-an exact Fraction.  The information and variance games are rows of one
-subset-lattice walk of the joint.
+contributions weighted by |S|!(p-|S|-1)!/p!, each weight the correctly
+rounded quotient of two exact integers.  The information, Gini and variance
+games are rows of one subset-lattice walk of the joint.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -105,11 +104,10 @@ class ShapleyVector:
 
 
 def shapley_weights(p: int) -> list:
-    """Exact coalition-size weights |S|!(p-|S|-1)!/p! as floats."""
+    """Coalition-size weights |S|!(p-|S|-1)!/p! as floats: int true division
+    rounds the exact ratio once."""
     fp = factorial(p)
-    return [
-        float(Fraction(factorial(k) * factorial(p - k - 1), fp)) for k in range(p)
-    ]
+    return [factorial(k) * factorial(p - k - 1) / fp for k in range(p)]
 
 
 def shapley_payoffs(values) -> np.ndarray:

@@ -11,8 +11,9 @@ scoring and Shapley weights, so that only the layout they check differs.
 
 import csv
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
-from math import comb, fsum, log2, sqrt
+from math import comb, factorial, fsum, log2, sqrt
 
 import numpy as np
 
@@ -108,6 +109,13 @@ def shapley_by_marginals(values) -> np.ndarray:
         mc = values[without | (1 << m)] - values[without]
         payoffs[m] = float(weights[sizes[without]] @ mc)
     return payoffs
+
+
+def shapley_weights_exact(p: int) -> list:
+    """|S|!(p-|S|-1)!/p! for each coalition size, each rounded once from
+    an exact Fraction."""
+    return [float(Fraction(factorial(k) * factorial(p - k - 1), factorial(p)))
+            for k in range(p)]
 
 
 def weighted_variance(values, weights) -> float:

@@ -1,11 +1,12 @@
 """The package's public names: the export list stays whole and unique;
 what importing the CLI loads; that no module reads the environment; and
-that README's library sketch runs."""
+that README's library sketch and CLI block run."""
 
 import ast
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +97,19 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    """Each line of README's CLI block exits 0, run in a fresh directory."""
+    from impshap import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme, re.S | re.M).group(1)
+    monkeypatch.chdir(tmp_path)
+    lines = block.splitlines()
+    assert len(lines) >= 9
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "impshap"
+        assert cli.main(argv) == 0, line
+        capsys.readouterr()

@@ -134,15 +134,17 @@ def test_k_sweep_equals_separate_builds(capsys, argv, ks, key):
     assert sweep == [per_k(["--k", str(k)])[0] for k in ks]
 
 
-def test_shapley_command_matches_library(capsys, tables):
-    from impshap.tu_game import game_global_info, shapley_exact
+@pytest.mark.parametrize("impurity", ["entropy", "gini", "variance"])
+def test_shapley_command_matches_library(capsys, tables, impurity):
+    from impshap.impurity import subset_lattice
+    from impshap.tu_game import lattice_games, shapley_exact
 
     code, out = run(capsys, ["shapley", "--data", "table1-y1",
-                             "--format", "json"])
+                             "--impurity", impurity, "--format", "json"])
     assert code == 0
     got = json.loads(out)["results"]["games"][0]["payoffs"]
-    want = shapley_exact(game_global_info(tables["table1-y1"])).payoffs
-    assert got == pytest.approx(list(want), abs=1e-12)
+    game = lattice_games(subset_lattice(tables["table1-y1"], impurity))[0]
+    assert got == pytest.approx(list(shapley_exact(game).payoffs), abs=1e-12)
 
 
 def test_pop_mdi_local_instance(capsys):
@@ -556,6 +558,12 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
     assert sum(row) == pytest.approx(np.log2(10), abs=1e-9)
 
 
+# two arity-64 features over all 4096 code pairs
+WIDE_CATEGORIES = "a,b,y\n" + "".join(
+    f"{a},{b},{(a + b) % 2}\n" for a in range(64) for b in range(64)
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -598,7 +606,7 @@ def test_local_sum_is_exact_on_pure_leaves(capsys):
         ["gen-data", "--data", "led-sampled", "--n", "1000000000000",
          "--out", "{unnormalized}"],
         ["global", "--data", "led", "--k-sweep", "1..1000000000000000"],
-        ["global", "--data", "{wide_categories}", "--trees", "20"],
+        ["global", "--data", "{wide_categories}", "--trees", "500"],
         ["global", "--data", "led", "--k-sweep", "1..7", "--trees", "1000000000"],
         ["compare", "--data", "led", "--k-sweep", "1..7", "--trees", "1000000000"],
         ["global", "--data", "{output_only}", "--trees", "3"],
@@ -642,11 +650,8 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
         "weighted_output_only": "y,__weight__\n0,1\n1,1\n",
         "long_field": "x1,y,probability\n0,0,0.5\n1,1,0.5" + "0" * 131072 + "\n",
         # 4096 distinct rows over two arity-64 features: each tree is bounded
-        # by 4095 * 64 + 1 nodes of 300 bytes, 20 trees by 1.6 GB, while the
-        # trees themselves would hold 4161 nodes each
-        "wide_categories": "a,b,y\n" + "".join(
-            f"{a},{b},{(a + b) % 2}\n" for a in range(64) for b in range(64)
-        ),
+        # by 2 * 4096 - 1 nodes of 300 bytes, 500 trees by 1.2 GB
+        "wide_categories": WIDE_CATEGORIES,
     }
     for name, text in files.items():
         raw = text if isinstance(text, bytes) else text.encode()
@@ -664,6 +669,15 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_growth_budget_admits_a_forest_that_fits(capsys, tmp_path):
+    """20 trees on the wide file hold about 83,000 nodes (25 MB): the bound
+    of 2E - 1 nodes per tree lets them grow."""
+    path = tmp_path / "wide.csv"
+    path.write_text(WIDE_CATEGORIES)
+    code, out = run(capsys, ["global", "--data", str(path), "--trees", "20"])
+    assert code == 0 and out
 
 
 def test_missing_optional_package_is_usage_error(capsys, monkeypatch):
@@ -785,6 +799,21 @@ def test_json_report_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, argv + ["--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_written_csv_bytes_are_pinned(tmp_path, monkeypatch):
+    """The writers build whole columns and write the bytes that writing one
+    cell at a time wrote."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-data", "--data", "led-sampled", "--n", "200",
+                     "--seed", "1", "--out", "led.csv"]) == 0
+    write_joint_csv(random_joint(5, p=8), "joint.csv")
+    digests = [hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in ("led.csv", "joint.csv")]
+    assert digests == [
+        "3ba8a25dc9769ee4156d4cbb8bc2f7130f7f85ff78186fd5619e5e1e7b97f07f",
+        "91f1862ec687b44c51ee10fc964ef91e837fdace7f70683004ce08348237c833",
+    ]
 
 
 # numbers whose texts differ while they compare equal (0.0 and -0.0, 1 and

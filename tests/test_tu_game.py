@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import shapley_by_marginals, shapley_by_permutations
+from oracles import shapley_by_marginals, shapley_by_permutations, shapley_weights_exact
 
 from impshap.errors import (
     NonZeroEmptyCoalition,
@@ -52,6 +52,12 @@ def test_weights_sum_to_one_per_player():
         assert sum(comb(p - 1, k) * w[k] for k in range(p)) == pytest.approx(
             1.0, abs=1e-12
         )
+
+
+def test_weights_are_the_exact_ratios_rounded_once():
+    """Int true division rounds each weight as a Fraction does."""
+    for p in range(1, 21):
+        assert shapley_weights(p) == shapley_weights_exact(p)
 
 
 def test_null_player_gets_zero():
