@@ -55,6 +55,7 @@ from .relevance import (
     verify_global_local_equivalence,
     verify_local_null_scores,
 )
+from .tree import StateGraph, TreeStreams
 from .tu_game import (
     GAME_LABELS,
     TUGame,
@@ -439,10 +440,11 @@ def cmd_global(args, argv) -> int:
     dataset = _resolve_dataset(args)
     ks = _forest_ks(args, dataset.n_features)
     names = dataset.feature_names()
-    per_k, streams = [], []  # the streams serve every K
+    # every K replays the same streams on the same node states
+    per_k, streams, graph = [], TreeStreams(), StateGraph(dataset, args.impurity)
     for k in ks:
         forest = build_forest(dataset, k, args.trees, impurity=args.impurity,
-                              seed=args.seed, streams=streams)
+                              seed=args.seed, streams=streams, graph=graph)
         scores = global_mdi(forest, normalize=args.normalize)
         del forest  # before the next K's build: one forest at a time
         per_k.append(
@@ -666,10 +668,10 @@ def cmd_compare(args, argv) -> int:
     ks = _forest_ks(args, dataset.n_features)
     _check_class_index(args, dataset)
     instances = _resolve_instances(args, dataset)
-    per_k, streams = [], []
+    per_k, streams, graph = [], TreeStreams(), StateGraph(dataset, args.impurity)
     for k in ks:
         forest = build_forest(dataset, k, args.trees, impurity=args.impurity,
-                              seed=args.seed, streams=streams)
+                              seed=args.seed, streams=streams, graph=graph)
         lm = local_mdi(forest, instances)
         sb = saabas(forest, instances, class_index=args.class_index)
         del forest

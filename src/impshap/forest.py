@@ -5,25 +5,23 @@ and the Saabas prediction decomposition.
 
 Tree i of a forest is grown from a private RNG stream derived by hashing
 (master seed, i), so results never depend on construction order or
-worker scheduling.  The stream is read once into 32-bit words
-(`_TreeStream`) that every build given it replays, so a K sweep hashes and
-seeds it once.  A forest is its packed trees (`tree.PackedTrees`), which
+worker scheduling.  The streams are read once into a table of 32-bit
+words (`tree.TreeStreams`) that every build given it replays, and node
+states are computed once into a `tree.StateGraph` that every build given
+it grows on, so a K sweep hashes and seeds each stream, and computes each
+state, once.  A forest is its packed trees (`tree.PackedTrees`), which
 record K, the impurity kind and the master seed; the three path measures
 each make one `tree.traverse` call.
 """
 
 import hashlib
-import math
-import random
-import sys
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .impurity import ENTROPY
-from .tree import PackedTrees, _BuildContext, grow_trees, mdi_by_tree, traverse
+from .tree import PackedTrees, StateGraph, TreeStreams, grow_trees, mdi_by_tree, traverse
 
 LOCAL_MDI = "local-mdi"
 SAABAS = "saabas"
@@ -34,64 +32,6 @@ def _tree_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class _TreeStream:
-    """`random.Random(seed)` read into 32-bit words; `pos = 0` replays it.
-    `randrange` and `sample` port CPython's `_randbelow_with_getrandbits`
-    and `sample` (`getrandbits(b)`, b <= 32, is the next word >> (32 - b)),
-    so draws and words used are the `Random`'s.  A refill seeds a temporary
-    `Random` and keeps its first max(32, 2n) words, n the words held."""
-
-    __slots__ = ("seed", "words", "pos")
-
-    def __init__(self, seed: int):
-        self.seed, self.words, self.pos = seed, array("I"), 0
-
-    def _refill(self) -> None:
-        n = max(32, 2 * len(self.words))
-        bits = random.Random(self.seed).getrandbits(32 * n)
-        self.words = array("I", bits.to_bytes(4 * n, "little"))
-        if sys.byteorder == "big":
-            self.words.byteswap()
-
-    def randrange(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("empty range for randrange()")
-        shift, pos = 32 - n.bit_length(), self.pos  # n >= 2**32: ValueError
-        while True:
-            try:
-                r = self.words[pos] >> shift
-            except IndexError:
-                self._refill()
-                continue
-            pos += 1
-            if r < n:
-                self.pos = pos
-                return r
-
-    def sample(self, population, k: int) -> list:
-        n, randbelow = len(population), self.randrange
-        if not 0 <= k <= n:
-            raise ValueError("Sample larger than population or is negative")
-        result, setsize = [None] * k, 21
-        if k > 5:
-            setsize += 4 ** math.ceil(math.log(k * 3, 4))
-        if n <= setsize:
-            pool = list(population)
-            for i in range(k):
-                j = randbelow(n - i)
-                result[i] = pool[j]
-                pool[j] = pool[n - i - 1]
-            return result
-        selected = set()
-        for i in range(k):
-            j = randbelow(n)
-            while j in selected:
-                j = randbelow(n)
-            selected.add(j)
-            result[i] = population[j]
-        return result
-
-
 def build_forest(
     dataset: Dataset,
     k: int,
@@ -99,30 +39,34 @@ def build_forest(
     impurity: str = ENTROPY,
     seed: int = 0,
     n_jobs: int = 1,
-    streams: list | None = None,
+    streams: TreeStreams | None = None,
+    graph: StateGraph | None = None,
 ) -> PackedTrees:
     """Grow `n_trees` independent trees; deterministic in (dataset, k,
     n_trees, impurity, seed) whatever the worker count.  A forest whose
     size bound passes `tree.GROWTH_BUDGET` is refused before any growth.
-    Tree i draws from `streams[i]`, rewound.  `streams` holds the
-    `_TreeStream`s of master seed `seed` (others raise ValueError); after the
-    size check this call extends it to `n_trees`, so builds that share one
-    list hash and seed each stream once."""
+    Tree i draws from row i of `streams`, from its first word.  `streams`
+    holds the rows of master seed `seed` (others raise ValueError); after
+    the size check this call extends it to `n_trees` rows, so builds that
+    share it hash and seed each stream once.  `graph` is the `StateGraph`
+    of `dataset` and `impurity` (others raise ValueError); builds that
+    share it compute each node state and split once."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
     if streams is None:
-        streams = []
-    elif streams and streams[0].seed != _tree_seed(seed, 0):
+        streams = TreeStreams()
+    elif len(streams) and streams.seeds[0] != _tree_seed(seed, 0):
         raise ValueError(f"tree streams of another master seed than {seed}")
-    ctx = _BuildContext(dataset)
-    ctx.check_size(n_trees)
-    streams.extend(_TreeStream(_tree_seed(seed, i))
-                   for i in range(len(streams), n_trees))
-    streams = streams[:n_trees]
-    for stream in streams:
-        stream.pos = 0
+    if graph is None:
+        graph = StateGraph(dataset, impurity)
+    elif graph.dataset is not dataset or graph.impurity != impurity:
+        raise ValueError("a state graph of another dataset or impurity")
+    graph.ctx.check_size(n_trees)
+    streams.extend(_tree_seed(seed, i) for i in range(len(streams), n_trees))
+    if len(streams) > n_trees:
+        streams = streams[:n_trees]
     if n_jobs <= 1 or n_trees < 4 * n_jobs:
-        return grow_trees(ctx, k, impurity, streams, seed)
+        return grow_trees(graph, k, impurity, streams, seed)
     # imported here, so processes that never use the pool do not load it
     from concurrent.futures import ProcessPoolExecutor
 
@@ -131,7 +75,7 @@ def build_forest(
         return PackedTrees.concat(pool.map(
             grow_trees,
             *zip(*[
-                (ctx, k, impurity, streams[lo:hi], seed)
+                (graph.ctx, k, impurity, streams[lo:hi], seed)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]),
         ))

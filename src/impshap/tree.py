@@ -4,7 +4,9 @@ instances down them.
 Categorical features use exhaustive splits (one child per category, never
 reused on a path); numeric features use binary threshold splits at the
 best midpoint between consecutive observed values.  Trees are always fully
-developed: recursion stops only at purity or feature exhaustion.
+developed: growth stops only at purity or feature exhaustion.  Every tree
+of a build grows in lock-step on one graph of node states (`StateGraph`),
+drawing from a table of its random stream's words (`TreeStreams`).
 
 Any number of trees share one struct-of-arrays (`PackedTrees`): the node
 arrays of all trees concatenated, per-tree root offsets, and children as
@@ -13,6 +15,8 @@ global node ids.  Only nodes that training rows reach are stored.
 Saabas, class probabilities) accumulates what it visits.
 """
 
+import math
+import random
 from array import array
 from dataclasses import dataclass, replace
 
@@ -25,7 +29,6 @@ from .errors import (
     MissingFeatureValue,
     NoAdmissibleFeature,
     TableTooLarge,
-    TreeTooDeep,
 )
 from .impurity import check_kind, impurity_from_counts
 
@@ -131,9 +134,13 @@ def _distinct_rows(x: np.ndarray):
 
 
 class _BuildContext:
-    """Dataset unpacked for growth: its entries, as one list per column
-    (the tree builder works on few rows at a time, where plain loops beat
-    array calls), and the weight `ws` of each.
+    """Dataset unpacked for growth: its entries, one column each in `cols`,
+    and the weight `ws` of each.  A categorical column is a list of codes
+    (the builder partitions few rows at a time, where plain loops beat
+    array calls); the numeric columns are the columns of one float64 array
+    `numeric`, which a state scans for constancy in one call and a split
+    sorts with `argsort`, and which takes 8 bytes a value where a list of
+    floats takes 32.
 
     Without weights, the rows with the same float64 bytes (features and
     output) are one entry, in order of first occurrence, weighted by their
@@ -145,7 +152,7 @@ class _BuildContext:
     no threshold can place it.
     """
 
-    __slots__ = ("cols", "kinds", "arities", "ys", "ws", "n_classes",
+    __slots__ = ("cols", "numeric", "kinds", "arities", "ys", "ws", "n_classes",
                  "total_weight", "n_rows", "n_train", "n_features", "width")
 
     def __init__(self, dataset: Dataset):
@@ -173,8 +180,13 @@ class _BuildContext:
                 raise EmptyDataset("dataset has zero total weight")
             ws = dataset.weights[keep]
             self.n_train = keep.size
-        self.cols = [col[keep].tolist() for col in dataset.data[:-1]]
         self.kinds = [c.kind for c in dataset.columns[:-1]]
+        numeric = [col[keep] for kind, col in zip(self.kinds, dataset.data[:-1])
+                   if kind != CATEGORICAL]
+        self.numeric = np.column_stack(numeric) if numeric else np.zeros((len(keep), 0))
+        numeric = iter(self.numeric.T)
+        self.cols = [col[keep].tolist() if kind == CATEGORICAL else next(numeric)
+                     for kind, col in zip(self.kinds, dataset.data[:-1])]
         self.arities = [c.arity for c in dataset.columns[:-1]]
         self.ys = dataset.output[keep].tolist()
         self.n_rows = len(self.ys)
@@ -201,28 +213,385 @@ class _BuildContext:
             )
 
 
-class _Node:
-    """One node state of a build, shared by every path that reaches its
-    rows: what a node computes from them, its output `record` (impurity,
-    mass, class distribution), and its splits.  `splits` is None until the
-    state's first subtree is grown and then caches each split a later tree
-    asks for.  `rows` is a list while only the subtree being grown can reach
-    the state, an int array once the state is kept, and None once nothing
-    can read it again: at a leaf, once every admissible feature's split is
-    cached, and once `copy`, the (lo, hi) output slice of a subtree that
-    drew no random number, is known."""
-
-    __slots__ = ("rows", "counts", "weight", "imp", "record", "admissible",
-                 "splits", "copy")
+# words of a stream read at first; a row that runs out is read again at
+# twice its width
+FIRST_WORDS = 32
+# words a draw reads per tree at once; at most half of them are rejected on
+# average, so a draw rarely needs more
+LOOKAHEAD = 8
+_AHEAD = np.arange(LOOKAHEAD)
+UNSET = -2  # `StateGraph.best` of a state whose splits are not all known
 
 
-def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
-    """One tree per RNG of `rngs` (a `random.Random`, or the
-    `forest._TreeStream` `build_forest` passes), in order, grown straight
-    into packed columns from one memo of node states; `seed` is recorded as
-    the master seed the RNGs derive from.  `dataset` is a `Dataset` or the
-    `_BuildContext` made from one (`forest.build_forest` makes it first to
-    check the forest's size).  Rows are the entries of `_BuildContext`: on
+class TreeStreams:
+    """The random streams of a forest's trees, each read once into words.
+
+    Row i of the uint32 table `words` holds the first `filled[i]` 32-bit
+    words of `random.Random(seeds[i])`, as `getrandbits(32 * filled[i])`
+    returns them, low word first; `getrandbits(b)` for b <= 32 is the next
+    word shifted right by 32 - b.  A row that runs out is read again at
+    twice its width, and the table widens to fit.  `grow_trees` draws tree
+    i's candidates from row i, from its first word on, and leaves in
+    `used[i]` how many words they took.  A slice copies its rows.
+    """
+
+    __slots__ = ("seeds", "words", "filled", "used")
+
+    def __init__(self, seeds=()):
+        self.seeds = []
+        self.words = np.zeros((0, FIRST_WORDS), dtype=np.uint32)
+        self.filled = np.zeros(0, dtype=np.int64)
+        self.used = np.zeros(0, dtype=np.int64)
+        self.extend(seeds)
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, rows: slice) -> "TreeStreams":
+        part = TreeStreams()
+        part.seeds = self.seeds[rows]
+        part.words, part.filled, part.used = (
+            self.words[rows].copy(), self.filled[rows].copy(), self.used[rows].copy()
+        )
+        return part
+
+    def extend(self, seeds) -> None:
+        """Append one row per seed, read to FIRST_WORDS words."""
+        seeds = list(seeds)
+        n, more = len(self.seeds), len(seeds)
+        self.seeds += seeds
+        self.words = np.concatenate(
+            [self.words, np.zeros((more, self.words.shape[1]), dtype=np.uint32)])
+        self.filled = np.concatenate([self.filled, np.zeros(more, dtype=np.int64)])
+        self.used = np.concatenate([self.used, np.zeros(more, dtype=np.int64)])
+        self._read(np.arange(n, n + more), FIRST_WORDS)
+
+    def _widen(self, rows) -> None:
+        """Read each of `rows` again at twice its width."""
+        widths = self.filled[rows]
+        for width in dict.fromkeys(widths.tolist()):
+            self._read(rows[widths == width], 2 * width)
+
+    def _read(self, rows, width: int) -> None:
+        """Read each of `rows` to `width` words, widening the table to fit."""
+        if width > self.words.shape[1]:
+            self.words = np.pad(self.words, ((0, 0), (0, width - self.words.shape[1])))
+        size = 4 * width  # bytes a row
+        data = b"".join(
+            random.Random(self.seeds[i]).getrandbits(8 * size).to_bytes(size, "little")
+            for i in rows.tolist()
+        )
+        self.words[rows, :width] = np.frombuffer(data, dtype="<u4").reshape(-1, width)
+        self.filled[rows] = width
+
+
+class StateGraph:
+    """The node states of one dataset under one impurity kind, shared by
+    every tree grown on it, at any K.
+
+    What a node computes depends only on its rows, in their order: its
+    class counts, impurity, output record, admissible features, and the
+    gain, threshold and children of each split.  So a state is keyed on
+    the bytes of its ordered row ids (entries of `_BuildContext`), which
+    are also the rows it splits, and every path, tree and build that
+    reaches the same rows meets the same state.  A feature split
+    exhaustively above a node is constant on its rows, hence not
+    admissible.  Each table has one row per state id s:
+
+    - `n_adm[s]`, and `adm[s, :n_adm[s]]`: the admissible features,
+      ascending; none at purity;
+    - `gain[s, f]`: NaN until some tree asks for the split on f, computed
+      then in Python (`_threshold_split` for a numeric f); with it
+      `thr[s, f]`, NaN unless f is numeric, and `kids[s, f]`, the child
+      states, -1 where no row of s has the category.  `thr` and `kids` have
+      one more feature, NaN and -1, which f = LEAF reads;
+    - `best[s]`: the admissible feature of largest gain, the lowest on
+      ties; UNSET until some tree has every admissible feature as
+      candidate, LEAF at a leaf;
+    - `record[s]`: [impurity, mass p(t), *class distribution];
+    - `pops[s]`: the nodes of s popped so far; `kept[s]`: s is in the memo.
+
+    A split's child states are kept, in the memo, once their parent has
+    been popped twice: a state that repeats repeats its children.  Below a
+    state popped once the children pass: they are computed alike, but hold
+    no memo entry and no `kids` slot after their step, and their ids are
+    reused once their node is popped, or once their step ends if they lost
+    as candidates.  So where states rarely repeat, as on numeric data, the
+    graph holds little more than the stacks reach.  On the LED population
+    every split is first asked for at a state popped more than once, and
+    all 67 states are kept.
+    """
+
+    def __init__(self, dataset, impurity: str):
+        check_kind(impurity)
+        ctx = dataset if isinstance(dataset, _BuildContext) else _BuildContext(dataset)
+        self.dataset, self.ctx, self.impurity = dataset, ctx, impurity
+        self.ids = {}  # memo: row bytes -> id of a kept state
+        self.rows = []  # id -> row bytes of its state, None while the id is free
+        # id -> (class counts summed in row order, their sum, impurity)
+        self.sums = []
+        self._free = []  # free ids, reused first
+        self._passing = []  # passing states made in the current step
+        self._passed = []  # (s, f): splits of this step whose children pass
+        self._n_passing = 0  # passing states alive
+        self._forgot = False  # some kept state has passed a split
+        p, c, w = ctx.n_features, ctx.n_classes, ctx.width
+        # (table, shape of a row, dtype, fill of a free row)
+        self._tables = (("n_adm", (), np.int32, 0), ("adm", (p,), np.int32, -1),
+                        ("gain", (p,), np.float64, np.nan),
+                        ("thr", (p + 1,), np.float64, np.nan),
+                        ("kids", (p + 1, w), np.int32, -1), ("best", (), np.int32, UNSET),
+                        ("record", (2 + c,), np.float64, np.nan),
+                        ("pops", (), np.int64, 0),
+                        ("kept", (), bool, False))
+        for name, shape, dtype, fill in self._tables:
+            setattr(self, name, np.full((0,) + shape, fill, dtype=dtype))
+        self.root = self._state(list(range(ctx.n_rows)), keep=True)
+        if not self.n_adm[self.root] and self.record[self.root, 0] >= PURITY_EPS:
+            raise NoAdmissibleFeature(
+                "no feature can split the root (all columns constant)")
+
+    def _state(self, rows, keep: bool) -> int:
+        """The id of the state of the row ids `rows`: a kept one if any,
+        else a new one, kept in the memo if `keep`."""
+        key = array("i", rows).tobytes()
+        s = self.ids.get(key)
+        if s is not None:
+            return s
+        ctx = self.ctx
+        ys, ws = ctx.ys, ctx.ws
+        counts = [0.0] * ctx.n_classes
+        for i in rows:
+            counts[ys[i]] += ws[i]
+        weight = sum(counts)
+        imp = impurity_from_counts(counts, self.impurity)
+        adm = []
+        if imp >= PURITY_EPS:
+            if ctx.numeric.shape[1]:  # one array scan for every numeric column
+                values = ctx.numeric[np.frombuffer(key, dtype=np.intc)]
+                varies = iter((values != values[0]).any(axis=0).tolist())
+            for f, col in enumerate(ctx.cols):
+                if ctx.kinds[f] != CATEGORICAL:
+                    if next(varies):
+                        adm.append(f)
+                    continue
+                first = col[rows[0]]
+                for i in rows:
+                    if col[i] != first:
+                        adm.append(f)
+                        break
+        if self._free:
+            s = self._free.pop()
+            # the rows of a freed id hold the splits and pops of its last state
+            self.gain[s], self.thr[s], self.kids[s], self.pops[s] = np.nan, np.nan, -1, 0
+        else:
+            s = len(self.rows)
+            self.rows.append(None)
+            self.sums.append(None)
+            if s == len(self.best):  # double every table
+                for name, shape, dtype, fill in self._tables:
+                    old = getattr(self, name)
+                    new = np.full((max(16, 2 * s),) + shape, fill, dtype=dtype)
+                    new[:s] = old
+                    setattr(self, name, new)
+        self.n_adm[s], self.adm[s, :len(adm)] = len(adm), adm
+        self.best[s] = UNSET if adm else LEAF
+        self.record[s] = [imp, weight / ctx.total_weight, *[c / weight for c in counts]]
+        self.sums[s], self.kept[s] = (counts, weight, imp), keep
+        self.rows[s] = key
+        if keep:
+            self.ids[key] = s
+        else:
+            self._passing.append(s)
+            self._n_passing += 1
+        return s
+
+    def _split(self, s: int, f: int) -> None:
+        """Fill gain, thr and kids of state s on its admissible feature f;
+        the children are kept once s has been popped twice."""
+        ctx = self.ctx
+        keep = self.pops[s] >= 2
+        rows = memoryview(self.rows[s]).cast("i")
+        if ctx.kinds[f] == CATEGORICAL:
+            col, parts = ctx.cols[f], [[] for _ in range(ctx.arities[f])]
+            for i in rows:  # row order per part
+                parts[col[i]].append(i)
+            kids = [self._state(part, keep) if part else -1 for part in parts]
+            _, weight, imp = self.sums[s]
+            acc = 0.0
+            for kid in kids:
+                if kid >= 0:
+                    acc += self.sums[kid][1] / weight * self.sums[kid][2]
+            gain, thr = imp - acc, np.nan
+        else:
+            gain, thr, parts = self._threshold_split(s, f)
+            kids = [self._state(part, keep) for part in parts]
+        self.gain[s, f], self.thr[s, f] = gain, thr
+        self.kids[s, f, :len(kids)] = kids
+        if not keep:
+            self._passed.append((s, f))
+
+    def _threshold_split(self, s: int, f: int):
+        """Best midpoint split of numeric feature f at state s, scanning
+        the rows in stable sorted order; f is admissible, so some midpoint
+        exists.  Returns the gain, the threshold and the two sides."""
+        ctx = self.ctx
+        col, ys, ws, n_classes = ctx.cols[f], ctx.ys, ctx.ws, ctx.n_classes
+        counts, total, imp = self.sums[s]
+        rows = np.frombuffer(self.rows[s], dtype=np.intc)
+        order = rows[np.argsort(col[rows], kind="stable")]
+        values, order = col[order].tolist(), order.tolist()
+        left = [0.0] * n_classes
+        best = None
+        for pos in range(1, len(order)):
+            i = order[pos - 1]
+            left[ys[i]] += ws[i]
+            v, nxt = values[pos - 1], values[pos]
+            if v == nxt:
+                continue
+            right = [counts[c] - left[c] for c in range(n_classes)]
+            wl = sum(left)
+            wr = total - wl
+            gain = imp - (
+                wl / total * impurity_from_counts(left, self.impurity)
+                + wr / total * impurity_from_counts(right, self.impurity)
+            )
+            if best is None or gain > best[0]:
+                # a row goes right when its value is > the threshold, so the cut
+                # must lie in [v, nxt): the midpoint does not with an infinite
+                # value, an overflowing sum, or a sum that rounds up to nxt
+                mid = (v + nxt) / 2.0
+                best = (gain, mid if v <= mid < nxt else v, pos)
+        gain, thr, cut = best
+        return gain, thr, (order[:cut], order[cut:])
+
+    def _gains(self, states, features, rows) -> np.ndarray:
+        """gain[states[e], features[e, :]] for the (m,) states and (m, c)
+        features, each split of a row in the bool mask `rows` computed first
+        if missing; other rows are not read."""
+        gain = self.gain[states[:, None], features]
+        missing = np.isnan(gain) & rows[:, None]
+        if missing.any():
+            at = np.nonzero(missing)
+            for s, f in dict.fromkeys(zip(states[at[0]].tolist(),
+                                          features[at].tolist())):
+                self._split(s, f)
+            gain = self.gain[states[:, None], features]
+        return gain
+
+    def _best(self, states, rows) -> np.ndarray:
+        """best[states], computed first where `rows` and UNSET."""
+        best = self.best[states]
+        unset = (best == UNSET) & rows
+        if unset.any():
+            for s in dict.fromkeys(states[unset].tolist()):
+                adm = self.adm[s, :self.n_adm[s]]
+                gain = self._gains(np.array([s]), adm[None, :], np.ones(1, dtype=bool))
+                self.best[s] = adm[gain[0].argmax()]  # adm ascending: ties keep the first
+            best = self.best[states]
+        return best
+
+    def _kids(self, states, features) -> np.ndarray:
+        """kids[states, features], each passed split of a kept state made
+        again, kept: that state has been popped again since."""
+        kids = self.kids[states, features]
+        if self._forgot:
+            gone = (features != LEAF) & ~(kids >= 0).any(axis=1)
+            if gone.any():
+                for s, f in dict.fromkeys(zip(states[gone].tolist(),
+                                              features[gone].tolist())):
+                    self._split(s, f)
+                kids = self.kids[states, features]
+        return kids
+
+    def _end_step(self, popped, pushed) -> None:
+        """Free the passing states no stack holds: those popped in this step,
+        and those made in it but not in `pushed` (ids, -1 for none); forget
+        its passed splits."""
+        if not (self._n_passing or self._passed):
+            return
+        for s, f in self._passed:
+            self.kids[s, f] = -1
+            self._forgot = self._forgot or self.kept[s]
+        made = np.array(self._passing, dtype=np.intp)
+        stacked = np.zeros(len(self.rows), dtype=bool)
+        stacked[pushed[pushed >= 0]] = True
+        done = set(made[~stacked[made]].tolist())
+        done.update(popped[~self.kept[popped]].tolist())
+        for s in sorted(done):
+            self.rows[s] = self.sums[s] = None
+            self._free.append(s)
+        self._n_passing -= len(done)
+        self._passing.clear()
+        self._passed.clear()
+
+
+def _randbelow(streams, pos, trees, n, taken=None) -> np.ndarray:
+    """For each e, CPython's `Random._randbelow(n[e])` on the stream of tree
+    trees[e] (distinct), from its word pos[trees[e]] on: the next word
+    shifted right to n[e].bit_length() bits, drawn again while not below
+    n[e] and, with the bool table `taken`, while taken[e, r] (the set path
+    of `sample`).  Where n[e] is 0 nothing is drawn and the result is 0.
+    A call reads LOOKAHEAD words per tree at once and advances `pos` past
+    the words the draws used."""
+    shift = 32 - np.frexp(n)[1]  # frexp's exponent is the bit length
+    start = pos[trees]
+    short = start + LOOKAHEAD > streams.filled[trees]
+    if short.any():
+        streams._widen(trees[short])
+    r = streams.words[trees[:, None], start[:, None] + _AHEAD] >> shift[:, None]
+    ok = r < n[:, None]
+    at = np.arange(len(trees))
+    if taken is not None:
+        ok &= ~taken[at[:, None], np.where(ok, r, 0)]
+    first = np.where(ok, _AHEAD, LOOKAHEAD).min(axis=1)
+    first[n == 0] = -1
+    pos[trees] = start + np.minimum(first + 1, LOOKAHEAD)
+    out = r[at, first % LOOKAHEAD]
+    miss = np.flatnonzero(first == LOOKAHEAD)
+    if miss.size:  # every word read was rejected
+        out[miss] = _randbelow(streams, pos, trees[miss], n[miss],
+                               None if taken is None else taken[miss])
+    return out
+
+
+def _sample(streams, pos, trees, pool, n, k: int) -> np.ndarray:
+    """For each row e, `random.Random.sample(pool[e, :n[e]], k)` drawn from
+    the stream of tree trees[e] (distinct), from its word pos[trees[e]] on:
+    a (len(trees), k) array in draw order.  It ports CPython's pool path,
+    and above `setsize` its set path, draw for draw; at k = 1 both are
+    `randrange(n[e])`.  Rows where n[e] is 0 draw nothing (their values are
+    not a sample), so that every array keeps one row per tree.  Advances
+    `pos` past the words used."""
+    at = np.arange(len(trees))
+    if k == 1:
+        return pool[at, _randbelow(streams, pos, trees, n)][:, None]
+    out = np.empty((len(trees), k), dtype=pool.dtype)
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    small = n <= setsize
+    if small.any():  # pool path: the drawn slot takes the last undrawn value
+        left, n_pool = pool.copy(), np.where(small, n, 0)
+        for i in range(k):
+            last = np.maximum(n_pool - i, 0)
+            j = _randbelow(streams, pos, trees, last)
+            out[:, i] = left[at, j]
+            left[at, j] = left[at, last - 1]
+    if not small.all():  # set path: draw again at a slot already drawn
+        taken, n_set = np.zeros(pool.shape, dtype=bool), np.where(small, 0, n)
+        for i in range(k):
+            j = _randbelow(streams, pos, trees, n_set, taken)
+            taken[at, j] = True
+            out[:, i] = np.where(small, out[:, i], pool[at, j])
+    return out
+
+
+def grow_trees(dataset, k, impurity, streams, seed) -> PackedTrees:
+    """One tree per row of `streams` (a `TreeStreams`), in order, grown in
+    lock-step on one `StateGraph`; `seed` is recorded as the master seed
+    the streams derive from.  `dataset` is a `Dataset`, the
+    `_BuildContext` made from one, or a `StateGraph` of `impurity`, which
+    then serves this build too (`forest.build_forest` passes one graph to
+    every K of a sweep).  Rows are the entries of `_BuildContext`: on
     unweighted data each distinct row once, so growth costs per distinct
     row.
 
@@ -232,185 +601,134 @@ def grow_trees(dataset, k, impurity, rngs, seed) -> PackedTrees:
     feature index, then the smallest threshold).  k=1 is the totally
     randomized regime: the drawn feature splits unconditionally.
 
-    A node state is keyed on the bytes of its row ids in order, which fix
-    all it holds (counts summed in row order, impurity, record, admissible
-    features, splits, copy slice), so paths to the same rows share it.  A
-    feature split exhaustively above a node is constant on its rows, hence
-    not admissible.  A state is kept from its parent's second visit on, so
-    states that never repeat are dropped with their subtree.  The RNG only
-    draws the candidates, call for call as in a recursive build; a subtree
-    that drew none is copied as an output slice.
-
-    Each node state builds its output record [impurity, mass, *dist] once,
-    and a node is emitted with one extend of a (n_nodes, 2 + n_classes)
-    column, of which `impurity`, `mass` and `dist` are column views.
+    Each tree keeps an explicit stack of (state, parent, slot) entries and
+    pushes a node's children last slot first, so it pops its nodes in
+    preorder, the order of a recursive build.  Each step pops one node
+    from every tree whose stack is not empty.  A node with more than k
+    admissible features draws its candidates, by one vectorised port of
+    CPython's `randbelow` and `sample` for every such tree at once, so
+    tree i draws from row i of `streams` what
+    `random.Random(streams.seeds[i])` draws in a recursive build, call for
+    call and word for word; with at most k, its split is the state's
+    `best`.  Nothing recurses, so a tree may grow as deep as its rows
+    allow.  Each popped node is logged by its state (a passing state's
+    threshold and record copied aside); at the end tree t's j-th node is
+    placed at offsets[t] + j, each child by its (parent, slot), and the
+    records are gathered once.
     """
-    ctx = dataset if isinstance(dataset, _BuildContext) else _BuildContext(dataset)
-    check_kind(impurity)
+    graph = dataset if isinstance(dataset, StateGraph) else StateGraph(dataset, impurity)
+    if graph.impurity != impurity:
+        raise ValueError(f"a state graph of impurity {graph.impurity!r}, not {impurity!r}")
+    ctx = graph.ctx
     if not 1 <= k <= max(ctx.n_features, 1):
         raise ValueError(f"k must be in 1..{ctx.n_features}, got {k}")
-    cols, ys, ws, arities = ctx.cols, ctx.ys, ctx.ws, ctx.arities
-    n_classes, total_weight = ctx.n_classes, ctx.total_weight
-    categorical = [kd == CATEGORICAL for kd in ctx.kinds]
-    memo = {}
-    # output columns, rec_out holding one node record per row; children as
-    # offsets from their parent (0: none), so that a copied subtree slice
-    # stays valid
-    feat_out, thr_out = array("i"), array("d")
-    child_out, rec_out = array("i"), array("d")
-    width = ctx.width
-    no_children = array("i", [0] * width)
-    nan = float("nan")
-
-    def state(rows, keep):
-        """The node state of the list of row ids `rows`, keyed on their
-        bytes: the kept one if any, else a new one, which holds them as an
-        int array and goes into the memo when it is to `keep`."""
-        key = array("i", rows).tobytes()
-        node = memo.get(key)
-        if node is not None:
-            return node
-        node = _Node()
-        counts = [0.0] * n_classes
-        for i in rows:
-            counts[ys[i]] += ws[i]
-        node.counts, node.weight = counts, sum(counts)
-        node.imp = impurity_from_counts(counts, impurity)
-        node.record = array("d", [node.imp, node.weight / total_weight,
-                                  *[c / node.weight for c in counts]])
-        node.rows, node.splits, node.copy, node.admissible = None, None, None, []
-        if node.imp >= PURITY_EPS:
-            for f, col in enumerate(cols):
-                first = col[rows[0]]
-                for i in rows:
-                    if col[i] != first:
-                        node.admissible.append(f)
-                        break
-            if node.admissible:
-                node.rows = array("i", rows) if keep else rows
-        if keep:
-            memo[key] = node
-        return node
-
-    def categorical_split(node, f):
-        col, parts = cols[f], [[] for _ in range(arities[f])]
-        for i in node.rows:  # row order per part
-            parts[col[i]].append(i)
-        kids = [state(part, node.splits is not None) if part else None
-                for part in parts]
-        acc = 0.0
-        for kid in filter(None, kids):
-            acc += kid.weight / node.weight * kid.imp
-        return node.imp - acc, nan, kids
-
-    def threshold_split(node, f):
-        """Best midpoint split of numeric feature f, scanning the rows in
-        stable sorted order; f is admissible, so some midpoint exists."""
-        col, counts, total = cols[f], node.counts, node.weight
-        order = sorted(node.rows, key=col.__getitem__)
-        left = [0.0] * n_classes
-        best = None
-        for pos in range(1, len(order)):
-            i = order[pos - 1]
-            left[ys[i]] += ws[i]
-            v, nxt = col[i], col[order[pos]]
-            if v == nxt:
-                continue
-            right = [counts[c] - left[c] for c in range(n_classes)]
-            wl = sum(left)
-            wr = total - wl
-            gain = node.imp - (
-                wl / total * impurity_from_counts(left, impurity)
-                + wr / total * impurity_from_counts(right, impurity)
-            )
-            if best is None or gain > best[0]:
-                # a row goes right when its value is > the threshold, so the cut
-                # must lie in [v, nxt): the midpoint does not with an infinite
-                # value, an overflowing sum, or a sum that rounds up to nxt
-                mid = (v + nxt) / 2.0
-                best = (gain, mid if v <= mid < nxt else v, pos)
-        gain, thr, cut = best
-        return gain, thr, [state(part, node.splits is not None)
-                           for part in (order[:cut], order[cut:])]
-
-    def split(node, f):
-        found = None if node.splits is None else node.splits.get(f)
-        if found is None:
-            found = (categorical_split if categorical[f] else threshold_split)(node, f)
-            if node.splits is not None:
-                node.splits[f] = found
-                if len(node.splits) == len(node.admissible):
-                    node.rows = None  # every child exists
-        return found
-
-    def emit(f, thr, record):
-        feat_out.append(f)
-        thr_out.append(thr)
-        child_out.extend(no_children)
-        rec_out.extend(record)
-
-    def grow(node):
-        """Append the subtree of `node` in preorder; True when it drew no
-        random number."""
-        adm = node.admissible
-        if not adm:
-            emit(LEAF, nan, node.record)
-            return True
-        if node.copy is not None:
-            lo, hi = node.copy
-            for out, size in ((feat_out, 1), (thr_out, 1), (child_out, width),
-                              (rec_out, 2 + n_classes)):
-                out.extend(out[lo * size:hi * size])
-            return True
-        drew = len(adm) > k
-        if not drew:
-            candidates = adm
-        elif k == 1:
-            candidates = (adm[rng.randrange(len(adm))],)
-        else:
-            candidates = sorted(rng.sample(adm, k))
-        best = None
-        for f in candidates:  # ascending feature index: ties keep the first
-            found = split(node, f)
-            if best is None or found[0] > best[1][0]:
-                best = (f, found)
-        f, (_, thr, kids) = best
-        node_id = len(feat_out)
-        emit(f, thr, node.record)
-        fixed, rel = not drew, []
-        for child in kids:  # an unseen category (None) keeps 0: LEAF
-            rel.append(len(feat_out) - node_id if child else 0)
-            if child:
-                fixed = grow(child) and fixed
-        child_out[node_id * width:node_id * width + len(rel)] = array("i", rel)
-        if fixed:
-            node.copy, node.rows, node.splits = (node_id, len(feat_out)), None, None
-        elif node.splits is None:
-            node.splits = {}  # seen once: keep its splits from now on
-        return fixed
-
-    root = state(list(range(ctx.n_rows)), True)
-    if not root.admissible and root.imp >= PURITY_EPS:
-        raise NoAdmissibleFeature("no feature can split the root (all columns constant)")
-    offsets = [0]
-    try:
-        for rng in rngs:  # `grow` draws from the current `rng`
-            grow(root)
-            offsets.append(len(feat_out))
-    except RecursionError:
-        raise TreeTooDeep("a tree grows too deep for Python's recursion limit") from None
-    del grow  # a recursive closure is a reference cycle: free the memo now
-    # the packed arrays are views of the output columns: no copies
-    kids = np.frombuffer(child_out, dtype=np.int32).reshape(-1, width)
-    none = kids == 0
-    kids += np.arange(len(kids), dtype=np.int32)[:, None]
-    kids[none] = LEAF
-    record = np.frombuffer(rec_out).reshape(-1, 2 + n_classes)
+    n_trees, width = len(streams), ctx.width
+    if n_trees < 1:
+        raise ValueError("need at least one tree")
+    pos = np.zeros(n_trees, dtype=np.int64)  # next word of each stream
+    # entry d of tree t's stack is stack[:, t * depth + d]: (state, the step
+    # that popped its parent, slot); a slot with no child writes to the
+    # last column, which no tree reads
+    depth = 16
+    stack = np.zeros((3, n_trees * depth + 1), dtype=np.int32)
+    stack[:, :-1:depth] = np.array([[graph.root], [-1], [0]])
+    slots = np.arange(width)
+    top = np.ones(n_trees, dtype=np.int64)
+    live = np.arange(n_trees)
+    # the popped nodes in order: tree, step, feature, parent's step, slot and
+    # state, or -1 - i for a passing state whose threshold and record went
+    # to row i of `passed`; both doubled in place as needed, no view kept
+    size = n_trees * min(2 * ctx.n_rows - 1, 64)  # at most 2E - 1 nodes a tree
+    log = [np.empty(size, dtype=np.int32) for _ in range(6)]
+    passed = [np.empty(0), np.empty((0, 2 + ctx.n_classes))]
+    n_log, n_passed, step = 0, 0, 0
+    while live.size:
+        height = top[live] - 1
+        top[live] = height
+        states, parents, slot = stack[:, live * depth + height]
+        np.add.at(graph.pops, states, 1)
+        # arrays keep one row per live tree, rows that do not take part
+        # masked, or a power of two of them: numpy keeps freed arrays under
+        # 1 KiB for reuse by size, so few sizes keep few of them
+        n_adm = graph.n_adm[states]
+        drawn = n_adm > k
+        feature = graph._best(states, ~drawn)  # LEAF at a leaf
+        n_drawn = int(np.count_nonzero(drawn))
+        if n_drawn:  # the candidate of largest gain, the lowest on ties
+            # the drawing rows, then other rows up to a power of two
+            e = np.argsort(~drawn, kind="stable")[:1 << (n_drawn - 1).bit_length()]
+            s_e, draws = states[e], drawn[e]
+            cands = _sample(streams, pos, live[e], graph.adm[s_e],
+                            np.where(draws, n_adm[e], 0), k)
+            gain = graph._gains(s_e, cands, draws)
+            if k > 1:
+                best = gain == gain.max(axis=1, keepdims=True)
+                cands = np.where(best, cands, ctx.n_features).min(axis=1, keepdims=True)
+            feature[e] = np.where(draws, cands[:, 0], feature[e])
+        if n_log + live.size > len(log[0]):
+            for col in log:
+                col.resize(2 * len(col), refcheck=False)
+        for col, values in zip(log, (live, step, feature, parents, slot, states)):
+            col[n_log:n_log + live.size] = values
+        if graph._n_passing:  # keep what the log needs of passing states
+            at = np.flatnonzero(~graph.kept[states])
+            if n_passed + at.size > len(passed[0]):
+                for col in passed:
+                    col.resize((len(log[0]),) + col.shape[1:], refcheck=False)
+            passed[0][n_passed:n_passed + at.size] = graph.thr[states[at], feature[at]]
+            passed[1][n_passed:n_passed + at.size] = graph.record[states[at]]
+            log[5][n_log + at] = -1 - np.arange(n_passed, n_passed + at.size)
+            n_passed += at.size
+        n_log += live.size
+        kids = np.zeros((0, width), dtype=np.int32)
+        if (feature != LEAF).any():  # push the children, the first slot on top
+            kids = graph._kids(states, feature)
+            seen = kids >= 0
+            rank = np.cumsum(seen, axis=1)
+            tops = top[live] + rank[:, -1]
+            if tops.max() > depth:
+                grown = np.zeros((3, n_trees * (tops.max() + depth) + 1), dtype=np.int32)
+                grown[:, :-1].reshape(3, n_trees, -1)[:, :, :depth] = (
+                    stack[:, :-1].reshape(3, n_trees, depth))
+                stack, depth = grown, tops.max() + depth
+            at = np.where(seen, (live * depth + tops)[:, None] - rank, stack.shape[1] - 1)
+            stack[0, at] = kids
+            stack[1, at] = step
+            stack[2, at] = slots
+            top[live] = tops
+        graph._end_step(states, kids)
+        live = live[top[live] > 0]
+        step += 1
+    streams.used = pos
+    thr, rec = graph.thr, graph.record
+    del graph, stack  # a graph made here is freed, but for these two tables
+    for col in log:
+        col.resize(n_log, refcheck=False)
+    trees, steps, feature, parents, slot, states = log
+    del log
+    offsets = np.zeros(n_trees + 1, dtype=np.int64)
+    np.cumsum(np.bincount(trees, minlength=n_trees), out=offsets[1:])
+    # tree t's node j, popped at step j, is node offsets[t] + j
+    node = offsets[trees] + steps
+    children = np.full((n_log, width), LEAF, dtype=np.int32)
+    child = parents >= 0
+    children.ravel()[(offsets[trees[child]] + parents[child]) * width + slot[child]] = (
+        node[child])
+    del trees, steps, parents, slot, child
+    order = np.empty(n_log, dtype=np.int64)  # the log entry of each node
+    order[node] = np.arange(n_log)
+    del node
+    feature, states = feature[order], states[order]
+    del order
+    kept = np.maximum(states, 0)
+    threshold = thr[kept, feature]
+    record = np.take(rec, kept, axis=0)
+    gone = np.flatnonzero(states < 0)
+    threshold[gone] = passed[0][-1 - states[gone]]
+    record[gone] = passed[1][-1 - states[gone]]
     return PackedTrees(
-        np.frombuffer(feat_out, dtype=np.int32), np.frombuffer(thr_out), kids,
-        record[:, 0], record[:, 1], record[:, 2:],
-        np.array(offsets, dtype=np.int64),
-        seed, k, impurity, ctx.n_train, tuple(ctx.kinds), tuple(arities),
+        feature, threshold, children, record[:, 0], record[:, 1], record[:, 2:],
+        offsets, seed, k, impurity, ctx.n_train, tuple(ctx.kinds), tuple(ctx.arities),
     )
 
 

@@ -302,17 +302,18 @@ def test_one_feature_instance_file_matches_flags(capsys, tmp_path):
     assert matrices[0] == matrices[1]
 
 
-def test_tree_past_the_recursion_limit_is_one_line(capsys, tmp_path):
+def test_tree_past_the_recursion_limit_grows(capsys, tmp_path):
     """Alternating classes along one numeric feature split off one row per
-    level: 1,200 levels are past the recursion limit, which exits 2."""
+    level: 1,200 levels, past Python's recursion limit, grow, and the global
+    MDI of the fully grown tree sums to H(Y) = 1 bit."""
     rows = "".join(f"{i},{i % 2}\n" for i in range(1200))
     (tmp_path / "deep.csv").write_text("x,y\n#kind: numeric,categorical\n" + rows)
-    code = cli.main(["global", "--data", str(tmp_path / "deep.csv"), "--trees", "1"])
+    code = cli.main(["global", "--data", str(tmp_path / "deep.csv"), "--trees", "1",
+                     "--format", "json"])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "recursion limit" in lines[0]
+    assert code == 0 and captured.err == ""
+    scores = json.loads(captured.out)["results"]["per_k"][0]["scores"]
+    assert abs(sum(scores) - 1.0) <= 1e-9
 
 
 def test_numeric_instance_flag_matches_file(capsys, tmp_path):

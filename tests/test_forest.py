@@ -20,7 +20,6 @@ from impshap.forest import (
     LocalImportanceMatrix,
     _average_ranks,
     _tree_seed,
-    _TreeStream,
     build_forest,
     correlation_report,
     global_mdi,
@@ -28,7 +27,15 @@ from impshap.forest import (
     predict_proba,
     saabas,
 )
-from impshap.tree import NODE_ARRAYS, PackedTrees, mdi_by_tree
+from impshap.tree import (
+    NODE_ARRAYS,
+    PackedTrees,
+    StateGraph,
+    TreeStreams,
+    _randbelow,
+    _sample,
+    mdi_by_tree,
+)
 
 
 def led_with_noise():
@@ -328,6 +335,8 @@ DRAWS = st.one_of(
         lambda n: st.tuples(st.just("sample"), st.just(n), st.integers(0, min(n, 40)))
     ),
 )
+# the rows of one table: the streams of seed, seed + 1 and seed + 2
+ROWS = 3
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -336,41 +345,58 @@ DRAWS = st.one_of(
          + [("sample", 21, 5), ("sample", 22, 5), ("sample", 21, 21),
             ("sample", 85, 6), ("sample", 86, 6)])
 def test_tree_stream_draws_equal_stdlib(seed, draws):
-    """Call for call, a stream draws what `random.Random` of its seed draws,
-    across refills; the next word agrees after, so both used as many
-    words; and rewound, the stream draws the same again."""
-    stream, want = _TreeStream(seed), random.Random(seed)
+    """Call for call, each row of a table draws what `random.Random` of its
+    seed draws, all rows in one vectorised call, across refills; the next
+    word agrees after, so both used as many words; and from the first word
+    again, the table draws the same again."""
+    seeds = [seed + i for i in range(ROWS)]
+    table, want = TreeStreams(seeds), [random.Random(s) for s in seeds]
+    trees = np.arange(ROWS)
 
     def same_draws():
+        pos = np.zeros(ROWS, dtype=np.int64)
         for name, n, *k in draws:
-            args = (n,) if name == "randrange" else (range(n), *k)
-            assert getattr(stream, name)(*args) == getattr(want, name)(*args)
+            bound = np.full(ROWS, n, dtype=np.int64)
+            if name == "randrange":
+                got = _randbelow(table, pos, trees, bound).tolist()
+                assert got == [rng.randrange(n) for rng in want]
+            else:
+                pool = np.broadcast_to(np.arange(n), (ROWS, n))
+                got = _sample(table, pos, trees, pool, bound, *k).tolist()
+                assert got == [rng.sample(range(n), *k) for rng in want]
+        # the next word itself, unless it is 2**32 - 1, which no example meets
+        bound = np.full(ROWS, 2**32 - 1, dtype=np.int64)
+        assert (_randbelow(table, pos, trees, bound).tolist()
+                == [rng.getrandbits(32) for rng in want])
 
     same_draws()
-    # the next word itself, unless it is 2**32 - 1, which no example meets
-    assert stream.randrange(2**32 - 1) == want.getrandbits(32)
-    stream.pos = 0
-    want.seed(seed)
+    for rng, s in zip(want, seeds):
+        rng.seed(s)
     same_draws()
 
 
 def test_tree_streams_are_made_after_the_size_check(led_ds, monkeypatch):
-    """A build extends the list it is given once its size check passes,
-    rewinds what it reads, and refuses the streams of another seed."""
-    streams = []
+    """A build extends the table it is given once its size check passes,
+    reads it from the first word, and refuses the streams of another seed
+    and the state graph of another dataset or impurity."""
+    streams = TreeStreams()
     monkeypatch.setattr(tree_module, "GROWTH_BUDGET", 10 * 19 * 116)
     with pytest.raises(TableTooLarge):
         build_forest(led_ds, k=1, n_trees=11, seed=4, streams=streams)
-    assert streams == []
+    assert len(streams) == 0
     alone = [build_forest(led_ds, k=k, n_trees=10, seed=4) for k in (1, 2, 1)]
-    shared = [build_forest(led_ds, k=k, n_trees=n, seed=4, streams=streams)
+    graph = StateGraph(led_ds, "entropy")
+    shared = [build_forest(led_ds, k=k, n_trees=n, seed=4, streams=streams, graph=graph)
               for k, n in ((1, 10), (2, 5), (1, 10))]
-    assert [s.seed for s in streams] == [_tree_seed(4, i) for i in range(10)]
+    assert streams.seeds == [_tree_seed(4, i) for i in range(10)]
     assert oracles.structure_keys(shared[0]) == oracles.structure_keys(alone[0])
     assert oracles.structure_keys(shared[1]) == oracles.structure_keys(alone[1])[:5]
     assert oracles.structure_keys(shared[2]) == oracles.structure_keys(alone[2])
     with pytest.raises(ValueError, match="another master seed"):
         build_forest(led_ds, k=1, n_trees=10, seed=5, streams=streams)
+    for other in (StateGraph(led_ds, "gini"), StateGraph(led_population(), "entropy")):
+        with pytest.raises(ValueError, match="another dataset or impurity"):
+            build_forest(led_ds, k=1, n_trees=10, seed=4, graph=other)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -1,12 +1,15 @@
-"""The memoised tree builder against the recursive reference in oracles.py,
-and digests of seeded reports frozen before the memo existed.
+"""The lock-step tree builder against the recursive reference in
+oracles.py, and digests of seeded reports frozen before the memo existed.
 
 Property tests grow several trees per build on random datasets that mix
 categorical and numeric features, so that node states are met again in
-later trees (memo hits) and subtrees that drew no random number are copied.
-Some datasets weight rows by zero or by inexact fractions, so that sums
-taken in another row order would show in the last bits.  Examples are
-drawn deterministically, so every run checks the same builds.
+later trees and at other depths.  The reference draws from one
+`random.Random(seed + i)` per tree, the builder from the table of the same
+streams; trees must be equal and each tree must have read as many words as
+its `Random` did.  Some datasets weight rows by zero or by inexact
+fractions, so that sums taken in another row order would show in the last
+bits.  Examples are drawn deterministically, so every run checks the same
+builds.
 """
 
 import hashlib
@@ -31,7 +34,7 @@ from impshap.data import (
 from impshap.errors import EmptyDataset, NoAdmissibleFeature, TableTooLarge
 from impshap.forest import build_forest, predict_proba
 from impshap.impurity import KINDS
-from impshap.tree import NODE_ARRAYS, _BuildContext, grow_trees
+from impshap.tree import NODE_ARRAYS, TreeStreams, _BuildContext, grow_trees
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 NUMERIC_VALUES = (0.0, 0.5, 1.0, 2.5, 3.0)
@@ -59,7 +62,23 @@ def random_rows(rng, kinds, n_classes, n_rows, top=False):
 
 
 def seeded(seed, n_trees):
+    """The reference builder's RNGs: tree i draws from Random(seed + i)."""
     return [random.Random(seed + i) for i in range(n_trees)]
+
+
+def streams(seed, n_trees):
+    """The builder's table of the same streams as `seeded`."""
+    return TreeStreams(range(seed, seed + n_trees))
+
+
+def assert_same_words(got, rngs):
+    """Tree i of the table read as many words as rngs[i] drew: Random(seed)
+    advanced by that many words is in rngs[i]'s state."""
+    assert len(got) == len(rngs)
+    for seed, used, rng in zip(got.seeds, got.used.tolist(), rngs):
+        fresh = random.Random(seed)
+        fresh.getrandbits(32 * used)
+        assert fresh.getstate() == rng.getstate()
 
 
 def build(builder, ds, k, impurity, rngs, seed):
@@ -97,21 +116,50 @@ DATASETS = dict(
 @given(**DATASETS)
 def test_memo_builder_matches_recursive_builder(seed, kinds, n_rows, n_classes,
                                                 weighted, k, n_trees, impurity):
-    """Same packed arrays, same errors, every RNG left in the same state,
-    and every stored node reached by training rows, though the top category
-    of features of arity 3 or more is never seen."""
+    """Same packed arrays, same errors, as many words read per tree as
+    its RNG drew, and every stored node reached by training rows, though
+    the top category of features of arity 3 or more is never seen."""
     rng = np.random.default_rng(seed)
     data = random_rows(rng, kinds, n_classes, n_rows)
     weights = rng.choice(WEIGHTS, n_rows) if weighted else None
     ds = Dataset(columns(kinds, n_classes), data, weights=weights)
     k = min(k, len(kinds))
-    want_rngs, got_rngs = seeded(seed, n_trees), seeded(seed, n_trees)
+    want_rngs, got_streams = seeded(seed, n_trees), streams(seed, n_trees)
     want = build(grow_trees_recursive, ds, k, impurity, want_rngs, seed)
-    got = build(grow_trees, ds, k, impurity, got_rngs, seed)
+    got = build(grow_trees, ds, k, impurity, got_streams, seed)
     assert_same_trees(got, want)
-    assert [r.getstate() for r in got_rngs] == [r.getstate() for r in want_rngs]
+    assert_same_words(got_streams, want_rngs)
     if not isinstance(got, type):
         assert (got.mass > 0).all()
+
+
+def wide_rows(seed, p, n_rows):
+    """Rows of p binary features and two classes; the first two rows are all
+    0 and all 1, of classes 0 and 1, so every feature is admissible at the
+    root."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, (n_rows, p))
+    y = rng.integers(0, 2, n_rows)
+    x[0], x[1], y[0], y[1] = 0, 1, 0, 1
+    return Dataset(columns([2] * p, 2), [*x.T, y])
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       p_k=st.one_of(st.tuples(st.integers(22, 30), st.integers(2, 5)),
+                     st.tuples(st.integers(22, 85), st.just(6))),
+       n_rows=st.integers(2, 24), n_trees=st.integers(2, 6))
+def test_wide_draws_match_recursive_builder(seed, p_k, n_rows, n_trees):
+    """Past 21 admissible features `Random.sample` takes its set path at
+    k = 2..5; at k = 6 its pool path serves up to 85.  Both draw at the
+    root here: same packed arrays and as many words read per tree."""
+    p, k = p_k
+    ds = wide_rows(seed, p, n_rows)
+    want_rngs, got_streams = seeded(seed, n_trees), streams(seed, n_trees)
+    want = build(grow_trees_recursive, ds, k, "entropy", want_rngs, seed)
+    got = build(grow_trees, ds, k, "entropy", got_streams, seed)
+    assert_same_trees(got, want)
+    assert_same_words(got_streams, want_rngs)
 
 
 @PROPERTY
@@ -128,7 +176,7 @@ def test_size_bound_holds(seed, kinds, n_rows, n_classes, weighted, k, n_trees,
     except EmptyDataset:
         return
     trees = build(grow_trees, ctx, min(k, len(kinds)), impurity,
-                  seeded(seed, n_trees), seed)
+                  streams(seed, n_trees), seed)
     if isinstance(trees, type):
         return
     size = sum(getattr(trees, name).nbytes for name in NODE_ARRAYS)
@@ -145,13 +193,14 @@ def test_size_bound_holds(seed, kinds, n_rows, n_classes, weighted, k, n_trees,
     ids=["inf", "both-inf", "overflow", "negative-overflow", "adjacent",
          "subnormal-adjacent"],
 )
-@pytest.mark.parametrize("grow", [grow_trees, grow_trees_recursive],
+@pytest.mark.parametrize("grow, rngs",
+                         [(grow_trees, streams), (grow_trees_recursive, seeded)],
                          ids=["memo", "recursive"])
-def test_threshold_separates_its_training_rows(grow, values):
+def test_threshold_separates_its_training_rows(grow, rngs, values):
     """Where the midpoint of two values is not below the upper one, the cut
     is at the lower one, so each training row reaches its own leaf."""
     ds = Dataset(columns([0], 2), [np.array(values), np.array([0, 1])])
-    packed = grow(ds, 1, KINDS[0], seeded(0, 1), 0)
+    packed = grow(ds, 1, KINDS[0], rngs(0, 1), 0)
     v, nxt = values
     assert v <= packed.threshold[0] < nxt
     proba = predict_proba(packed, np.array(values)[:, None])
@@ -176,11 +225,11 @@ def test_zero_weight_rows_change_nothing(seed, kinds, n_rows, n_classes, weighte
                                 np.zeros(extra)]),
     )
     k = min(k, len(kinds))
-    want_rngs, got_rngs = seeded(seed, n_trees), seeded(seed, n_trees)
-    want = build(grow_trees, base, k, impurity, want_rngs, seed)
-    got = build(grow_trees, padded, k, impurity, got_rngs, seed)
+    want_streams, got_streams = streams(seed, n_trees), streams(seed, n_trees)
+    want = build(grow_trees, base, k, impurity, want_streams, seed)
+    got = build(grow_trees, padded, k, impurity, got_streams, seed)
     assert_same_trees(got, want)
-    assert [r.getstate() for r in got_rngs] == [r.getstate() for r in want_rngs]
+    assert np.array_equal(got_streams.used, want_streams.used)
 
 
 # sha256 of seeded reports, computed with the recursive builder; any change
@@ -277,14 +326,13 @@ def test_repeated_rows_grow_as_their_counts(seed, kinds, n_rows, n_classes, k,
         Dataset(meta, [col[perm] for col in data]),
     ]
     k = min(k, len(kinds))
-    rngs = [seeded(seed, n_trees) for _ in datasets]
-    got = [build(grow_trees, ds, k, impurity, r, seed) for ds, r in zip(datasets, rngs)]
+    tables = [streams(seed, n_trees) for _ in datasets]
+    got = [build(grow_trees, ds, k, impurity, t, seed) for ds, t in zip(datasets, tables)]
     for packed in got[1:]:
         if not isinstance(packed, type):
             packed = replace(packed, n_train=got[0].n_train)
         assert_same_trees(packed, got[0])
-    states = [[r.getstate() for r in streams] for streams in rngs]
-    assert states[1] == states[0] and states[2] == states[0]
+    assert all(np.array_equal(t.used, tables[0].used) for t in tables[1:])
     if not isinstance(got[0], type):
         assert [p.n_train for p in got] == [n_rows, len(counts), n_rows]
 
@@ -346,16 +394,27 @@ def test_states_are_shared_by_their_rows(seed):
     assert states.call_count <= LED_STATES_BOUND
 
 
+def test_sweep_computes_each_led_state_once(capsys):
+    """Every K of a sweep grows on one state graph: the LED population has
+    67 reachable node states, and 7 x 600 trees compute no more."""
+    with mock.patch.object(tree_module, "impurity_from_counts",
+                           wraps=tree_module.impurity_from_counts) as states:
+        code = cli.main(["global", "--data", "led", "--k-sweep", "1..7", "--trees", "600",
+                         "--seed", "11", "--format", "json"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert states.call_count <= 67
+
+
 def test_growth_peak_memory():
     rng = np.random.default_rng(5)
     n_rows, n_features = 300, 5
     data = [rng.normal(size=n_rows) for _ in range(n_features)]
     data.append(rng.integers(0, 3, n_rows))
     ds = Dataset(columns((0,) * n_features, 3), data)
-    grow_trees(ds, 3, "entropy", seeded(1, 1), 1)  # first-call allocations
+    grow_trees(ds, 3, "entropy", streams(1, 1), 1)  # first-call allocations
     tracemalloc.start()
     try:
-        grow_trees(ds, 3, "entropy", seeded(1, 3), 1)
+        grow_trees(ds, 3, "entropy", streams(1, 3), 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

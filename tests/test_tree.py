@@ -1,7 +1,5 @@
 """Tree construction, impurity bookkeeping and path prediction, on trees
-grown one at a time: `grow_trees` with one rng."""
-
-import random
+grown one at a time: `grow_trees` with one stream."""
 
 import numpy as np
 import pytest
@@ -24,11 +22,11 @@ from impshap.errors import (
 )
 from impshap.forest import predict_proba
 from impshap.impurity import ENTROPY
-from impshap.tree import LEAF, grow_trees, mdi_by_tree
+from impshap.tree import LEAF, TreeStreams, grow_trees, mdi_by_tree
 
 
 def one_tree(ds, k, seed, impurity=ENTROPY):
-    return grow_trees(ds, k, impurity, [random.Random(seed)], seed)
+    return grow_trees(ds, k, impurity, TreeStreams([seed]), seed)
 
 
 def test_table1_k2_structure_and_mdi():
