@@ -17,6 +17,7 @@ from .data import (
 from .forest import (
     LocalImportanceMatrix,
     build_forest,
+    build_forests,
     correlation_report,
     global_mdi,
     local_mdi,
@@ -60,6 +61,7 @@ __all__ = [
     "ShapleyVector",
     "TUGame",
     "build_forest",
+    "build_forests",
     "check_axioms",
     "check_decompositions",
     "check_strong_monotonicity",

@@ -37,6 +37,7 @@ from .forest import (
     LOCAL_MDI,
     SAABAS,
     build_forest,
+    build_forests,
     correlation_report,
     global_mdi,
     local_mdi,
@@ -55,7 +56,6 @@ from .relevance import (
     verify_global_local_equivalence,
     verify_local_null_scores,
 )
-from .tree import StateGraph, TreeStreams
 from .tu_game import (
     GAME_LABELS,
     TUGame,
@@ -440,12 +440,10 @@ def cmd_global(args, argv) -> int:
     dataset = _resolve_dataset(args)
     ks = _forest_ks(args, dataset.n_features)
     names = dataset.feature_names()
-    # every K replays the same streams on the same node states
-    per_k, streams, graph = [], TreeStreams(), StateGraph(dataset, args.impurity)
-    for k in ks:
-        forest = build_forest(dataset, k, args.trees, impurity=args.impurity,
-                              seed=args.seed, streams=streams, graph=graph)
-        scores = global_mdi(forest, normalize=args.normalize)
+    per_k = []
+    # not zipped with ks: zip would hold each forest while the next K grows
+    for forest in build_forests(dataset, ks, args.trees, args.impurity, args.seed):
+        k, scores = forest.k, global_mdi(forest, normalize=args.normalize)
         del forest  # before the next K's build: one forest at a time
         per_k.append(
             {"k": k, "scores": scores.tolist(), "features": list(names)}
@@ -668,11 +666,9 @@ def cmd_compare(args, argv) -> int:
     ks = _forest_ks(args, dataset.n_features)
     _check_class_index(args, dataset)
     instances = _resolve_instances(args, dataset)
-    per_k, streams, graph = [], TreeStreams(), StateGraph(dataset, args.impurity)
-    for k in ks:
-        forest = build_forest(dataset, k, args.trees, impurity=args.impurity,
-                              seed=args.seed, streams=streams, graph=graph)
-        lm = local_mdi(forest, instances)
+    per_k = []
+    for forest in build_forests(dataset, ks, args.trees, args.impurity, args.seed):
+        k, lm = forest.k, local_mdi(forest, instances)
         sb = saabas(forest, instances, class_index=args.class_index)
         del forest
         per_k.append({"k": k, **correlation_report(lm, sb).to_json_dict()})

@@ -5,13 +5,13 @@ and the Saabas prediction decomposition.
 
 Tree i of a forest is grown from a private RNG stream derived by hashing
 (master seed, i), so results never depend on construction order or
-worker scheduling.  The streams are read once into a table of 32-bit
-words (`tree.TreeStreams`) that every build given it replays, and node
-states are computed once into a `tree.StateGraph` that every build given
-it grows on, so a K sweep hashes and seeds each stream, and computes each
-state, once.  A forest is its packed trees (`tree.PackedTrees`), which
-record K, the impurity kind and the master seed; the three path measures
-each make one `tree.traverse` call.
+worker scheduling.  `build_forests` grows the forests of a K sweep one
+after another from one table of the streams' 32-bit words
+(`tree.TreeStreams`) and one graph of node states (`tree.StateGraph`), so
+the sweep hashes and seeds each stream, and computes each state, once;
+`build_forest` is the sweep of one K.  A forest is its packed trees
+(`tree.PackedTrees`), which record K, the impurity kind and the master
+seed; the three path measures each make one `tree.traverse` call.
 """
 
 import hashlib
@@ -32,6 +32,44 @@ def _tree_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def build_forests(
+    dataset: Dataset,
+    ks,
+    n_trees: int,
+    impurity: str = ENTROPY,
+    seed: int = 0,
+    n_jobs: int = 1,
+):
+    """Yield the forest of each K of `ks`, in order, each grown only when
+    it is asked for: `n_trees` independent trees, deterministic in
+    (dataset, k, n_trees, impurity, seed) whatever the worker count.  A
+    forest whose size bound passes `tree.GROWTH_BUDGET` is refused before
+    any stream is read.  Every K grows on one `StateGraph` and replays one
+    `TreeStreams` table from its first words, so a sweep computes each node
+    state and split, and hashes and seeds each stream, once.  With
+    `n_jobs` > 1 each K's trees grow in a pool of that many processes,
+    kept for the sweep, each on its own table of a chunk of the streams."""
+    if n_trees < 1:
+        raise ValueError("need at least one tree")
+    graph = StateGraph(dataset, impurity)
+    graph.ctx.check_size(n_trees)
+    seeds = [_tree_seed(seed, i) for i in range(n_trees)]
+    if n_jobs <= 1 or n_trees < 4 * n_jobs:
+        streams = TreeStreams(seeds)
+        for k in ks:
+            yield grow_trees(graph, k, streams, seed)
+        return
+    # imported here, so processes that never use the pool do not load it
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = np.linspace(0, n_trees, n_jobs + 1).astype(int)
+    chunks = [TreeStreams(seeds[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        for k in ks:
+            yield PackedTrees.concat(pool.map(
+                grow_trees, [graph] * n_jobs, [k] * n_jobs, chunks, [seed] * n_jobs))
+
+
 def build_forest(
     dataset: Dataset,
     k: int,
@@ -39,46 +77,9 @@ def build_forest(
     impurity: str = ENTROPY,
     seed: int = 0,
     n_jobs: int = 1,
-    streams: TreeStreams | None = None,
-    graph: StateGraph | None = None,
 ) -> PackedTrees:
-    """Grow `n_trees` independent trees; deterministic in (dataset, k,
-    n_trees, impurity, seed) whatever the worker count.  A forest whose
-    size bound passes `tree.GROWTH_BUDGET` is refused before any growth.
-    Tree i draws from row i of `streams`, from its first word.  `streams`
-    holds the rows of master seed `seed` (others raise ValueError); after
-    the size check this call extends it to `n_trees` rows, so builds that
-    share it hash and seed each stream once.  `graph` is the `StateGraph`
-    of `dataset` and `impurity` (others raise ValueError); builds that
-    share it compute each node state and split once."""
-    if n_trees < 1:
-        raise ValueError("need at least one tree")
-    if streams is None:
-        streams = TreeStreams()
-    elif len(streams) and streams.seeds[0] != _tree_seed(seed, 0):
-        raise ValueError(f"tree streams of another master seed than {seed}")
-    if graph is None:
-        graph = StateGraph(dataset, impurity)
-    elif graph.dataset is not dataset or graph.impurity != impurity:
-        raise ValueError("a state graph of another dataset or impurity")
-    graph.ctx.check_size(n_trees)
-    streams.extend(_tree_seed(seed, i) for i in range(len(streams), n_trees))
-    if len(streams) > n_trees:
-        streams = streams[:n_trees]
-    if n_jobs <= 1 or n_trees < 4 * n_jobs:
-        return grow_trees(graph, k, impurity, streams, seed)
-    # imported here, so processes that never use the pool do not load it
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, n_trees, n_jobs + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return PackedTrees.concat(pool.map(
-            grow_trees,
-            *zip(*[
-                (graph.ctx, k, impurity, streams[lo:hi], seed)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]),
-        ))
+    """The forest of one K: `build_forests` of [k]."""
+    return next(build_forests(dataset, [k], n_trees, impurity, seed, n_jobs))
 
 
 def global_mdi(forest: PackedTrees, normalize: bool = False) -> np.ndarray:

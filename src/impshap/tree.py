@@ -229,42 +229,25 @@ class TreeStreams:
     Row i of the uint32 table `words` holds the first `filled[i]` 32-bit
     words of `random.Random(seeds[i])`, as `getrandbits(32 * filled[i])`
     returns them, low word first; `getrandbits(b)` for b <= 32 is the next
-    word shifted right by 32 - b.  A row that runs out is read again at
-    twice its width, and the table widens to fit.  `grow_trees` draws tree
-    i's candidates from row i, from its first word on, and leaves in
-    `used[i]` how many words they took.  A slice copies its rows.
+    word shifted right by 32 - b.  Each row is read to FIRST_WORDS words
+    at first; a row that runs out is read again at twice its width, and
+    the table widens to fit.  `grow_trees` draws tree i's candidates from
+    row i, from its first word on, and leaves in `used[i]` how many words
+    they took.
     """
 
     __slots__ = ("seeds", "words", "filled", "used")
 
-    def __init__(self, seeds=()):
-        self.seeds = []
-        self.words = np.zeros((0, FIRST_WORDS), dtype=np.uint32)
-        self.filled = np.zeros(0, dtype=np.int64)
-        self.used = np.zeros(0, dtype=np.int64)
-        self.extend(seeds)
+    def __init__(self, seeds):
+        self.seeds = list(seeds)
+        n = len(self.seeds)
+        self.words = np.zeros((n, FIRST_WORDS), dtype=np.uint32)
+        self.filled = np.zeros(n, dtype=np.int64)
+        self.used = np.zeros(n, dtype=np.int64)
+        self._read(np.arange(n), FIRST_WORDS)
 
     def __len__(self) -> int:
         return len(self.seeds)
-
-    def __getitem__(self, rows: slice) -> "TreeStreams":
-        part = TreeStreams()
-        part.seeds = self.seeds[rows]
-        part.words, part.filled, part.used = (
-            self.words[rows].copy(), self.filled[rows].copy(), self.used[rows].copy()
-        )
-        return part
-
-    def extend(self, seeds) -> None:
-        """Append one row per seed, read to FIRST_WORDS words."""
-        seeds = list(seeds)
-        n, more = len(self.seeds), len(seeds)
-        self.seeds += seeds
-        self.words = np.concatenate(
-            [self.words, np.zeros((more, self.words.shape[1]), dtype=np.uint32)])
-        self.filled = np.concatenate([self.filled, np.zeros(more, dtype=np.int64)])
-        self.used = np.concatenate([self.used, np.zeros(more, dtype=np.int64)])
-        self._read(np.arange(n, n + more), FIRST_WORDS)
 
     def _widen(self, rows) -> None:
         """Read each of `rows` again at twice its width."""
@@ -322,10 +305,10 @@ class StateGraph:
     all 67 states are kept.
     """
 
-    def __init__(self, dataset, impurity: str):
+    def __init__(self, dataset: Dataset, impurity: str):
         check_kind(impurity)
-        ctx = dataset if isinstance(dataset, _BuildContext) else _BuildContext(dataset)
-        self.dataset, self.ctx, self.impurity = dataset, ctx, impurity
+        self.ctx = ctx = _BuildContext(dataset)
+        self.impurity = impurity
         self.ids = {}  # memo: row bytes -> id of a kept state
         self.rows = []  # id -> row bytes of its state, None while the id is free
         # id -> (class counts summed in row order, their sum, impurity)
@@ -585,15 +568,14 @@ def _sample(streams, pos, trees, pool, n, k: int) -> np.ndarray:
     return out
 
 
-def grow_trees(dataset, k, impurity, streams, seed) -> PackedTrees:
-    """One tree per row of `streams` (a `TreeStreams`), in order, grown in
-    lock-step on one `StateGraph`; `seed` is recorded as the master seed
-    the streams derive from.  `dataset` is a `Dataset`, the
-    `_BuildContext` made from one, or a `StateGraph` of `impurity`, which
-    then serves this build too (`forest.build_forest` passes one graph to
-    every K of a sweep).  Rows are the entries of `_BuildContext`: on
-    unweighted data each distinct row once, so growth costs per distinct
-    row.
+def grow_trees(graph: StateGraph, k: int, streams: TreeStreams, seed: int) -> PackedTrees:
+    """One tree per row of `streams`, in order, grown in lock-step on
+    `graph` under its impurity kind; `seed` is recorded as the master seed
+    the streams derive from.  The graph keeps the states and splits this
+    build computes, so later builds on it (`forest.build_forests` grows
+    every K of a sweep on one) reuse them.  Rows are the entries of
+    `_BuildContext`: on unweighted data each distinct row once, so growth
+    costs per distinct row.
 
     At every impure node, min(k, #admissible) candidate features are drawn
     uniformly without replacement and the candidate with the largest mean
@@ -616,10 +598,7 @@ def grow_trees(dataset, k, impurity, streams, seed) -> PackedTrees:
     placed at offsets[t] + j, each child by its (parent, slot), and the
     records are gathered once.
     """
-    graph = dataset if isinstance(dataset, StateGraph) else StateGraph(dataset, impurity)
-    if graph.impurity != impurity:
-        raise ValueError(f"a state graph of impurity {graph.impurity!r}, not {impurity!r}")
-    ctx = graph.ctx
+    ctx, impurity = graph.ctx, graph.impurity
     if not 1 <= k <= max(ctx.n_features, 1):
         raise ValueError(f"k must be in 1..{ctx.n_features}, got {k}")
     n_trees, width = len(streams), ctx.width
@@ -701,7 +680,7 @@ def grow_trees(dataset, k, impurity, streams, seed) -> PackedTrees:
         step += 1
     streams.used = pos
     thr, rec = graph.thr, graph.record
-    del graph, stack  # a graph made here is freed, but for these two tables
+    del graph, stack  # a graph no caller holds is freed, but for these two tables
     for col in log:
         col.resize(n_log, refcheck=False)
     trees, steps, feature, parents, slot, states = log

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, fsum, log2, sqrt
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from impshap.tu_game import shapley_weights
 
 def joint_table_by_rows(path) -> np.ndarray:
     """Joint CSV table filled with one `+=` per data row, in file order."""
-    rows = [line.split(",") for line in open(path).read().splitlines()
+    rows = [line.split(",") for line in Path(path).read_text().splitlines()
             if line and not line.startswith("#")][1:]
     configs = [tuple(int(v) for v in row[:-1]) for row in rows]
     table = np.zeros(tuple(max(c[i] for c in configs) + 1

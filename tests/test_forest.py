@@ -19,8 +19,8 @@ from impshap.forest import (
     SAABAS,
     LocalImportanceMatrix,
     _average_ranks,
-    _tree_seed,
     build_forest,
+    build_forests,
     correlation_report,
     global_mdi,
     local_mdi,
@@ -30,7 +30,6 @@ from impshap.forest import (
 from impshap.tree import (
     NODE_ARRAYS,
     PackedTrees,
-    StateGraph,
     TreeStreams,
     _randbelow,
     _sample,
@@ -49,6 +48,12 @@ def led_with_noise():
     data.append(np.tile([0, 1], 10))
     data.append(np.repeat(led.data[-1], 2))
     return Dataset(cols, data, name="led-noise")
+
+
+def same_packed_arrays(a: PackedTrees, b: PackedTrees) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name),
+                              equal_nan=name == "threshold")
+               for name in NODE_ARRAYS + ("offsets",))
 
 
 def test_single_tree_forest(led_ds):
@@ -115,6 +120,11 @@ def test_parallel_matches_sequential(led_ds):
                               saabas(par, instances).scores)
         assert np.array_equal(predict_proba(seq, instances),
                               predict_proba(par, instances))
+    # a sweep in the pool grows every K from its tables, one per chunk
+    sweep = list(build_forests(led_ds, [1, 3], 64, seed=5, n_jobs=2))
+    for k, par in zip([1, 3], sweep):
+        assert same_packed_arrays(par, build_forest(led_ds, k=k, n_trees=64, seed=5))
+        assert (par.k, par.seed) == (k, 5)
 
 
 def test_distinct_structures_regression(led_ds):
@@ -375,28 +385,31 @@ def test_tree_stream_draws_equal_stdlib(seed, draws):
     same_draws()
 
 
-def test_tree_streams_are_made_after_the_size_check(led_ds, monkeypatch):
-    """A build extends the table it is given once its size check passes,
-    reads it from the first word, and refuses the streams of another seed
-    and the state graph of another dataset or impurity."""
-    streams = TreeStreams()
-    monkeypatch.setattr(tree_module, "GROWTH_BUDGET", 10 * 19 * 116)
-    with pytest.raises(TableTooLarge):
-        build_forest(led_ds, k=1, n_trees=11, seed=4, streams=streams)
-    assert len(streams) == 0
-    alone = [build_forest(led_ds, k=k, n_trees=10, seed=4) for k in (1, 2, 1)]
-    graph = StateGraph(led_ds, "entropy")
-    shared = [build_forest(led_ds, k=k, n_trees=n, seed=4, streams=streams, graph=graph)
-              for k, n in ((1, 10), (2, 5), (1, 10))]
-    assert streams.seeds == [_tree_seed(4, i) for i in range(10)]
-    assert oracles.structure_keys(shared[0]) == oracles.structure_keys(alone[0])
-    assert oracles.structure_keys(shared[1]) == oracles.structure_keys(alone[1])[:5]
-    assert oracles.structure_keys(shared[2]) == oracles.structure_keys(alone[2])
-    with pytest.raises(ValueError, match="another master seed"):
-        build_forest(led_ds, k=1, n_trees=10, seed=5, streams=streams)
-    for other in (StateGraph(led_ds, "gini"), StateGraph(led_population(), "entropy")):
-        with pytest.raises(ValueError, match="another dataset or impurity"):
-            build_forest(led_ds, k=1, n_trees=10, seed=4, graph=other)
+def test_sweep_checks_the_size_first_and_grows_each_k_when_asked(led_ds, monkeypatch):
+    """A sweep over the budget is refused before any stream is read; each K
+    of a sweep has the packed arrays of that K built alone, though every K
+    replays one table on one state graph; and a K's trees grow only when
+    its forest is asked for."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_module, "GROWTH_BUDGET", 10 * 19 * 116)
+        patch.setattr(TreeStreams, "_read", None)  # reading would raise
+        with pytest.raises(TableTooLarge):
+            next(build_forests(led_ds, [1], 11, seed=4))
+    ks = [1, 2, 1]
+    alone = [build_forest(led_ds, k=k, n_trees=10, seed=4) for k in ks]
+    grown = []
+
+    def grow_trees(graph, k, streams, seed):
+        grown.append(k)
+        return tree_module.grow_trees(graph, k, streams, seed)
+
+    monkeypatch.setattr(forest_module, "grow_trees", grow_trees)
+    sweep = build_forests(led_ds, ks, 10, seed=4)
+    assert grown == []
+    for i, want in enumerate(alone):
+        got = next(sweep)
+        assert grown == ks[:i + 1]
+        assert got.k == want.k and same_packed_arrays(got, want)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

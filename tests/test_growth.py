@@ -34,7 +34,7 @@ from impshap.data import (
 from impshap.errors import EmptyDataset, NoAdmissibleFeature, TableTooLarge
 from impshap.forest import build_forest, predict_proba
 from impshap.impurity import KINDS
-from impshap.tree import NODE_ARRAYS, TreeStreams, _BuildContext, grow_trees
+from impshap.tree import NODE_ARRAYS, StateGraph, TreeStreams, _BuildContext, grow_trees
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 NUMERIC_VALUES = (0.0, 0.5, 1.0, 2.5, 3.0)
@@ -79,6 +79,11 @@ def assert_same_words(got, rngs):
         fresh = random.Random(seed)
         fresh.getrandbits(32 * used)
         assert fresh.getstate() == rng.getstate()
+
+
+def grow(ds, k, impurity, streams, seed):
+    """`grow_trees` on a fresh state graph, in the reference's signature."""
+    return grow_trees(StateGraph(ds, impurity), k, streams, seed)
 
 
 def build(builder, ds, k, impurity, rngs, seed):
@@ -126,7 +131,7 @@ def test_memo_builder_matches_recursive_builder(seed, kinds, n_rows, n_classes,
     k = min(k, len(kinds))
     want_rngs, got_streams = seeded(seed, n_trees), streams(seed, n_trees)
     want = build(grow_trees_recursive, ds, k, impurity, want_rngs, seed)
-    got = build(grow_trees, ds, k, impurity, got_streams, seed)
+    got = build(grow, ds, k, impurity, got_streams, seed)
     assert_same_trees(got, want)
     assert_same_words(got_streams, want_rngs)
     if not isinstance(got, type):
@@ -157,7 +162,7 @@ def test_wide_draws_match_recursive_builder(seed, p_k, n_rows, n_trees):
     ds = wide_rows(seed, p, n_rows)
     want_rngs, got_streams = seeded(seed, n_trees), streams(seed, n_trees)
     want = build(grow_trees_recursive, ds, k, "entropy", want_rngs, seed)
-    got = build(grow_trees, ds, k, "entropy", got_streams, seed)
+    got = build(grow, ds, k, "entropy", got_streams, seed)
     assert_same_trees(got, want)
     assert_same_words(got_streams, want_rngs)
 
@@ -171,11 +176,12 @@ def test_size_bound_holds(seed, kinds, n_rows, n_classes, weighted, k, n_trees,
     rng = np.random.default_rng(seed)
     data = random_rows(rng, kinds, n_classes, n_rows)
     weights = rng.choice(WEIGHTS, n_rows) if weighted else None
+    ds = Dataset(columns(kinds, n_classes), data, weights=weights)
     try:
-        ctx = _BuildContext(Dataset(columns(kinds, n_classes), data, weights=weights))
+        ctx = _BuildContext(ds)
     except EmptyDataset:
         return
-    trees = build(grow_trees, ctx, min(k, len(kinds)), impurity,
+    trees = build(grow, ds, min(k, len(kinds)), impurity,
                   streams(seed, n_trees), seed)
     if isinstance(trees, type):
         return
@@ -194,7 +200,7 @@ def test_size_bound_holds(seed, kinds, n_rows, n_classes, weighted, k, n_trees,
          "subnormal-adjacent"],
 )
 @pytest.mark.parametrize("grow, rngs",
-                         [(grow_trees, streams), (grow_trees_recursive, seeded)],
+                         [(grow, streams), (grow_trees_recursive, seeded)],
                          ids=["memo", "recursive"])
 def test_threshold_separates_its_training_rows(grow, rngs, values):
     """Where the midpoint of two values is not below the upper one, the cut
@@ -226,8 +232,8 @@ def test_zero_weight_rows_change_nothing(seed, kinds, n_rows, n_classes, weighte
     )
     k = min(k, len(kinds))
     want_streams, got_streams = streams(seed, n_trees), streams(seed, n_trees)
-    want = build(grow_trees, base, k, impurity, want_streams, seed)
-    got = build(grow_trees, padded, k, impurity, got_streams, seed)
+    want = build(grow, base, k, impurity, want_streams, seed)
+    got = build(grow, padded, k, impurity, got_streams, seed)
     assert_same_trees(got, want)
     assert np.array_equal(got_streams.used, want_streams.used)
 
@@ -327,7 +333,7 @@ def test_repeated_rows_grow_as_their_counts(seed, kinds, n_rows, n_classes, k,
     ]
     k = min(k, len(kinds))
     tables = [streams(seed, n_trees) for _ in datasets]
-    got = [build(grow_trees, ds, k, impurity, t, seed) for ds, t in zip(datasets, tables)]
+    got = [build(grow, ds, k, impurity, t, seed) for ds, t in zip(datasets, tables)]
     for packed in got[1:]:
         if not isinstance(packed, type):
             packed = replace(packed, n_train=got[0].n_train)
@@ -411,10 +417,10 @@ def test_growth_peak_memory():
     data = [rng.normal(size=n_rows) for _ in range(n_features)]
     data.append(rng.integers(0, 3, n_rows))
     ds = Dataset(columns((0,) * n_features, 3), data)
-    grow_trees(ds, 3, "entropy", streams(1, 1), 1)  # first-call allocations
+    grow(ds, 3, "entropy", streams(1, 1), 1)  # first-call allocations
     tracemalloc.start()
     try:
-        grow_trees(ds, 3, "entropy", streams(1, 3), 1)
+        grow(ds, 3, "entropy", streams(1, 3), 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
