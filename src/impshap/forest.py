@@ -3,33 +3,27 @@ measures: global MDI (per-feature averages of weighted impurity drops),
 local MDI (per-instance impurity drops collected along traversed paths),
 and the Saabas prediction decomposition.
 
-Tree i of a forest is grown from a private RNG stream derived by hashing
-(master seed, i), so results never depend on construction order or
-worker scheduling.  `build_forests` grows the forests of a K sweep one
-after another from one table of the streams' 32-bit words
-(`tree.TreeStreams`) and one graph of node states (`tree.StateGraph`), so
-the sweep hashes and seeds each stream, and computes each state, once;
-`build_forest` is the sweep of one K.  A forest is its packed trees
-(`tree.PackedTrees`), which record K, the impurity kind and the master
-seed; the three path measures each make one `tree.traverse` call.
+Tree i of a forest draws from its own key, hashed from (master seed, i)
+(`tree.tree_keys`), and each of its nodes from (key, node, slot), so
+results never depend on construction order or worker scheduling.
+`build_forests` grows the forests of a K sweep one after another from one
+array of tree keys and one graph of node states (`tree.StateGraph`), so
+the sweep computes each state once; `build_forest` is the sweep of one K.
+A forest is its packed trees (`tree.PackedTrees`), which record K, the
+impurity kind and the master seed; the three path measures each make one
+`tree.traverse` call.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .impurity import ENTROPY
-from .tree import PackedTrees, StateGraph, TreeStreams, grow_trees, mdi_by_tree, traverse
+from .tree import PackedTrees, StateGraph, grow_trees, mdi_by_tree, traverse, tree_keys
 
 LOCAL_MDI = "local-mdi"
 SAABAS = "saabas"
-
-
-def _tree_seed(master_seed: int, index: int) -> int:
-    digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def build_forests(
@@ -44,26 +38,24 @@ def build_forests(
     it is asked for: `n_trees` independent trees, deterministic in
     (dataset, k, n_trees, impurity, seed) whatever the worker count.  A
     forest whose size bound passes `tree.GROWTH_BUDGET` is refused before
-    any stream is read.  Every K grows on one `StateGraph` and replays one
-    `TreeStreams` table from its first words, so a sweep computes each node
-    state and split, and hashes and seeds each stream, once.  With
+    any key is made.  Every K grows on one `StateGraph` from the same tree
+    keys, so a sweep computes each node state and split once.  With
     `n_jobs` > 1 each K's trees grow in a pool of that many processes,
-    kept for the sweep, each on its own table of a chunk of the streams."""
+    kept for the sweep, each on a contiguous slice of the keys."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
     graph = StateGraph(dataset, impurity)
     graph.ctx.check_size(n_trees)
-    seeds = [_tree_seed(seed, i) for i in range(n_trees)]
+    keys = tree_keys(seed, n_trees)
     if n_jobs <= 1 or n_trees < 4 * n_jobs:
-        streams = TreeStreams(seeds)
         for k in ks:
-            yield grow_trees(graph, k, streams, seed)
+            yield grow_trees(graph, k, keys, seed)
         return
     # imported here, so processes that never use the pool do not load it
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = np.linspace(0, n_trees, n_jobs + 1).astype(int)
-    chunks = [TreeStreams(seeds[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    chunks = [keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         for k in ks:
             yield PackedTrees.concat(pool.map(

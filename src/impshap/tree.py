@@ -6,7 +6,7 @@ reused on a path); numeric features use binary threshold splits at the
 best midpoint between consecutive observed values.  Trees are always fully
 developed: growth stops only at purity or feature exhaustion.  Every tree
 of a build grows in lock-step on one graph of node states (`StateGraph`),
-drawing from a table of its random stream's words (`TreeStreams`).
+each node drawing its candidate features from hash keys (`tree_keys`).
 
 Any number of trees share one struct-of-arrays (`PackedTrees`): the node
 arrays of all trees concatenated, per-tree root offsets, and children as
@@ -15,8 +15,7 @@ global node ids.  Only nodes that training rows reach are stored.
 Saabas, class probabilities) accumulates what it visits.
 """
 
-import math
-import random
+import hashlib
 from array import array
 from dataclasses import dataclass, replace
 
@@ -62,7 +61,7 @@ class PackedTrees:
     mass: np.ndarray  # p(t): weight share of the training rows
     dist: np.ndarray  # (n_nodes, n_classes)
     offsets: np.ndarray  # int64, (n_trees + 1,)
-    seed: int  # master seed the trees' RNG streams derive from
+    seed: int  # master seed the trees' keys derive from (`tree_keys`)
     k: int
     impurity_kind: str
     n_train: int
@@ -213,59 +212,55 @@ class _BuildContext:
             )
 
 
-# words of a stream read at first; a row that runs out is read again at
-# twice its width
-FIRST_WORDS = 32
-# words a draw reads per tree at once; at most half of them are rejected on
-# average, so a draw rarely needs more
-LOOKAHEAD = 8
-_AHEAD = np.arange(LOOKAHEAD)
 UNSET = -2  # `StateGraph.best` of a state whose splits are not all known
+# SplitMix64's increment, 2^64 over the golden ratio (Steele, Lea & Flood,
+# "Fast splittable pseudorandom number generators", OOPSLA 2014)
+GAMMA = 0x9E3779B97F4A7C15
 
 
-class TreeStreams:
-    """The random streams of a forest's trees, each read once into words.
+def mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser of each uint64 of the array `x`, mod 2^64: a
+    bijection under which flipping any input bit flips each output bit
+    with probability close to 1/2.  Array arithmetic wraps silently, where
+    numpy scalars would warn."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
-    Row i of the uint32 table `words` holds the first `filled[i]` 32-bit
-    words of `random.Random(seeds[i])`, as `getrandbits(32 * filled[i])`
-    returns them, low word first; `getrandbits(b)` for b <= 32 is the next
-    word shifted right by 32 - b.  Each row is read to FIRST_WORDS words
-    at first; a row that runs out is read again at twice its width, and
-    the table widens to fit.  `grow_trees` draws tree i's candidates from
-    row i, from its first word on, and leaves in `used[i]` how many words
-    they took.
-    """
 
-    __slots__ = ("seeds", "words", "filled", "used")
+def _weyl(key: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """mix64(key + counter * GAMMA), broadcast: output `counter` of the
+    SplitMix64 stream seeded with `key`, counters from 1."""
+    return mix64(key + counters.astype(np.uint64) * np.uint64(GAMMA))
 
-    def __init__(self, seeds):
-        self.seeds = list(seeds)
-        n = len(self.seeds)
-        self.words = np.zeros((n, FIRST_WORDS), dtype=np.uint32)
-        self.filled = np.zeros(n, dtype=np.int64)
-        self.used = np.zeros(n, dtype=np.int64)
-        self._read(np.arange(n), FIRST_WORDS)
 
-    def __len__(self) -> int:
-        return len(self.seeds)
+def tree_keys(seed: int, n_trees: int) -> np.ndarray:
+    """The uint64 key of each of `n_trees` trees grown from master `seed`.
+    The master key is the first 8 bytes of sha256 of the seed's decimal
+    text, so negative seeds and seeds of 2^64 or more get keys of their
+    own; tree i's key is output i + 1 of SplitMix64 seeded with it, mixed
+    once more, since the counters are structured."""
+    master = hashlib.sha256(str(seed).encode()).digest()[:8]
+    key = np.frombuffer(master, dtype="<u8").astype(np.uint64)
+    return mix64(_weyl(key, np.arange(1, n_trees + 1)))
 
-    def _widen(self, rows) -> None:
-        """Read each of `rows` again at twice its width."""
-        widths = self.filled[rows]
-        for width in dict.fromkeys(widths.tolist()):
-            self._read(rows[widths == width], 2 * width)
 
-    def _read(self, rows, width: int) -> None:
-        """Read each of `rows` to `width` words, widening the table to fit."""
-        if width > self.words.shape[1]:
-            self.words = np.pad(self.words, ((0, 0), (0, width - self.words.shape[1])))
-        size = 4 * width  # bytes a row
-        data = b"".join(
-            random.Random(self.seeds[i]).getrandbits(8 * size).to_bytes(size, "little")
-            for i in rows.tolist()
-        )
-        self.words[rows, :width] = np.frombuffer(data, dtype="<u4").reshape(-1, width)
-        self.filled[rows] = width
+def draw(keys: np.ndarray, step: int, adm: np.ndarray, n: np.ndarray,
+         k: int) -> np.ndarray:
+    """(m, k) candidates of m nodes, one of each tree key of `keys` popped
+    at `step`: among the first n[e] features of row e of `adm`, those
+    whose slots have the k smallest keys, ties to the lower slot, so a
+    uniform k-subset where n[e] >= k.  A node's key is output step + 1 of
+    SplitMix64 seeded with its tree's key, and slot i's key is output
+    i + 1 of SplitMix64 seeded with the node's; no draw reads another."""
+    nodes = _weyl(keys, np.array([step + 1]))
+    slots = _weyl(nodes[:, None], np.arange(1, adm.shape[1] + 1))
+    slots[np.arange(adm.shape[1]) >= n[:, None]] = np.iinfo(np.uint64).max
+    if k == 1:
+        pick = slots.argmin(axis=1)[:, None]
+    else:
+        pick = np.argsort(slots, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(adm, pick, axis=1)
 
 
 class StateGraph:
@@ -509,71 +504,12 @@ class StateGraph:
         self._passed.clear()
 
 
-def _randbelow(streams, pos, trees, n, taken=None) -> np.ndarray:
-    """For each e, CPython's `Random._randbelow(n[e])` on the stream of tree
-    trees[e] (distinct), from its word pos[trees[e]] on: the next word
-    shifted right to n[e].bit_length() bits, drawn again while not below
-    n[e] and, with the bool table `taken`, while taken[e, r] (the set path
-    of `sample`).  Where n[e] is 0 nothing is drawn and the result is 0.
-    A call reads LOOKAHEAD words per tree at once and advances `pos` past
-    the words the draws used."""
-    shift = 32 - np.frexp(n)[1]  # frexp's exponent is the bit length
-    start = pos[trees]
-    short = start + LOOKAHEAD > streams.filled[trees]
-    if short.any():
-        streams._widen(trees[short])
-    r = streams.words[trees[:, None], start[:, None] + _AHEAD] >> shift[:, None]
-    ok = r < n[:, None]
-    at = np.arange(len(trees))
-    if taken is not None:
-        ok &= ~taken[at[:, None], np.where(ok, r, 0)]
-    first = np.where(ok, _AHEAD, LOOKAHEAD).min(axis=1)
-    first[n == 0] = -1
-    pos[trees] = start + np.minimum(first + 1, LOOKAHEAD)
-    out = r[at, first % LOOKAHEAD]
-    miss = np.flatnonzero(first == LOOKAHEAD)
-    if miss.size:  # every word read was rejected
-        out[miss] = _randbelow(streams, pos, trees[miss], n[miss],
-                               None if taken is None else taken[miss])
-    return out
-
-
-def _sample(streams, pos, trees, pool, n, k: int) -> np.ndarray:
-    """For each row e, `random.Random.sample(pool[e, :n[e]], k)` drawn from
-    the stream of tree trees[e] (distinct), from its word pos[trees[e]] on:
-    a (len(trees), k) array in draw order.  It ports CPython's pool path,
-    and above `setsize` its set path, draw for draw; at k = 1 both are
-    `randrange(n[e])`.  Rows where n[e] is 0 draw nothing (their values are
-    not a sample), so that every array keeps one row per tree.  Advances
-    `pos` past the words used."""
-    at = np.arange(len(trees))
-    if k == 1:
-        return pool[at, _randbelow(streams, pos, trees, n)][:, None]
-    out = np.empty((len(trees), k), dtype=pool.dtype)
-    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-    small = n <= setsize
-    if small.any():  # pool path: the drawn slot takes the last undrawn value
-        left, n_pool = pool.copy(), np.where(small, n, 0)
-        for i in range(k):
-            last = np.maximum(n_pool - i, 0)
-            j = _randbelow(streams, pos, trees, last)
-            out[:, i] = left[at, j]
-            left[at, j] = left[at, last - 1]
-    if not small.all():  # set path: draw again at a slot already drawn
-        taken, n_set = np.zeros(pool.shape, dtype=bool), np.where(small, 0, n)
-        for i in range(k):
-            j = _randbelow(streams, pos, trees, n_set, taken)
-            taken[at, j] = True
-            out[:, i] = np.where(small, out[:, i], pool[at, j])
-    return out
-
-
-def grow_trees(graph: StateGraph, k: int, streams: TreeStreams, seed: int) -> PackedTrees:
-    """One tree per row of `streams`, in order, grown in lock-step on
+def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> PackedTrees:
+    """One tree per uint64 key of `keys`, in order, grown in lock-step on
     `graph` under its impurity kind; `seed` is recorded as the master seed
-    the streams derive from.  The graph keeps the states and splits this
-    build computes, so later builds on it (`forest.build_forests` grows
-    every K of a sweep on one) reuse them.  Rows are the entries of
+    the keys derive from (`tree_keys`).  The graph keeps the states and
+    splits this build computes, so later builds on it (`forest.build_forests`
+    grows every K of a sweep on one) reuse them.  Rows are the entries of
     `_BuildContext`: on unweighted data each distinct row once, so growth
     costs per distinct row.
 
@@ -586,25 +522,22 @@ def grow_trees(graph: StateGraph, k: int, streams: TreeStreams, seed: int) -> Pa
     Each tree keeps an explicit stack of (state, parent, slot) entries and
     pushes a node's children last slot first, so it pops its nodes in
     preorder, the order of a recursive build.  Each step pops one node
-    from every tree whose stack is not empty.  A node with more than k
-    admissible features draws its candidates, by one vectorised port of
-    CPython's `randbelow` and `sample` for every such tree at once, so
-    tree i draws from row i of `streams` what
-    `random.Random(streams.seeds[i])` draws in a recursive build, call for
-    call and word for word; with at most k, its split is the state's
-    `best`.  Nothing recurses, so a tree may grow as deep as its rows
-    allow.  Each popped node is logged by its state (a passing state's
-    threshold and record copied aside); at the end tree t's j-th node is
-    placed at offsets[t] + j, each child by its (parent, slot), and the
-    records are gathered once.
+    from every tree whose stack is not empty, so tree t's j-th node is
+    popped at step j.  A node with more than k admissible features draws
+    its candidates from the hash keys of (its tree's key, j, slot), by one
+    vectorised `draw` for every such tree at once; with at most k, its
+    split is the state's `best`.  Nothing recurses, so a tree may grow as
+    deep as its rows allow.  Each popped node is logged by its state (a
+    passing state's threshold and record copied aside); at the end tree
+    t's j-th node is placed at offsets[t] + j, each child by its (parent,
+    slot), and the records are gathered once.
     """
     ctx, impurity = graph.ctx, graph.impurity
     if not 1 <= k <= max(ctx.n_features, 1):
         raise ValueError(f"k must be in 1..{ctx.n_features}, got {k}")
-    n_trees, width = len(streams), ctx.width
+    n_trees, width = len(keys), ctx.width
     if n_trees < 1:
         raise ValueError("need at least one tree")
-    pos = np.zeros(n_trees, dtype=np.int64)  # next word of each stream
     # entry d of tree t's stack is stack[:, t * depth + d]: (state, the step
     # that popped its parent, slot); a slot with no child writes to the
     # last column, which no tree reads
@@ -637,8 +570,7 @@ def grow_trees(graph: StateGraph, k: int, streams: TreeStreams, seed: int) -> Pa
             # the drawing rows, then other rows up to a power of two
             e = np.argsort(~drawn, kind="stable")[:1 << (n_drawn - 1).bit_length()]
             s_e, draws = states[e], drawn[e]
-            cands = _sample(streams, pos, live[e], graph.adm[s_e],
-                            np.where(draws, n_adm[e], 0), k)
+            cands = draw(keys[live[e]], step, graph.adm[s_e], n_adm[e], k)
             gain = graph._gains(s_e, cands, draws)
             if k > 1:
                 best = gain == gain.max(axis=1, keepdims=True)
@@ -678,7 +610,6 @@ def grow_trees(graph: StateGraph, k: int, streams: TreeStreams, seed: int) -> Pa
         graph._end_step(states, kids)
         live = live[top[live] > 0]
         step += 1
-    streams.used = pos
     thr, rec = graph.thr, graph.record
     del graph, stack  # a graph no caller holds is freed, but for these two tables
     for col in log:

@@ -467,8 +467,31 @@ def tree_mdi_by_nodes(views, n_features: int) -> np.ndarray:
 # It reads the package only for the impurity formula and the packed layout.
 
 
-def grow_trees_recursive(dataset, k, impurity, rngs, seed):
-    """`tree.grow_trees` without a memo: one tree per rng of `rngs`."""
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(state: int, counter: int) -> int:
+    """Output `counter` (from 1) of SplitMix64 seeded with `state`, on Python
+    ints: Stafford's Mix13 of state + counter * GAMMA, mod 2^64."""
+    z = (state + counter * GAMMA) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def draw_by_keys(tree_key: int, j: int, admissible: list, k: int) -> list:
+    """The k candidates of a tree's j-th node (from 0): the admissible
+    features whose slots sort first by (key, slot), slot i keyed by
+    output i + 1 of SplitMix64 seeded with output j + 1 of the tree's."""
+    node = splitmix64(tree_key, j + 1)
+    order = sorted(range(len(admissible)), key=lambda i: (splitmix64(node, i + 1), i))
+    return sorted(admissible[i] for i in order[:k])
+
+
+def grow_trees_recursive(dataset, k, impurity, keys, seed):
+    """`tree.grow_trees` without a memo: one tree per key of `keys`, its
+    j-th node in preorder drawing with `draw_by_keys(key, j, ...)`."""
     from array import array
 
     from impshap.data import CATEGORICAL
@@ -588,10 +611,8 @@ def grow_trees_recursive(dataset, k, impurity, rngs, seed):
             return node_id
         if len(admissible) <= k:
             candidates = admissible
-        elif k == 1:
-            candidates = [admissible[rng.randrange(len(admissible))]]
         else:
-            candidates = sorted(rng.sample(admissible, k))
+            candidates = draw_by_keys(tree_key, node_id - offsets[-1], admissible, k)
         best = None  # (gain, feature, threshold, parts)
         if len(candidates) == 1 and categorical[candidates[0]]:
             f = candidates[0]
@@ -627,7 +648,8 @@ def grow_trees_recursive(dataset, k, impurity, rngs, seed):
         return node_id
 
     offsets = [0]
-    for rng in rngs:
+    for tree_key in keys:
+        tree_key = int(tree_key)
         grow(list(range(n_rows)), 0, at_root=True)
         offsets.append(len(feat_out))
     del grow

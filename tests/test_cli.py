@@ -757,10 +757,10 @@ def test_verify_gini(capsys):
     "argv, digest",
     [
         (["local", "--data", "led", "--trees", "30", "--seed", "0"],
-         "b5a690991b17de8b4dd52a39374be4208e14bc7c3a0db2d4d133d60aefa64af8"),
+         "a0a350b1912b2082a8501983bd029511d8d21746b19c81f7815361b47430696a"),
         (["global", "--data", "led", "--trees", "50", "--seed", "0",
           "--k-sweep", "1..3"],
-         "c63189743fecc1ba919c5c92b7b877f1a8ad8f3308fc30c3ecfc77af02bd7d07"),
+         "abcd35fc3300b0256a5456485d44f57e0ea3071cbef320f2a0cdb412fbf906d5"),
     ],
     ids=["local", "global"],
 )
@@ -786,7 +786,7 @@ def test_csv_report_bytes_are_pinned(capsys, argv, digest):
          "aebf15fd9d3431140310198a0e6aba2068c138e56f192b3e4ae8809a91d14675"),
         (["global", "--data", "led", "--k-sweep", "1..3", "--trees", "50",
           "--seed", "0"],
-         "49ff221afd6c051d3207ee50b72782b6ae5259ebaae17f1f1804cc798128628f"),
+         "bdb024a7991d927facf7e71a157d924470625649223cfdd9d71797f60654772d"),
         (["compare", "--data", "table2", "--trees", "5", "--seed", "0"],
          "72490c5384e84f06bc7ab72fa609159a087af5e9fb5a8ec89f3e79b160cee131"),
     ],

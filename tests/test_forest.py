@@ -1,12 +1,11 @@
 """Forest construction and the three importance measures with their
 linking identities."""
 
-import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,14 +26,7 @@ from impshap.forest import (
     predict_proba,
     saabas,
 )
-from impshap.tree import (
-    NODE_ARRAYS,
-    PackedTrees,
-    TreeStreams,
-    _randbelow,
-    _sample,
-    mdi_by_tree,
-)
+from impshap.tree import NODE_ARRAYS, PackedTrees, mdi_by_tree
 
 
 def led_with_noise():
@@ -128,9 +120,9 @@ def test_parallel_matches_sequential(led_ds):
 
 
 def test_distinct_structures_regression(led_ds):
-    # frozen from a pilot run; guards the tree RNG plumbing
+    # frozen when trees first drew from hash keys; guards the key plumbing
     forest = build_forest(led_ds, k=1, n_trees=1000, seed=0)
-    assert len(set(oracles.structure_keys(forest))) == 904
+    assert len(set(oracles.structure_keys(forest))) == 894
 
 
 def test_global_decomposes_over_training_instances(led_ds):
@@ -335,73 +327,23 @@ def test_forest_size_is_checked_before_growth(led_ds, monkeypatch):
         build_forest(led_ds, k=1, n_trees=11, seed=0)
 
 
-# randrange(n) at n = 1, small and up to 2**32 - 1; sample(range(n), k)
-# through both of the stdlib's paths: the pool for n <= 21 (more when
-# k > 5) and the set above
-DRAWS = st.one_of(
-    st.tuples(st.just("randrange"),
-              st.one_of(st.just(1), st.integers(2, 21), st.integers(22, 2**32 - 1))),
-    st.integers(1, 300).flatmap(
-        lambda n: st.tuples(st.just("sample"), st.just(n), st.integers(0, min(n, 40)))
-    ),
-)
-# the rows of one table: the streams of seed, seed + 1 and seed + 2
-ROWS = 3
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), draws=st.lists(DRAWS, max_size=60))
-@example(seed=2**64 - 1, draws=[("randrange", 1)] + [("sample", 300, 40)] * 12
-         + [("sample", 21, 5), ("sample", 22, 5), ("sample", 21, 21),
-            ("sample", 85, 6), ("sample", 86, 6)])
-def test_tree_stream_draws_equal_stdlib(seed, draws):
-    """Call for call, each row of a table draws what `random.Random` of its
-    seed draws, all rows in one vectorised call, across refills; the next
-    word agrees after, so both used as many words; and from the first word
-    again, the table draws the same again."""
-    seeds = [seed + i for i in range(ROWS)]
-    table, want = TreeStreams(seeds), [random.Random(s) for s in seeds]
-    trees = np.arange(ROWS)
-
-    def same_draws():
-        pos = np.zeros(ROWS, dtype=np.int64)
-        for name, n, *k in draws:
-            bound = np.full(ROWS, n, dtype=np.int64)
-            if name == "randrange":
-                got = _randbelow(table, pos, trees, bound).tolist()
-                assert got == [rng.randrange(n) for rng in want]
-            else:
-                pool = np.broadcast_to(np.arange(n), (ROWS, n))
-                got = _sample(table, pos, trees, pool, bound, *k).tolist()
-                assert got == [rng.sample(range(n), *k) for rng in want]
-        # the next word itself, unless it is 2**32 - 1, which no example meets
-        bound = np.full(ROWS, 2**32 - 1, dtype=np.int64)
-        assert (_randbelow(table, pos, trees, bound).tolist()
-                == [rng.getrandbits(32) for rng in want])
-
-    same_draws()
-    for rng, s in zip(want, seeds):
-        rng.seed(s)
-    same_draws()
-
-
 def test_sweep_checks_the_size_first_and_grows_each_k_when_asked(led_ds, monkeypatch):
-    """A sweep over the budget is refused before any stream is read; each K
+    """A sweep over the budget is refused before any key is made; each K
     of a sweep has the packed arrays of that K built alone, though every K
-    replays one table on one state graph; and a K's trees grow only when
-    its forest is asked for."""
+    grows from one key array on one state graph; and a K's trees grow only
+    when its forest is asked for."""
     with monkeypatch.context() as patch:
         patch.setattr(tree_module, "GROWTH_BUDGET", 10 * 19 * 116)
-        patch.setattr(TreeStreams, "_read", None)  # reading would raise
+        patch.setattr(forest_module, "tree_keys", None)  # making keys would raise
         with pytest.raises(TableTooLarge):
             next(build_forests(led_ds, [1], 11, seed=4))
     ks = [1, 2, 1]
     alone = [build_forest(led_ds, k=k, n_trees=10, seed=4) for k in ks]
     grown = []
 
-    def grow_trees(graph, k, streams, seed):
+    def grow_trees(graph, k, keys, seed):
         grown.append(k)
-        return tree_module.grow_trees(graph, k, streams, seed)
+        return tree_module.grow_trees(graph, k, keys, seed)
 
     monkeypatch.setattr(forest_module, "grow_trees", grow_trees)
     sweep = build_forests(led_ds, ks, 10, seed=4)

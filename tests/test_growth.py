@@ -1,20 +1,20 @@
 """The lock-step tree builder against the recursive reference in
-oracles.py, and digests of seeded reports frozen before the memo existed.
+oracles.py, the hash-key draws both use, and digests of seeded reports
+computed with the recursive builder.
 
 Property tests grow several trees per build on random datasets that mix
 categorical and numeric features, so that node states are met again in
-later trees and at other depths.  The reference draws from one
-`random.Random(seed + i)` per tree, the builder from the table of the same
-streams; trees must be equal and each tree must have read as many words as
-its `Random` did.  Some datasets weight rows by zero or by inexact
-fractions, so that sums taken in another row order would show in the last
-bits.  Examples are drawn deterministically, so every run checks the same
-builds.
+later trees and at other depths.  Both builders draw from the same tree
+keys (`tree.tree_keys`), the reference through its own SplitMix64 on
+Python ints, and their packed arrays must be equal.  Some datasets weight
+rows by zero or by inexact fractions, so that sums taken in another row
+order would show in the last bits.  Examples are drawn deterministically,
+so every run checks the same builds.
 """
 
 import hashlib
+import itertools
 import json
-import random
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grow_trees_recursive
+from oracles import GAMMA, draw_by_keys, grow_trees_recursive, splitmix64
 
 from impshap import cli
 from impshap import tree as tree_module
@@ -34,7 +34,9 @@ from impshap.data import (
 from impshap.errors import EmptyDataset, NoAdmissibleFeature, TableTooLarge
 from impshap.forest import build_forest, predict_proba
 from impshap.impurity import KINDS
-from impshap.tree import NODE_ARRAYS, StateGraph, TreeStreams, _BuildContext, grow_trees
+from impshap.tree import (
+    NODE_ARRAYS, StateGraph, _BuildContext, draw, grow_trees, mix64, tree_keys,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 NUMERIC_VALUES = (0.0, 0.5, 1.0, 2.5, 3.0)
@@ -61,35 +63,16 @@ def random_rows(rng, kinds, n_classes, n_rows, top=False):
     return data
 
 
-def seeded(seed, n_trees):
-    """The reference builder's RNGs: tree i draws from Random(seed + i)."""
-    return [random.Random(seed + i) for i in range(n_trees)]
-
-
-def streams(seed, n_trees):
-    """The builder's table of the same streams as `seeded`."""
-    return TreeStreams(range(seed, seed + n_trees))
-
-
-def assert_same_words(got, rngs):
-    """Tree i of the table read as many words as rngs[i] drew: Random(seed)
-    advanced by that many words is in rngs[i]'s state."""
-    assert len(got) == len(rngs)
-    for seed, used, rng in zip(got.seeds, got.used.tolist(), rngs):
-        fresh = random.Random(seed)
-        fresh.getrandbits(32 * used)
-        assert fresh.getstate() == rng.getstate()
-
-
-def grow(ds, k, impurity, streams, seed):
+def grow(ds, k, impurity, keys, seed):
     """`grow_trees` on a fresh state graph, in the reference's signature."""
-    return grow_trees(StateGraph(ds, impurity), k, streams, seed)
+    return grow_trees(StateGraph(ds, impurity), k, keys, seed)
 
 
-def build(builder, ds, k, impurity, rngs, seed):
-    """The packed trees, or the type of the error the build raised."""
+def build(builder, ds, k, impurity, n_trees, seed):
+    """The packed trees of `n_trees` trees from master `seed`, or the type
+    of the error the build raised."""
     try:
-        return builder(ds, k, impurity, rngs, seed)
+        return builder(ds, k, impurity, tree_keys(seed, n_trees), seed)
     except (EmptyDataset, NoAdmissibleFeature) as exc:
         return type(exc)
 
@@ -121,19 +104,17 @@ DATASETS = dict(
 @given(**DATASETS)
 def test_memo_builder_matches_recursive_builder(seed, kinds, n_rows, n_classes,
                                                 weighted, k, n_trees, impurity):
-    """Same packed arrays, same errors, as many words read per tree as
-    its RNG drew, and every stored node reached by training rows, though
-    the top category of features of arity 3 or more is never seen."""
+    """Same packed arrays, same errors, and every stored node reached by
+    training rows, though the top category of features of arity 3 or more
+    is never seen."""
     rng = np.random.default_rng(seed)
     data = random_rows(rng, kinds, n_classes, n_rows)
     weights = rng.choice(WEIGHTS, n_rows) if weighted else None
     ds = Dataset(columns(kinds, n_classes), data, weights=weights)
     k = min(k, len(kinds))
-    want_rngs, got_streams = seeded(seed, n_trees), streams(seed, n_trees)
-    want = build(grow_trees_recursive, ds, k, impurity, want_rngs, seed)
-    got = build(grow, ds, k, impurity, got_streams, seed)
+    want = build(grow_trees_recursive, ds, k, impurity, n_trees, seed)
+    got = build(grow, ds, k, impurity, n_trees, seed)
     assert_same_trees(got, want)
-    assert_same_words(got_streams, want_rngs)
     if not isinstance(got, type):
         assert (got.mass > 0).all()
 
@@ -150,21 +131,15 @@ def wide_rows(seed, p, n_rows):
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       p_k=st.one_of(st.tuples(st.integers(22, 30), st.integers(2, 5)),
-                     st.tuples(st.integers(22, 85), st.just(6))),
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(20, 90), k=st.integers(1, 6),
        n_rows=st.integers(2, 24), n_trees=st.integers(2, 6))
-def test_wide_draws_match_recursive_builder(seed, p_k, n_rows, n_trees):
-    """Past 21 admissible features `Random.sample` takes its set path at
-    k = 2..5; at k = 6 its pool path serves up to 85.  Both draw at the
-    root here: same packed arrays and as many words read per tree."""
-    p, k = p_k
+def test_wide_draws_match_recursive_builder(seed, p, k, n_rows, n_trees):
+    """Up to 90 admissible features, past 64, draw at the root here: same
+    packed arrays."""
     ds = wide_rows(seed, p, n_rows)
-    want_rngs, got_streams = seeded(seed, n_trees), streams(seed, n_trees)
-    want = build(grow_trees_recursive, ds, k, "entropy", want_rngs, seed)
-    got = build(grow, ds, k, "entropy", got_streams, seed)
+    want = build(grow_trees_recursive, ds, k, "entropy", n_trees, seed)
+    got = build(grow, ds, k, "entropy", n_trees, seed)
     assert_same_trees(got, want)
-    assert_same_words(got_streams, want_rngs)
 
 
 @PROPERTY
@@ -181,8 +156,7 @@ def test_size_bound_holds(seed, kinds, n_rows, n_classes, weighted, k, n_trees,
         ctx = _BuildContext(ds)
     except EmptyDataset:
         return
-    trees = build(grow, ds, min(k, len(kinds)), impurity,
-                  streams(seed, n_trees), seed)
+    trees = build(grow, ds, min(k, len(kinds)), impurity, n_trees, seed)
     if isinstance(trees, type):
         return
     size = sum(getattr(trees, name).nbytes for name in NODE_ARRAYS)
@@ -199,14 +173,12 @@ def test_size_bound_holds(seed, kinds, n_rows, n_classes, weighted, k, n_trees,
     ids=["inf", "both-inf", "overflow", "negative-overflow", "adjacent",
          "subnormal-adjacent"],
 )
-@pytest.mark.parametrize("grow, rngs",
-                         [(grow, streams), (grow_trees_recursive, seeded)],
-                         ids=["memo", "recursive"])
-def test_threshold_separates_its_training_rows(grow, rngs, values):
+@pytest.mark.parametrize("grow", [grow, grow_trees_recursive], ids=["memo", "recursive"])
+def test_threshold_separates_its_training_rows(grow, values):
     """Where the midpoint of two values is not below the upper one, the cut
     is at the lower one, so each training row reaches its own leaf."""
     ds = Dataset(columns([0], 2), [np.array(values), np.array([0, 1])])
-    packed = grow(ds, 1, KINDS[0], rngs(0, 1), 0)
+    packed = grow(ds, 1, KINDS[0], tree_keys(0, 1), 0)
     v, nxt = values
     assert v <= packed.threshold[0] < nxt
     proba = predict_proba(packed, np.array(values)[:, None])
@@ -231,32 +203,92 @@ def test_zero_weight_rows_change_nothing(seed, kinds, n_rows, n_classes, weighte
                                 np.zeros(extra)]),
     )
     k = min(k, len(kinds))
-    want_streams, got_streams = streams(seed, n_trees), streams(seed, n_trees)
-    want = build(grow, base, k, impurity, want_streams, seed)
-    got = build(grow, padded, k, impurity, got_streams, seed)
+    want = build(grow, base, k, impurity, n_trees, seed)
+    got = build(grow, padded, k, impurity, n_trees, seed)
     assert_same_trees(got, want)
-    assert np.array_equal(got_streams.used, want_streams.used)
 
 
-# sha256 of seeded reports, computed with the recursive builder; any change
-# to the trees, the RNG use or the scores shows here.  `results` is hashed
-# as json.dumps(results, sort_keys=True); the local report is whole stdout,
-# so a version bump also changes that digest.
+def test_splitmix64_known_answer():
+    """SplitMix64's first output at state 0 is mix64(GAMMA), on arrays and
+    on the reference's Python ints alike."""
+    assert int(mix64(np.array([GAMMA], dtype=np.uint64))[0]) == 0xE220A8397B1DCDAF
+    assert splitmix64(0, 1) == 0xE220A8397B1DCDAF
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**64, 2**64 + 1, 10**30])
+def test_tree_keys_equal_python_ints(seed):
+    """Tree i's key is output i + 1 of SplitMix64 seeded with the first 8
+    bytes (little-endian) of sha256 of the seed's text, mixed once more."""
+    digest = hashlib.sha256(str(seed).encode()).digest()
+    master = int.from_bytes(digest[:8], "little")
+    want = [splitmix64(splitmix64(master, i + 1), 0) for i in range(50)]
+    assert tree_keys(seed, 50).tolist() == want
+
+
+def test_seeds_grow_different_forests(led_ds):
+    """0 and 2^64 are equal mod 2^64, and -1 is 2^64 - 1 there; each seed
+    gets its own master key and so its own trees."""
+    forests = [build_forest(led_ds, 1, 20, seed=s) for s in (0, -1, 2**64)]
+    for a, b in itertools.combinations(forests, 2):
+        assert not np.array_equal(a.feature, b.feature)
+
+
+# chi-square of the 15 2-subsets of 6 slots over 200 trees x 100 steps of
+# seed 0, measured at 17.1 (14 degrees of freedom, mean 14); the bound is
+# the 0.999 quantile
+SUBSET_CHI2_BOUND = 36.12
+
+
+def test_draws_are_uniform_subsets():
+    """Node keys of consecutive trees and steps draw each k-subset of the
+    admissible slots about equally often."""
+    n, k, n_trees, n_steps = 6, 2, 200, 100
+    keys = tree_keys(0, n_trees)
+    adm = np.tile(np.arange(n, dtype=np.int32), (n_trees, 1))
+    counts = dict.fromkeys(itertools.combinations(range(n), k), 0)
+    for step in range(n_steps):
+        for row in np.sort(draw(keys, step, adm, np.full(n_trees, n), k), axis=1):
+            counts[tuple(row.tolist())] += 1
+    observed = np.array(list(counts.values()))
+    expected = n_trees * n_steps / len(counts)
+    assert ((observed - expected) ** 2 / expected).sum() < SUBSET_CHI2_BOUND
+
+
+def test_draws_past_64_features():
+    """Slots past 64 draw as the reference's (key, slot) sort does, and
+    2000 roots over 70 admissible features draw every one of them."""
+    keys = tree_keys(3, 40)
+    rng = np.random.default_rng(3)
+    n = rng.integers(70, 101, 40)
+    adm = np.full((40, 100), -1, dtype=np.int32)
+    for e, m in enumerate(n.tolist()):
+        adm[e, :m] = np.sort(rng.choice(120, m, replace=False))
+    for k in (1, 3, 7):
+        got = np.sort(draw(keys, 5, adm, n, k), axis=1).tolist()
+        assert got == [draw_by_keys(int(key), 5, adm[e, :m].tolist(), k)
+                       for e, (key, m) in enumerate(zip(keys, n.tolist()))]
+    forest = build_forest(wide_rows(1, 70, 8), 1, 2000, seed=1)
+    assert set(forest.feature[forest.offsets[:-1]].tolist()) == set(range(70))
+
+
+# sha256 of seeded reports, computed with the recursive builder when trees
+# first drew from hash keys; any change to the trees, the draws or the
+# scores shows here.  `results` is hashed as json.dumps(results,
+# sort_keys=True); the local report is whole stdout, so a version bump also
+# changes that digest.
 GLOBAL_SWEEP_DIGESTS = {
-    "entropy": "83d3c9b44df7e46340392e2b69a0bdb0d086a4f2adb220857bfa840bd2cd8bcc",
-    "gini": "8bcfc995a2ad85d2e17a3e807401ccc4b75b664151e5d5f16af64f9eb5cc69b9",
-    "variance": "176276eb58bb036e2c5d8e4af89b906ee4189201c23b079597d504cfd63b5a91",
+    "entropy": "47c976684e1fcaf6047ebc510cc2227218f6c0e2c31bb096ab09d9ea53c4eb04",
+    "gini": "1b99bcff7de7a9f52a4d9a2b993e634d542f08ecbdd3e01dc1940a8ac676c882",
+    "variance": "cc62d6a84be7673ea3d864caafc5de35d89bf43f6050ff5625b7f1ad2161d208",
 }
-LOCAL_REPORT_DIGEST = "7bf201dfc943f9f2bc5bd5e28ebb3ec97918dbe024dd6d36b6f86919d9d563b3"
-# whole stdout of a compare sweep, computed when every K re-seeded its
-# trees' RNG streams
-COMPARE_SWEEP_DIGEST = "f41571c4845bfb0f221ff94f969c4bcba34c772a5f3fdcd5dc56e3bdff9cc4b8"
-# whole stdout on 500 sampled LED rows (10 distinct ones), computed when
-# every row was walked down every tree
+LOCAL_REPORT_DIGEST = "aa4ddd3ccc2eab36f7ad85ebea5faeedb5000c99eb611bc7e0313b3247531289"
+# whole stdout of a compare sweep
+COMPARE_SWEEP_DIGEST = "186413a4a2257e86abd4561b7d1d8292675200c5a8ff92121b80d9fcfee23887"
+# whole stdout on 500 sampled LED rows (10 distinct ones)
 REPEATED_ROWS_DIGESTS = {
-    "local": "2bec3439cf75228ed3b99984451009bd3750258701bbf01c95956711c67252ef",
-    "saabas": "53ce51664e4d73bbf0a2e89a4fc2922af3ae7b6a410ab3f09546921e7db91ad2",
-    "compare": "4a9422b5f2fdff014ae08040afe28b0957535f5cc36dc241bb3a105d2c5a4233",
+    "local": "0c87038a73396e98533be57d6d2f7bd7c54bc0b84cdfe3de2099649b86ba5edf",
+    "saabas": "24227790ae680ea68f956ea647e933334f777d1b2ee8d2cfafb3b5001ceed0da",
+    "compare": "50b14e89363281173dc22bd25eb44ee4eb80f17c88fd8b2506426dacb5ea6117",
 }
 
 
@@ -317,8 +349,8 @@ def test_repeated_rows_grow_as_their_counts(seed, kinds, n_rows, n_classes, k,
                                             n_trees, impurity, n_distinct):
     """An unweighted dataset with repeated rows, its distinct rows once each
     weighted by their multiplicities, and a row permutation of it grow the
-    same trees and leave every RNG in the same state: every class count is
-    a sum of integers, exact in any order."""
+    same trees: every class count is a sum of integers, exact in any
+    order."""
     rng = np.random.default_rng(seed)
     pool = random_rows(rng, kinds, n_classes, n_distinct)
     data = [col[rng.integers(0, n_distinct, n_rows)] for col in pool]
@@ -332,13 +364,11 @@ def test_repeated_rows_grow_as_their_counts(seed, kinds, n_rows, n_classes, k,
         Dataset(meta, [col[perm] for col in data]),
     ]
     k = min(k, len(kinds))
-    tables = [streams(seed, n_trees) for _ in datasets]
-    got = [build(grow, ds, k, impurity, t, seed) for ds, t in zip(datasets, tables)]
+    got = [build(grow, ds, k, impurity, n_trees, seed) for ds in datasets]
     for packed in got[1:]:
         if not isinstance(packed, type):
             packed = replace(packed, n_train=got[0].n_train)
         assert_same_trees(packed, got[0])
-    assert all(np.array_equal(t.used, tables[0].used) for t in tables[1:])
     if not isinstance(got[0], type):
         assert [p.n_train for p in got] == [n_rows, len(counts), n_rows]
 
@@ -354,11 +384,10 @@ def repeated_mixed_rows(seed, n_rows=400, n_distinct=30):
     return Dataset(columns(kinds, 3), [col[pick] for col in pool])
 
 
-# whole stdout on `repeated_mixed_rows(17)`, computed when every row was
-# grown and walked one at a time
+# whole stdout on `repeated_mixed_rows(17)`
 REPEATED_MIXED_DIGESTS = {
-    "global": "3549bb985ba580b68de3a86ea582c222424cf206bee1c24e95db2d431b843a71",
-    "local": "1a3a529922f0336dce9b10b4baa566be17b0268985ad53705e839c6ad645575c",
+    "global": "32054c97eabb7df25aacbc67200e32c3b1388b622c9d225d50621ebff8b14dab",
+    "local": "fa783aab8842f2a3f944a5f7f4e3d2810227a4cdb3ac25397efcf61171fd8b39",
 }
 
 
@@ -417,10 +446,10 @@ def test_growth_peak_memory():
     data = [rng.normal(size=n_rows) for _ in range(n_features)]
     data.append(rng.integers(0, 3, n_rows))
     ds = Dataset(columns((0,) * n_features, 3), data)
-    grow(ds, 3, "entropy", streams(1, 1), 1)  # first-call allocations
+    grow(ds, 3, "entropy", tree_keys(1, 1), 1)  # first-call allocations
     tracemalloc.start()
     try:
-        grow(ds, 3, "entropy", streams(1, 3), 1)
+        grow(ds, 3, "entropy", tree_keys(1, 3), 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

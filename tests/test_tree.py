@@ -1,5 +1,5 @@
 """Tree construction, impurity bookkeeping and path prediction, on trees
-grown one at a time: `grow_trees` with one stream on a fresh state graph."""
+grown one at a time: `grow_trees` with one tree key on a fresh state graph."""
 
 import numpy as np
 import pytest
@@ -22,11 +22,11 @@ from impshap.errors import (
 )
 from impshap.forest import predict_proba
 from impshap.impurity import ENTROPY
-from impshap.tree import LEAF, StateGraph, TreeStreams, grow_trees, mdi_by_tree
+from impshap.tree import LEAF, StateGraph, grow_trees, mdi_by_tree, tree_keys
 
 
 def one_tree(ds, k, seed, impurity=ENTROPY):
-    return grow_trees(StateGraph(ds, impurity), k, TreeStreams([seed]), seed)
+    return grow_trees(StateGraph(ds, impurity), k, tree_keys(seed, 1), seed)
 
 
 def test_table1_k2_structure_and_mdi():
