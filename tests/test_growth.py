@@ -289,6 +289,8 @@ REPEATED_ROWS_DIGESTS = {
     "local": "0c87038a73396e98533be57d6d2f7bd7c54bc0b84cdfe3de2099649b86ba5edf",
     "saabas": "24227790ae680ea68f956ea647e933334f777d1b2ee8d2cfafb3b5001ceed0da",
     "compare": "50b14e89363281173dc22bd25eb44ee4eb80f17c88fd8b2506426dacb5ea6117",
+    "local-csv": "d95c89c67c9f3a721430b79b5875b73e906699090e1ba5feed2008c8167c67d7",
+    "compare-csv": "c4a3221cc7dea5634ab27a997b304e07cb6907e56f5d10652f8482973554cd23",
 }
 
 
@@ -326,18 +328,24 @@ def test_local_report_is_frozen(capsys):
          "--seed", "5", "--format", "json"],
         ["saabas", "--class-index", "3", "--format", "csv"],
         ["compare", "--k-sweep", "1..3", "--trees", "20", "--format", "json"],
+        ["local", "--method", "local-mdi,saabas", "--k", "2", "--trees", "30",
+         "--seed", "5", "--format", "csv"],
+        ["compare", "--k-sweep", "1..3", "--trees", "20", "--format", "csv"],
     ],
     ids=list(REPEATED_ROWS_DIGESTS),
 )
-def test_repeated_rows_reports_are_frozen(capsys, tmp_path, monkeypatch, argv):
+def test_repeated_rows_reports_are_frozen(capsys, tmp_path, monkeypatch, request, argv):
     """Scored rows repeat here, unlike in `led`; the command line is part of
-    the report, so the file is named relative to the working directory."""
+    the report, so the file is named relative to the working directory.
+    The CSV digests were taken while every score was still kept and
+    written per instance, so they vouch for the per-distinct-row writers."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(["gen-data", "--data", "led-sampled", "--n", "500",
                      "--seed", "1", "--out", "rows.csv"]) == 0
     code = cli.main(argv[:1] + ["--data", "rows.csv"] + argv[1:])
     assert code == 0
-    assert sha256(capsys.readouterr().out) == REPEATED_ROWS_DIGESTS[argv[0]]
+    digest = REPEATED_ROWS_DIGESTS[request.node.callspec.id]
+    assert sha256(capsys.readouterr().out) == digest
 
 
 UNWEIGHTED = {name: s for name, s in DATASETS.items() if name != "weighted"}
