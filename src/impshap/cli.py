@@ -14,7 +14,6 @@ import io
 import json
 import math
 import os
-import struct
 import sys
 import tempfile
 
@@ -314,8 +313,9 @@ def _provenance(args, argv, fingerprint):
 # the stdlib's one-line C encoder: a list of numbers comes out as
 # "[a, b, ...]", and the text of a number never holds ", "
 _encode = json.JSONEncoder(sort_keys=True).encode
-_FLOATS = frozenset((float,))
 _NUMBERS = frozenset((int, float))
+# the C encoder's text of a non-finite float, as repr() writes it in CSV
+_CSV_FLOATS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
 def _json_text(report) -> str:
@@ -325,10 +325,11 @@ def _json_text(report) -> str:
     Dicts and lists are walked here in the stdlib's layout, into one list
     of pieces joined once; a list of plain ints and floats (no bool, no
     subclass) is one C-encoder call with its separators re-indented.  The
-    text of a list of floats is kept, keyed on its depth and float64
-    bytes, so a score row met again costs one lookup and one reference: a
-    report costs per distinct row.  The key is the bytes, not the values,
-    because 0.0 == -0.0 and 1 == 1.0 print differently and NaN != NaN."""
+    text of such a list is kept, keyed on its depth and identity, so a list
+    met again (a score row that duplicate instances share) costs one
+    lookup and one reference: a report costs per distinct row.  Identity
+    is a sound key because the report keeps every list it holds alive, and
+    unchanged, while it is written."""
     memo = {}
     pieces = []
     put = pieces.append
@@ -359,9 +360,13 @@ def _json_text(report) -> str:
         if not o:
             put("[]")
             return
+        key = (level, id(o))
+        text = memo.get(key)
+        if text is not None:
+            put(text)
+            return
         inner = "\n" + "  " * (level + 1)
-        types = set(map(type, o))
-        if not types <= _NUMBERS:
+        if not set(map(type, o)) <= _NUMBERS:
             sep = "[" + inner
             for v in o:
                 put(sep)
@@ -369,13 +374,8 @@ def _json_text(report) -> str:
                 sep = "," + inner
             put("\n" + "  " * level + "]")
             return
-        key = (level, struct.pack("%dd" % len(o), *o)) if types == _FLOATS else None
-        text = memo.get(key)  # None is never a key
-        if text is None:
-            body = _encode(o)[1:-1].replace(", ", "," + inner)
-            text = f"[{inner}{body}\n{'  ' * level}]"
-            if key is not None:
-                memo[key] = text
+        body = _encode(o)[1:-1].replace(", ", "," + inner)
+        text = memo[key] = f"[{inner}{body}\n{'  ' * level}]"
         put(text)
 
     write(report, 0)
@@ -385,7 +385,8 @@ def _json_text(report) -> str:
 def _emit(args, argv, fingerprint, results, table_rows, table_header) -> None:
     """Write the report in the requested format, atomically when to a file.
 
-    `table_rows` is iterated only for CSV, so callers pass a generator."""
+    `table_rows` is iterated only for CSV, so callers pass a generator; a
+    callable in its place returns the rows' CSV text itself."""
     report = {
         "provenance": _provenance(args, argv, fingerprint),
         "command": args.command,
@@ -400,14 +401,24 @@ def _emit(args, argv, fingerprint, results, table_rows, table_header) -> None:
         buf.write(f"# command: {args.command}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table_header)
-        writer.writerows(table_rows)
+        if callable(table_rows):
+            buf.write(table_rows())
+        else:
+            writer.writerows(table_rows)
         body = buf.getvalue()
     _write_out(getattr(args, "out", None), body)
 
 
 def _write_out(path, body: str) -> None:
+    """Write `body` as UTF-8, as every CSV is read and written, whatever
+    the locale's encoding."""
     if path is None:
-        sys.stdout.write(body)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream with no bytes beneath, like io.StringIO
+            sys.stdout.write(body)
+        else:
+            sys.stdout.flush()  # text written before goes first
+            out.write(body.encode("utf-8"))
         return
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
@@ -415,7 +426,7 @@ def _write_out(path, body: str) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".impshap-")
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # mkstemp makes the file 0600; give it the mode open() would
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(body)
@@ -487,32 +498,48 @@ def _local(args, argv, methods) -> int:
     matrices = [local_mdi(forest, instances) if method == LOCAL_MDI
                 else saabas(forest, instances, class_index=args.class_index)
                 for method in methods]
-    rows = (
-        (inst_id, m, _fmt(v), mat.method)
-        for mat in matrices
-        for inst_id, scores in enumerate(mat.scores.tolist())
-        for m, v in enumerate(scores)
-    )
     results = {
         "impurity": args.impurity,
         "n_trees": args.trees,
         "k": args.k,
         "matrices": [mat.to_json_dict() for mat in matrices],
     }
-    _emit(args, argv, dataset.fingerprint(), results, rows,
+    _emit(args, argv, dataset.fingerprint(), results,
+          functools.partial(_local_table, matrices),
           ("instance_id", "feature", "score", "method"))
     return EXIT_OK
+
+
+def _local_table(matrices) -> str:
+    """The CSV rows `instance_id,feature,score,method` of each matrix, as
+    text.  Each distinct score row is formatted once (one `_encode` call),
+    into its `,feature,score,method` lines, and written after the id of
+    every instance that scored it.  No field needs quoting: ids and
+    features are ints, scores are float reprs and methods fixed names."""
+    pieces = []
+    for mat in matrices:
+        lines = [
+            [f",{m},{_CSV_FLOATS.get(v, v)},{mat.method}"
+             for m, v in enumerate(_encode(row)[1:-1].split(", "))]
+            for row in mat.rows.tolist()
+        ]
+        for inst_id, j in enumerate(mat.inverse.tolist()):
+            tag = str(inst_id)
+            pieces.append(tag + ("\n" + tag).join(lines[j]) + "\n")
+    return "".join(pieces)
 
 
 def cmd_local(args, argv) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise UsageError("--method must name at least one measure")
-    for method in methods:  # checked before any growth
+    for i, method in enumerate(methods):  # checked before any growth
         if method not in (LOCAL_MDI, SAABAS):
             raise UsageError(
                 f"unknown method {method!r}; expected {LOCAL_MDI} or {SAABAS}"
             )
+        if method in methods[:i]:
+            raise UsageError(f"--method names {method!r} more than once")
     return _local(args, argv, methods)
 
 

@@ -10,8 +10,10 @@ results never depend on construction order or worker scheduling.
 array of tree keys and one graph of node states (`tree.StateGraph`), so
 the sweep computes each state once; `build_forest` is the sweep of one K.
 A forest is its packed trees (`tree.PackedTrees`), which record K, the
-impurity kind and the master seed; the three path measures each make one
-`tree.traverse` call.
+impurity kind and the master seed.  The three path measures each key
+their instances once (`tree.Instances`) and walk only the distinct ones
+with `tree.traverse`; local scores stay per distinct instance, with each
+instance's index into them, in a `LocalImportanceMatrix`.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +22,8 @@ import numpy as np
 
 from .data import Dataset
 from .impurity import ENTROPY
-from .tree import PackedTrees, StateGraph, grow_trees, mdi_by_tree, traverse, tree_keys
+from .tree import (Instances, PackedTrees, StateGraph, grow_trees, mdi_by_tree,
+                   traverse, tree_keys)
 
 LOCAL_MDI = "local-mdi"
 SAABAS = "saabas"
@@ -86,31 +89,49 @@ def global_mdi(forest: PackedTrees, normalize: bool = False) -> np.ndarray:
 
 @dataclass
 class LocalImportanceMatrix:
-    """Instance-by-feature local scores plus provenance."""
+    """Instance-by-feature local scores plus provenance.
 
-    scores: np.ndarray  # (n_instances, n_features)
+    The scores are kept once per distinct instance: instance i scored
+    `rows[inverse[i]]`, or `rows[i]` when `inverse` is None."""
+
+    rows: np.ndarray  # (n_distinct, n_features)
     method: str  # LOCAL_MDI or SAABAS
     k: int
     impurity: str
     seed: int
     classes: tuple | None = None  # saabas: decomposed class per instance
+    inverse: np.ndarray | None = None  # (n_instances,)
+
+    @property
+    def scores(self) -> np.ndarray:
+        """The (n_instances, n_features) matrix, expanded on each read."""
+        return self.rows if self.inverse is None else self.rows[self.inverse]
+
+    @scores.setter
+    def scores(self, value) -> None:
+        """A matrix assigned is kept whole, one row per instance."""
+        self.rows, self.inverse = np.asarray(value), None
 
     @property
     def n_instances(self) -> int:
-        return self.scores.shape[0]
+        return len(self.rows if self.inverse is None else self.inverse)
 
     @property
     def n_features(self) -> int:
-        return self.scores.shape[1]
+        return self.rows.shape[1]
 
     def to_json_dict(self) -> dict:
+        """Duplicate instances share one row list, so a writer can tell
+        them by identity."""
+        rows = self.rows.tolist()
         d = {
             "method": self.method,
             "k": self.k,
             "impurity": self.impurity,
             "seed": self.seed,
             "instance_ids": list(range(self.n_instances)),
-            "scores": self.scores.tolist(),
+            "scores": rows if self.inverse is None
+            else [rows[j] for j in self.inverse.tolist()],
         }
         if self.classes is not None:
             d["classes"] = list(self.classes)
@@ -121,30 +142,38 @@ def local_mdi(forest: PackedTrees, instances) -> LocalImportanceMatrix:
     """Sum of impurity drops i(t) - i(t_child) along each instance's paths,
     per split feature, averaged over trees.  Scores can be negative."""
     imp = forest.impurity
+    keyed = Instances(instances, forest.n_features)
 
     def move(buf, pair, row, node, child, f):
         buf[pair, f] += imp[node] - imp[child]
 
-    acc = traverse(forest, instances, forest.n_features, move=move)
+    acc = traverse(forest, keyed, forest.n_features, move=move)
     acc /= forest.n_trees
     return LocalImportanceMatrix(
-        scores=acc,
+        rows=acc,
         method=LOCAL_MDI,
         k=forest.k,
         impurity=forest.impurity_kind,
         seed=forest.seed,
+        inverse=keyed.inverse,
     )
 
 
-def predict_proba(forest: PackedTrees, instances) -> np.ndarray:
-    """Forest class probabilities: the tree-average of the distribution at
-    each instance's reached node (leaf, or truncation point)."""
+def _proba(forest: PackedTrees, keyed: Instances) -> np.ndarray:
+    """`predict_proba` of each distinct row of `keyed`."""
     dist = forest.dist
 
     def end(buf, node):
         buf += dist[node]
 
-    return traverse(forest, instances, forest.n_classes, end=end) / forest.n_trees
+    return traverse(forest, keyed, forest.n_classes, end=end) / forest.n_trees
+
+
+def predict_proba(forest: PackedTrees, instances) -> np.ndarray:
+    """Forest class probabilities: the tree-average of the distribution at
+    each instance's reached node (leaf, or truncation point)."""
+    keyed = Instances(instances, forest.n_features)
+    return _proba(forest, keyed)[keyed.inverse]
 
 
 def saabas(
@@ -157,29 +186,31 @@ def saabas(
     the training prior of the class sum to the forest probability of that
     class.
     """
-    if class_index is None:
-        classes = predict_proba(forest, instances).argmax(axis=1)
-    elif 0 <= class_index < forest.n_classes:
-        classes = np.full(len(instances), class_index, dtype=int)
-    else:
+    if class_index is not None and not 0 <= class_index < forest.n_classes:
         raise ValueError(
             f"class index {class_index} outside 0..{forest.n_classes - 1}"
         )
+    keyed = Instances(instances, forest.n_features)
+    if class_index is None:
+        classes = _proba(forest, keyed).argmax(axis=1)
+    else:
+        classes = np.full(len(keyed.x), class_index, dtype=int)
     dist = forest.dist
 
     def move(buf, pair, row, node, child, f):
         cls = classes[row]
         buf[pair, f] += dist[child, cls] - dist[node, cls]
 
-    acc = traverse(forest, instances, forest.n_features, move=move)
+    acc = traverse(forest, keyed, forest.n_features, move=move)
     acc /= forest.n_trees
     return LocalImportanceMatrix(
-        scores=acc,
+        rows=acc,
         method=SAABAS,
         k=forest.k,
         impurity=forest.impurity_kind,
         seed=forest.seed,
-        classes=tuple(int(c) for c in classes),
+        classes=tuple(classes[keyed.inverse].tolist()),
+        inverse=keyed.inverse,
     )
 
 
@@ -250,18 +281,26 @@ def correlation_report(
     a: LocalImportanceMatrix, b: LocalImportanceMatrix
 ) -> CorrelationReport:
     """Instance-wise Pearson and Spearman between the absolute values of two
-    score matrices."""
-    if a.scores.shape != b.scores.shape:
-        raise ValueError(
-            f"shape mismatch: {a.scores.shape} vs {b.scores.shape}"
-        )
-    xs, ys = np.abs(a.scores), np.abs(b.scores)
+    score matrices.  When both keep their rows for the same distinct
+    instances (equal `inverse`), each distinct pair of rows is correlated
+    once."""
+    shapes = [(m.n_instances, m.n_features) for m in (a, b)]
+    if shapes[0] != shapes[1]:
+        raise ValueError(f"shape mismatch: {shapes[0]} vs {shapes[1]}")
+    if a.inverse is not None and np.array_equal(a.inverse, b.inverse):
+        xs, ys, inverse = np.abs(a.rows), np.abs(b.rows), a.inverse
+    else:
+        xs, ys, inverse = np.abs(a.scores), np.abs(b.scores), None
     undefined = (np.ptp(xs, axis=1) == 0.0) | (np.ptp(ys, axis=1) == 0.0)
     xs, ys = xs[~undefined], ys[~undefined]
     pearson = np.full(len(undefined), np.nan)
     spearman = np.full(len(undefined), np.nan)
     pearson[~undefined] = _row_pearson(xs, ys)
     spearman[~undefined] = _row_pearson(_average_ranks(xs), _average_ranks(ys))
+    if inverse is not None:
+        pearson, spearman, undefined = (
+            pearson[inverse], spearman[inverse], undefined[inverse]
+        )
     summary = {}
     for label, arr in (("pearson", pearson), ("spearman", spearman)):
         ok = arr[~np.isnan(arr)]

@@ -132,6 +132,25 @@ def _distinct_rows(x: np.ndarray):
     return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
+class Instances:
+    """Instances keyed once on their float64 bytes, so that each distinct
+    one is walked once: `x` holds the distinct rows in order of first
+    occurrence, instance i is row inverse[i], and row j first occurs at
+    `first[j]` of the caller's `source`."""
+
+    __slots__ = ("source", "x", "first", "inverse")
+
+    def __init__(self, instances, p: int):
+        self.source = instances
+        x = np.array(instances, dtype=np.float64)
+        if len(instances) == 0:
+            x = np.zeros((0, p))
+        elif x.shape != (len(instances), p):
+            raise ValueError(f"instances must have {p} values each")
+        self.first, self.inverse = _distinct_rows(x)
+        self.x = x[self.first]
+
+
 class _BuildContext:
     """Dataset unpacked for growth: its entries, one column each in `cols`,
     and the weight `ws` of each.  A categorical column is a list of codes
@@ -663,41 +682,33 @@ def mdi_by_tree(packed: PackedTrees) -> np.ndarray:
     return sums.reshape(packed.n_trees, packed.n_features)
 
 
-def traverse(packed: PackedTrees, instances, width: int, move=None,
+def traverse(packed: PackedTrees, instances: Instances, width: int, move=None,
              end=None) -> np.ndarray:
-    """Walk every instance down every tree; returns the (n, width) sum over
-    trees of what the walks put into each instance's row.
+    """Walk each distinct instance down every tree; returns the
+    (distinct, width) sum over trees of what the walks put into each
+    instance's row.
 
-    Each distinct instance (distinct float64 bytes) is walked once, in
-    order of first occurrence, and its result row is copied to every
-    duplicate.  Per chunk of at most CHUNK_PAIRS (tree, distinct instance)
-    pairs, tree-major, the walks advance one depth level at a time.  After
-    each level `move(buf, pair, row, node, child, feature)` sees the pairs
-    that moved, and at the end `end(buf, node)` sees the node where each
-    pair stopped; both add into `buf`, which has one row per pair.  `row`
-    indexes `instances`: the first occurrence of the pair's instance.  The
-    rows of each tree are then added to the result in tree order, so each
-    sum depends on its instance alone.  Scratch memory is bounded by the
-    chunk; only the (distinct, width) sums, the keys and the result grow
-    with the input.
+    Per chunk of at most CHUNK_PAIRS (tree, distinct instance) pairs,
+    tree-major, the walks advance one depth level at a time.  After each
+    level `move(buf, pair, row, node, child, feature)` sees the pairs that
+    moved, and at the end `end(buf, node)` sees the node where each pair
+    stopped; both add into `buf`, which has one row per pair.  `row`
+    indexes `instances.x`, the distinct rows.  The rows of each tree are
+    then added to the result in tree order, so each sum depends on its
+    instance alone.  Scratch memory is bounded by the chunk; only the
+    (distinct, width) sums grow with the input.
 
     A walk stops at a leaf, or at the current node when a categorical split
     sends it to a LEAF slot (a category unseen there in training).
     A missing value (None or NaN) or an out-of-range category raises
     MissingFeatureValue, but only when a walk reaches that feature.
     """
-    n = len(instances)
-    if n == 0:
-        return np.zeros((0, width))
-    x = np.array(instances, dtype=np.float64)
-    p = packed.n_features
-    if x.shape != (n, p):
-        raise ValueError(f"instances must have {p} values each")
-    # instance i is distinct row inverse[i], first met at first[inverse[i]]
-    first, inverse = _distinct_rows(x)
-    m = len(first)
+    m = len(instances.x)
     acc = np.zeros((m, width))
-    x = x.ravel()
+    if m == 0:
+        return acc
+    x = instances.x.ravel()
+    p = packed.n_features
     categorical = np.array([kd == CATEGORICAL for kd in packed.feature_kinds])
     arity = np.array([a or 0 for a in packed.feature_arities], dtype=np.float64)
     # usable values: any number, or a category code c with int(c) in 0..arity-1;
@@ -714,7 +725,7 @@ def traverse(packed: PackedTrees, instances, width: int, move=None,
         t1 = min(packed.n_trees, t0 + trees_per)
         for r0 in range(0, m, rows_per):
             r1 = min(m, r0 + rows_per)
-            rows = np.tile(first[r0:r1], t1 - t0)
+            rows = np.tile(np.arange(r0, r1), t1 - t0)
             node = np.repeat(offsets[t0:t1], r1 - r0)
             stack = np.zeros((t1 - t0 + 1, r1 - r0, width))
             stack[0] = acc[r0:r1]
@@ -730,7 +741,8 @@ def traverse(packed: PackedTrees, instances, width: int, move=None,
                 ok = (v >= v_min[f]) & (v <= v_max[f])
                 if not ok.all():
                     i = int(np.flatnonzero(~ok)[0])
-                    bad = instances[row[i]][f[i]]  # not quoted as np.float64(...)
+                    # the caller's own value, not quoted as np.float64(...)
+                    bad = instances.source[instances.first[row[i]]][f[i]]
                     bad = bad.item() if isinstance(bad, np.generic) else bad
                     raise MissingFeatureValue(
                         f"feature {f[i]}: no usable value ({bad!r}) "
@@ -752,5 +764,5 @@ def traverse(packed: PackedTrees, instances, width: int, move=None,
                 end(buf, stop)
             np.cumsum(stack, axis=0, out=stack)
             acc[r0:r1] = stack[-1]
-    return acc[inverse]
+    return acc
 

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import stat
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -373,6 +374,26 @@ def test_out_file_gets_the_mode_of_a_new_file(tmp_path, monkeypatch):
     assert stat.S_IMODE(os.stat("r.csv").st_mode) == 0o644
 
 
+@pytest.mark.parametrize("out", [None, "r.csv"], ids=["stdout", "out-file"])
+def test_reports_are_utf8_whatever_the_locale(tmp_path, out):
+    """Under the C locale, with Python's UTF-8 mode off, a report naming a
+    non-ASCII column is written as UTF-8, as every CSV is read: the same
+    bytes as a run in UTF-8 mode, not an encoding error."""
+    (tmp_path / "d.csv").write_text("café,y\n0,0\n1,1\n0,1\n1,0\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "impshap.cli", "global", "--data", "d.csv",
+            "--k", "1", "--trees", "3", "--format", "csv"]
+    if out is not None:
+        argv += ["--out", out]
+    reports = []
+    for env in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "LC_ALL": "C"}):
+        env = {**os.environ, **env, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        reports.append(done.stdout if out is None else (tmp_path / out).read_bytes())
+    assert reports[1] == reports[0]
+    assert ",café," in reports[0].decode("utf-8")
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -714,6 +735,55 @@ def test_usage_errors_name_the_flag_given(capsys, monkeypatch):
     for argv, message in cases:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_repeated_method_is_refused_before_growth(capsys, monkeypatch):
+    """A method named twice would walk the forest twice and write the same
+    matrix twice; it is refused in one line, as an unknown method is."""
+    monkeypatch.setattr(cli, "build_forest", None)  # any growth would raise
+    for text, name in (("local-mdi,local-mdi", "local-mdi"),
+                       ("saabas, local-mdi,saabas", "saabas")):
+        assert cli.main(["local", "--data", "led", "--method", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --method names {name!r} more than once"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_local_report_formats_each_distinct_row_once(capsys, tmp_path, monkeypatch, fmt):
+    """A deterministic cost guard: over repeated rows, every distinct score
+    row of each matrix is formatted by one `_encode` call, however many
+    instances share it, in either format."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-data", "--data", "led-sampled", "--n", "300",
+                     "--seed", "2", "--out", "rows.csv"]) == 0
+    dataset = load_csv("rows.csv")
+    n_distinct = len(np.unique(np.column_stack(dataset.data[:-1]), axis=0))
+    assert n_distinct < dataset.n_rows / 10  # the rows do repeat
+    encode, formatted = cli._encode, []
+
+    def counting(o):
+        if isinstance(o, list) and o and all(type(v) is float for v in o):
+            formatted.append(tuple(o))  # a score row: no other list holds floats
+        return encode(o)
+
+    monkeypatch.setattr(cli, "_encode", counting)
+    code = cli.main(["local", "--data", "rows.csv", "--method", "local-mdi,saabas",
+                     "--trees", "5", "--format", fmt, "--out", "report"])
+    assert code == 0
+    body = (tmp_path / "report").read_text()
+    if fmt == "json":
+        matrices = json.loads(body)["results"]["matrices"]
+        rows = {tuple(row) for mat in matrices for row in mat["scores"]}
+    else:
+        table = {}
+        for line in body.splitlines()[6:]:  # after the comments and header
+            inst_id, _, score, method = line.split(",")
+            table.setdefault((method, inst_id), []).append(float(score))
+        rows = {tuple(row) for row in table.values()}
+    assert set(formatted) == rows
+    assert len(formatted) <= 2 * n_distinct
 
 
 def test_class_index_is_checked_only_where_read(capsys):

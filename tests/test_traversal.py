@@ -141,16 +141,23 @@ def read_features(forest, x):
     return read
 
 
-def assert_rows_match_single_calls(forest, kinds, pool_size, picks):
-    """Instances drawn with repeats from a pool, in the order of `picks`:
-    each row of a batch call equals the call on that instance alone.  Pool
-    rows hold unseen categories, and None or NaN on unread features."""
+def blanked_pool(forest, kinds, pool_size):
+    """Instances over each feature's full domain, unseen categories
+    included; two rows in three hold None or NaN on every unread feature."""
     pool = []
     for j, x in enumerate(random_instances(forest.seed, kinds, pool_size)):
         if j % 3 < 2:  # every third row keeps all its values
             blank, read = (None, float("nan"))[j % 3], read_features(forest, x)
             x = tuple(v if m in read else blank for m, v in enumerate(x))
         pool.append(x)
+    return pool
+
+
+def assert_rows_match_single_calls(forest, kinds, pool_size, picks):
+    """Instances drawn with repeats from a pool, in the order of `picks`:
+    each row of a batch call equals the call on that instance alone.  Pool
+    rows hold unseen categories, and None or NaN on unread features."""
+    pool = blanked_pool(forest, kinds, pool_size)
     instances = [pool[i % pool_size] for i in picks]
     lm, sb = local_mdi(forest, instances), saabas(forest, instances)
     proba = predict_proba(forest, instances)
@@ -181,6 +188,43 @@ def test_repeated_instances_beyond_one_chunk(grown, pool_size, picks):
     forest, kinds = grown
     with mock.patch.object(tree_module, "CHUNK_PAIRS", 8):
         assert_rows_match_single_calls(forest, kinds, pool_size, picks)
+
+
+@PROPERTY
+@given(grown=FORESTS, pool_size=st.integers(1, 5),
+       picks=st.lists(st.integers(0, 4), min_size=6, max_size=24),
+       as_array=st.booleans(), class_pick=st.integers(-1, 2))
+def test_duplicates_score_as_alone(grown, pool_size, picks, as_array, class_pick):
+    """Each duplicated instance, passed in a list or an array, scores bit for
+    bit as it does alone: local MDI, Saabas of the predicted class or of a
+    fixed one, and class probabilities.  A bad value that a walk reads is
+    quoted as the caller passed it, however often its row repeats."""
+    forest, kinds = grown
+    pack = (lambda rows: np.array(rows, dtype=np.float64)) if as_array else list
+    class_index = None if class_pick < 0 else class_pick % forest.n_classes
+    pool = blanked_pool(forest, kinds, pool_size)
+    instances = pack([pool[i % pool_size] for i in picks])
+    lm, sb = local_mdi(forest, instances), saabas(forest, instances, class_index)
+    proba = predict_proba(forest, instances)
+    for i, j in enumerate(picks):
+        x = pack([pool[j % pool_size]])
+        sb_one = saabas(forest, x, class_index)
+        assert np.array_equal(lm.scores[i], local_mdi(forest, x).scores[0])
+        assert np.array_equal(sb.scores[i], sb_one.scores[0])
+        assert sb.classes[i] == sb_one.classes[0]
+        assert np.array_equal(proba[i], predict_proba(forest, x)[0])
+
+    x = random_instances(forest.seed + 1, kinds, 1)[0]
+    read = read_features(forest, x)
+    if not read:  # every tree is one leaf: no walk reads a value
+        return
+    f, blank = min(read), float("nan") if as_array else None
+    bad = tuple(blank if m == f else v for m, v in enumerate(x))
+    message = f"feature {f}: no usable value ({blank!r}) where a path splits on it"
+    instances = pack([pool[i % pool_size] for i in picks] + [bad] * 3)
+    for measure in (local_mdi, saabas, predict_proba):
+        with pytest.raises(MissingFeatureValue, match=f"^{re.escape(message)}$"):
+            measure(forest, instances)
 
 
 @PROPERTY
