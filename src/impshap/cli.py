@@ -314,8 +314,6 @@ def _provenance(args, argv, fingerprint):
 # "[a, b, ...]", and the text of a number never holds ", "
 _encode = json.JSONEncoder(sort_keys=True).encode
 _NUMBERS = frozenset((int, float))
-# the C encoder's text of a non-finite float, as repr() writes it in CSV
-_CSV_FLOATS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
 def _json_text(report) -> str:
@@ -514,12 +512,13 @@ def _local_table(matrices) -> str:
     """The CSV rows `instance_id,feature,score,method` of each matrix, as
     text.  Each distinct score row is formatted once (one `_encode` call),
     into its `,feature,score,method` lines, and written after the id of
-    every instance that scored it.  No field needs quoting: ids and
-    features are ints, scores are float reprs and methods fixed names."""
+    every instance that scored it.  Scores are finite, so the encoder
+    writes each as its repr, as `_fmt` would.  No field needs quoting: ids
+    and features are ints, scores float reprs and methods fixed names."""
     pieces = []
     for mat in matrices:
         lines = [
-            [f",{m},{_CSV_FLOATS.get(v, v)},{mat.method}"
+            [f",{m},{v},{mat.method}"
              for m, v in enumerate(_encode(row)[1:-1].split(", "))]
             for row in mat.rows.tolist()
         ]
