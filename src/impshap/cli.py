@@ -42,11 +42,11 @@ from .forest import (
     local_mdi,
     saabas,
 )
-from .impurity import ENTROPY, KINDS, subset_lattice
+from .impurity import ENTROPY, KINDS, positive_lattice, subset_lattice
 from .population import (
     PopulationImportance,
     check_decompositions,
-    mdi_weight_sum,
+    lattice_mdi,
     pop_global_mdi,
     pop_local_mdi,
     pop_local_mdi_batch,
@@ -320,64 +320,65 @@ def _json_text(report) -> str:
     """What the stdlib's `json.dumps` writes for `report` with an indent of
     2 and sorted keys, byte for byte.
 
-    Dicts and lists are walked here in the stdlib's layout, into one list
-    of pieces joined once; a list of plain ints and floats (no bool, no
-    subclass) is one C-encoder call with its separators re-indented.  The
+    Dicts and lists are walked by `_write_json` in the stdlib's layout, into
+    one list of pieces joined once; a list of plain ints and floats (no bool,
+    no subclass) is one C-encoder call with its separators re-indented.  The
     text of such a list is kept, keyed on its depth and identity, so a list
     met again (a score row that duplicate instances share) costs one
     lookup and one reference: a report costs per distinct row.  Identity
     is a sound key because the report keeps every list it holds alive, and
     unchanged, while it is written."""
-    memo = {}
     pieces = []
-    put = pieces.append
+    _write_json(report, 0, {}, pieces.append)
+    return "".join(pieces)
 
-    def write(o, level):
-        if isinstance(o, dict):
-            if not o:
-                put("{}")
-                return
-            inner = "\n" + "  " * (level + 1)
-            sep = "{" + inner
-            for key, value in sorted(o.items()):
-                if not isinstance(key, str):
-                    if key is not None and not isinstance(key, (int, float)):
-                        raise TypeError(
-                            "keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}"
-                        )
-                    key = _encode(key)  # as the stdlib names such keys
-                put(f"{sep}{_encode(key)}: ")
-                write(value, level + 1)
-                sep = "," + inner
-            put("\n" + "  " * level + "}")
-            return
-        if not isinstance(o, (list, tuple)):
-            put(_encode(o))
-            return
+
+def _write_json(o, level, memo, put) -> None:
+    """Put the pieces of `o`'s text at indent `level`; see `_json_text`.
+    A module function, not a closure that calls itself, so that a report
+    leaves no reference cycle behind."""
+    if isinstance(o, dict):
         if not o:
-            put("[]")
-            return
-        key = (level, id(o))
-        text = memo.get(key)
-        if text is not None:
-            put(text)
+            put("{}")
             return
         inner = "\n" + "  " * (level + 1)
-        if not set(map(type, o)) <= _NUMBERS:
-            sep = "[" + inner
-            for v in o:
-                put(sep)
-                write(v, level + 1)
-                sep = "," + inner
-            put("\n" + "  " * level + "]")
-            return
-        body = _encode(o)[1:-1].replace(", ", "," + inner)
-        text = memo[key] = f"[{inner}{body}\n{'  ' * level}]"
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(
+                        "keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}"
+                    )
+                key = _encode(key)  # as the stdlib names such keys
+            put(f"{sep}{_encode(key)}: ")
+            _write_json(value, level + 1, memo, put)
+            sep = "," + inner
+        put("\n" + "  " * level + "}")
+        return
+    if not isinstance(o, (list, tuple)):
+        put(_encode(o))
+        return
+    if not o:
+        put("[]")
+        return
+    key = (level, id(o))
+    text = memo.get(key)
+    if text is not None:
         put(text)
-
-    write(report, 0)
-    return "".join(pieces)
+        return
+    inner = "\n" + "  " * (level + 1)
+    if not set(map(type, o)) <= _NUMBERS:
+        sep = "[" + inner
+        for v in o:
+            put(sep)
+            _write_json(v, level + 1, memo, put)
+            sep = "," + inner
+        put("\n" + "  " * level + "]")
+        return
+    body = _encode(o)[1:-1].replace(", ", "," + inner)
+    text = memo[key] = f"[{inner}{body}\n{'  ' * level}]"
+    put(text)
 
 
 def _emit(args, argv, fingerprint, results, table_rows, table_header) -> None:
@@ -619,16 +620,16 @@ def run_identity_suite(joint, impurity=ENTROPY, tol=1e-9, data_name=None):
         identities.append({"name": name, "max_residual": float(residual),
                            "tolerance": tolerance, "passed": bool(residual < tolerance)})
 
-    # one lattice walk over every positive instance feeds every identity;
-    # each Shapley check still sets the MDI weight sum over conditional
-    # decreases against the Shapley sum over marginal contributions, the
-    # local games in one batch
-    lattice = subset_lattice(joint, impurity, joint.positive_instances())
+    # one lattice walk over every positive instance feeds every identity,
+    # and the checks share its MDI sums and relevance scan, each made once
+    # and kept on the lattice; each Shapley check still sets the MDI weight
+    # sum over conditional decreases against the Shapley sum over marginal
+    # contributions, the local games in one batch
+    lattice = positive_lattice(joint, impurity)
     global_game, local_values = lattice_games(lattice)
-    pop = mdi_weight_sum(lattice.mean)[0]
+    pop, local = lattice_mdi(lattice)
     sh = shapley_exact(global_game).payoffs
     record("global-shapley-equivalence", np.abs(pop - sh).max(), 1e-10)
-    local = mdi_weight_sum(lattice.at)
     sl = shapley_payoffs(local_values)
     record("local-shapley-equivalence", float(np.abs(local - sl).max()), 1e-10)
 

@@ -17,6 +17,7 @@ instance's index into them, in a `LocalImportanceMatrix`.
 """
 
 from dataclasses import dataclass, field
+from math import isnan
 
 import numpy as np
 
@@ -232,8 +233,8 @@ class CorrelationReport:
         return {
             "mode": "absolute",
             "methods": list(self.methods),
-            "pearson": [None if np.isnan(v) else float(v) for v in self.pearson],
-            "spearman": [None if np.isnan(v) else float(v) for v in self.spearman],
+            "pearson": [None if isnan(v) else v for v in self.pearson.tolist()],
+            "spearman": [None if isnan(v) else v for v in self.spearman.tolist()],
             "n_undefined": self.n_undefined,
             "summary": self.summary,
         }

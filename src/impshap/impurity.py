@@ -8,7 +8,7 @@ that the population layer reads, over all 2^p feature subsets, in one walk;
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from math import log2, prod
 
@@ -22,7 +22,7 @@ GINI = "gini"
 VARIANCE = "variance"
 KINDS = (ENTROPY, GINI, VARIANCE)
 # most cells of one block of the lattice walk, scored in one call
-LATTICE_CHUNK = 1 << 13
+LATTICE_CHUNK = 1 << 15
 
 
 def check_kind(kind: str) -> str:
@@ -99,7 +99,7 @@ def impurity_from_counts(counts, kind: str) -> float:
     raise ValueError(f"unknown impurity kind {kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubsetLattice:
     """Conditional impurities of the output over every feature subset.
 
@@ -108,6 +108,11 @@ class SubsetLattice:
     `instances`), `prob[k]` is P(V = x_k), `at[k, S]` is the pointwise
     impurity i(Y | X_S = x_S) and `cond[k, S]` the conditional
     P(Y | X_S = x_S).
+
+    `subset_lattice` hands its tables out read-only, so a result computed
+    from them holds as long as the lattice: `derived` keeps such results,
+    keyed by the function that computes them, so that checks sharing one
+    lattice compute each once.
     """
 
     kind: str
@@ -116,6 +121,7 @@ class SubsetLattice:
     prob: np.ndarray  # (n,)
     at: np.ndarray  # (n, 2^p)
     cond: np.ndarray  # (n, 2^p, |Y|)
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _c_strides(shape: list) -> np.ndarray:
@@ -167,15 +173,19 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
     first l of those axes by a sum slot, in descending order, lays out the
     2^l marginals with R among them, summed exactly as one axis at a time
     would; one `_context_impurities` call scores them all, and the walk
-    recurses only into the children that remove a later axis.  l is the
+    goes on only into the children that remove a later axis.  l is the
     largest that keeps the extended table within LATTICE_CHUNK cells, so
     the walk holds one chain of tables (under twice the joint when every
     arity is at least 2) plus one block of at most LATTICE_CHUNK cells
     (or one node's table, if larger) with its scoring arrays; the results
     do not depend on the block sizes.  `instances` (full configurations
     with positive probability) add n * 2^p * (|Y| + 1) cells of
-    per-instance tables; a batch whose n * 2^p * |Y| exceeds MAX_CELLS
-    raises TableTooLarge before anything is allocated.
+    per-instance tables, filled from each block a slice of instances at a
+    time, so the scratch of those gathers stays about block-sized
+    whatever n is; a batch whose n * 2^p * |Y| exceeds MAX_CELLS raises
+    TableTooLarge before anything is allocated.  The walk leaves no
+    reference cycle: its scratch is freed as it returns, and the lattice,
+    whose tables are read-only, once the caller drops it.
     """
     check_kind(kind)
     check_feature_count(j.p)
@@ -195,8 +205,20 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
     at = np.empty((n, 1 << p))
     cond = np.empty((n, 1 << p, n_y))
     plans = {}  # _block_plan per tuple of leading arities
-
-    def visit(table, mask, members, limit):
+    # nodes to visit: (parent's table, mask and members, the axis the node
+    # sums out, None at the root).  A node's table is made when it is
+    # popped, so the stack holds one chain of tables; unlike a closure
+    # that calls itself, a stack leaves no reference cycle behind.
+    stack = [(j.table, (1 << p) - 1, tuple(range(p)), None)]
+    while stack:
+        table, mask, members, summed = stack.pop()
+        if summed is None:
+            limit = p
+        else:
+            limit = members[summed]
+            table = table.sum(axis=summed)
+            mask &= ~(1 << limit)
+            members = members[:summed] + members[summed + 1:]
         # `table` is P(X_members, Y), axes in ascending member order
         removable = bisect_left(members, limit)
         l, size = 0, table.size
@@ -233,25 +255,31 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
             )
         mean[masks[by_count]] = sums
         if n:
-            x = xs[:, members]
+            # instance k's context of subset s sits at cell cells[k, s] of
+            # the extended leading grid: its own value on each kept axis,
+            # the sum slot on each removed one (bit i of s, axis i)
             lead_strides = _c_strides([a + 1 for a in lead])
-            cells = (x[:, :l] @ lead_strides)[:, None]
-            for axis in range(l):  # bit `axis` of a column: that axis removed
-                step = (lead[axis] - x[:, axis:axis + 1]) * lead_strides[axis]
-                cells = np.concatenate([cells, cells + step], axis=1)
-            later = x[:, l:] @ _c_strides([arities[i] for i in members[l:]])
-            idx = rank[cells] * rest + later[:, None]
-            at[:, masks] = per_ctx[idx]
-            cond[:, masks] = c[idx]
-            del x, cells, idx
+            slots = np.array(lead, dtype=np.intp) * lead_strides
+            later_strides = _c_strides([arities[i] for i in members[l:]])
+            # a slice of instances at a time, so the scratch holds about as
+            # many cells as the block, however many instances there are
+            rows = max(1, len(ctx) // len(masks))
+            for lo in range(0, n, rows):
+                x = xs[lo:lo + rows, members]
+                own = x[:, :l] * lead_strides
+                cells = own.sum(axis=1)[:, None] + (slots - own) @ removed.T
+                idx = rank[cells] * rest + (x[:, l:] @ later_strides)[:, None]
+                at[lo:lo + rows, masks] = per_ctx[idx]
+                cond[lo:lo + rows, masks] = c[idx]
+                del x, own, cells, idx
         # free the block before going deeper: only the chain of tables stays
         del block, ctx, c, per_ctx
-        for axis in range(l, removable):
-            i = members[axis]
-            child = members[:axis] + members[axis + 1:]
-            visit(table.sum(axis=axis), mask & ~(1 << i), child, i)
-
-    visit(j.table, (1 << p) - 1, tuple(range(p)), p)
+        # children remove a later axis; pushed last first, so they are
+        # visited in axis order, depth first
+        for axis in reversed(range(l, removable)):
+            stack.append((table, mask, members, axis))
+    for t in (mean, xs, prob, at, cond):
+        t.setflags(write=False)
     return SubsetLattice(kind, mean, xs, prob, at, cond)
 
 
@@ -262,12 +290,18 @@ def positive_lattice(
 
     Without `lattice`, walks j (entropy unless `kind` is given).  A given
     `lattice` is returned after checking that it is that walk, and of
-    impurity `kind` when one is named; otherwise raises ValueError.
+    impurity `kind` when one is named; otherwise raises ValueError.  A
+    lattice is checked against one joint once: `derived` records the
+    joint it walks (both read-only).
     """
     if lattice is None:
-        return subset_lattice(j, kind or ENTROPY, j.positive_instances())
+        lattice = subset_lattice(j, kind or ENTROPY, j.positive_instances())
+        lattice.derived[positive_lattice] = j
+        return lattice
     if kind is not None and lattice.kind != kind:
         raise ValueError(f"lattice of impurity {lattice.kind!r}, expected {kind!r}")
+    if lattice.derived.get(positive_lattice) is j:
+        return lattice
     xs = np.argwhere(j.table.sum(axis=-1) > 0.0)
     cells = j.table[tuple(xs.T)]  # P(x, y), one row per positive instance
     prob = cells.sum(axis=-1)
@@ -279,4 +313,5 @@ def positive_lattice(
         and np.allclose(lattice.cond[:, -1], cells / prob[:, None], rtol=0.0, atol=1e-12)
     ):
         raise ValueError("lattice does not walk the positive instances of this joint")
+    lattice.derived[positive_lattice] = j
     return lattice

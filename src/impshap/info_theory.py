@@ -177,7 +177,7 @@ class JointDistribution:
         (n, p) integer array and the n probabilities; raises
         ZeroProbabilityInstance when some instance has probability 0.
         """
-        xs = np.asarray(instances)
+        xs = np.array(instances)  # a copy: the caller's array stays its own
         if xs.ndim != 2 or xs.shape[1] != self.p:
             got = xs.shape[-1] if xs.ndim else 0
             raise ValueError(f"instance has {got} values, expected {self.p}")

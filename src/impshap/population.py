@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .impurity import ENTROPY, positive_lattice, subset_lattice
+from .impurity import ENTROPY, SubsetLattice, positive_lattice, subset_lattice
 from .info_theory import JointDistribution, extension_pairs, subset_sizes
 
 
@@ -65,6 +65,19 @@ def mdi_weight_sum(values: np.ndarray) -> np.ndarray:
         drop = values[:, without] - values[:, with_m]
         scores[:, m] = drop @ weights[sizes[without]]
     return scores
+
+
+def lattice_mdi(lattice: SubsetLattice) -> tuple:
+    """The p global scores and the (n, p) local scores of a lattice walk:
+    `mdi_weight_sum` of its mean and of its pointwise table, summed once
+    per lattice and kept in `lattice.derived`, read-only."""
+    sums = lattice.derived.get(lattice_mdi)
+    if sums is None:
+        sums = (mdi_weight_sum(lattice.mean)[0], mdi_weight_sum(lattice.at))
+        for scores in sums:
+            scores.setflags(write=False)
+        lattice.derived[lattice_mdi] = sums
+    return sums
 
 
 def pop_global_mdi(j: JointDistribution, impurity: str = ENTROPY) -> PopulationImportance:
@@ -138,9 +151,8 @@ def check_decompositions(
     several checks share it.
     """
     lattice = positive_lattice(j, impurity, lattice)
-    glob = mdi_weight_sum(lattice.mean)[0]
+    glob, local = lattice_mdi(lattice)
     total = float(lattice.mean[0] - lattice.mean[-1])
-    local = mdi_weight_sum(lattice.at)
     probs = lattice.prob
     recomposed = probs @ local
     return DecompositionReport(

@@ -19,7 +19,7 @@ from .info_theory import (
     mask_members,
     submasks,
 )
-from .population import mdi_weight_sum
+from .population import lattice_mdi
 
 IRRELEVANT = "irrelevant"
 RELEVANT = "relevant"
@@ -145,8 +145,13 @@ def local_irrelevance(lattice: SubsetLattice, tol: float = 1e-10) -> np.ndarray:
 
     That holds when max_y |P(y | x_B, x_m) - P(y | x_B)| < tol for every
     subset B of the other features, the scan `is_locally_irrelevant` makes
-    for one pair.
+    for one pair.  Scanned once per lattice and tolerance, and kept in
+    `lattice.derived`, read-only.
     """
+    key = (local_irrelevance, tol)
+    out = lattice.derived.get(key)
+    if out is not None:
+        return out
     cond = lattice.cond
     n, n_masks = cond.shape[:2]
     p = n_masks.bit_length() - 1
@@ -155,6 +160,8 @@ def local_irrelevance(lattice: SubsetLattice, tol: float = 1e-10) -> np.ndarray:
         without, with_m = extension_pairs(p, m)
         dev = np.abs(cond[:, with_m] - cond[:, without]).max(axis=2)
         out[:, m] = (dev < tol).all(axis=1)
+    out.setflags(write=False)
+    lattice.derived[key] = out
     return out
 
 
@@ -218,7 +225,7 @@ def verify_local_null_scores(
     j.positive_instances())` (ValueError otherwise).
     """
     lattice = positive_lattice(j, impurity, lattice)
-    scores = np.abs(mdi_weight_sum(lattice.at))
+    scores = np.abs(lattice_mdi(lattice)[1])
     irrelevant = local_irrelevance(lattice, independence_tol)
     report = NullScoreReport(tolerance=tol)
     report.checked = int(irrelevant.sum())

@@ -1,6 +1,7 @@
 """CLI surface: determinism, formats, exit codes, schema validation."""
 
 import builtins
+import gc
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from impshap import cli
 from impshap.data import (
     BUILTIN_JOINTS,
     builtin_dataset,
+    builtin_joint,
     load_csv,
     load_joint_csv,
     random_joint,
@@ -183,6 +185,34 @@ def test_verify_table2_block(capsys):
     assert code == 0
     block = json.loads(out)["results"]["blocks"]["negative-local-score"]
     assert block["local_scores"][0] == pytest.approx(-0.19, abs=5e-3)
+
+
+def test_verify_derives_each_input_once(monkeypatch):
+    """The identity suite walks its lattice once, and sums each MDI table
+    and scans local relevance once, however many identities read them."""
+    from impshap import impurity, population, relevance
+
+    calls = {"walk": 0, "mdi": 0, "scan": 0, "pairs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(impurity, "subset_lattice",
+                        counted("walk", impurity.subset_lattice))
+    monkeypatch.setattr(population, "mdi_weight_sum",
+                        counted("mdi", population.mdi_weight_sum))
+    monkeypatch.setattr(relevance, "local_irrelevance",
+                        counted("scan", relevance.local_irrelevance))
+    monkeypatch.setattr(relevance, "extension_pairs",
+                        counted("pairs", relevance.extension_pairs))
+    joint = builtin_joint("led")
+    identities, _ = cli.run_identity_suite(joint)
+    assert all(item["passed"] for item in identities)
+    # two local_irrelevance calls, but one scan: one pair table per feature
+    assert calls == {"walk": 1, "mdi": 2, "scan": 2, "pairs": joint.p}
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -999,3 +1029,48 @@ def test_joint_commands_open_data_once(capsys, tmp_path, monkeypatch, tables, ki
         code, _ = run(capsys, [command, "--data", str(path)])
         assert code == 0
         assert len(opened) == 1, command
+
+
+# every command that writes a report; "WIDE" is a 12-input joint, whose
+# lattice walk spans many blocks
+CYCLE_FREE_ARGV = {
+    "global": ["global", "--data", "led", "--trees", "5", "--k-sweep", "1..2",
+               "--format", "json"],
+    "local-json": ["local", "--data", "led", "--trees", "5",
+                   "--method", "local-mdi,saabas", "--format", "json"],
+    "local-csv": ["local", "--data", "led", "--trees", "5",
+                  "--method", "local-mdi,saabas", "--format", "csv"],
+    "saabas": ["saabas", "--data", "led", "--trees", "5", "--format", "json"],
+    "compare": ["compare", "--data", "led", "--trees", "5", "--k-sweep", "1..2",
+                "--format", "json"],
+    "pop-mdi": ["pop-mdi", "--data", "WIDE", "--format", "json"],
+    "pop-mdi-local": ["pop-mdi", "--data", "WIDE", "--format", "json",
+                      "--instance", "0,0,0,0,0,0,0,0,0,0,0,0"],
+    "shapley": ["shapley", "--data", "WIDE", "--format", "json"],
+    "verify": ["verify", "--data", "table1-y1", "--format", "json"],
+    "verify-led": ["verify", "--data", "led", "--format", "json"],
+    "verify-csv": ["verify", "--data", "table2", "--format", "csv"],
+    "gen-data": ["gen-data", "--data", "led-sampled", "--n", "50"],
+}
+
+
+@pytest.mark.parametrize("name", list(CYCLE_FREE_ARGV))
+def test_commands_leave_no_reference_cycles(tmp_path, name):
+    """With the cyclic collector off, a command leaves it nothing to find:
+    what a command makes is freed by reference counting once it is done
+    with.  A closure that calls itself (a function reaching itself through
+    its own cell) leaves one cycle per call, and with it every table the
+    cycle holds, until the next collection."""
+    wide = tmp_path / "wide.csv"
+    write_joint_csv(random_joint(12, p=12, max_arity=2, append_irrelevant=False), wide)
+    argv = [str(wide) if a == "WIDE" else a for a in CYCLE_FREE_ARGV[name]]
+    argv += ["--out", str(tmp_path / "report")]
+    assert cli.main(argv) == 0  # the first call fills caches and imports
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0

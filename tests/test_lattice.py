@@ -133,21 +133,32 @@ def test_lattice_does_not_depend_on_chunk_size(j, kind, with_instances):
 def test_walk_memory_is_one_chain_and_one_block():
     """The walk holds one chain of marginals (under twice the joint), one
     block of at most LATTICE_CHUNK cells (or one node's table, if larger)
-    with its scoring arrays, and the mean table; a block kept alive across
-    the recursion would pile up one per level."""
-    j = random_joint(12, p=12, max_arity=2)
-    subset_lattice(j, "entropy")  # warm numpy's own caches
-    tracemalloc.start()
-    try:
-        subset_lattice(j, "entropy")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    block = max(impurity.LATTICE_CHUNK, j.table.size) * 8
-    # the extended block, its reordered copy and _context_impurities'
-    # conditionals, log terms and row sums: under eight block-sized arrays
-    bound = 2 * j.table.nbytes + 8 * block + (1 << j.p) * 8
-    assert peak < bound, (peak, bound)
+    with its scoring arrays, and its own tables; a block kept alive across
+    the walk would pile up one per level.  The instance tables are filled
+    a slice of instances at a time, so that scratch is block-sized too:
+    all 1024 instances of a full-support p = 10 joint (24 MiB of tables)
+    add nothing else.  The bound follows LATTICE_CHUNK: eight blocks of
+    2^15 cells are 2 MiB."""
+    for j, every_instance in (
+        (random_joint(12, p=12, max_arity=2), False),
+        (random_joint(3, p=10, max_arity=2, zero_fraction=0.0), True),
+    ):
+        xs = j.positive_instances() if every_instance else None
+        subset_lattice(j, "entropy", xs)  # warm numpy's own caches
+        tracemalloc.start()
+        try:
+            lattice = subset_lattice(j, "entropy", xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(getattr(lattice, name).nbytes
+                     for name in ("mean", "instances", "prob", "at", "cond"))
+        block = max(impurity.LATTICE_CHUNK, j.table.size) * 8
+        # the extended block, its reordered copy, _context_impurities'
+        # conditionals, log terms and row sums, and one slice's gathers:
+        # under eight block-sized arrays
+        bound = tables + 2 * j.table.nbytes + 8 * block
+        assert peak < bound, (j.p, peak, bound)
 
 
 @PROPERTY
