@@ -42,19 +42,16 @@ from .forest import (
     local_mdi,
     saabas,
 )
-from .impurity import ENTROPY, KINDS, positive_lattice, subset_lattice
+from .impurity import ENTROPY, KINDS, subset_lattice
 from .population import (
     PopulationImportance,
-    check_decompositions,
-    lattice_mdi,
+    decomposition_residuals,
+    mdi_weight_sum,
     pop_global_mdi,
     pop_local_mdi,
     pop_local_mdi_batch,
 )
-from .relevance import (
-    verify_global_local_equivalence,
-    verify_local_null_scores,
-)
+from .relevance import local_irrelevance, null_scores, relevance_agreement
 from .tu_game import (
     GAME_LABELS,
     TUGame,
@@ -620,27 +617,28 @@ def run_identity_suite(joint, impurity=ENTROPY, tol=1e-9, data_name=None):
         identities.append({"name": name, "max_residual": float(residual),
                            "tolerance": tolerance, "passed": bool(residual < tolerance)})
 
-    # one lattice walk over every positive instance feeds every identity,
-    # and the checks share its MDI sums and relevance scan, each made once
-    # and kept on the lattice; each Shapley check still sets the MDI weight
+    # one lattice walk over every positive instance feeds every identity:
+    # its MDI sums and local relevance scan are made once each and handed
+    # to the checks that read them; each Shapley check sets the MDI weight
     # sum over conditional decreases against the Shapley sum over marginal
     # contributions, the local games in one batch
-    lattice = positive_lattice(joint, impurity)
+    lattice = subset_lattice(joint, impurity, joint.positive_instances())
     global_game, local_values = lattice_games(lattice)
-    pop, local = lattice_mdi(lattice)
+    pop, local = mdi_weight_sum(lattice.mean)[0], mdi_weight_sum(lattice.at)
+    irrelevant = local_irrelevance(lattice)
     sh = shapley_exact(global_game).payoffs
     record("global-shapley-equivalence", np.abs(pop - sh).max(), 1e-10)
     sl = shapley_payoffs(local_values)
     record("local-shapley-equivalence", float(np.abs(local - sl).max()), 1e-10)
 
-    dec = check_decompositions(joint, impurity, tol=tol, lattice=lattice)
+    dec = decomposition_residuals(lattice, pop, local, tol)
     record("efficiency", dec.efficiency_residual, tol)
     record("instance-decomposition", dec.instance_residual, tol)
     record("double-decomposition", dec.double_sum_residual, tol)
 
-    eq = verify_global_local_equivalence(joint, lattice=lattice)
+    eq = relevance_agreement(joint, irrelevant)
     record("global-local-relevance-agreement", 0.0 if eq.passed else 1.0, 1.0)
-    nulls = verify_local_null_scores(joint, impurity, tol=tol, lattice=lattice)
+    nulls = null_scores(local, irrelevant, tol)
     record("local-null-scores", nulls.max_violation, tol)
 
     blocks = {"total": dec.total, "global_scores": [float(v) for v in pop]}

@@ -93,29 +93,24 @@ class LocalImportanceMatrix:
     """Instance-by-feature local scores plus provenance.
 
     The scores are kept once per distinct instance: instance i scored
-    `rows[inverse[i]]`, or `rows[i]` when `inverse` is None."""
+    `rows[inverse[i]]`."""
 
     rows: np.ndarray  # (n_distinct, n_features)
     method: str  # LOCAL_MDI or SAABAS
     k: int
     impurity: str
     seed: int
+    inverse: np.ndarray  # (n_instances,)
     classes: tuple | None = None  # saabas: decomposed class per instance
-    inverse: np.ndarray | None = None  # (n_instances,)
 
     @property
     def scores(self) -> np.ndarray:
         """The (n_instances, n_features) matrix, expanded on each read."""
-        return self.rows if self.inverse is None else self.rows[self.inverse]
-
-    @scores.setter
-    def scores(self, value) -> None:
-        """A matrix assigned is kept whole, one row per instance."""
-        self.rows, self.inverse = np.asarray(value), None
+        return self.rows[self.inverse]
 
     @property
     def n_instances(self) -> int:
-        return len(self.rows if self.inverse is None else self.inverse)
+        return len(self.inverse)
 
     @property
     def n_features(self) -> int:
@@ -131,8 +126,7 @@ class LocalImportanceMatrix:
             "impurity": self.impurity,
             "seed": self.seed,
             "instance_ids": list(range(self.n_instances)),
-            "scores": rows if self.inverse is None
-            else [rows[j] for j in self.inverse.tolist()],
+            "scores": [rows[j] for j in self.inverse.tolist()],
         }
         if self.classes is not None:
             d["classes"] = list(self.classes)
@@ -282,26 +276,21 @@ def correlation_report(
     a: LocalImportanceMatrix, b: LocalImportanceMatrix
 ) -> CorrelationReport:
     """Instance-wise Pearson and Spearman between the absolute values of two
-    score matrices.  When both keep their rows for the same distinct
-    instances (equal `inverse`), each distinct pair of rows is correlated
-    once."""
+    score matrices.  Each distinct pair (row of a, row of b) that some
+    instance scored is correlated once."""
     shapes = [(m.n_instances, m.n_features) for m in (a, b)]
     if shapes[0] != shapes[1]:
         raise ValueError(f"shape mismatch: {shapes[0]} vs {shapes[1]}")
-    if a.inverse is not None and np.array_equal(a.inverse, b.inverse):
-        xs, ys, inverse = np.abs(a.rows), np.abs(b.rows), a.inverse
-    else:
-        xs, ys, inverse = np.abs(a.scores), np.abs(b.scores), None
+    n_b = len(b.rows)
+    pairs, inverse = np.unique(a.inverse * n_b + b.inverse, return_inverse=True)
+    xs, ys = np.abs(a.rows[pairs // n_b]), np.abs(b.rows[pairs % n_b])
     undefined = (np.ptp(xs, axis=1) == 0.0) | (np.ptp(ys, axis=1) == 0.0)
     xs, ys = xs[~undefined], ys[~undefined]
     pearson = np.full(len(undefined), np.nan)
     spearman = np.full(len(undefined), np.nan)
     pearson[~undefined] = _row_pearson(xs, ys)
     spearman[~undefined] = _row_pearson(_average_ranks(xs), _average_ranks(ys))
-    if inverse is not None:
-        pearson, spearman, undefined = (
-            pearson[inverse], spearman[inverse], undefined[inverse]
-        )
+    pearson, spearman, undefined = pearson[inverse], spearman[inverse], undefined[inverse]
     summary = {}
     for label, arr in (("pearson", pearson), ("spearman", spearman)):
         ok = arr[~np.isnan(arr)]

@@ -8,7 +8,7 @@ that the population layer reads, over all 2^p feature subsets, in one walk;
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from math import log2, prod
 
@@ -107,12 +107,7 @@ class SubsetLattice:
     `mean[0]` is i(Y).  For the n instances of the walk (rows of
     `instances`), `prob[k]` is P(V = x_k), `at[k, S]` is the pointwise
     impurity i(Y | X_S = x_S) and `cond[k, S]` the conditional
-    P(Y | X_S = x_S).
-
-    `subset_lattice` hands its tables out read-only, so a result computed
-    from them holds as long as the lattice: `derived` keeps such results,
-    keyed by the function that computes them, so that checks sharing one
-    lattice compute each once.
+    P(Y | X_S = x_S).  `subset_lattice` hands its tables out read-only.
     """
 
     kind: str
@@ -121,7 +116,6 @@ class SubsetLattice:
     prob: np.ndarray  # (n,)
     at: np.ndarray  # (n, 2^p)
     cond: np.ndarray  # (n, 2^p, |Y|)
-    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _c_strides(shape: list) -> np.ndarray:
@@ -282,36 +276,3 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
         t.setflags(write=False)
     return SubsetLattice(kind, mean, xs, prob, at, cond)
 
-
-def positive_lattice(
-    j: JointDistribution, kind: str | None = None, lattice: SubsetLattice | None = None
-) -> SubsetLattice:
-    """The walk of `j` over every instance with positive probability.
-
-    Without `lattice`, walks j (entropy unless `kind` is given).  A given
-    `lattice` is returned after checking that it is that walk, and of
-    impurity `kind` when one is named; otherwise raises ValueError.  A
-    lattice is checked against one joint once: `derived` records the
-    joint it walks (both read-only).
-    """
-    if lattice is None:
-        lattice = subset_lattice(j, kind or ENTROPY, j.positive_instances())
-        lattice.derived[positive_lattice] = j
-        return lattice
-    if kind is not None and lattice.kind != kind:
-        raise ValueError(f"lattice of impurity {lattice.kind!r}, expected {kind!r}")
-    if lattice.derived.get(positive_lattice) is j:
-        return lattice
-    xs = np.argwhere(j.table.sum(axis=-1) > 0.0)
-    cells = j.table[tuple(xs.T)]  # P(x, y), one row per positive instance
-    prob = cells.sum(axis=-1)
-    # P(x) and P(y | x) at every positive x pin the whole joint
-    if not (
-        lattice.cond.shape == (len(xs), 1 << j.p, j.output_arity)
-        and np.array_equal(lattice.instances, xs)
-        and np.allclose(lattice.prob, prob, rtol=0.0, atol=1e-12)
-        and np.allclose(lattice.cond[:, -1], cells / prob[:, None], rtol=0.0, atol=1e-12)
-    ):
-        raise ValueError("lattice does not walk the positive instances of this joint")
-    lattice.derived[positive_lattice] = j
-    return lattice

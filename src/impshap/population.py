@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .impurity import ENTROPY, SubsetLattice, positive_lattice, subset_lattice
+from .impurity import ENTROPY, SubsetLattice, subset_lattice
 from .info_theory import JointDistribution, extension_pairs, subset_sizes
 
 
@@ -65,19 +65,6 @@ def mdi_weight_sum(values: np.ndarray) -> np.ndarray:
         drop = values[:, without] - values[:, with_m]
         scores[:, m] = drop @ weights[sizes[without]]
     return scores
-
-
-def lattice_mdi(lattice: SubsetLattice) -> tuple:
-    """The p global scores and the (n, p) local scores of a lattice walk:
-    `mdi_weight_sum` of its mean and of its pointwise table, summed once
-    per lattice and kept in `lattice.derived`, read-only."""
-    sums = lattice.derived.get(lattice_mdi)
-    if sums is None:
-        sums = (mdi_weight_sum(lattice.mean)[0], mdi_weight_sum(lattice.at))
-        for scores in sums:
-            scores.setflags(write=False)
-        lattice.derived[lattice_mdi] = sums
-    return sums
 
 
 def pop_global_mdi(j: JointDistribution, impurity: str = ENTROPY) -> PopulationImportance:
@@ -141,22 +128,26 @@ class DecompositionReport:
 
 
 def check_decompositions(
-    j: JointDistribution, impurity: str = ENTROPY, tol: float = 1e-9, lattice=None
+    j: JointDistribution, impurity: str = ENTROPY, tol: float = 1e-9
 ) -> DecompositionReport:
     """Verify the efficiency, per-instance and double decompositions by
-    exhaustive enumeration of the positive-probability instances.
+    exhaustive enumeration of the positive-probability instances."""
+    lattice = subset_lattice(j, impurity, j.positive_instances())
+    return decomposition_residuals(
+        lattice, mdi_weight_sum(lattice.mean)[0], mdi_weight_sum(lattice.at), tol
+    )
 
-    `lattice`, when given, must be `subset_lattice(j, impurity,
-    j.positive_instances())` (ValueError otherwise); callers running
-    several checks share it.
-    """
-    lattice = positive_lattice(j, impurity, lattice)
-    glob, local = lattice_mdi(lattice)
+
+def decomposition_residuals(
+    lattice: SubsetLattice, glob: np.ndarray, local: np.ndarray, tol: float
+) -> DecompositionReport:
+    """The three decompositions of a walk over every positive instance,
+    given its global scores `glob` and (n, p) local scores `local`."""
     total = float(lattice.mean[0] - lattice.mean[-1])
     probs = lattice.prob
     recomposed = probs @ local
     return DecompositionReport(
-        impurity=impurity,
+        impurity=lattice.kind,
         total=total,
         efficiency_residual=abs(float(glob.sum()) - total),
         instance_residual=float(np.abs(recomposed - glob).max()),

@@ -5,13 +5,17 @@ about the output; irrelevance is certified by scanning every subset of the
 remaining features and every positive-probability context.  The local
 variant fixes the context values to a concrete instance and reads the
 conditionals P(Y | x_B) of one subset-lattice walk.
+
+Every verdict compares conditionals with one fixed tolerance,
+`INDEPENDENCE_TOL`: a deviation below it counts as independence, so the
+float error of exact tables never makes a feature relevant.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .impurity import ENTROPY, SubsetLattice, positive_lattice, subset_lattice
+from .impurity import ENTROPY, SubsetLattice, subset_lattice
 from .info_theory import (
     JointDistribution,
     check_feature_count,
@@ -19,11 +23,13 @@ from .info_theory import (
     mask_members,
     submasks,
 )
-from .population import lattice_mdi
+from .population import mdi_weight_sum
 
 IRRELEVANT = "irrelevant"
 RELEVANT = "relevant"
 STRONGLY_RELEVANT = "strongly-relevant"
+# largest max_y |P(y | x_m, b) - P(y | b)| still read as independence
+INDEPENDENCE_TOL = 1e-10
 
 
 @dataclass
@@ -77,7 +83,7 @@ def _check_feature(j: JointDistribution, m: int) -> None:
         raise ValueError(f"feature index m = {m} outside 0..{j.p - 1}")
 
 
-def is_irrelevant(j: JointDistribution, m: int, tol: float = 1e-10) -> RelevanceVerdict:
+def is_irrelevant(j: JointDistribution, m: int) -> RelevanceVerdict:
     """Exhaustive scan over every subset of the other features.
 
     Verdict `relevant` carries the first witness context found.
@@ -87,15 +93,13 @@ def is_irrelevant(j: JointDistribution, m: int, tol: float = 1e-10) -> Relevance
     rest = ((1 << j.p) - 1) & ~(1 << m)
     # smallest subsets first, so the reported witness is a minimal one
     for sub in sorted(submasks(rest), key=lambda s: (s.bit_count(), s)):
-        witness = _dependence_witness(j, m, sub, tol)
+        witness = _dependence_witness(j, m, sub, INDEPENDENCE_TOL)
         if witness is not None:
             return RelevanceVerdict(m, "global", RELEVANT, witness=witness)
     return RelevanceVerdict(m, "global", IRRELEVANT)
 
 
-def is_strongly_relevant(
-    j: JointDistribution, m: int, tol: float = 1e-10
-) -> RelevanceVerdict:
+def is_strongly_relevant(j: JointDistribution, m: int) -> RelevanceVerdict:
     """Single conditional-independence test against all other features.
 
     When the test passes (not strongly relevant) the verdict falls back to
@@ -105,15 +109,13 @@ def is_strongly_relevant(
     check_feature_count(j.p)
     _check_feature(j, m)
     rest = ((1 << j.p) - 1) & ~(1 << m)
-    witness = _dependence_witness(j, m, rest, tol)
+    witness = _dependence_witness(j, m, rest, INDEPENDENCE_TOL)
     if witness is not None:
         return RelevanceVerdict(m, "global", STRONGLY_RELEVANT, witness=witness)
-    return is_irrelevant(j, m, tol)
+    return is_irrelevant(j, m)
 
 
-def is_locally_irrelevant(
-    j: JointDistribution, m: int, x, tol: float = 1e-10
-) -> RelevanceVerdict:
+def is_locally_irrelevant(j: JointDistribution, m: int, x) -> RelevanceVerdict:
     """Scan all subsets B with values pinned to x_B, x_m pinned to the
     instance's own value."""
     _check_feature(j, m)
@@ -125,7 +127,7 @@ def is_locally_irrelevant(
     for sub in sorted(submasks(rest), key=lambda s: (s.bit_count(), s)):
         dev = np.abs(cond[sub | bit] - cond[sub])
         y = int(dev.argmax())
-        if dev[y] >= tol:
+        if dev[y] >= INDEPENDENCE_TOL:
             witness = {
                 "subset": list(mask_members(sub)),
                 "context": [x[v] for v in mask_members(sub)],
@@ -140,18 +142,13 @@ def is_locally_irrelevant(
     return RelevanceVerdict(m, "local-at-x", IRRELEVANT, instance=x)
 
 
-def local_irrelevance(lattice: SubsetLattice, tol: float = 1e-10) -> np.ndarray:
+def local_irrelevance(lattice: SubsetLattice) -> np.ndarray:
     """(n, p) verdicts: feature m is locally irrelevant at instance k.
 
-    That holds when max_y |P(y | x_B, x_m) - P(y | x_B)| < tol for every
-    subset B of the other features, the scan `is_locally_irrelevant` makes
-    for one pair.  Scanned once per lattice and tolerance, and kept in
-    `lattice.derived`, read-only.
+    That holds when max_y |P(y | x_B, x_m) - P(y | x_B)| < INDEPENDENCE_TOL
+    for every subset B of the other features, the scan
+    `is_locally_irrelevant` makes for one pair.
     """
-    key = (local_irrelevance, tol)
-    out = lattice.derived.get(key)
-    if out is not None:
-        return out
     cond = lattice.cond
     n, n_masks = cond.shape[:2]
     p = n_masks.bit_length() - 1
@@ -159,9 +156,7 @@ def local_irrelevance(lattice: SubsetLattice, tol: float = 1e-10) -> np.ndarray:
     for m in range(p):
         without, with_m = extension_pairs(p, m)
         dev = np.abs(cond[:, with_m] - cond[:, without]).max(axis=2)
-        out[:, m] = (dev < tol).all(axis=1)
-    out.setflags(write=False)
-    lattice.derived[key] = out
+        out[:, m] = (dev < INDEPENDENCE_TOL).all(axis=1)
     return out
 
 
@@ -178,20 +173,21 @@ class EquivalenceReport:
         return all(g == l for _, g, l in self.agreements)
 
 
-def verify_global_local_equivalence(
-    j: JointDistribution, tol: float = 1e-10, lattice=None
-) -> EquivalenceReport:
+def verify_global_local_equivalence(j: JointDistribution) -> EquivalenceReport:
     """Exhaustively check that global irrelevance holds exactly when local
-    irrelevance holds at every instance with positive probability.
+    irrelevance holds at every instance with positive probability."""
+    return relevance_agreement(
+        j, local_irrelevance(subset_lattice(j, ENTROPY, j.positive_instances()))
+    )
 
-    `lattice`, when given, must be a `subset_lattice` walk of j over
-    `j.positive_instances()`, of any impurity kind (ValueError otherwise).
-    """
-    lattice = positive_lattice(j, lattice=lattice)
-    everywhere = local_irrelevance(lattice, tol).all(axis=0)
+
+def relevance_agreement(j: JointDistribution, irrelevant: np.ndarray) -> EquivalenceReport:
+    """Set each feature's global verdict against `irrelevant`, the local
+    verdicts of j at every positive instance (`local_irrelevance`)."""
+    everywhere = irrelevant.all(axis=0)
     report = EquivalenceReport()
     for m in range(j.p):
-        globally = is_irrelevant(j, m, tol).verdict == IRRELEVANT
+        globally = is_irrelevant(j, m).verdict == IRRELEVANT
         report.agreements.append((m, globally, bool(everywhere[m])))
     return report
 
@@ -212,21 +208,18 @@ class NullScoreReport:
 
 
 def verify_local_null_scores(
-    j: JointDistribution,
-    impurity: str = ENTROPY,
-    tol: float = 1e-9,
-    independence_tol: float = 1e-10,
-    lattice=None,
+    j: JointDistribution, impurity: str = ENTROPY, tol: float = 1e-9
 ) -> NullScoreReport:
     """For every (feature, instance) certified locally irrelevant, the
-    asymptotic local score must vanish.
+    asymptotic local score must vanish."""
+    lattice = subset_lattice(j, impurity, j.positive_instances())
+    return null_scores(mdi_weight_sum(lattice.at), local_irrelevance(lattice), tol)
 
-    `lattice`, when given, must be `subset_lattice(j, impurity,
-    j.positive_instances())` (ValueError otherwise).
-    """
-    lattice = positive_lattice(j, impurity, lattice)
-    scores = np.abs(lattice_mdi(lattice)[1])
-    irrelevant = local_irrelevance(lattice, independence_tol)
+
+def null_scores(local: np.ndarray, irrelevant: np.ndarray, tol: float) -> NullScoreReport:
+    """Null-score check of (n, p) local scores against the local verdicts
+    `irrelevant` at the same instances."""
+    scores = np.abs(local)
     report = NullScoreReport(tolerance=tol)
     report.checked = int(irrelevant.sum())
     if report.checked:

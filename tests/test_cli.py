@@ -188,31 +188,33 @@ def test_verify_table2_block(capsys):
 
 
 def test_verify_derives_each_input_once(monkeypatch):
-    """The identity suite walks its lattice once, and sums each MDI table
-    and scans local relevance once, however many identities read them."""
-    from impshap import impurity, population, relevance
+    """The identity suite walks its lattice once, sums each MDI table once
+    and scans local relevance once, however many identities read them.
+    Every module's binding of each name is counted, so a check that walked
+    or summed again on its own would show."""
+    from impshap import impurity, population, relevance, tu_game
 
     calls = {"walk": 0, "mdi": 0, "scan": 0, "pairs": 0}
+    counted = {"subset_lattice": "walk", "mdi_weight_sum": "mdi",
+               "local_irrelevance": "scan"}
 
-    def counted(name, fn):
+    def counter(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(impurity, "subset_lattice",
-                        counted("walk", impurity.subset_lattice))
-    monkeypatch.setattr(population, "mdi_weight_sum",
-                        counted("mdi", population.mdi_weight_sum))
-    monkeypatch.setattr(relevance, "local_irrelevance",
-                        counted("scan", relevance.local_irrelevance))
+    for module in (cli, impurity, population, relevance, tu_game):
+        for attr, name in counted.items():
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counter(name, getattr(module, attr)))
     monkeypatch.setattr(relevance, "extension_pairs",
-                        counted("pairs", relevance.extension_pairs))
+                        counter("pairs", relevance.extension_pairs))
     joint = builtin_joint("led")
     identities, _ = cli.run_identity_suite(joint)
     assert all(item["passed"] for item in identities)
-    # two local_irrelevance calls, but one scan: one pair table per feature
-    assert calls == {"walk": 1, "mdi": 2, "scan": 2, "pairs": joint.p}
+    # one pair table per feature: the scan runs once
+    assert calls == {"walk": 1, "mdi": 2, "scan": 1, "pairs": joint.p}
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -245,9 +245,10 @@ def test_correlation_report_identity(led_ds):
 def test_correlation_report_constant_vectors(led_ds):
     forest = build_forest(led_ds, k=1, n_trees=30, seed=0)
     lm = local_mdi(forest, oracles.dataset_instances(led_ds))
-    other = local_mdi(forest, oracles.dataset_instances(led_ds))
-    other.scores = other.scores.copy()
-    other.scores[0, :] = 0.0  # constant row: correlation undefined
+    scores = lm.scores.copy()
+    scores[0, :] = 0.0  # constant row: correlation undefined
+    other = LocalImportanceMatrix(scores, LOCAL_MDI, lm.k, lm.impurity, lm.seed,
+                                  inverse=np.arange(len(scores)))
     rep = correlation_report(lm, other)
     assert rep.n_undefined == 1
     assert np.isnan(rep.pearson[0])
@@ -277,8 +278,8 @@ def test_correlation_report_matches_oracle(pair):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = correlation_report(
-            LocalImportanceMatrix(a, LOCAL_MDI, 1, "entropy", 0),
-            LocalImportanceMatrix(b, SAABAS, 1, "entropy", 0),
+            LocalImportanceMatrix(a, LOCAL_MDI, 1, "entropy", 0, inverse=np.arange(len(a))),
+            LocalImportanceMatrix(b, SAABAS, 1, "entropy", 0, inverse=np.arange(len(b))),
         )
     a, b = np.abs(a), np.abs(b)
     undefined = [len(set(x)) == 1 or len(set(y)) == 1

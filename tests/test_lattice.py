@@ -29,16 +29,8 @@ from impshap.data import example_tables, random_joint, write_joint_csv
 from impshap.errors import ImpshapError, TableTooLarge
 from impshap import impurity
 from impshap.impurity import KINDS, subset_lattice
-from impshap.population import (
-    check_decompositions,
-    pop_global_mdi,
-    pop_local_mdi_batch,
-)
-from impshap.relevance import (
-    local_irrelevance,
-    verify_global_local_equivalence,
-    verify_local_null_scores,
-)
+from impshap.population import pop_global_mdi, pop_local_mdi_batch
+from impshap.relevance import local_irrelevance
 from impshap.tu_game import TUGame, lattice_games, shapley_exact
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -218,30 +210,6 @@ def test_oversized_batch_refused_before_allocation():
     with pytest.raises(TableTooLarge):
         subset_lattice(j, "entropy", many)
     assert issubclass(TableTooLarge, ImpshapError)
-
-
-def test_shared_lattice_is_checked():
-    """A walk passed in as `lattice=` must be the walk of that joint over
-    its positive instances, and of the named impurity where it matters."""
-    tables = example_tables()
-    j, other = tables["table1-y1"], tables["table1-y2"]
-    xs = j.positive_instances()
-    gini = subset_lattice(j, "gini", xs)
-    assert check_decompositions(j, "gini", lattice=gini).passed
-    assert verify_global_local_equivalence(j, lattice=gini).passed
-    wrong = [
-        subset_lattice(j, "entropy", xs[:-1]),  # some instances missing
-        subset_lattice(other, "gini", other.positive_instances()),
-        subset_lattice(tables["table2"], "gini", [(0,), (1,)]),
-    ]
-    for lattice in wrong:
-        with pytest.raises(ValueError):
-            verify_global_local_equivalence(j, lattice=lattice)
-    for lattice in wrong + [gini]:
-        with pytest.raises(ValueError):
-            check_decompositions(j, "entropy", lattice=lattice)
-        with pytest.raises(ValueError):
-            verify_local_null_scores(j, "entropy", lattice=lattice)
 
 
 # sha256 of json.dumps(results, sort_keys=True) of `--format json` reports,

@@ -13,6 +13,7 @@ from impshap.impurity import subset_lattice
 from impshap.info_theory import JointDistribution
 from impshap.population import pop_global_mdi, pop_local_mdi
 from impshap.relevance import (
+    INDEPENDENCE_TOL,
     IRRELEVANT,
     _dependence_witness,
     RELEVANT,
@@ -20,6 +21,7 @@ from impshap.relevance import (
     is_irrelevant,
     is_locally_irrelevant,
     is_strongly_relevant,
+    local_irrelevance,
     verify_global_local_equivalence,
     verify_local_null_scores,
 )
@@ -107,6 +109,29 @@ def test_local_rejects_zero_probability():
     j = JointDistribution((2, 2), [0.5, 0.5, 0.0, 0.0])
     with pytest.raises(ZeroProbabilityInstance):
         is_locally_irrelevant(j, 0, (1,))
+
+
+@pytest.mark.parametrize("scale, verdict", [(0.5, IRRELEVANT), (3.0, RELEVANT)])
+def test_independence_tolerance(scale, verdict):
+    """X2 moves P(Y = 1 | x1, x2) by +-delta around q(x1), so every scan
+    sees a deviation of delta: below INDEPENDENCE_TOL it is independence,
+    a few times above it is relevance, for every verdict alike."""
+    delta = scale * INDEPENDENCE_TOL
+    table = np.zeros((2, 2, 2))
+    for x1, q in enumerate((0.3, 0.7)):
+        for x2, shift in enumerate((-delta, delta)):
+            table[x1, x2, 1] = 0.25 * (q + shift)
+            table[x1, x2, 0] = 0.25 * (1.0 - q - shift)
+    j = JointDistribution((2, 2, 2), table)
+    strong = IRRELEVANT if verdict == IRRELEVANT else STRONGLY_RELEVANT
+    assert is_irrelevant(j, 1).verdict == verdict
+    assert is_strongly_relevant(j, 1).verdict == strong
+    xs = j.positive_instances()
+    for x in xs:
+        assert is_locally_irrelevant(j, 1, x).verdict == verdict
+    local = local_irrelevance(subset_lattice(j, "entropy", xs))
+    assert local[:, 1].tolist() == [verdict == IRRELEVANT] * len(xs)
+    assert not local[:, 0].any()  # q(x1) differs by far more
 
 
 @pytest.mark.parametrize("m", [-1, 7, 8])
