@@ -232,6 +232,8 @@ class _BuildContext:
 
 
 UNSET = -2  # `StateGraph.best` of a state whose splits are not all known
+NOT_YET = np.iinfo(np.int32).max  # a K past every K: "not known" in `StateGraph`
+WHOLE = -3  # feature `grow_trees` logs for what it writes whole: a template or a leaf
 # SplitMix64's increment, 2^64 over the golden ratio (Steele, Lea & Flood,
 # "Fast splittable pseudorandom number generators", OOPSLA 2014)
 GAMMA = 0x9E3779B97F4A7C15
@@ -242,9 +244,12 @@ def mix64(x: np.ndarray) -> np.ndarray:
     bijection under which flipping any input bit flips each output bit
     with probability close to 1/2.  Array arithmetic wraps silently, where
     numpy scalars would warn."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = x ^ (x >> np.uint64(30))  # a new array: the rest works in place
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _weyl(key: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -264,21 +269,25 @@ def tree_keys(seed: int, n_trees: int) -> np.ndarray:
     return mix64(_weyl(key, np.arange(1, n_trees + 1)))
 
 
-def draw(keys: np.ndarray, step: int, adm: np.ndarray, n: np.ndarray,
+def draw(keys: np.ndarray, index, adm: np.ndarray, n: np.ndarray,
          k: int) -> np.ndarray:
-    """(m, k) candidates of m nodes, one of each tree key of `keys` popped
-    at `step`: among the first n[e] features of row e of `adm`, those
-    whose slots have the k smallest keys, ties to the lower slot, so a
-    uniform k-subset where n[e] >= k.  A node's key is output step + 1 of
-    SplitMix64 seeded with its tree's key, and slot i's key is output
-    i + 1 of SplitMix64 seeded with the node's; no draw reads another."""
-    nodes = _weyl(keys, np.array([step + 1]))
-    slots = _weyl(nodes[:, None], np.arange(1, adm.shape[1] + 1))
-    slots[np.arange(adm.shape[1]) >= n[:, None]] = np.iinfo(np.uint64).max
+    """(m, k) candidates of m nodes, one of each tree key of `keys`, each
+    at its tree's preorder `index` (one int for all, or one each): among
+    the first n[e] features of row e of `adm`, those whose slots have the
+    k smallest keys, ties to the lower slot, so a uniform k-subset where
+    n[e] >= k.  A node's key is output index + 1 of SplitMix64 seeded with
+    its tree's key, and slot i's key is output i + 1 of SplitMix64 seeded
+    with the node's; no draw reads another."""
+    nodes = _weyl(keys, np.atleast_1d(index) + 1)
+    # slots[i, e] is slot i's key at node e: rows as long as the nodes, so
+    # that each array call loops over many
+    slot = np.arange(adm.shape[1])[:, None]
+    slots = _weyl(nodes, slot + 1)
+    slots[slot >= n] = np.iinfo(np.uint64).max
     if k == 1:
-        pick = slots.argmin(axis=1)[:, None]
+        pick = slots.argmin(axis=0)[:, None]
     else:
-        pick = np.argsort(slots, axis=1, kind="stable")[:, :k]
+        pick = np.argsort(slots, axis=0, kind="stable")[:k].T
     return np.take_along_axis(adm, pick, axis=1)
 
 
@@ -306,17 +315,37 @@ class StateGraph:
       ties; UNSET until some tree has every admissible feature as
       candidate, LEAF at a leaf;
     - `record[s]`: [impurity, mass p(t), *class distribution];
-    - `pops[s]`: the nodes of s popped so far; `kept[s]`: s is in the memo.
+    - `reach[s]`: the nodes of s placed in trees so far; `kept[s]`: s is
+      in the memo;
+    - `settle[s]`: the least K at which s is settled, once known, else
+      NOT_YET; `unsettled[s]`: a K at which s is known not to be, at least
+      n_adm[s] - 1, NOT_YET for a passing state but a leaf;
+    - `ready[s]`: the least K at which s is written whole, 0 at a leaf,
+      `settle[s]` once its template is made, else NOT_YET; `size[s]`: its
+      nodes then, 1 at a leaf; `first[s]`: its template's first row.
 
     A split's child states are kept, in the memo, once their parent has
-    been popped twice: a state that repeats repeats its children.  Below a
-    state popped once the children pass: they are computed alike, but hold
-    no memo entry and no `kids` slot after their step, and their ids are
-    reused once their node is popped, or once their step ends if they lost
-    as candidates.  So where states rarely repeat, as on numeric data, the
-    graph holds little more than the stacks reach.  On the LED population
-    every split is first asked for at a state popped more than once, and
-    all 67 states are kept.
+    been reached twice: a state that repeats repeats its children.  Below
+    a state reached once the children pass: they are computed alike, but
+    hold no memo entry and no `kids` slot after their step, and their ids
+    are reused once their node is popped, or once their step ends if no
+    stack holds them.  So where states rarely repeat, as on numeric data,
+    the graph holds little more than the stacks reach.  On the LED
+    population every state is kept, and a sweep computes each of its 67
+    states once.
+
+    A state is settled at K when it is a leaf, or when it has at most K
+    admissible features, so that it splits on its `best`, and every child
+    of that split is settled at K.  Its subtree is then the same in every
+    tree and at every larger K, so the graph lays it out once, as s's
+    template: `size[s]` rows of `pool` from `first[s]` on, each the
+    state, feature, parent's row and slot of one node in preorder, rows
+    counted from the template's root, whose parent is -1.  The walks that
+    find settled states (`_settle`) and lay out templates (`_template`)
+    keep an explicit stack, so nothing recurses.  Only kept states, and
+    leaves, are taken for settled, and every state of a kept state's
+    template is kept, so a template names no id that a step may free; a
+    passing state's template would serve one node.
     """
 
     def __init__(self, dataset: Dataset, impurity: str):
@@ -331,7 +360,9 @@ class StateGraph:
         self._passing = []  # passing states made in the current step
         self._passed = []  # (s, f): splits of this step whose children pass
         self._n_passing = 0  # passing states alive
-        self._forgot = False  # some kept state has passed a split
+        self._forgot = False  # some state that outlived its step has passed a split
+        self.pool = np.zeros((0, 4), dtype=np.int32)  # template nodes
+        self._n_pool = 0
         p, c, w = ctx.n_features, ctx.n_classes, ctx.width
         # (table, shape of a row, dtype, fill of a free row)
         self._tables = (("n_adm", (), np.int32, 0), ("adm", (p,), np.int32, -1),
@@ -339,8 +370,12 @@ class StateGraph:
                         ("thr", (p + 1,), np.float64, np.nan),
                         ("kids", (p + 1, w), np.int32, -1), ("best", (), np.int32, UNSET),
                         ("record", (2 + c,), np.float64, np.nan),
-                        ("pops", (), np.int64, 0),
-                        ("kept", (), bool, False))
+                        ("reach", (), np.int64, 0),
+                        ("kept", (), bool, False),
+                        ("settle", (), np.int32, NOT_YET),
+                        ("unsettled", (), np.int32, NOT_YET),
+                        ("ready", (), np.int32, NOT_YET), ("size", (), np.int32, 0),
+                        ("first", (), np.int32, 0))
         for name, shape, dtype, fill in self._tables:
             setattr(self, name, np.full((0,) + shape, fill, dtype=dtype))
         self.root = self._state(list(range(ctx.n_rows)), keep=True)
@@ -379,8 +414,8 @@ class StateGraph:
                         break
         if self._free:
             s = self._free.pop()
-            # the rows of a freed id hold the splits and pops of its last state
-            self.gain[s], self.thr[s], self.kids[s], self.pops[s] = np.nan, np.nan, -1, 0
+            # the rows of a freed id hold the splits and reach of its last state
+            self.gain[s], self.thr[s], self.kids[s], self.reach[s] = np.nan, np.nan, -1, 0
         else:
             s = len(self.rows)
             self.rows.append(None)
@@ -393,6 +428,11 @@ class StateGraph:
                     setattr(self, name, new)
         self.n_adm[s], self.adm[s, :len(adm)] = len(adm), adm
         self.best[s] = UNSET if adm else LEAF
+        if adm:
+            self.settle[s], self.ready[s], self.size[s] = NOT_YET, NOT_YET, 0
+            self.unsettled[s] = len(adm) - 1 if keep else NOT_YET
+        else:  # a leaf is settled at every K, its own one-node template
+            self.settle[s], self.unsettled[s], self.ready[s], self.size[s] = 0, -1, 0, 1
         self.record[s] = [imp, weight / ctx.total_weight, *[c / weight for c in counts]]
         self.sums[s], self.kept[s] = (counts, weight, imp), keep
         self.rows[s] = key
@@ -403,11 +443,12 @@ class StateGraph:
             self._n_passing += 1
         return s
 
-    def _split(self, s: int, f: int) -> None:
+    def _split(self, s: int, f: int, settling: bool = False) -> None:
         """Fill gain, thr and kids of state s on its admissible feature f;
-        the children are kept once s has been popped twice."""
+        the children are kept once s has been reached twice, or if s is
+        kept and `settling`: a kept state's settled subtree repeats."""
         ctx = self.ctx
-        keep = self.pops[s] >= 2
+        keep = self.reach[s] >= 2 or (settling and self.kept[s])
         rows = memoryview(self.rows[s]).cast("i")
         if ctx.kinds[f] == CATEGORICAL:
             col, parts = ctx.cols[f], [[] for _ in range(ctx.arities[f])]
@@ -462,35 +503,112 @@ class StateGraph:
         gain, thr, cut = best
         return gain, thr, (order[:cut], order[cut:])
 
-    def _gains(self, states, features, rows) -> np.ndarray:
+    def _gains(self, states, features, rows, settling=False) -> np.ndarray:
         """gain[states[e], features[e, :]] for the (m,) states and (m, c)
         features, each split of a row in the bool mask `rows` computed first
-        if missing; other rows are not read."""
+        if missing (`_split`); other rows are not read."""
         gain = self.gain[states[:, None], features]
         missing = np.isnan(gain) & rows[:, None]
         if missing.any():
             at = np.nonzero(missing)
             for s, f in dict.fromkeys(zip(states[at[0]].tolist(),
                                           features[at].tolist())):
-                self._split(s, f)
+                self._split(s, f, settling)
             gain = self.gain[states[:, None], features]
         return gain
 
-    def _best(self, states, rows) -> np.ndarray:
+    def _best(self, states, rows, settling=False) -> np.ndarray:
         """best[states], computed first where `rows` and UNSET."""
         best = self.best[states]
         unset = (best == UNSET) & rows
         if unset.any():
             for s in dict.fromkeys(states[unset].tolist()):
                 adm = self.adm[s, :self.n_adm[s]]
-                gain = self._gains(np.array([s]), adm[None, :], np.ones(1, dtype=bool))
+                gain = self._gains(np.array([s]), adm[None, :], np.ones(1, dtype=bool),
+                                   settling)
                 self.best[s] = adm[gain[0].argmax()]  # adm ascending: ties keep the first
             best = self.best[states]
         return best
 
+    def settled(self, states, k: int) -> np.ndarray:
+        """Whether each state id of `states` is settled at k, with its
+        template, which is made first for each kept state found settled."""
+        ready = self.ready[states] <= k
+        ask = ~ready & (self.unsettled[states] < k)
+        if ask.any():
+            for s in dict.fromkeys(states[ask].tolist()):
+                if self.settle[s] > k:
+                    self._settle(s, k)
+                if self.settle[s] <= k:
+                    self._template(s)
+            ready = self.ready[states] <= k
+        return ready
+
+    def _settle(self, s: int, k: int) -> None:
+        """Walk down the best splits from kept state s, depth first on an
+        explicit path, and stop at the first state not settled at k.  Each
+        state the walk finishes gets its `settle`; if it stops, every state
+        on the path is unsettled at k."""
+        path = [s]
+        while path:
+            t = path[-1]
+            most, todo = int(self.n_adm[t]), None
+            for c in self._best_kids(t):
+                if c < 0:
+                    continue
+                if self.settle[c] <= k:
+                    most = max(most, int(self.settle[c]))
+                elif self.unsettled[c] >= k:
+                    for u in path:
+                        self.unsettled[u] = max(self.unsettled[u], k)
+                    return
+                else:
+                    todo = c
+                    break
+            if todo is None:
+                self.settle[t], self.unsettled[t] = most, most - 1
+                path.pop()
+            else:
+                path.append(todo)
+
+    def _best_kids(self, s: int) -> list:
+        """The child states of s's best split, all -1 at a leaf; best and
+        the split are computed first if missing, and made again, kept, if
+        s is kept and they are not."""
+        f = int(self.best[s])
+        if f == UNSET:
+            f = int(self._best(np.array([s]), np.ones(1, dtype=bool), settling=True)[0])
+        kids = self.kids[s, f].tolist()
+        if f != LEAF and (max(kids) < 0 or self.kept[s] and not all(
+                self.kept[c] for c in kids if c >= 0)):
+            self._split(s, f, settling=True)
+            kids = self.kids[s, f].tolist()
+        return kids
+
+    def _template(self, s: int) -> None:
+        """Lay out the settled subtree of s as its template, in preorder
+        from an explicit stack of (state, parent's row, slot)."""
+        nodes = []
+        stack = [(s, -1, 0)]
+        while stack:
+            t, parent, slot = stack.pop()
+            below = self._best_kids(t)
+            for i in range(len(below) - 1, -1, -1):
+                if below[i] >= 0:
+                    stack.append((below[i], len(nodes), i))
+            nodes.append((t, self.best[t], parent, slot))
+        n, m = self._n_pool, len(nodes)
+        if n + m > len(self.pool):
+            grown = np.zeros((max(2 * n, n + m), 4), dtype=np.int32)
+            grown[:n] = self.pool[:n]
+            self.pool = grown
+        self.pool[n:n + m] = nodes
+        self._n_pool += m
+        self.ready[s], self.size[s], self.first[s] = self.settle[s], m, n
+
     def _kids(self, states, features) -> np.ndarray:
-        """kids[states, features], each passed split of a kept state made
-        again, kept: that state has been popped again since."""
+        """kids[states, features], each split that passed in an earlier
+        step, of a state that outlived it, made again."""
         kids = self.kids[states, features]
         if self._forgot:
             gone = (features != LEAF) & ~(kids >= 0).any(axis=1)
@@ -507,14 +625,14 @@ class StateGraph:
         its passed splits."""
         if not (self._n_passing or self._passed):
             return
-        for s, f in self._passed:
-            self.kids[s, f] = -1
-            self._forgot = self._forgot or self.kept[s]
         made = np.array(self._passing, dtype=np.intp)
         stacked = np.zeros(len(self.rows), dtype=bool)
         stacked[pushed[pushed >= 0]] = True
         done = set(made[~stacked[made]].tolist())
         done.update(popped[~self.kept[popped]].tolist())
+        for s, f in self._passed:
+            self.kids[s, f] = -1
+            self._forgot = self._forgot or s not in done
         for s in sorted(done):
             self.rows[s] = self.sums[s] = None
             self._free.append(s)
@@ -523,14 +641,38 @@ class StateGraph:
         self._passed.clear()
 
 
+class _Log:
+    """Columns of int32 appended a block of rows at a time, each doubled in
+    place as needed; no view of them is taken until `done`."""
+
+    def __init__(self, n_cols: int, size: int):
+        self.cols = [np.empty(size, dtype=np.int32) for _ in range(n_cols)]
+        self.n = 0
+
+    def add(self, m: int, *values) -> int:
+        """Append m rows, one column of `values` each; returns the first."""
+        n = self.n
+        if n + m > len(self.cols[0]):
+            for col in self.cols:
+                col.resize(max(2 * len(col), n + m), refcheck=False)
+        for col, value in zip(self.cols, values):
+            col[n:n + m] = value
+        self.n = n + m
+        return n
+
+    def done(self) -> list:
+        """Views of the rows appended."""
+        return [col[:self.n] for col in self.cols]
+
+
 def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> PackedTrees:
     """One tree per uint64 key of `keys`, in order, grown in lock-step on
     `graph` under its impurity kind; `seed` is recorded as the master seed
-    the keys derive from (`tree_keys`).  The graph keeps the states and
-    splits this build computes, so later builds on it (`forest.build_forests`
-    grows every K of a sweep on one) reuse them.  Rows are the entries of
-    `_BuildContext`: on unweighted data each distinct row once, so growth
-    costs per distinct row.
+    the keys derive from (`tree_keys`).  The graph keeps the states, splits
+    and templates this build computes, so later builds on it
+    (`forest.build_forests` grows every K of a sweep on one) reuse them.
+    Rows are the entries of `_BuildContext`: on unweighted data each
+    distinct row once, so growth costs per distinct row.
 
     At every impure node, min(k, #admissible) candidate features are drawn
     uniformly without replacement and the candidate with the largest mean
@@ -538,18 +680,26 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
     feature index, then the smallest threshold).  k=1 is the totally
     randomized regime: the drawn feature splits unconditionally.
 
-    Each tree keeps an explicit stack of (state, parent, slot) entries and
-    pushes a node's children last slot first, so it pops its nodes in
-    preorder, the order of a recursive build.  Each step pops one node
-    from every tree whose stack is not empty, so tree t's j-th node is
-    popped at step j.  A node with more than k admissible features draws
+    Each tree keeps an explicit stack of (state, parent's index, slot)
+    entries, pushes a node's children last slot first, and counts its
+    nodes in preorder, the order of a recursive build: tree t's node j is
+    node offsets[t] + j.  Each step pops one entry from every tree whose
+    stack is not empty.  A node with more than k admissible features draws
     its candidates from the hash keys of (its tree's key, j, slot), by one
     vectorised `draw` for every such tree at once; with at most k, its
-    split is the state's `best`.  Nothing recurses, so a tree may grow as
-    deep as its rows allow.  Each popped node is logged by its state (a
-    passing state's threshold and record copied aside); at the end tree
-    t's j-th node is placed at offsets[t] + j, each child by its (parent,
-    slot), and the records are gathered once.
+    split is the state's `best`.  A child settled at k (`StateGraph`)
+    whose index is known, because its earlier siblings are all settled,
+    is written at once, its whole template at that index, and the counter
+    moves past it; the other children are pushed, and a settled entry that
+    reaches the top of a stack is written whole in that one pop.  So a
+    step grows only nodes that draw or lead to one, and a tree that is
+    settled at its root takes one step.  Nothing recurses, so a tree may
+    grow as deep as its rows allow.  Each entry written, a node or a
+    template, is logged by its state (a passing state's threshold and
+    record copied aside).  At the end each covers the nodes from its index
+    up to the next entry's, a template's nodes take their states and links
+    from its rows, each child is placed by its (parent, slot), and the
+    records are gathered once.
     """
     ctx, impurity = graph.ctx, graph.impurity
     if not 1 <= k <= max(ctx.n_features, 1):
@@ -557,27 +707,44 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
     n_trees, width = len(keys), ctx.width
     if n_trees < 1:
         raise ValueError("need at least one tree")
-    # entry d of tree t's stack is stack[:, t * depth + d]: (state, the step
-    # that popped its parent, slot); a slot with no child writes to the
-    # last column, which no tree reads
+    # entry d of tree t's stack is stack[:, t * depth + d]: (state, its
+    # parent's index, slot); a slot with no child writes to the last column,
+    # which no tree reads
     depth = 16
     stack = np.zeros((3, n_trees * depth + 1), dtype=np.int32)
     stack[:, :-1:depth] = np.array([[graph.root], [-1], [0]])
+    graph.reach[graph.root] += n_trees
+    graph.settled(np.array([graph.root]), k)
     slots = np.arange(width)
     top = np.ones(n_trees, dtype=np.int64)
+    at = np.zeros(n_trees, dtype=np.int64)  # each tree's next preorder index
     live = np.arange(n_trees)
-    # the popped nodes in order: tree, step, feature, parent's step, slot and
-    # state, or -1 - i for a passing state whose threshold and record went
-    # to row i of `passed`; both doubled in place as needed, no view kept
-    size = n_trees * min(2 * ctx.n_rows - 1, 64)  # at most 2E - 1 nodes a tree
-    log = [np.empty(size, dtype=np.int32) for _ in range(6)]
+    # what is written, in order: tree, index, feature (WHOLE for what is
+    # written whole), parent's index, slot and state, or -1 - i for a passing
+    # state whose threshold and record went to row i of `passed`
+    log = _Log(6, n_trees * min(2 * ctx.n_rows - 1, 64))  # at most 2E - 1 nodes a tree
     passed = [np.empty(0), np.empty((0, 2 + ctx.n_classes))]
-    n_log, n_passed, step = 0, 0, 0
+    n_passed = 0
+
+    def write(trees, index, feature, parents, slot, states):
+        nonlocal n_passed
+        start = log.add(len(states), trees, index, feature, parents, slot, states)
+        if graph._n_passing:  # keep what the log needs of passing states
+            i = np.flatnonzero(~graph.kept[states])
+            if n_passed + i.size > len(passed[0]):
+                for col in passed:
+                    col.resize((len(log.cols[0]),) + col.shape[1:], refcheck=False)
+            passed[0][n_passed:n_passed + i.size] = graph.thr[states[i], np.maximum(feature[i], LEAF)]
+            passed[1][n_passed:n_passed + i.size] = graph.record[states[i]]
+            log.cols[5][start + i] = -1 - np.arange(n_passed, n_passed + i.size)
+            log.cols[2][start + i] = np.maximum(feature[i], LEAF)  # a passing state is a leaf if whole
+            n_passed += i.size
+
     while live.size:
         height = top[live] - 1
         top[live] = height
         states, parents, slot = stack[:, live * depth + height]
-        np.add.at(graph.pops, states, 1)
+        index = at[live]
         # arrays keep one row per live tree, rows that do not take part
         # masked, or a power of two of them: numpy keeps freed arrays under
         # 1 KiB for reuse by size, so few sizes keep few of them
@@ -589,74 +756,99 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
             # the drawing rows, then other rows up to a power of two
             e = np.argsort(~drawn, kind="stable")[:1 << (n_drawn - 1).bit_length()]
             s_e, draws = states[e], drawn[e]
-            cands = draw(keys[live[e]], step, graph.adm[s_e], n_adm[e], k)
+            cands = draw(keys[live[e]], index[e], graph.adm[s_e], n_adm[e], k)
             gain = graph._gains(s_e, cands, draws)
             if k > 1:
                 best = gain == gain.max(axis=1, keepdims=True)
                 cands = np.where(best, cands, ctx.n_features).min(axis=1, keepdims=True)
             feature[e] = np.where(draws, cands[:, 0], feature[e])
-        if n_log + live.size > len(log[0]):
-            for col in log:
-                col.resize(2 * len(col), refcheck=False)
-        for col, values in zip(log, (live, step, feature, parents, slot, states)):
-            col[n_log:n_log + live.size] = values
-        if graph._n_passing:  # keep what the log needs of passing states
-            at = np.flatnonzero(~graph.kept[states])
-            if n_passed + at.size > len(passed[0]):
-                for col in passed:
-                    col.resize((len(log[0]),) + col.shape[1:], refcheck=False)
-            passed[0][n_passed:n_passed + at.size] = graph.thr[states[at], feature[at]]
-            passed[1][n_passed:n_passed + at.size] = graph.record[states[at]]
-            log[5][n_log + at] = -1 - np.arange(n_passed, n_passed + at.size)
-            n_passed += at.size
-        n_log += live.size
-        kids = np.zeros((0, width), dtype=np.int32)
-        if (feature != LEAF).any():  # push the children, the first slot on top
-            kids = graph._kids(states, feature)
+        whole = (graph.ready[states] <= k) & (n_adm > 0)  # settled, but no leaf
+        size = 1
+        if whole.any():  # written whole
+            size = np.where(whole, graph.size[states], 1)
+            feature[whole] = WHOLE
+        write(live, index, feature, parents, slot, states)
+        pushed = np.zeros((0, width), dtype=np.int32)
+        if (feature >= 0).any():
+            kids = graph._kids(states, np.maximum(feature, LEAF))
             seen = kids >= 0
-            rank = np.cumsum(seen, axis=1)
+            some = kids[seen]
+            np.add.at(graph.reach, some, 1)
+            # the settled children ahead of every unsettled one are written
+            # now, each at the index its earlier siblings leave
+            now = ~seen
+            now[seen] = graph.settled(some, k)
+            now = np.logical_and.accumulate(now, axis=1) & seen
+            if now.any():
+                sizes = np.where(now, graph.size[kids], 0)
+                ends = np.cumsum(sizes, axis=1)
+                size = size + ends[:, -1]
+                r, c = np.nonzero(now)
+                write(live[r], index[r] + 1 + ends[r, c] - sizes[r, c],
+                      np.full(r.size, WHOLE, dtype=np.int32), index[r], c, kids[r, c])
+                seen &= ~now
+            rank = np.cumsum(seen, axis=1)  # push the rest, the first slot on top
             tops = top[live] + rank[:, -1]
             if tops.max() > depth:
                 grown = np.zeros((3, n_trees * (tops.max() + depth) + 1), dtype=np.int32)
                 grown[:, :-1].reshape(3, n_trees, -1)[:, :, :depth] = (
                     stack[:, :-1].reshape(3, n_trees, depth))
                 stack, depth = grown, tops.max() + depth
-            at = np.where(seen, (live * depth + tops)[:, None] - rank, stack.shape[1] - 1)
-            stack[0, at] = kids
-            stack[1, at] = step
-            stack[2, at] = slots
+            to = np.where(seen, (live * depth + tops)[:, None] - rank, stack.shape[1] - 1)
+            stack[0, to] = kids
+            stack[1, to] = index[:, None]
+            stack[2, to] = slots
             top[live] = tops
-        graph._end_step(states, kids)
+            pushed = np.where(seen, kids, -1)
+        at[live] = index + size
+        graph._end_step(states, pushed)
         live = live[top[live] > 0]
-        step += 1
-    thr, rec = graph.thr, graph.record
-    del graph, stack  # a graph no caller holds is freed, but for these two tables
-    for col in log:
-        col.resize(n_log, refcheck=False)
-    trees, steps, feature, parents, slot, states = log
+    thr, rec, pool, first, extent = graph.thr, graph.record, graph.pool, graph.first, graph.size
+    del graph, stack  # a graph no caller holds is freed, but for what is read here
+    trees, index, feature, parents, slot, states = log.done()
     del log
     offsets = np.zeros(n_trees + 1, dtype=np.int64)
-    np.cumsum(np.bincount(trees, minlength=n_trees), out=offsets[1:])
-    # tree t's node j, popped at step j, is node offsets[t] + j
-    node = offsets[trees] + steps
-    children = np.full((n_log, width), LEAF, dtype=np.int32)
-    child = parents >= 0
-    children.ravel()[(offsets[trees[child]] + parents[child]) * width + slot[child]] = (
-        node[child])
-    del trees, steps, parents, slot, child
-    order = np.empty(n_log, dtype=np.int64)  # the log entry of each node
-    order[node] = np.arange(n_log)
-    del node
-    feature, states = feature[order], states[order]
-    del order
-    kept = np.maximum(states, 0)
-    threshold = thr[kept, feature]
+    np.cumsum(at, out=offsets[1:])
+    n_nodes = int(offsets[-1])
+    # tree t's node at index j is node offsets[t] + j; an entry covers the
+    # nodes from its own up to the next entry's
+    node = offsets[trees] + index
+    start = np.zeros(n_nodes, dtype=np.int64)
+    start[node] = node
+    np.maximum.accumulate(start, out=start)
+    entry = np.empty(n_nodes, dtype=np.int64)
+    entry[node] = np.arange(len(node))
+    entry = entry[start]
+    row = np.arange(n_nodes) - start  # the node's row in its entry's template
+    state, split, slot = states[entry], feature[entry], slot[entry]
+    parent = offsets[trees[entry]] + parents[entry]
+    parent[parents[entry] < 0] = -1
+    del node, entry, trees, index, feature, parents, states
+    kept = np.maximum(state, 0)
+    whole = split == WHOLE
+    split[whole] = LEAF  # a leaf written whole; each template's nodes follow
+    whole &= extent[kept] > 1
+    if whole.any():
+        nodes = np.take(pool, np.where(whole, first[kept] + row, 0), axis=0)
+        inner = row > 0
+        state = np.where(whole, nodes[:, 0], state)
+        split = np.where(whole, nodes[:, 1], split)
+        parent = np.where(inner, start + nodes[:, 2], parent)
+        slot = np.where(inner, nodes[:, 3], slot)
+        kept = np.maximum(state, 0)
+        del nodes, inner
+    del start, row, whole
+    children = np.full((n_nodes, width), LEAF, dtype=np.int32)
+    child = np.flatnonzero(parent >= 0)
+    children.ravel()[parent[child] * width + slot[child]] = child
+    del parent, slot, child
+    threshold = thr[kept, split]
     record = np.take(rec, kept, axis=0)
-    gone = np.flatnonzero(states < 0)
-    threshold[gone] = passed[0][-1 - states[gone]]
-    record[gone] = passed[1][-1 - states[gone]]
+    gone = np.flatnonzero(state < 0)
+    threshold[gone] = passed[0][-1 - state[gone]]
+    record[gone] = passed[1][-1 - state[gone]]
     return PackedTrees(
-        feature, threshold, children, record[:, 0], record[:, 1], record[:, 2:],
+        split, threshold, children, record[:, 0], record[:, 1], record[:, 2:],
         offsets, seed, k, impurity, ctx.n_train, tuple(ctx.kinds), tuple(ctx.arities),
     )
 

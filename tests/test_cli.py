@@ -3,6 +3,7 @@
 import builtins
 import gc
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -11,15 +12,20 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impshap import cli
+from impshap import cli, tree
 from impshap.data import (
     BUILTIN_JOINTS,
+    CATEGORICAL,
+    NUMERIC,
+    ColumnMeta,
+    Dataset,
     builtin_dataset,
     builtin_joint,
     load_csv,
@@ -27,6 +33,7 @@ from impshap.data import (
     random_joint,
     write_joint_csv,
 )
+from impshap.forest import build_forest
 
 from oracles import joint_table_by_rows
 
@@ -347,6 +354,34 @@ def test_tree_past_the_recursion_limit_grows(capsys, tmp_path):
     assert code == 0 and captured.err == ""
     scores = json.loads(captured.out)["results"]["per_k"][0]["scores"]
     assert abs(sum(scores) - 1.0) <= 1e-9
+
+
+# sha256 of the packed arrays (NODE_ARRAYS, then offsets) of the chain below,
+# taken when every node of a tree was grown one step at a time
+DEEP_CHAIN_DIGEST = "ba1ec4a46fd83498cdc125925f0d56c50874b99e5d7e730b553a37b442a14731"
+
+
+def test_settled_chain_grows_in_one_step():
+    """The chain above has one feature, so at K = 1 every state is settled
+    and the tree is the root's 2,399-node template: one step, nothing
+    recursing, under a recursion limit far below its depth, and the arrays
+    of the node-by-node build."""
+    n = 1200
+    ds = Dataset([ColumnMeta("x", NUMERIC), ColumnMeta("y", CATEGORICAL, 2)],
+                 [np.arange(n, dtype=np.float64), np.arange(n) % 2])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        with mock.patch.object(tree.StateGraph, "_end_step", autospec=True,
+                               side_effect=tree.StateGraph._end_step) as steps:
+            forest = build_forest(ds, 1, 1, seed=0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert steps.call_count == 1 and len(forest.feature) == 2 * n - 1
+    digest = hashlib.sha256()
+    for name in tree.NODE_ARRAYS + ("offsets",):
+        digest.update(getattr(forest, name).tobytes())
+    assert digest.hexdigest() == DEEP_CHAIN_DIGEST
 
 
 def test_numeric_instance_flag_matches_file(capsys, tmp_path):

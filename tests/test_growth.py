@@ -119,6 +119,34 @@ def test_memo_builder_matches_recursive_builder(seed, kinds, n_rows, n_classes,
         assert (got.mass > 0).all()
 
 
+UNSWEPT = {name: s for name, s in DATASETS.items() if name != "k"}
+
+
+@PROPERTY
+@given(**UNSWEPT)
+def test_every_k_on_a_shared_graph_matches_fresh_builds(seed, kinds, n_rows, n_classes,
+                                                       weighted, n_trees, impurity):
+    """Each K from 1 to p grows the same packed arrays on one graph shared
+    by every K, swept up or down, as on a fresh graph and as the recursive
+    builder; at K = p every state is settled, so whole trees are
+    templates."""
+    rng = np.random.default_rng(seed)
+    data = random_rows(rng, kinds, n_classes, n_rows)
+    weights = rng.choice(WEIGHTS, n_rows) if weighted else None
+    ds = Dataset(columns(kinds, n_classes), data, weights=weights)
+    ks = range(1, len(kinds) + 1)
+    want = {k: build(grow_trees_recursive, ds, k, impurity, n_trees, seed) for k in ks}
+    for k in ks:
+        assert_same_trees(build(grow, ds, k, impurity, n_trees, seed), want[k])
+    if isinstance(want[1], type):
+        return
+    keys = tree_keys(seed, n_trees)
+    for order in (ks, ks[::-1]):
+        graph = StateGraph(ds, impurity)
+        for k in order:
+            assert_same_trees(grow_trees(graph, k, keys, seed), want[k])
+
+
 def wide_rows(seed, p, n_rows):
     """Rows of p binary features and two classes; the first two rows are all
     0 and all 1, of classes 0 and 1, so every feature is admissible at the
@@ -446,6 +474,32 @@ def test_sweep_computes_each_led_state_once(capsys):
                          "--seed", "11", "--format", "json"])
     assert code == 0 and capsys.readouterr().err == ""
     assert states.call_count <= 67
+
+
+# lock-step steps (`StateGraph._end_step` calls) of the sweep below,
+# measured at 29-30 over seeds 1-8 once settled subtrees were written whole;
+# a step for every node of the 19-node LED trees made 133
+LED_SWEEP_STEPS_BOUND = 32
+
+
+def count_steps():
+    return mock.patch.object(StateGraph, "_end_step", autospec=True,
+                             side_effect=StateGraph._end_step)
+
+
+def test_sweep_grows_only_the_nodes_that_draw(capsys):
+    """A LED sweep takes a step only where some tree has a node still to
+    draw or to reach one; at K = 7 every LED tree is the settled root's
+    template, one step for all 600."""
+    with count_steps() as steps:
+        code = cli.main(["global", "--data", "led", "--k-sweep", "1..7", "--trees", "600",
+                         "--seed", "11", "--format", "json"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert steps.call_count <= LED_SWEEP_STEPS_BOUND
+    with count_steps() as steps:
+        forest = build_forest(led_population(), 7, 600, seed=11)
+    assert steps.call_count == 1
+    assert (forest.feature.reshape(600, -1) == forest.feature[:19]).all()
 
 
 def test_growth_peak_memory():
