@@ -9,6 +9,7 @@ that the population layer reads, over all 2^p feature subsets, in one walk;
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from math import log2, prod
 
@@ -123,8 +124,10 @@ def _c_strides(shape: list) -> np.ndarray:
     return np.array([prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.intp)
 
 
+@lru_cache(maxsize=8)
 def _block_plan(lead: tuple) -> tuple:
-    """Where the subsets of a block sit in its extended table.
+    """Where the subsets of a block sit in its extended table, cached per
+    process by `lead` and read-only, since every walk shares them.
 
     A block extends each of its l leading axes (arities `lead`) by a slot
     holding the sum over that axis, so a cell of the extended leading grid
@@ -155,7 +158,9 @@ def _block_plan(lead: tuple) -> tuple:
         runs.append((k0, k0 + k, lo, lo + k * size))
         k0, lo = k0 + k, lo + k * size
     removed = (np.arange(1 << l)[:, None] >> np.arange(l)) & 1
-    return order, rank, by_count, runs, removed
+    for a in (order, rank, by_count, removed):
+        a.setflags(write=False)
+    return order, rank, by_count, tuple(runs), removed
 
 
 def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLattice:
@@ -178,8 +183,9 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
     time, so the scratch of those gathers stays about block-sized
     whatever n is; a batch whose n * 2^p * |Y| exceeds MAX_CELLS raises
     TableTooLarge before anything is allocated.  The walk leaves no
-    reference cycle: its scratch is freed as it returns, and the lattice,
-    whose tables are read-only, once the caller drops it.
+    reference cycle: its scratch is freed as it returns, but for the last
+    few block plans, which `_block_plan` keeps for later walks, and the
+    lattice, whose tables are read-only, once the caller drops it.
     """
     check_kind(kind)
     check_feature_count(j.p)
@@ -198,7 +204,6 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
     mean = np.empty(1 << p)
     at = np.empty((n, 1 << p))
     cond = np.empty((n, 1 << p, n_y))
-    plans = {}  # _block_plan per tuple of leading arities
     # nodes to visit: (parent's table, mask and members, the axis the node
     # sums out, None at the root).  A node's table is made when it is
     # popped, so the stack holds one chain of tables; unlike a closure
@@ -223,9 +228,7 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
             size = size // a * (a + 1)
             l += 1
         lead = tuple(arities[i] for i in members[:l])
-        if lead not in plans:
-            plans[lead] = _block_plan(lead)
-        order, rank, by_count, runs, removed = plans[lead]
+        order, rank, by_count, runs, removed = _block_plan(lead)
         block = table
         # descending, so a subset's axes are summed largest first, as one
         # removal at a time does

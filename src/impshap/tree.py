@@ -232,7 +232,7 @@ class _BuildContext:
 
 
 UNSET = -2  # `StateGraph.best` of a state whose splits are not all known
-NOT_YET = np.iinfo(np.int32).max  # a K past every K: "not known" in `StateGraph`
+NOT_YET = np.iinfo(np.int32).max  # a K past every K: `StateGraph.least` of a passing state
 WHOLE = -3  # feature `grow_trees` logs for what it writes whole: a template or a leaf
 # SplitMix64's increment, 2^64 over the golden ratio (Steele, Lea & Flood,
 # "Fast splittable pseudorandom number generators", OOPSLA 2014)
@@ -317,12 +317,10 @@ class StateGraph:
     - `record[s]`: [impurity, mass p(t), *class distribution];
     - `reach[s]`: the nodes of s placed in trees so far; `kept[s]`: s is
       in the memo;
-    - `settle[s]`: the least K at which s is settled, once known, else
-      NOT_YET; `unsettled[s]`: a K at which s is known not to be, at least
-      n_adm[s] - 1, NOT_YET for a passing state but a leaf;
-    - `ready[s]`: the least K at which s is written whole, 0 at a leaf,
-      `settle[s]` once its template is made, else NOT_YET; `size[s]`: its
-      nodes then, 1 at a leaf; `first[s]`: its template's first row.
+    - `least[s]`: a lower bound on the least K at which s is settled,
+      exact once s has a template: n_adm[s] for a new kept state, NOT_YET
+      for a passing one, 0 at a leaf; `size[s]`: the template's nodes, 0
+      until it is made, 1 at a leaf; `first[s]`: its first row.
 
     A split's child states are kept, in the memo, once their parent has
     been reached twice: a state that repeats repeats its children.  Below
@@ -340,12 +338,14 @@ class StateGraph:
     tree and at every larger K, so the graph lays it out once, as s's
     template: `size[s]` rows of `pool` from `first[s]` on, each the
     state, feature, parent's row and slot of one node in preorder, rows
-    counted from the template's root, whose parent is -1.  The walks that
-    find settled states (`_settle`) and lay out templates (`_template`)
-    keep an explicit stack, so nothing recurses.  Only kept states, and
-    leaves, are taken for settled, and every state of a kept state's
-    template is kept, so a template names no id that a step may free; a
-    passing state's template would serve one node.
+    counted from the template's root, whose parent is -1.  Since no
+    `best` depends on K, s is settled exactly from the most admissible
+    features of a state in that subtree on, so one walk (`_template`), on
+    an explicit stack, both finds whether s is settled at K and lays out
+    its template.  Only kept states, and leaves, are taken for settled,
+    and every state of a kept state's template is kept, so a template
+    names no id that a step may free; a passing state's template would
+    serve one node.
     """
 
     def __init__(self, dataset: Dataset, impurity: str):
@@ -371,11 +371,8 @@ class StateGraph:
                         ("kids", (p + 1, w), np.int32, -1), ("best", (), np.int32, UNSET),
                         ("record", (2 + c,), np.float64, np.nan),
                         ("reach", (), np.int64, 0),
-                        ("kept", (), bool, False),
-                        ("settle", (), np.int32, NOT_YET),
-                        ("unsettled", (), np.int32, NOT_YET),
-                        ("ready", (), np.int32, NOT_YET), ("size", (), np.int32, 0),
-                        ("first", (), np.int32, 0))
+                        ("kept", (), bool, False), ("least", (), np.int32, NOT_YET),
+                        ("size", (), np.int32, 0), ("first", (), np.int32, 0))
         for name, shape, dtype, fill in self._tables:
             setattr(self, name, np.full((0,) + shape, fill, dtype=dtype))
         self.root = self._state(list(range(ctx.n_rows)), keep=True)
@@ -429,10 +426,9 @@ class StateGraph:
         self.n_adm[s], self.adm[s, :len(adm)] = len(adm), adm
         self.best[s] = UNSET if adm else LEAF
         if adm:
-            self.settle[s], self.ready[s], self.size[s] = NOT_YET, NOT_YET, 0
-            self.unsettled[s] = len(adm) - 1 if keep else NOT_YET
+            self.least[s], self.size[s] = len(adm) if keep else NOT_YET, 0
         else:  # a leaf is settled at every K, its own one-node template
-            self.settle[s], self.unsettled[s], self.ready[s], self.size[s] = 0, -1, 0, 1
+            self.least[s], self.size[s] = 0, 1
         self.record[s] = [imp, weight / ctx.total_weight, *[c / weight for c in counts]]
         self.sums[s], self.kept[s] = (counts, weight, imp), keep
         self.rows[s] = key
@@ -532,44 +528,12 @@ class StateGraph:
 
     def settled(self, states, k: int) -> np.ndarray:
         """Whether each state id of `states` is settled at k, with its
-        template, which is made first for each kept state found settled."""
-        ready = self.ready[states] <= k
-        ask = ~ready & (self.unsettled[states] < k)
-        if ask.any():
-            for s in dict.fromkeys(states[ask].tolist()):
-                if self.settle[s] > k:
-                    self._settle(s, k)
-                if self.settle[s] <= k:
-                    self._template(s)
-            ready = self.ready[states] <= k
-        return ready
-
-    def _settle(self, s: int, k: int) -> None:
-        """Walk down the best splits from kept state s, depth first on an
-        explicit path, and stop at the first state not settled at k.  Each
-        state the walk finishes gets its `settle`; if it stops, every state
-        on the path is unsettled at k."""
-        path = [s]
-        while path:
-            t = path[-1]
-            most, todo = int(self.n_adm[t]), None
-            for c in self._best_kids(t):
-                if c < 0:
-                    continue
-                if self.settle[c] <= k:
-                    most = max(most, int(self.settle[c]))
-                elif self.unsettled[c] >= k:
-                    for u in path:
-                        self.unsettled[u] = max(self.unsettled[u], k)
-                    return
-                else:
-                    todo = c
-                    break
-            if todo is None:
-                self.settle[t], self.unsettled[t] = most, most - 1
-                path.pop()
-            else:
-                path.append(todo)
+        template, which `_template` tries to make first for each state
+        whose bound is at most k and that has none."""
+        ask = (self.least[states] <= k) & (self.size[states] == 0)
+        for s in dict.fromkeys(states[ask].tolist()):
+            self._template(s, k)
+        return (self.least[states] <= k) & (self.size[states] > 0)
 
     def _best_kids(self, s: int) -> list:
         """The child states of s's best split, all -1 at a leaf; best and
@@ -585,13 +549,21 @@ class StateGraph:
             kids = self.kids[s, f].tolist()
         return kids
 
-    def _template(self, s: int) -> None:
-        """Lay out the settled subtree of s as its template, in preorder
-        from an explicit stack of (state, parent's row, slot)."""
-        nodes = []
+    def _template(self, s: int, k: int) -> None:
+        """Lay out the subtree of s's best splits as its template, in
+        preorder from an explicit stack of (state, parent's row, slot), if
+        s is settled at k.  The walk stops at the first state whose bound
+        passes k and raises s's to it; else s's bound becomes the most
+        admissible features of a state in the template, exact as no `best`
+        depends on K."""
+        nodes, most = [], 0
         stack = [(s, -1, 0)]
         while stack:
             t, parent, slot = stack.pop()
+            if self.least[t] > k:
+                self.least[s] = self.least[t]
+                return
+            most = max(most, int(self.n_adm[t]))
             below = self._best_kids(t)
             for i in range(len(below) - 1, -1, -1):
                 if below[i] >= 0:
@@ -604,7 +576,7 @@ class StateGraph:
             self.pool = grown
         self.pool[n:n + m] = nodes
         self._n_pool += m
-        self.ready[s], self.size[s], self.first[s] = self.settle[s], m, n
+        self.least[s], self.size[s], self.first[s] = most, m, n
 
     def _kids(self, states, features) -> np.ndarray:
         """kids[states, features], each split that passed in an earlier
@@ -762,7 +734,7 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
                 best = gain == gain.max(axis=1, keepdims=True)
                 cands = np.where(best, cands, ctx.n_features).min(axis=1, keepdims=True)
             feature[e] = np.where(draws, cands[:, 0], feature[e])
-        whole = (graph.ready[states] <= k) & (n_adm > 0)  # settled, but no leaf
+        whole = (graph.least[states] <= k) & (graph.size[states] > 1)  # settled, no leaf
         size = 1
         if whole.any():  # written whole
             size = np.where(whole, graph.size[states], 1)

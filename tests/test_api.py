@@ -1,6 +1,7 @@
 """The package's public names: the export list stays whole and unique;
-what importing the CLI loads; that no module reads the environment; and
-that README's library sketch and CLI block run."""
+what importing the CLI loads; that no module reads the environment; that
+no test is skipped or expected to fail; and that README's library sketch
+and CLI block run."""
 
 import ast
 import json
@@ -70,12 +71,11 @@ def test_json_report_loads_only_numpy_and_no_pool():
             or m.startswith("concurrent.futures")] == []
 
 
-def test_package_reads_no_environment_variable():
-    """Reports depend on the command line and the input files alone, so
-    identical invocations give byte-identical reports in any environment."""
-    env_names = {"environ", "environb", "getenv", "getenvb"}
+def _names(folder: Path) -> list:
+    """(where, name) for every attribute, name and imported name in the
+    .py files of `folder`, `where` reading "file:line: name"."""
     found = []
-    for path in sorted(Path(impshap.__file__).parent.glob("*.py")):
+    for path in sorted(folder.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute):
                 names = [node.attr]
@@ -85,7 +85,24 @@ def test_package_reads_no_environment_variable():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}: {n}" for n in names if n in env_names]
+            found += [(f"{path.name}:{node.lineno}: {n}", n) for n in names]
+    return found
+
+
+def test_package_reads_no_environment_variable():
+    """Reports depend on the command line and the input files alone, so
+    identical invocations give byte-identical reports in any environment."""
+    env_names = {"environ", "environb", "getenv", "getenvb"}
+    found = [at for at, n in _names(Path(impshap.__file__).parent) if n in env_names]
+    assert found == []
+
+
+def test_no_test_is_skipped_or_expected_to_fail():
+    """Every test runs and must pass where tier-1 runs: no file under
+    tests/ names `pytest.mark.skip`, `skipif`, `xfail`, `pytest.skip` or
+    `importorskip`, as an attribute, a name or an import."""
+    banned = {"skip", "skipif", "xfail", "importorskip"}
+    found = [at for at, n in _names(Path(__file__).parent) if n in banned]
     assert found == []
 
 

@@ -129,7 +129,9 @@ def test_every_k_on_a_shared_graph_matches_fresh_builds(seed, kinds, n_rows, n_c
     """Each K from 1 to p grows the same packed arrays on one graph shared
     by every K, swept up or down, as on a fresh graph and as the recursive
     builder; at K = p every state is settled, so whole trees are
-    templates."""
+    templates.  After each K, every state's `least` is the most admissible
+    features in its template where it has one, whose states are all kept,
+    at least its own elsewhere, and 0 at a leaf."""
     rng = np.random.default_rng(seed)
     data = random_rows(rng, kinds, n_classes, n_rows)
     weights = rng.choice(WEIGHTS, n_rows) if weighted else None
@@ -145,6 +147,16 @@ def test_every_k_on_a_shared_graph_matches_fresh_builds(seed, kinds, n_rows, n_c
         graph = StateGraph(ds, impurity)
         for k in order:
             assert_same_trees(grow_trees(graph, k, keys, seed), want[k])
+            n = len(graph.rows)
+            live = np.array([key is not None for key in graph.rows])
+            least, size, n_adm = graph.least[:n], graph.size[:n], graph.n_adm[:n]
+            for s in np.flatnonzero(size > 1):
+                states = graph.pool[graph.first[s]:graph.first[s] + size[s], 0]
+                assert least[s] == n_adm[states].max()
+                assert graph.kept[states].all()
+            bare = live & graph.kept[:n] & (size == 0)
+            assert (least[bare] >= n_adm[bare]).all()
+            assert (least[live & (n_adm == 0)] == 0).all()
 
 
 def wide_rows(seed, p, n_rows):

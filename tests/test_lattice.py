@@ -103,7 +103,8 @@ WIDE_JOINTS = st.builds(
 @given(j=WIDE_JOINTS, kind=KIND, with_instances=st.booleans())
 def test_lattice_does_not_depend_on_chunk_size(j, kind, with_instances):
     """Blocks of one subset (budget 1), partial blocks and whole lattices
-    all give the tables of the subset-by-subset walk, bit for bit."""
+    all give the tables of the subset-by-subset walk, bit for bit; the
+    block plans every walk shares are read-only."""
     positive = j.positive_instances()
     xs = positive[::max(1, len(positive) // 40)] if with_instances else None
     want = subset_lattice_dfs(j, kind, xs)
@@ -113,6 +114,8 @@ def test_lattice_does_not_depend_on_chunk_size(j, kind, with_instances):
             got = subset_lattice(j, kind, xs)
         for field in ("mean", "prob", "at", "cond", "instances"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (chunk, field)
+    order, rank, by_count, _, removed = impurity._block_plan(tuple(j.input_arities[:2]))
+    assert not any(a.flags.writeable for a in (order, rank, by_count, removed))
     for mask in range(1 << j.p):
         want_mean = mean_impurity(j.table, mask, kind)
         assert got.mean[mask] == pytest.approx(want_mean, abs=1e-12)
