@@ -32,43 +32,50 @@ def check_kind(kind: str) -> str:
     return kind
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums of the rows of a 2-D array, adding its columns left to right.
-
-    Every row's sum is the same float however many rows are stacked, and
-    on rows as short as |Y| it is far cheaper than `sum(axis=1)`.
-    """
-    total = a[:, 0].copy()
-    for col in range(1, a.shape[1]):
-        total += a[:, col]
+def _sum_fresh(terms) -> np.ndarray:
+    """Sum of an iterable of new 1-D arrays, left to right, in the first."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
     return total
 
 
 def _context_impurities(flat: np.ndarray, kind: str) -> tuple:
-    """Per-context mass P(b), conditional P(Y | b) and impurity i(Y | b).
+    """Per-context mass P(b), conditionals P(y | b) and impurity i(Y | b).
 
-    `flat` is a (contexts, |Y|) stack of rows of joint tables.  All
-    arithmetic is per row, so a row's results do not depend on the rows
-    stacked with it.  Contexts of probability zero get an all-zero
-    conditional; their impurity is meaningless but carries weight
-    P(b) = 0 in every mean.
+    `flat` is a (contexts, |Y|) stack of rows of joint tables; the
+    conditionals come as one array per class y.  All arithmetic is per
+    row, so a row's results do not depend on the rows stacked with it.
+    Contexts of probability zero get an all-zero conditional; their
+    impurity is meaningless but carries weight P(b) = 0 in every mean.
+    The work runs over one class column at a time, since numpy pays per
+    row on an axis as short as |Y|, and each sum adds the classes left to
+    right, as a row-wise formula would.
     """
-    ctx = _row_sums(flat)
-    cond = flat / np.where(ctx > 0.0, ctx, 1.0)[:, None]
+    n_y = flat.shape[1]
+    ctx = flat[:, 0] + flat[:, 1] if n_y > 1 else flat[:, 0].copy()
+    for y in range(2, n_y):
+        ctx += flat[:, y]
+    den = ctx + (ctx == 0.0)  # 1 where P(b) = 0, as ctx >= 0
+    cols = [flat[:, y] / den for y in range(n_y)]
     if kind == ENTROPY:
-        terms = np.where(cond > 0.0, cond, 1.0)
-        np.log2(terms, out=terms)
-        terms *= cond
-        per_ctx = -_row_sums(terms)
+        def term(col):
+            arg = col + (col == 0.0)  # log2(1) = 0 where P(y | b) = 0
+            np.log2(arg, out=arg)
+            arg *= col
+            return arg
+
+        per_ctx = _sum_fresh(term(col) for col in cols)
+        np.negative(per_ctx, out=per_ctx)
     elif kind == GINI:
-        per_ctx = 1.0 - _row_sums(cond * cond)
+        per_ctx = 1.0 - _sum_fresh(col * col for col in cols)
     elif kind == VARIANCE:
-        codes = np.arange(flat.shape[1], dtype=np.float64)
-        means = _row_sums(cond * codes)
-        per_ctx = _row_sums(cond * (codes * codes)) - means * means
+        means = _sum_fresh(col * float(y) for y, col in enumerate(cols))
+        per_ctx = _sum_fresh(col * float(y * y) for y, col in enumerate(cols)) - means * means
     else:
         raise ValueError(f"unknown impurity kind {kind!r}")
-    return ctx, cond, per_ctx
+    return ctx, cols, per_ctx
 
 
 def impurity_from_counts(counts, kind: str) -> float:
@@ -239,7 +246,7 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
         rest = block.size // (len(order) * n_y)  # contexts of the later axes
         if l:
             block = block.reshape(len(order), -1)[order]
-        ctx, c, per_ctx = _context_impurities(block.reshape(-1, n_y), kind)
+        ctx, cols, per_ctx = _context_impurities(block.reshape(-1, n_y), kind)
         masks = mask - removed @ np.array([1 << i for i in members[:l]], dtype=np.intp)
         # one BLAS dot per subset over its contiguous contexts, as
         # `ctx @ per_ctx` on the subset's own rows would be
@@ -267,10 +274,11 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
                 cells = own.sum(axis=1)[:, None] + (slots - own) @ removed.T
                 idx = rank[cells] * rest + (x[:, l:] @ later_strides)[:, None]
                 at[lo:lo + rows, masks] = per_ctx[idx]
-                cond[lo:lo + rows, masks] = c[idx]
+                for y, col in enumerate(cols):
+                    cond[lo:lo + rows, masks, y] = col[idx]
                 del x, own, cells, idx
         # free the block before going deeper: only the chain of tables stays
-        del block, ctx, c, per_ctx
+        del block, ctx, cols, per_ctx
         # children remove a later axis; pushed last first, so they are
         # visited in axis order, depth first
         for axis in reversed(range(l, removable)):

@@ -12,6 +12,7 @@ float error of exact tables never makes a feature relevant.
 """
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .impurity import ENTROPY, SubsetLattice, subset_lattice
 from .info_theory import (
     JointDistribution,
     check_feature_count,
-    extension_pairs,
     mask_members,
     submasks,
 )
@@ -30,6 +30,11 @@ RELEVANT = "relevant"
 STRONGLY_RELEVANT = "strongly-relevant"
 # largest max_y |P(y | x_m, b) - P(y | b)| still read as independence
 INDEPENDENCE_TOL = 1e-10
+# most cells of the table `_screen` builds to find the subsets worth a
+# witness search: 8 MiB of float64, held about twice while it is extended,
+# plus columns of at most half of it; a larger joint's global scan
+# searches every subset
+SCREEN_CELLS = 1 << 20
 
 
 @dataclass
@@ -83,19 +88,82 @@ def _check_feature(j: JointDistribution, m: int) -> None:
         raise ValueError(f"feature index m = {m} outside 0..{j.p - 1}")
 
 
+def _by_size(masks) -> list:
+    """`masks` smallest first, then ascending, so a first witness is minimal."""
+    return sorted(masks, key=lambda s: (s.bit_count(), s))
+
+
+def _screen(j: JointDistribution, m: int) -> list | None:
+    """The nonempty subsets B of the other features on which some context
+    b may make x_m informative about Y, in `_by_size` order; None when
+    the screen's table would exceed SCREEN_CELLS.
+
+    One table holds every P(b, x_m, y): each other feature's axis is
+    extended by a slot holding the sum over it, so a cell of those axes is
+    the context of the subset that keeps the axes off their sum slot, and
+    x_m and Y are the last two axes.  A subset is kept when some context
+    with P(b, x_m) > 0 deviates by INDEPENDENCE_TOL / 2 or more.  Its sums
+    are taken in another order than a subset's own marginal, which moves a
+    deviation by a few ulps, far below that margin, and no zero test (a
+    sum of nonnegative terms is 0 only when all are), so every subset
+    with a witness is kept.
+    """
+    others = [i for i in range(j.p) if i != m]
+    a_m, n_y = j.arities[m], j.output_arity
+    if prod(j.arities[i] + 1 for i in others) * a_m * n_y > SCREEN_CELLS:
+        return None
+    table = np.moveaxis(j.table, m, -2)
+    subset = np.zeros(1, dtype=np.intp)  # the subset of each context, C order
+    for axis, i in enumerate(others):
+        table = np.concatenate([table, table.sum(axis=axis, keepdims=True)], axis=axis)
+        slot = np.full(j.arities[i] + 1, 1 << i, dtype=np.intp)
+        slot[-1] = 0
+        subset = (subset[:, None] + slot).reshape(-1)
+    # one column per (x_m, y): numpy pays per row on axes this short
+    flat = table.reshape(-1, a_m, n_y)
+    cols = [[flat[:, x, y] for y in range(n_y)] for x in range(a_m)]
+    p_xm = [sum(row[1:], row[0]) for row in cols]
+    p_ctx = sum(p_xm[1:], p_xm[0])
+    den = p_ctx + (p_ctx == 0.0)
+    base = [sum((row[y] for row in cols[1:]), cols[0][y]) / den for y in range(n_y)]
+    flag = np.zeros(len(subset), dtype=bool)
+    for row, mass in zip(cols, p_xm):
+        den = mass + (mass == 0.0)
+        dev = np.abs(row[0] / den - base[0])
+        for y in range(1, n_y):
+            np.maximum(dev, np.abs(row[y] / den - base[y]), out=dev)
+        flag |= (mass > 0.0) & (dev >= INDEPENDENCE_TOL / 2)
+    # a bool per mask, not np.unique: numpy holds about 0.5 MiB of heap
+    # from its first np.unique call on, which would show in peak RSS
+    kept = np.zeros(1 << j.p, dtype=bool)
+    kept[subset[flag]] = True
+    return _by_size(np.flatnonzero(kept).tolist())
+
+
 def is_irrelevant(j: JointDistribution, m: int) -> RelevanceVerdict:
     """Exhaustive scan over every subset of the other features.
 
-    Verdict `relevant` carries the first witness context found.
+    Verdict `relevant` carries the first witness context found, in
+    `_by_size` order, so a minimal one.  The empty subset, whose marginal
+    is the cheapest, is tried first; the rest are screened at once
+    (`_screen`), and only the subsets the screen keeps are searched for a
+    witness, or every subset when the joint is too large to screen.
     """
     check_feature_count(j.p)
     _check_feature(j, m)
     rest = ((1 << j.p) - 1) & ~(1 << m)
-    # smallest subsets first, so the reported witness is a minimal one
-    for sub in sorted(submasks(rest), key=lambda s: (s.bit_count(), s)):
-        witness = _dependence_witness(j, m, sub, INDEPENDENCE_TOL)
-        if witness is not None:
-            return RelevanceVerdict(m, "global", RELEVANT, witness=witness)
+    witness = _dependence_witness(j, m, 0, INDEPENDENCE_TOL)
+    if witness is None:
+        subsets = _screen(j, m)
+        if subsets is None:
+            subsets = _by_size(submasks(rest))
+        for sub in subsets:
+            if sub:
+                witness = _dependence_witness(j, m, sub, INDEPENDENCE_TOL)
+                if witness is not None:
+                    break
+    if witness is not None:
+        return RelevanceVerdict(m, "global", RELEVANT, witness=witness)
     return RelevanceVerdict(m, "global", IRRELEVANT)
 
 
@@ -124,7 +192,7 @@ def is_locally_irrelevant(j: JointDistribution, m: int, x) -> RelevanceVerdict:
     cond = lattice.cond[0]
     bit = 1 << m
     rest = ((1 << j.p) - 1) & ~bit
-    for sub in sorted(submasks(rest), key=lambda s: (s.bit_count(), s)):
+    for sub in _by_size(submasks(rest)):
         dev = np.abs(cond[sub | bit] - cond[sub])
         y = int(dev.argmax())
         if dev[y] >= INDEPENDENCE_TOL:
@@ -150,13 +218,18 @@ def local_irrelevance(lattice: SubsetLattice) -> np.ndarray:
     `is_locally_irrelevant` makes for one pair.
     """
     cond = lattice.cond
-    n, n_masks = cond.shape[:2]
+    n, n_masks, n_y = cond.shape
     p = n_masks.bit_length() - 1
     out = np.empty((n, p), dtype=bool)
     for m in range(p):
-        without, with_m = extension_pairs(p, m)
-        dev = np.abs(cond[:, with_m] - cond[:, without]).max(axis=2)
-        out[:, m] = (dev < INDEPENDENCE_TOL).all(axis=1)
+        # mask B + b * 2^m at [:, B's bits above m, b, B's bits below m]
+        pairs = cond.reshape(n, -1, 2, 1 << m, n_y)
+        without, with_m = pairs[:, :, 0], pairs[:, :, 1]
+        # the largest deviation over the classes, one class at a time
+        dev = np.abs(with_m[..., 0] - without[..., 0])
+        for y in range(1, n_y):
+            np.maximum(dev, np.abs(with_m[..., y] - without[..., y]), out=dev)
+        out[:, m] = (dev < INDEPENDENCE_TOL).all(axis=(1, 2))
     return out
 
 

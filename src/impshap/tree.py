@@ -555,7 +555,9 @@ class StateGraph:
         s is settled at k.  The walk stops at the first state whose bound
         passes k and raises s's to it; else s's bound becomes the most
         admissible features of a state in the template, exact as no `best`
-        depends on K."""
+        depends on K.  A leaf, or a state that has its own template, is
+        not walked again: the leaf is written as it is, and the template's
+        rows are copied, their parents' rows rebased."""
         nodes, most = [], 0
         stack = [(s, -1, 0)]
         while stack:
@@ -563,6 +565,17 @@ class StateGraph:
             if self.least[t] > k:
                 self.least[s] = self.least[t]
                 return
+            if self.size[t] == 1:  # a leaf
+                nodes.append((t, LEAF, parent, slot))
+                continue
+            if self.size[t]:  # t's own template
+                rows = self.pool[self.first[t]:self.first[t] + self.size[t]].tolist()
+                rows[0][2:] = parent, slot
+                for row in rows[1:]:
+                    row[2] += len(nodes)
+                nodes += rows
+                most = max(most, int(self.least[t]))
+                continue
             most = max(most, int(self.n_adm[t]))
             below = self._best_kids(t)
             for i in range(len(below) - 1, -1, -1):
@@ -827,9 +840,13 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
 
 def node_drops(packed: PackedTrees) -> np.ndarray:
     """p(t) i(t) - sum_c p(c) i(c) for every node of `packed`."""
-    drop = packed.mass * packed.impurity
+    n = len(packed.mass)
+    weighted = np.empty(n + 1)  # p(t) i(t), and 0.0 at LEAF = -1
+    np.multiply(packed.mass, packed.impurity, out=weighted[:n])
+    weighted[n] = 0.0
+    drop = weighted[:n].copy()
     for col in packed.children.T:
-        drop -= np.where(col == LEAF, 0.0, packed.mass[col] * packed.impurity[col])
+        drop -= weighted[col]
     return drop
 
 

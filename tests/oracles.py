@@ -5,8 +5,10 @@ enumeration, explicit loops) and shares no code with the package paths it
 checks.  The reference CSV reader builds its results with the package's
 Dataset and JointDistribution, but reads every cell itself.  The former
 package paths kept here as bit-for-bit references (the subset-by-subset
-lattice walk, the single-game Shapley loop) share the package's per-context
-scoring and Shapley weights, so that only the layout they check differs.
+lattice walk, the single-game Shapley loop, the row-wise context scoring,
+the gathered local relevance scan and the unscreened global one) share
+the package's per-context scoring, Shapley weights and witness search, so
+that only the layout they check differs.
 """
 
 import csv
@@ -24,8 +26,17 @@ from impshap.impurity import SubsetLattice, _context_impurities
 from impshap.info_theory import (
     JointDistribution,
     cell_sums,
+    extension_pairs,
     joint_from_samples,
+    submasks,
     subset_sizes,
+)
+from impshap.relevance import (
+    INDEPENDENCE_TOL,
+    IRRELEVANT,
+    RELEVANT,
+    RelevanceVerdict,
+    _dependence_witness,
 )
 from impshap.tu_game import shapley_weights
 
@@ -231,9 +242,10 @@ def subset_lattice_dfs(j, kind: str, instances=None):
 
     def flush():
         rows = [flat for _, _, flat in queue]
-        ctx, c, per_ctx = _context_impurities(
+        ctx, cols, per_ctx = _context_impurities(
             rows[0] if len(rows) == 1 else np.concatenate(rows), kind
         )
+        c = np.stack(cols, axis=1)
         lo = 0
         for mask, members, flat in queue:
             hi = lo + len(flat)
@@ -299,6 +311,58 @@ def dependence_witness_loop(j, m: int, b_mask: int, tol: float):
                     "p_base": float(base[y]),
                 }
     return None
+
+
+def context_impurities_rowwise(flat: np.ndarray, kind: str) -> tuple:
+    """What `impurity._context_impurities` returned when it divided the
+    rows by a broadcast column and picked the log terms with `np.where`;
+    each row's sums add its columns left to right."""
+
+    def row_sums(a):
+        total = a[:, 0].copy()
+        for col in range(1, a.shape[1]):
+            total += a[:, col]
+        return total
+
+    ctx = row_sums(flat)
+    cond = flat / np.where(ctx > 0.0, ctx, 1.0)[:, None]
+    if kind == "entropy":
+        terms = np.where(cond > 0.0, cond, 1.0)
+        np.log2(terms, out=terms)
+        terms *= cond
+        per_ctx = -row_sums(terms)
+    elif kind == "gini":
+        per_ctx = 1.0 - row_sums(cond * cond)
+    else:
+        codes = np.arange(flat.shape[1], dtype=np.float64)
+        means = row_sums(cond * codes)
+        per_ctx = row_sums(cond * (codes * codes)) - means * means
+    return ctx, cond, per_ctx
+
+
+def local_irrelevance_gathered(lattice) -> np.ndarray:
+    """What `relevance.local_irrelevance` returned when it gathered each
+    feature's (B, B + m) pairs with `extension_pairs`."""
+    cond = lattice.cond
+    n, n_masks = cond.shape[:2]
+    p = n_masks.bit_length() - 1
+    out = np.empty((n, p), dtype=bool)
+    for m in range(p):
+        without, with_m = extension_pairs(p, m)
+        dev = np.abs(cond[:, with_m] - cond[:, without]).max(axis=2)
+        out[:, m] = (dev < INDEPENDENCE_TOL).all(axis=1)
+    return out
+
+
+def is_irrelevant_unscreened(j, m: int):
+    """What `relevance.is_irrelevant` returned when it searched every
+    subset of the other features for a witness, smallest first."""
+    rest = ((1 << j.p) - 1) & ~(1 << m)
+    for sub in sorted(submasks(rest), key=lambda s: (s.bit_count(), s)):
+        witness = _dependence_witness(j, m, sub, INDEPENDENCE_TOL)
+        if witness is not None:
+            return RelevanceVerdict(m, "global", RELEVANT, witness=witness)
+    return RelevanceVerdict(m, "global", IRRELEVANT)
 
 
 def dataset_row(dataset: Dataset, i: int) -> tuple:

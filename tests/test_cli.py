@@ -201,7 +201,7 @@ def test_verify_derives_each_input_once(monkeypatch):
     or summed again on its own would show."""
     from impshap import impurity, population, relevance, tu_game
 
-    calls = {"walk": 0, "mdi": 0, "scan": 0, "pairs": 0}
+    calls = {"walk": 0, "mdi": 0, "scan": 0}
     counted = {"subset_lattice": "walk", "mdi_weight_sum": "mdi",
                "local_irrelevance": "scan"}
 
@@ -215,13 +215,9 @@ def test_verify_derives_each_input_once(monkeypatch):
         for attr, name in counted.items():
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, counter(name, getattr(module, attr)))
-    monkeypatch.setattr(relevance, "extension_pairs",
-                        counter("pairs", relevance.extension_pairs))
-    joint = builtin_joint("led")
-    identities, _ = cli.run_identity_suite(joint)
+    identities, _ = cli.run_identity_suite(builtin_joint("led"))
     assert all(item["passed"] for item in identities)
-    # one pair table per feature: the scan runs once
-    assert calls == {"walk": 1, "mdi": 2, "scan": 1, "pairs": joint.p}
+    assert calls == {"walk": 1, "mdi": 2, "scan": 1}
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

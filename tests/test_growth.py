@@ -32,7 +32,7 @@ from impshap.data import (
     CATEGORICAL, NUMERIC, ColumnMeta, Dataset, led_population, write_csv,
 )
 from impshap.errors import EmptyDataset, NoAdmissibleFeature, TableTooLarge
-from impshap.forest import build_forest, predict_proba
+from impshap.forest import build_forest, build_forests, predict_proba
 from impshap.impurity import KINDS
 from impshap.tree import (
     NODE_ARRAYS, StateGraph, _BuildContext, draw, grow_trees, mix64, tree_keys,
@@ -512,6 +512,20 @@ def test_sweep_grows_only_the_nodes_that_draw(capsys):
         forest = build_forest(led_population(), 7, 600, seed=11)
     assert steps.call_count == 1
     assert (forest.feature.reshape(600, -1) == forest.feature[:19]).all()
+
+
+def test_sweep_lays_out_each_state_once():
+    """A template copies the rows of each state below it that has its own
+    template, and writes a leaf as it is, so a LED sweep walks each state
+    it lays out once (it walked 198 times for 46 states when nested
+    templates were laid out again), and grows the same trees."""
+    with mock.patch.object(StateGraph, "_best_kids", autospec=True,
+                           side_effect=StateGraph._best_kids) as kids:
+        forests = list(build_forests(led_population(), range(1, 8), 600, seed=11))
+    walked = [call.args[1] for call in kids.call_args_list]
+    assert walked and len(walked) == len(set(walked))
+    for k, forest in zip(range(1, 8), forests):
+        assert_same_trees(forest, build(grow, led_population(), k, "entropy", 600, 11))
 
 
 def test_growth_peak_memory():

@@ -3,8 +3,11 @@ the trees."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    context_impurities_rowwise,
     entropy_of_counts,
     impurity_of,
     subset_marginal,
@@ -12,7 +15,7 @@ from oracles import (
     weighted_variance,
 )
 
-from impshap.impurity import impurity_from_counts, subset_lattice
+from impshap.impurity import KINDS, _context_impurities, impurity_from_counts, subset_lattice
 from impshap.info_theory import JointDistribution, mask_members
 
 
@@ -78,3 +81,23 @@ def test_empty_subset_mean_is_prior(tables):
         assert subset_lattice(j, kind).mean[0] == pytest.approx(
             impurity_of(y, kind), abs=1e-15
         )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 300), n_y=st.integers(1, 4),
+       zero_rows=st.sampled_from([0.0, 0.3, 1.0]), zero_cells=st.sampled_from([0.0, 0.5]),
+       scale=st.sampled_from([1.0, 1e-300]), kind=st.sampled_from(KINDS))
+def test_context_scoring_matches_rowwise_bits(seed, n_rows, n_y, zero_rows, zero_cells,
+                                              scale, kind):
+    """Column by column, the context scoring gives the bits of the
+    row-wise formulas, on stacks with contexts of probability zero, zero
+    cells and masses near the bottom of the float range."""
+    rng = np.random.default_rng(seed)
+    flat = rng.random((n_rows, n_y)) * scale
+    flat[rng.random(n_rows) < zero_rows] = 0.0
+    flat[rng.random((n_rows, n_y)) < zero_cells] = 0.0
+    ctx, cols, per_ctx = _context_impurities(flat, kind)
+    got = ctx, np.stack(cols, axis=1), per_ctx
+    want = context_impurities_rowwise(flat, kind)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

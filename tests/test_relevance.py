@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dependence_witness_loop
+from oracles import (
+    dependence_witness_loop,
+    is_irrelevant_unscreened,
+    local_irrelevance_gathered,
+)
 
+from impshap import relevance
 from impshap.data import random_joint
 from impshap.errors import ZeroProbabilityInstance
 from impshap.impurity import subset_lattice
@@ -207,3 +212,58 @@ def test_witness_matches_context_by_context_scan(j):
             for tol in (1e-10, 1e-3, 0.05):
                 want = dependence_witness_loop(j, m, b_mask, tol)
                 assert _dependence_witness(j, m, b_mask, tol) == want
+
+
+@st.composite
+def independent_joints(draw):
+    """Joints of one to four inputs of arity 1 to 4 and an output of 1 to
+    3 classes, with zero cells and some inputs made independent of the
+    rest (so irrelevant).  One input may then be mixed into the output as
+    in XOR, so that it is independent of Y alone but not given the others."""
+    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n_y = draw(st.sampled_from([2, 3, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.random((*arities, n_y))
+    table[rng.random(table.shape) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = 0.0
+    table.reshape(-1)[0] += 0.5  # never all zero
+    p = len(arities)
+
+    def independent(table, i, weights):
+        shape = [1] * (p + 1)
+        shape[i] = arities[i]
+        return table.sum(axis=i, keepdims=True) * weights.reshape(shape)
+
+    for i in draw(st.lists(st.integers(0, p - 1), max_size=2, unique=True)):
+        table = independent(table, i, rng.random(arities[i]) + 0.1)
+    xor = draw(st.none() | st.integers(0, p - 1))
+    if xor is not None and (table.sum(axis=tuple(range(p))) > 0.0).all():
+        # X_xor uniform and independent, Y uniform, then Y += X_xor mod |Y|
+        table = independent(table, xor, np.ones(arities[xor]))
+        table = table / table.sum(axis=tuple(range(p)))
+        moved = np.moveaxis(table, xor, 0)
+        table = np.moveaxis(
+            np.stack([np.roll(moved[v], v, axis=-1) for v in range(arities[xor])]), 0, xor)
+    return JointDistribution((*arities, n_y), table / table.sum())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(j=independent_joints())
+def test_local_scan_matches_gathered_pairs(j):
+    """Reading each feature's (B, B + m) pairs as a view gives the local
+    verdicts that gathering them did, at every positive instance."""
+    lattice = subset_lattice(j, "entropy", j.positive_instances())
+    got = local_irrelevance(lattice)
+    assert np.array_equal(got, local_irrelevance_gathered(lattice))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(j=independent_joints())
+def test_screened_scan_matches_every_subset(j):
+    """The global scan gives the verdict and the minimal witness of the
+    search over every subset, whether the screen runs (bound above the
+    table) or not (bound 0)."""
+    want = [is_irrelevant_unscreened(j, m) for m in range(j.p)]
+    for bound in (0, 1 << 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relevance, "SCREEN_CELLS", bound)
+            assert [is_irrelevant(j, m) for m in range(j.p)] == want, bound
