@@ -27,7 +27,7 @@ from .forest import (
 from .info_theory import JointDistribution, joint_from_samples
 from .population import (
     PopulationImportance,
-    check_decompositions,
+    check_identities,
     pop_global_mdi,
     pop_local_mdi,
     pop_local_mdi_batch,
@@ -36,8 +36,6 @@ from .relevance import (
     is_irrelevant,
     is_locally_irrelevant,
     is_strongly_relevant,
-    verify_global_local_equivalence,
-    verify_local_null_scores,
 )
 from .tree import PackedTrees
 from .tu_game import (
@@ -63,7 +61,7 @@ __all__ = [
     "build_forest",
     "build_forests",
     "check_axioms",
-    "check_decompositions",
+    "check_identities",
     "check_strong_monotonicity",
     "correlation_report",
     "dataset_from_joint",
@@ -90,6 +88,4 @@ __all__ = [
     "random_joint",
     "saabas",
     "shapley_exact",
-    "verify_global_local_equivalence",
-    "verify_local_null_scores",
 ]

@@ -45,13 +45,11 @@ from .forest import (
 from .impurity import ENTROPY, KINDS, subset_lattice
 from .population import (
     PopulationImportance,
-    decomposition_residuals,
-    mdi_weight_sum,
+    check_identities,
     pop_global_mdi,
     pop_local_mdi,
     pop_local_mdi_batch,
 )
-from .relevance import local_irrelevance, null_scores, relevance_agreement
 from .tu_game import (
     GAME_LABELS,
     TUGame,
@@ -59,7 +57,6 @@ from .tu_game import (
     game_global_info,
     lattice_games,
     shapley_exact,
-    shapley_payoffs,
 )
 
 EXIT_OK = 0
@@ -589,9 +586,18 @@ def cmd_verify(args, argv) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise UsageError(f"--tol must be a finite number > 0, got {args.tol!r}")
     joint = _resolve_joint(args)
-    identities, blocks = run_identity_suite(
-        joint, impurity=args.impurity, tol=args.tol, data_name=args.data
-    )
+    identities, total, glob = check_identities(joint, args.impurity, args.tol)
+    blocks = {"total": total, "global_scores": [float(v) for v in glob]}
+    if args.data in ("table1-y1", "table1-y2"):
+        blocks["strong-monotonicity-violation"] = _monotonicity_block()
+    if args.data == "table2":
+        x = (0,)
+        blocks["negative-local-score"] = {
+            "instance": list(x),
+            "local_scores": [
+                float(v) for v in pop_local_mdi(joint, x, args.impurity).scores
+            ],
+        }
     rows = (
         (item["name"], _fmt(item["max_residual"]), _fmt(item["tolerance"]),
          item["passed"])
@@ -607,52 +613,6 @@ def cmd_verify(args, argv) -> int:
     _emit(args, argv, joint.fingerprint(), results, rows,
           ("identity", "max_residual", "tolerance", "passed"))
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
-
-
-def run_identity_suite(joint, impurity=ENTROPY, tol=1e-9, data_name=None):
-    """All exact identities on one joint; returns (identities, blocks)."""
-    identities = []
-
-    def record(name, residual, tolerance):
-        identities.append({"name": name, "max_residual": float(residual),
-                           "tolerance": tolerance, "passed": bool(residual < tolerance)})
-
-    # one lattice walk over every positive instance feeds every identity:
-    # its MDI sums and local relevance scan are made once each and handed
-    # to the checks that read them; each Shapley check sets the MDI weight
-    # sum over conditional decreases against the Shapley sum over marginal
-    # contributions, the local games in one batch
-    lattice = subset_lattice(joint, impurity, joint.positive_instances())
-    global_game, local_values = lattice_games(lattice)
-    pop, local = mdi_weight_sum(lattice.mean)[0], mdi_weight_sum(lattice.at)
-    irrelevant = local_irrelevance(lattice)
-    sh = shapley_exact(global_game).payoffs
-    record("global-shapley-equivalence", np.abs(pop - sh).max(), 1e-10)
-    sl = shapley_payoffs(local_values)
-    record("local-shapley-equivalence", float(np.abs(local - sl).max()), 1e-10)
-
-    dec = decomposition_residuals(lattice, pop, local, tol)
-    record("efficiency", dec.efficiency_residual, tol)
-    record("instance-decomposition", dec.instance_residual, tol)
-    record("double-decomposition", dec.double_sum_residual, tol)
-
-    eq = relevance_agreement(joint, irrelevant)
-    record("global-local-relevance-agreement", 0.0 if eq.passed else 1.0, 1.0)
-    nulls = null_scores(local, irrelevant, tol)
-    record("local-null-scores", nulls.max_violation, tol)
-
-    blocks = {"total": dec.total, "global_scores": [float(v) for v in pop]}
-    if data_name in ("table1-y1", "table1-y2"):
-        blocks["strong-monotonicity-violation"] = _monotonicity_block()
-    if data_name == "table2":
-        x = (0,)
-        blocks["negative-local-score"] = {
-            "instance": list(x),
-            "local_scores": [
-                float(v) for v in pop_local_mdi(joint, x, impurity).scores
-            ],
-        }
-    return identities, blocks
 
 
 def _monotonicity_block():

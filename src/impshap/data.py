@@ -82,6 +82,15 @@ class Dataset:
                     raise ArityOverflow(
                         f"column {meta.name!r} declares {meta.arity} categories"
                     )
+                if col.dtype.kind not in "biu":
+                    values = col.astype(np.float64)
+                    bad = ~np.isfinite(values) | (values != np.floor(values))
+                    if bad.any():
+                        raise InvalidValue(
+                            f"column {meta.name!r} holds {float(values[bad.argmax()])!r}, "
+                            "not an integer category code"
+                        )
+                    col = values
                 col = col.astype(np.int64)
                 if self.n_rows and (col.min() < 0 or col.max() >= meta.arity):
                     raise ValueError(
@@ -288,7 +297,11 @@ def quantize(dataset: Dataset, column: str, bins: int) -> Dataset:
     if meta.kind != NUMERIC:
         raise ValueError(f"column {meta.name!r} is already categorical")
     values = dataset.data[idx]
+    if not np.isfinite(values).all():
+        raise InvalidValue(f"column {meta.name!r} holds a non-finite value")
     lo, hi = float(values.min()), float(values.max())
+    if not np.isfinite(hi - lo):
+        raise InvalidValue(f"column {meta.name!r} spans a range too wide to bin")
     if hi <= lo:
         edges = ()
         codes = np.zeros(dataset.n_rows, dtype=np.int64)

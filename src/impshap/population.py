@@ -1,7 +1,7 @@
 """Population-level MDI: the closed-form scores an infinite ensemble of
 fully developed, totally randomized trees converges to, plus the
-decomposition identities tying global scores, local scores and the total
-information together.
+exact identities tying them to Shapley values, local scores, the total
+information and relevance.
 
 The global score of feature m sums, over all subsets B of the other
 features, the mean impurity decrease obtained by adding m after B, with
@@ -14,8 +14,10 @@ from math import comb
 
 import numpy as np
 
-from .impurity import ENTROPY, SubsetLattice, subset_lattice
+from .impurity import ENTROPY, subset_lattice
 from .info_theory import JointDistribution, extension_pairs, subset_sizes
+from .relevance import IRRELEVANT, is_irrelevant, local_irrelevance
+from .tu_game import lattice_games, shapley_exact, shapley_payoffs
 
 
 @dataclass
@@ -100,58 +102,49 @@ def pop_local_mdi(
     return PopulationImportance(scores, impurity, instance=tuple(int(v) for v in x))
 
 
-@dataclass
-class DecompositionReport:
-    """Residuals of the three exact decomposition identities.
-
-    (a) feature scores sum to the total impurity reduction of knowing all
-        inputs; (b) each global score is the P(x)-weighted mean of its
-        local scores; (c) the double sum over features and instances
-        recovers the same total.
-    """
-
-    impurity: str
-    total: float  # i(Y) - E[i(Y | V)]
-    efficiency_residual: float
-    instance_residual: float  # max over features
-    double_sum_residual: float
-    global_scores: np.ndarray
-    tolerance: float = 1e-9
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.efficiency_residual < self.tolerance
-            and self.instance_residual < self.tolerance
-            and self.double_sum_residual < self.tolerance
-        )
-
-
-def check_decompositions(
+def check_identities(
     j: JointDistribution, impurity: str = ENTROPY, tol: float = 1e-9
-) -> DecompositionReport:
-    """Verify the efficiency, per-instance and double decompositions by
-    exhaustive enumeration of the positive-probability instances."""
+) -> tuple:
+    """The paper's exact identities on j, from one subset-lattice walk over
+    every positive-probability instance.
+
+    Returns (records, total, global_scores): one record
+    {name, max_residual, tolerance, passed} per identity, the residual
+    passing when below its tolerance; total = i(Y) - E[i(Y | V)].  Each
+    Shapley check sets the MDI weight sum over conditional decreases
+    against the Shapley sum over marginal contributions, the local games
+    in one batch.  The decompositions: scores sum to the total
+    (efficiency), each global score is the P(x)-weighted mean of its local
+    scores (instance) and the double sum over features and instances
+    recovers the total (double).  Global irrelevance must agree with local
+    irrelevance at every instance, and local irrelevance must force a zero
+    local score; `tol` bounds the decompositions and the null scores.
+    """
+    records = []
+
+    def record(name, residual, tolerance):
+        records.append({"name": name, "max_residual": float(residual),
+                        "tolerance": tolerance, "passed": bool(residual < tolerance)})
+
     lattice = subset_lattice(j, impurity, j.positive_instances())
-    return decomposition_residuals(
-        lattice, mdi_weight_sum(lattice.mean)[0], mdi_weight_sum(lattice.at), tol
-    )
+    global_game, local_values = lattice_games(lattice)
+    glob, local = mdi_weight_sum(lattice.mean)[0], mdi_weight_sum(lattice.at)
+    irrelevant = local_irrelevance(lattice)
+    record("global-shapley-equivalence",
+           np.abs(glob - shapley_exact(global_game).payoffs).max(), 1e-10)
+    record("local-shapley-equivalence",
+           float(np.abs(local - shapley_payoffs(local_values)).max()), 1e-10)
 
-
-def decomposition_residuals(
-    lattice: SubsetLattice, glob: np.ndarray, local: np.ndarray, tol: float
-) -> DecompositionReport:
-    """The three decompositions of a walk over every positive instance,
-    given its global scores `glob` and (n, p) local scores `local`."""
     total = float(lattice.mean[0] - lattice.mean[-1])
     probs = lattice.prob
-    recomposed = probs @ local
-    return DecompositionReport(
-        impurity=lattice.kind,
-        total=total,
-        efficiency_residual=abs(float(glob.sum()) - total),
-        instance_residual=float(np.abs(recomposed - glob).max()),
-        double_sum_residual=abs(float(local.sum(axis=1) @ probs) - total),
-        global_scores=glob,
-        tolerance=tol,
-    )
+    record("efficiency", abs(float(glob.sum()) - total), tol)
+    record("instance-decomposition", float(np.abs(probs @ local - glob).max()), tol)
+    record("double-decomposition", abs(float(local.sum(axis=1) @ probs) - total), tol)
+
+    everywhere = irrelevant.all(axis=0)
+    agree = all((is_irrelevant(j, m).verdict == IRRELEVANT) == everywhere[m]
+                for m in range(j.p))
+    record("global-local-relevance-agreement", 0.0 if agree else 1.0, 1.0)
+    violation = float(np.abs(local)[irrelevant].max()) if irrelevant.any() else 0.0
+    record("local-null-scores", violation, tol)
+    return records, total, glob

@@ -11,7 +11,7 @@ Every verdict compares conditionals with one fixed tolerance,
 float error of exact tables never makes a feature relevant.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -23,7 +23,6 @@ from .info_theory import (
     mask_members,
     submasks,
 )
-from .population import mdi_weight_sum
 
 IRRELEVANT = "irrelevant"
 RELEVANT = "relevant"
@@ -231,71 +230,3 @@ def local_irrelevance(lattice: SubsetLattice) -> np.ndarray:
             np.maximum(dev, np.abs(with_m[..., y] - without[..., y]), out=dev)
         out[:, m] = (dev < INDEPENDENCE_TOL).all(axis=(1, 2))
     return out
-
-
-@dataclass
-class EquivalenceReport:
-    """Global irrelevance vs the conjunction of local irrelevance at every
-    positive-probability instance; the two verdicts must agree per feature."""
-
-    agreements: list = field(default_factory=list)
-    # (feature, globally_irrelevant, locally_irrelevant_everywhere)
-
-    @property
-    def passed(self) -> bool:
-        return all(g == l for _, g, l in self.agreements)
-
-
-def verify_global_local_equivalence(j: JointDistribution) -> EquivalenceReport:
-    """Exhaustively check that global irrelevance holds exactly when local
-    irrelevance holds at every instance with positive probability."""
-    return relevance_agreement(
-        j, local_irrelevance(subset_lattice(j, ENTROPY, j.positive_instances()))
-    )
-
-
-def relevance_agreement(j: JointDistribution, irrelevant: np.ndarray) -> EquivalenceReport:
-    """Set each feature's global verdict against `irrelevant`, the local
-    verdicts of j at every positive instance (`local_irrelevance`)."""
-    everywhere = irrelevant.all(axis=0)
-    report = EquivalenceReport()
-    for m in range(j.p):
-        globally = is_irrelevant(j, m).verdict == IRRELEVANT
-        report.agreements.append((m, globally, bool(everywhere[m])))
-    return report
-
-
-@dataclass
-class NullScoreReport:
-    """Local irrelevance must force a zero local score; the reverse may
-    fail (zero score with local relevance), which is recorded, not flagged."""
-
-    max_violation: float = 0.0
-    checked: int = 0
-    zero_score_but_relevant: int = 0
-    tolerance: float = 1e-9
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation < self.tolerance
-
-
-def verify_local_null_scores(
-    j: JointDistribution, impurity: str = ENTROPY, tol: float = 1e-9
-) -> NullScoreReport:
-    """For every (feature, instance) certified locally irrelevant, the
-    asymptotic local score must vanish."""
-    lattice = subset_lattice(j, impurity, j.positive_instances())
-    return null_scores(mdi_weight_sum(lattice.at), local_irrelevance(lattice), tol)
-
-
-def null_scores(local: np.ndarray, irrelevant: np.ndarray, tol: float) -> NullScoreReport:
-    """Null-score check of (n, p) local scores against the local verdicts
-    `irrelevant` at the same instances."""
-    scores = np.abs(local)
-    report = NullScoreReport(tolerance=tol)
-    report.checked = int(irrelevant.sum())
-    if report.checked:
-        report.max_violation = float(scores[irrelevant].max())
-    report.zero_score_but_relevant = int((~irrelevant & (scores < tol)).sum())
-    return report

@@ -27,11 +27,7 @@ from impshap.forest import (
 )
 from impshap.impurity import subset_lattice
 from impshap.info_theory import JointDistribution, joint_from_samples
-from impshap.population import pop_global_mdi, pop_local_mdi
-from impshap.relevance import (
-    verify_global_local_equivalence,
-    verify_local_null_scores,
-)
+from impshap.population import check_identities, pop_global_mdi, pop_local_mdi
 from impshap.tu_game import (
     game_global_info,
     game_global_variance,
@@ -201,9 +197,9 @@ def test_criterion_7_global_is_mean_of_local():
 
 def test_criterion_8_relevance_guarantees(joint_set):
     for j in joint_set:
-        assert verify_global_local_equivalence(j).passed, j.name
-        rep = verify_local_null_scores(j, tol=1e-9)
-        assert rep.passed, j.name
+        by_name = {r["name"]: r for r in check_identities(j, tol=1e-9)[0]}
+        assert by_name["global-local-relevance-agreement"]["passed"], j.name
+        assert by_name["local-null-scores"]["passed"], j.name
     report(8, "irrelevance equivalence and zero-score guarantee on all joints")
 
 

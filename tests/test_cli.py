@@ -194,11 +194,13 @@ def test_verify_table2_block(capsys):
     assert block["local_scores"][0] == pytest.approx(-0.19, abs=5e-3)
 
 
-def test_verify_derives_each_input_once(monkeypatch):
+def test_verify_derives_each_input_once(capsys, monkeypatch):
     """The identity suite walks its lattice once, sums each MDI table once
-    and scans local relevance once, however many identities read them.
+    and scans local relevance once, however many identities read them,
+    both through `verify` and at the library's `check_identities`.
     Every module's binding of each name is counted, so a check that walked
     or summed again on its own would show."""
+    import impshap
     from impshap import impurity, population, relevance, tu_game
 
     calls = {"walk": 0, "mdi": 0, "scan": 0}
@@ -215,22 +217,28 @@ def test_verify_derives_each_input_once(monkeypatch):
         for attr, name in counted.items():
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, counter(name, getattr(module, attr)))
-    identities, _ = cli.run_identity_suite(builtin_joint("led"))
-    assert all(item["passed"] for item in identities)
+    code, out = run(capsys, ["verify", "--data", "led", "--format", "json"])
+    assert code == 0 and json.loads(out)["results"]["passed"]
+    assert calls == {"walk": 1, "mdi": 2, "scan": 1}
+
+    calls.update(walk=0, mdi=0, scan=0)
+    records, _, _ = impshap.check_identities(builtin_joint("led"))
+    assert all(item["passed"] for item in records)
     assert calls == {"walk": 1, "mdi": 2, "scan": 1}
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     """A failing identity must flip the exit code to 1."""
 
-    def broken(joint, impurity="entropy", tol=1e-9, data_name=None):
+    def broken(joint, impurity="entropy", tol=1e-9):
         return (
             [{"name": "efficiency", "max_residual": 1.0,
               "tolerance": tol, "passed": False}],
-            {},
+            0.0,
+            [],
         )
 
-    monkeypatch.setattr(cli, "run_identity_suite", broken)
+    monkeypatch.setattr(cli, "check_identities", broken)
     code, _ = run(capsys, ["verify", "--data", "led"])
     assert code == 1
 

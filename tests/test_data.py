@@ -163,6 +163,33 @@ def test_quantize_constant_column():
     assert set(q.data[0].tolist()) == {0}
 
 
+@pytest.mark.parametrize("bad, shown", [
+    (0.5, "0.5"), (1.7, "1.7"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+])
+def test_categorical_codes_must_be_integral(bad, shown):
+    """A fractional or non-finite code is refused, naming the column, not
+    truncated to an integer; integral floats load as their codes."""
+    meta = [ColumnMeta("a", "categorical", 2), ColumnMeta("y", "categorical", 2)]
+    with pytest.raises(InvalidValue, match=rf"^column 'a' holds {shown}, not an integer"):
+        Dataset(meta, [[0.0, bad], [0, 1]])
+    assert Dataset(meta, [[1.0, 0.0], [0, 1]]).data[0].tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.0, np.nan, 2.0], "holds a non-finite value"),
+    ([0.0, np.inf, 2.0], "holds a non-finite value"),
+    ([-np.inf, 0.0, 2.0], "holds a non-finite value"),
+    ([-1e308, 0.0, 1e308], "spans a range too wide to bin"),
+])
+def test_quantize_refuses_unbinnable_columns(values, message):
+    ds = Dataset(
+        [ColumnMeta("px", "numeric"), ColumnMeta("y", "categorical", 2)],
+        [np.array(values), np.zeros(3, dtype=int)],
+    )
+    with pytest.raises(InvalidValue, match=f"^column 'px' {message}$"):
+        quantize(ds, "px", 4)
+
+
 def test_csv_roundtrip(tmp_path, led_ds):
     path = tmp_path / "led.csv"
     write_csv(led_ds, path, provenance=["seed: 0"])

@@ -9,7 +9,7 @@ from impshap.errors import ZeroProbabilityInstance
 from impshap.impurity import subset_lattice
 from impshap.info_theory import JointDistribution
 from impshap.population import (
-    check_decompositions,
+    check_identities,
     pop_global_mdi,
     pop_local_mdi,
     subset_weights,
@@ -128,13 +128,24 @@ def test_variance_equals_shapley(random_joints):
             assert np.abs(lo - sl).max() < 1e-10
 
 
+DECOMPOSITIONS = ("efficiency", "instance-decomposition", "double-decomposition")
+
+
+def decompositions(j, kind="entropy", tol=1e-9):
+    """The decomposition records of `check_identities`, by name, with its
+    total and global scores."""
+    records, total, glob = check_identities(j, kind, tol)
+    by_name = {r["name"]: r for r in records}
+    return {name: by_name[name] for name in DECOMPOSITIONS}, total, glob
+
+
 def test_decompositions_led(led_joint):
-    assert check_decompositions(led_joint, tol=1e-3).tolerance == 1e-3
-    rep = check_decompositions(led_joint)
-    assert rep.total == pytest.approx(np.log2(10), abs=1e-12)
-    assert rep.efficiency_residual < 1e-9
-    assert rep.instance_residual < 1e-9
-    assert rep.double_sum_residual < 1e-9
+    records, _, _ = decompositions(led_joint, tol=1e-3)
+    assert {r["tolerance"] for r in records.values()} == {1e-3}
+    records, total, _ = decompositions(led_joint)
+    assert total == pytest.approx(np.log2(10), abs=1e-12)
+    for r in records.values():
+        assert r["max_residual"] < 1e-9
 
 
 def test_decomposition_table2_by_hand(tables):
@@ -151,17 +162,17 @@ def test_decompositions_independent_output():
     # Y independent of the inputs: every score and total is zero
     table = np.full((2, 2, 2), 0.125)
     j = JointDistribution((2, 2, 2), table)
-    rep = check_decompositions(j)
-    assert rep.total == pytest.approx(0.0, abs=1e-12)
-    assert np.abs(rep.global_scores).max() < 1e-12
-    assert rep.passed
+    records, total, glob = decompositions(j)
+    assert total == pytest.approx(0.0, abs=1e-12)
+    assert np.abs(glob).max() < 1e-12
+    assert all(r["passed"] for r in records.values())
 
 
 def test_decompositions_all_impurities(random_joints):
     for j in random_joints[:5]:
         for kind in ("entropy", "gini", "variance"):
-            rep = check_decompositions(j, kind)
-            assert rep.passed, (j.name, kind)
+            records, _, _ = decompositions(j, kind)
+            assert all(r["passed"] for r in records.values()), (j.name, kind)
 
 
 def test_variance_total_is_explained_variance(random_joints):

@@ -16,7 +16,7 @@ from impshap.data import random_joint
 from impshap.errors import ZeroProbabilityInstance
 from impshap.impurity import subset_lattice
 from impshap.info_theory import JointDistribution
-from impshap.population import pop_global_mdi, pop_local_mdi
+from impshap.population import check_identities, pop_global_mdi, pop_local_mdi
 from impshap.relevance import (
     INDEPENDENCE_TOL,
     IRRELEVANT,
@@ -27,8 +27,6 @@ from impshap.relevance import (
     is_locally_irrelevant,
     is_strongly_relevant,
     local_irrelevance,
-    verify_global_local_equivalence,
-    verify_local_null_scores,
 )
 
 
@@ -150,21 +148,31 @@ def test_feature_index_outside_range(led_joint, check, m):
         check(led_joint, m)
 
 
+def relevance_records(j):
+    """`check_identities`'s relevance agreement and null-score records."""
+    by_name = {r["name"]: r for r in check_identities(j)[0]}
+    return by_name["global-local-relevance-agreement"], by_name["local-null-scores"]
+
+
 def test_equivalence_led(led_joint):
-    assert verify_global_local_equivalence(led_joint).passed
+    agreement, _ = relevance_records(led_joint)
+    assert agreement["passed"]
 
 
 def test_equivalence_and_null_scores_random(random_joints):
     for j in random_joints:
-        assert verify_global_local_equivalence(j).passed
-        rep = verify_local_null_scores(j)
-        assert rep.passed
+        agreement, nulls = relevance_records(j)
+        assert agreement["passed"]
+        assert nulls["passed"]
 
 
 def test_null_scores_with_irrelevant_feature():
-    rep = verify_local_null_scores(independent_feature_joint())
-    assert rep.checked == 4  # X2 locally irrelevant at all four instances
-    assert rep.max_violation < 1e-12
+    j = independent_feature_joint()
+    # X2 locally irrelevant at all four instances, X1 at none
+    irrelevant = local_irrelevance(subset_lattice(j, "entropy", j.positive_instances()))
+    assert irrelevant.sum(axis=0).tolist() == [0, 4]
+    _, nulls = relevance_records(j)
+    assert nulls["max_residual"] < 1e-12
 
 
 def test_global_zero_iff_irrelevant(tables, random_joints):
