@@ -9,8 +9,9 @@ results never depend on construction order or worker scheduling.
 `build_forests` grows the forests of a K sweep one after another from one
 array of tree keys and one graph of node states (`tree.StateGraph`), so
 the sweep computes each state once; `build_forest` is the sweep of one K.
-A forest is its packed trees (`tree.PackedTrees`), which record K, the
-impurity kind and the master seed.  The three path measures each key
+A forest is its packed trees (`tree.PackedTrees`), which store each
+distinct tree once and record K, the impurity kind and the master seed;
+every measure averages over all `n_trees` trees.  The three path measures each key
 their instances once (`tree.Instances`) and walk only the distinct ones
 with `tree.traverse`; local scores stay per distinct instance, with each
 instance's index into them, in a `LocalImportanceMatrix`.
@@ -45,7 +46,8 @@ def build_forests(
     any key is made.  Every K grows on one `StateGraph` from the same tree
     keys, so a sweep computes each node state and split once.  With
     `n_jobs` > 1 each K's trees grow in a pool of that many processes,
-    kept for the sweep, each on a contiguous slice of the keys."""
+    kept for the sweep, each on a contiguous slice of the keys; a tree is
+    then stored once per slice it repeats in."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
     graph = StateGraph(dataset, impurity)

@@ -9,10 +9,12 @@ of a build grows in lock-step on one graph of node states (`StateGraph`),
 each node drawing its candidate features from hash keys (`tree_keys`).
 
 Any number of trees share one struct-of-arrays (`PackedTrees`): the node
-arrays of all trees concatenated, per-tree root offsets, and children as
-global node ids.  Only nodes that training rows reach are stored.
-`traverse` is the single traversal routine; every path measure (local MDI,
-Saabas, class probabilities) accumulates what it visits.
+arrays of the distinct trees concatenated, per stored tree root offsets,
+children as global node ids, and each tree's index into the stored trees.
+Only nodes that training rows reach are stored, and a tree that is the
+same as an earlier one of its build is not stored again.  `traverse` is
+the single traversal routine; every path measure (local MDI, Saabas, class
+probabilities) accumulates what it visits.
 """
 
 import hashlib
@@ -34,22 +36,31 @@ from .impurity import check_kind, impurity_from_counts
 LEAF = -1
 PURITY_EPS = 1e-12
 # (tree, distinct instance) pairs that `traverse` advances together; its
-# scratch arrays stay under about CHUNK_PAIRS * (2 * width + 16) * 8 bytes
+# scratch arrays stay under about CHUNK_PAIRS * (3 * width + 16) * 8 bytes
 CHUNK_PAIRS = 1 << 13
 NODE_ARRAYS = ("feature", "threshold", "children", "impurity", "mass", "dist")
 # bytes the packed arrays of one forest may take by `_BuildContext.check_size`'s
-# bound; the 50,000-tree LED forest of the acceptance tests bounds at 110 MB
+# bound, taken before growth over all trees, stored or not; the 50,000-tree
+# LED forest of the acceptance tests bounds at 110 MB
 GROWTH_BUDGET = 1 << 30
+# bits of a tree's winner code (`grow_trees`); a tree whose code would need
+# more is stored alone
+CODE_BITS = 64
 
 
 @dataclass
 class PackedTrees:
-    """A forest: the nodes of one or more trees as parallel arrays, with
+    """A forest: the nodes of its distinct trees as parallel arrays, with
     what the trees were grown with (`k`, `impurity_kind`, master `seed`).
 
-    Tree i owns nodes offsets[i]..offsets[i+1]-1 and its root is node
-    offsets[i].  `children` has one row per node, child ids global and
-    padded with LEAF; a categorical split has one slot per category, in
+    Each distinct tree is stored once.  Stored tree s owns nodes
+    offsets[s]..offsets[s+1]-1 and its root is node offsets[s]; tree i of
+    the forest is stored tree tree_index[i], and `n_trees` counts the trees,
+    stored or not.  So tree i's nodes are the same slice of every node array
+    for each i that shares a stored tree, and a measure that walks or sums
+    each stored tree once and expands its result by `tree_index` scores the
+    forest tree by tree.  `children` has one row per node, child ids global
+    and padded with LEAF; a categorical split has one slot per category, in
     category order, LEAF where no training row of the node has the
     category, and a threshold split (left, right).  Every node has positive mass.
     """
@@ -60,7 +71,8 @@ class PackedTrees:
     impurity: np.ndarray
     mass: np.ndarray  # p(t): weight share of the training rows
     dist: np.ndarray  # (n_nodes, n_classes)
-    offsets: np.ndarray  # int64, (n_trees + 1,)
+    offsets: np.ndarray  # int64, (n_stored + 1,)
+    tree_index: np.ndarray  # int64, (n_trees,): each tree's stored tree
     seed: int  # master seed the trees' keys derive from (`tree_keys`)
     k: int
     impurity_kind: str
@@ -69,11 +81,15 @@ class PackedTrees:
     feature_arities: tuple
 
     def __post_init__(self):
-        for name in NODE_ARRAYS + ("offsets",):
+        for name in NODE_ARRAYS + ("offsets", "tree_index"):
             getattr(self, name).setflags(write=False)
 
     @property
     def n_trees(self) -> int:
+        return len(self.tree_index)
+
+    @property
+    def n_stored(self) -> int:
         return len(self.offsets) - 1
 
     @property
@@ -86,17 +102,19 @@ class PackedTrees:
 
     @property
     def trees(self) -> list:
-        """A `Tree` slice view per tree, in order, made on each access.
-        Nothing in the package reads it; perfbench/tracing.py counts trees,
-        nodes and array bytes from it."""
+        """A `Tree` slice view per tree, stored or not, in order, made on
+        each access.  Nothing in the package reads it; perfbench/tracing.py
+        counts trees, nodes and array bytes from it."""
         return [Tree(self, i) for i in range(self.n_trees)]
 
     @classmethod
     def concat(cls, parts):
-        """The trees of `parts`, in order, with child ids shifted to match."""
+        """The trees of `parts`, in order, with child ids and stored tree
+        indices shifted to match; trees of different parts are not merged."""
         parts = list(parts)
         sizes = [len(p.feature) for p in parts]
         bases = np.cumsum([0] + sizes[:-1])
+        stored = np.cumsum([0] + [p.n_stored for p in parts[:-1]])
         cols = {name: np.concatenate([getattr(p, name) for p in parts])
                 for name in NODE_ARRAYS}
         kids = cols["children"]
@@ -105,15 +123,19 @@ class PackedTrees:
         offsets = np.concatenate(
             [[0]] + [p.offsets[1:] + base for p, base in zip(parts, bases)]
         )
-        return replace(parts[0], **cols, offsets=offsets)
+        tree_index = np.concatenate(
+            [p.tree_index + base for p, base in zip(parts, stored)])
+        return replace(parts[0], **cols, offsets=offsets, tree_index=tree_index)
 
 
 class Tree:
-    """One tree's slices of the `NODE_ARRAYS` of a `PackedTrees`, as its
-    `trees` yields them (`n_nodes` and every ndarray in `vars(view)`)."""
+    """One tree's slices of the `NODE_ARRAYS` of a `PackedTrees`, those of
+    its stored tree, as its `trees` yields them (`n_nodes` and every
+    ndarray in `vars(view)`)."""
 
     def __init__(self, packed: PackedTrees, index: int):
-        lo, hi = int(packed.offsets[index]), int(packed.offsets[index + 1])
+        s = int(packed.tree_index[index])
+        lo, hi = int(packed.offsets[s]), int(packed.offsets[s + 1])
         for name in NODE_ARRAYS:
             setattr(self, name, getattr(packed, name)[lo:hi])
 
@@ -142,7 +164,7 @@ class Instances:
 
     def __init__(self, instances, p: int):
         self.source = instances
-        x = np.array(instances, dtype=np.float64)
+        x = np.array(instances, dtype=np.float64, order="C")  # rows keyed as bytes
         if len(instances) == 0:
             x = np.zeros((0, p))
         elif x.shape != (len(instances), p):
@@ -681,10 +703,18 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
     settled at its root takes one step.  Nothing recurses, so a tree may
     grow as deep as its rows allow.  Each entry written, a node or a
     template, is logged by its state (a passing state's threshold and
-    record copied aside).  At the end each covers the nodes from its index
-    up to the next entry's, a template's nodes take their states and links
-    from its rows, each child is placed by its (parent, slot), and the
-    records are gathered once.
+    record copied aside).
+
+    Growth is deterministic given the graph, k and the winners a tree
+    draws, so two trees that drew the same winners in the same order are
+    the same tree.  Each tree keeps its winners as one uint64 code, a digit
+    1 + winner in base p + 1 added in each step where it draws; a tree whose
+    code would pass CODE_BITS bits is stored alone.  Only the first tree
+    with each code is packed: its log entries are kept, and every tree with
+    that code indexes it (`PackedTrees.tree_index`).  At the end each
+    entry kept covers the nodes from its index up to the next entry's, a
+    template's nodes take their states and links from its rows, each child
+    is placed by its (parent, slot), and the records are gathered once.
     """
     ctx, impurity = graph.ctx, graph.impurity
     if not 1 <= k <= max(ctx.n_features, 1):
@@ -710,6 +740,11 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
     log = _Log(6, n_trees * min(2 * ctx.n_rows - 1, 64))  # at most 2E - 1 nodes a tree
     passed = [np.empty(0), np.empty((0, 2 + ctx.n_classes))]
     n_passed = 0
+    base = ctx.n_features + 1
+    code = np.zeros(n_trees, dtype=np.uint64)  # winner codes, wrapping once alone
+    alone = np.zeros(n_trees, dtype=bool)
+    code_max = np.uint64((2 ** CODE_BITS - base) // base)  # a code that takes a digit
+    digit = np.arange(1, base, dtype=np.uint64)  # of each winner
 
     def write(trees, index, feature, parents, slot, states):
         nonlocal n_passed
@@ -747,6 +782,10 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
                 best = gain == gain.max(axis=1, keepdims=True)
                 cands = np.where(best, cands, ctx.n_features).min(axis=1, keepdims=True)
             feature[e] = np.where(draws, cands[:, 0], feature[e])
+            t = live[e[draws]]
+            c = code[t]
+            alone[t[c > code_max]] = True
+            code[t] = c * np.uint64(base) + digit[cands[draws, 0]]
         whole = (graph.least[states] <= k) & (graph.size[states] > 1)  # settled, no leaf
         size = 1
         if whole.any():  # written whole
@@ -790,25 +829,36 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
         live = live[top[live] > 0]
     thr, rec, pool, first, extent = graph.thr, graph.record, graph.pool, graph.first, graph.size
     del graph, stack  # a graph no caller holds is freed, but for what is read here
+    # each tree's group is the first tree with its code, or itself if alone
+    group = np.arange(n_trees)
+    shared = np.flatnonzero(~alone)
+    _, lead, which = np.unique(code[shared], return_index=True, return_inverse=True)
+    group[shared] = shared[lead][which.reshape(-1)]
+    stored = group == np.arange(n_trees)
+    tree_index = (np.cumsum(stored) - 1)[group]
     trees, index, feature, parents, slot, states = log.done()
     del log
-    offsets = np.zeros(n_trees + 1, dtype=np.int64)
-    np.cumsum(at, out=offsets[1:])
+    offsets = np.zeros(int(stored.sum()) + 1, dtype=np.int64)
+    np.cumsum(at[stored], out=offsets[1:])
     n_nodes = int(offsets[-1])
-    # tree t's node at index j is node offsets[t] + j; an entry covers the
-    # nodes from its own up to the next entry's
-    node = offsets[trees] + index
-    start = np.zeros(n_nodes, dtype=np.int64)
+    # a stored tree's node at index j is node root + j; an entry covers the
+    # nodes from its own up to the next entry's.  The entries of the other
+    # trees all go to node n_nodes, past the last, which is dropped
+    root = np.full(n_trees, n_nodes, dtype=np.int64)
+    root[stored] = offsets[:-1]
+    node = np.minimum(root[trees] + index, n_nodes)
+    start = np.zeros(n_nodes + 1, dtype=np.int64)
     start[node] = node
     np.maximum.accumulate(start, out=start)
-    entry = np.empty(n_nodes, dtype=np.int64)
+    entry = np.empty(n_nodes + 1, dtype=np.int64)
     entry[node] = np.arange(len(node))
+    start = start[:n_nodes]
     entry = entry[start]
     row = np.arange(n_nodes) - start  # the node's row in its entry's template
     state, split, slot = states[entry], feature[entry], slot[entry]
-    parent = offsets[trees[entry]] + parents[entry]
+    parent = root[trees[entry]] + parents[entry]
     parent[parents[entry] < 0] = -1
-    del node, entry, trees, index, feature, parents, states
+    del root, node, entry, trees, index, feature, parents, states
     kept = np.maximum(state, 0)
     whole = split == WHOLE
     split[whole] = LEAF  # a leaf written whole; each template's nodes follow
@@ -834,7 +884,8 @@ def grow_trees(graph: StateGraph, k: int, keys: np.ndarray, seed: int) -> Packed
     record[gone] = passed[1][-1 - state[gone]]
     return PackedTrees(
         split, threshold, children, record[:, 0], record[:, 1], record[:, 2:],
-        offsets, seed, k, impurity, ctx.n_train, tuple(ctx.kinds), tuple(ctx.arities),
+        offsets, tree_index, seed, k, impurity, ctx.n_train, tuple(ctx.kinds),
+        tuple(ctx.arities),
     )
 
 
@@ -853,14 +904,15 @@ def node_drops(packed: PackedTrees) -> np.ndarray:
 def mdi_by_tree(packed: PackedTrees) -> np.ndarray:
     """(n_trees, n_features) table: per tree and feature, the sum of the
     node drops of the nodes splitting on the feature, in node order.  One
-    bincount over the packed nodes."""
+    bincount over the packed nodes sums each stored tree once; its row is
+    then repeated for every tree that shares it."""
     drop = node_drops(packed)
     split = packed.feature != LEAF
-    tree = np.repeat(np.arange(packed.n_trees), np.diff(packed.offsets))
-    cells = packed.n_trees * packed.n_features
+    tree = np.repeat(np.arange(packed.n_stored), np.diff(packed.offsets))
+    cells = packed.n_stored * packed.n_features
     key = tree[split] * packed.n_features + packed.feature[split]
     sums = np.bincount(key, weights=drop[split], minlength=cells)
-    return sums.reshape(packed.n_trees, packed.n_features)
+    return sums.reshape(packed.n_stored, packed.n_features)[packed.tree_index]
 
 
 def traverse(packed: PackedTrees, instances: Instances, width: int, move=None,
@@ -870,14 +922,16 @@ def traverse(packed: PackedTrees, instances: Instances, width: int, move=None,
     instance's row.
 
     Per chunk of at most CHUNK_PAIRS (tree, distinct instance) pairs,
-    tree-major, the walks advance one depth level at a time.  After each
-    level `move(buf, pair, row, node, child, feature)` sees the pairs that
-    moved, and at the end `end(buf, node)` sees the node where each pair
-    stopped; both add into `buf`, which has one row per pair.  `row`
-    indexes `instances.x`, the distinct rows.  The rows of each tree are
-    then added to the result in tree order, so each sum depends on its
-    instance alone.  Scratch memory is bounded by the chunk; only the
-    (distinct, width) sums grow with the input.
+    tree-major, each stored tree of the chunk's trees is walked once: the
+    walks advance one depth level at a time.  After each level
+    `move(buf, pair, row, node, child, feature)` sees the pairs that moved,
+    and at the end `end(buf, node)` sees the node where each pair stopped;
+    both add into `buf`, which has one row per (stored tree, row) pair.
+    `row` indexes `instances.x`, the distinct rows.  The rows of each tree,
+    its stored tree's, are then added to the result in tree order, so each
+    sum depends on its instance alone, whichever trees share a stored one.
+    Scratch memory is bounded by the chunk; only the (distinct, width) sums
+    grow with the input.
 
     A walk stops at a leaf, or at the current node when a categorical split
     sends it to a LEAF slot (a category unseen there in training).
@@ -904,13 +958,13 @@ def traverse(packed: PackedTrees, instances: Instances, width: int, move=None,
     trees_per = CHUNK_PAIRS // rows_per
     for t0 in range(0, packed.n_trees, trees_per):
         t1 = min(packed.n_trees, t0 + trees_per)
+        stored, of_tree = np.unique(packed.tree_index[t0:t1], return_inverse=True)
         for r0 in range(0, m, rows_per):
             r1 = min(m, r0 + rows_per)
-            rows = np.tile(np.arange(r0, r1), t1 - t0)
-            node = np.repeat(offsets[t0:t1], r1 - r0)
-            stack = np.zeros((t1 - t0 + 1, r1 - r0, width))
-            stack[0] = acc[r0:r1]
-            buf = stack[1:].reshape(-1, width)
+            rows = np.tile(np.arange(r0, r1), len(stored))
+            node = offsets[np.repeat(stored, r1 - r0)]
+            walked = np.zeros((len(stored), r1 - r0, width))
+            buf = walked.reshape(-1, width)
             stop = node.copy()
             pair = np.arange(node.size)
             while pair.size:
@@ -943,6 +997,9 @@ def traverse(packed: PackedTrees, instances: Instances, width: int, move=None,
                 node = child
             if end is not None:
                 end(buf, stop)
+            stack = np.empty((t1 - t0 + 1, r1 - r0, width))
+            stack[0] = acc[r0:r1]
+            np.take(walked, of_tree.reshape(-1), axis=0, out=stack[1:])
             np.cumsum(stack, axis=0, out=stack)
             acc[r0:r1] = stack[-1]
     return acc

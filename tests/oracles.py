@@ -400,8 +400,34 @@ class NodeView:
         return self.feature is None
 
 
+def laid_out(packed):
+    """`packed` laid out tree by tree: every tree stored on its own, in
+    tree order, each its stored tree's nodes with child ids rebased, and
+    `tree_index` the identity.  Its `NODE_ARRAYS` and `offsets` are those
+    of a forest that stores each tree, distinct or not."""
+    from dataclasses import replace
+
+    from impshap.tree import LEAF, NODE_ARRAYS
+
+    index = packed.tree_index
+    if np.array_equal(index, np.arange(len(index))):
+        return packed
+    lo = packed.offsets[index]
+    sizes = packed.offsets[index + 1] - lo
+    offsets = np.zeros(len(index) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    shift = np.repeat(lo - offsets[:-1], sizes)  # old id - new id, per node
+    cols = {name: getattr(packed, name)[np.arange(offsets[-1]) + shift]
+            for name in NODE_ARRAYS}
+    kids = cols["children"]
+    cols["children"] = np.where(kids == LEAF, LEAF, kids - shift[:, None]).astype(np.int32)
+    return replace(packed, **cols, offsets=offsets,
+                   tree_index=np.arange(len(index), dtype=index.dtype))
+
+
 def tree_nodes(packed, index: int = 0) -> list:
     """Node views of tree `index` of a `PackedTrees`, by local id."""
+    packed = laid_out(packed)
     lo, hi = int(packed.offsets[index]), int(packed.offsets[index + 1])
     views = []
     for i in range(lo, hi):
@@ -428,6 +454,7 @@ def structure_keys(packed) -> list:
     """Per tree, a byte string of its split features, local child ids and
     thresholds: equal exactly when two trees split alike."""
     keys = []
+    packed = laid_out(packed)
     for lo, hi in zip(packed.offsets[:-1], packed.offsets[1:]):
         kids = packed.children[lo:hi]
         local = np.where(kids < 0, kids, kids - lo)
@@ -725,6 +752,7 @@ def grow_trees_recursive(dataset, k, impurity, keys, seed):
         np.array(mass_out),
         np.array(dist_out).reshape(-1, n_classes),
         np.array(offsets, dtype=np.int64),
+        np.arange(len(keys), dtype=np.int64),
         seed, k, impurity, n_rows, tuple(kinds), tuple(arities),
     )
 

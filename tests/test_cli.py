@@ -35,7 +35,7 @@ from impshap.data import (
 )
 from impshap.forest import build_forest
 
-from oracles import joint_table_by_rows
+from oracles import joint_table_by_rows, laid_out
 
 
 def run(capsys, argv):
@@ -360,8 +360,9 @@ def test_tree_past_the_recursion_limit_grows(capsys, tmp_path):
     assert abs(sum(scores) - 1.0) <= 1e-9
 
 
-# sha256 of the packed arrays (NODE_ARRAYS, then offsets) of the chain below,
-# taken when every node of a tree was grown one step at a time
+# sha256 of the packed arrays (NODE_ARRAYS, then offsets), laid out tree by
+# tree, of the chain below, taken when every node of a tree was grown one
+# step at a time
 DEEP_CHAIN_DIGEST = "ba1ec4a46fd83498cdc125925f0d56c50874b99e5d7e730b553a37b442a14731"
 
 
@@ -383,6 +384,7 @@ def test_settled_chain_grows_in_one_step():
         sys.setrecursionlimit(limit)
     assert steps.call_count == 1 and len(forest.feature) == 2 * n - 1
     digest = hashlib.sha256()
+    forest = laid_out(forest)
     for name in tree.NODE_ARRAYS + ("offsets",):
         digest.update(getattr(forest, name).tobytes())
     assert digest.hexdigest() == DEEP_CHAIN_DIGEST

@@ -43,6 +43,8 @@ def led_with_noise():
 
 
 def same_packed_arrays(a: PackedTrees, b: PackedTrees) -> bool:
+    """The same trees, in the same order, however each forest stores them."""
+    a, b = oracles.laid_out(a), oracles.laid_out(b)
     return all(np.array_equal(getattr(a, name), getattr(b, name),
                               equal_nan=name == "threshold")
                for name in NODE_ARRAYS + ("offsets",))
@@ -64,14 +66,17 @@ def test_build_forest_returns_the_packed_trees(led_ds):
 
 
 def test_tree_views_are_the_packed_slices(led_ds):
-    """`PackedTrees.trees` holds one view per tree; a view's ndarrays are
-    exactly its tree's slices of the packed node arrays, so that counting
-    nodes and array bytes over the views counts every packed node once."""
-    forest = build_forest(led_ds, k=2, n_trees=7, seed=4)
+    """`PackedTrees.trees` holds one view per tree, stored or not; a view's
+    ndarrays are exactly its stored tree's slices of the packed node
+    arrays, so that counting nodes and array bytes over the views counts
+    the nodes of every tree once, as if each tree were stored."""
+    forest = build_forest(led_ds, k=3, n_trees=40, seed=4)
+    assert forest.n_stored < forest.n_trees
     views = forest.trees
     assert len(views) == forest.n_trees
-    assert sum(v.n_nodes for v in views) == len(forest.feature)
-    for view, lo, hi in zip(views, forest.offsets[:-1], forest.offsets[1:]):
+    assert sum(v.n_nodes for v in views) == len(oracles.laid_out(forest).feature)
+    index = forest.tree_index
+    for view, lo, hi in zip(views, forest.offsets[index], forest.offsets[index + 1]):
         arrays = {k: a for k, a in vars(view).items() if isinstance(a, np.ndarray)}
         assert sorted(arrays) == sorted(NODE_ARRAYS)
         for name, a in arrays.items():
@@ -80,10 +85,28 @@ def test_tree_views_are_the_packed_slices(led_ds):
             assert np.array_equal(a, whole[lo:hi], equal_nan=True)
 
 
+def test_fortran_ordered_instances(led_ds):
+    """Instances are keyed by the bytes of their rows, copied in C order:
+    a transposed array, its C-ordered copy and a list of tuples score
+    alike."""
+    forest = build_forest(led_ds, k=2, n_trees=20, seed=1)
+    fortran = np.array(led_ds.data[:-1], dtype=float).T
+    assert not fortran.flags.c_contiguous
+    inputs = [fortran, np.ascontiguousarray(fortran),
+              [tuple(row) for row in fortran.tolist()]]
+    for measure in (local_mdi, saabas):
+        got = [measure(forest, x) for x in inputs]
+        for other in got[1:]:
+            assert np.array_equal(other.scores, got[0].scores)
+            assert other.classes == got[0].classes
+    proba = [predict_proba(forest, x) for x in inputs]
+    assert all(np.array_equal(p, proba[0]) for p in proba[1:])
+
+
 def test_table1_forest_reduces_to_single_tree():
     ds = builtin_dataset("table1-y1")
     forest = build_forest(ds, k=2, n_trees=25, seed=11)
-    assert len(set(oracles.structure_keys(forest))) == 1
+    assert len(set(oracles.structure_keys(forest))) == forest.n_stored == 1
     assert global_mdi(forest) == pytest.approx([0.091, 0.180], abs=5e-4)
     forest2 = build_forest(builtin_dataset("table1-y2"), k=2, n_trees=25, seed=11)
     assert global_mdi(forest2) == pytest.approx([0.243, 0.016], abs=5e-4)
@@ -318,7 +341,7 @@ def test_forest_validation(led_ds):
 def test_forest_size_is_checked_before_growth(led_ds, monkeypatch):
     """On the LED population the bound is exact: 19 nodes of 116 bytes per
     tree.  A forest one tree over the budget is refused before any grows."""
-    forest = build_forest(led_ds, k=1, n_trees=10, seed=0)
+    forest = oracles.laid_out(build_forest(led_ds, k=1, n_trees=10, seed=0))
     size = sum(getattr(forest, name).nbytes for name in NODE_ARRAYS)
     assert size == 10 * 19 * 116
     monkeypatch.setattr(tree_module, "GROWTH_BUDGET", size)

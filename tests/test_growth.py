@@ -24,7 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import GAMMA, draw_by_keys, grow_trees_recursive, splitmix64
+from oracles import (
+    GAMMA, draw_by_keys, grow_trees_recursive, laid_out, splitmix64, structure_keys,
+)
 
 from impshap import cli
 from impshap import tree as tree_module
@@ -78,9 +80,11 @@ def build(builder, ds, k, impurity, n_trees, seed):
 
 
 def assert_same_trees(got, want):
+    """The same trees in the same order, laid out tree by tree."""
     if isinstance(want, type):
         assert got is want
         return
+    got, want = laid_out(got), laid_out(want)
     for name in NODE_ARRAYS + ("offsets",):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
@@ -159,6 +163,68 @@ def test_every_k_on_a_shared_graph_matches_fresh_builds(seed, kinds, n_rows, n_c
             assert (least[live & (n_adm == 0)] == 0).all()
 
 
+def code_digits(p: int) -> int:
+    """Digits of base p + 1 that always fit in a CODE_BITS-bit code."""
+    fits = 0
+    while (p + 1) ** (fits + 1) <= 1 << tree_module.CODE_BITS:
+        fits += 1
+    return fits
+
+
+@PROPERTY
+@given(**dict(UNSWEPT, n_trees=st.integers(2, 30)))
+def test_each_distinct_tree_is_stored_once(seed, kinds, n_rows, n_classes, weighted,
+                                           n_trees, impurity):
+    """At every K the stored trees, laid out tree by tree, are the
+    recursive builder's.  Where no tree splits more often than digits fit
+    in a winner code, no two stored trees are alike, so each distinct tree
+    is stored once; at K = p no node draws, and one tree is stored."""
+    rng = np.random.default_rng(seed)
+    data = random_rows(rng, kinds, n_classes, n_rows)
+    weights = rng.choice(WEIGHTS, n_rows) if weighted else None
+    ds = Dataset(columns(kinds, n_classes), data, weights=weights)
+    p = len(kinds)
+    for k in range(1, p + 1):
+        got = build(grow, ds, k, impurity, n_trees, seed)
+        assert_same_trees(got, build(grow_trees_recursive, ds, k, impurity, n_trees, seed))
+        if isinstance(got, type):
+            return
+        flat = laid_out(got)
+        splits = np.add.reduceat(flat.feature >= 0, flat.offsets[:-1])
+        distinct = len(set(structure_keys(got)))
+        if splits.max() <= code_digits(p):
+            assert got.n_stored == distinct
+        assert distinct <= got.n_stored <= n_trees
+        assert got.n_stored == 1 or k < p
+
+
+# stored trees of 600-tree LED forests, seeds 0-2: 560-569, 228-238, 47-50,
+# 11-12, 4, 2 and 1 at K = 1..7
+LED_STORED_BOUNDS = {3: 50, 4: 12, 5: 4, 6: 2, 7: 1}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_led_forests_store_each_distinct_tree_once(seed):
+    forests = build_forests(led_population(), range(1, 8), 600, seed=seed)
+    for k, forest in zip(range(1, 8), forests):
+        assert forest.n_trees == 600
+        assert forest.n_stored == len(set(structure_keys(forest)))
+        assert forest.n_stored <= LED_STORED_BOUNDS.get(k, 600)
+
+
+def test_overflowing_codes_store_their_trees_alone(monkeypatch):
+    """With 6-bit codes two base-8 digits fit, so on LED a tree that draws
+    a third time is stored alone: more trees are stored at low K, trees
+    that draw at most twice still merge, and every K grows the same trees."""
+    want = list(build_forests(led_population(), range(1, 8), 200, seed=3))
+    monkeypatch.setattr(tree_module, "CODE_BITS", 6)
+    got = list(build_forests(led_population(), range(1, 8), 200, seed=3))
+    for a, b in zip(got, want):
+        assert_same_trees(a, b)
+        assert b.n_stored <= a.n_stored <= 200
+    assert got[2].n_stored > want[2].n_stored and got[6].n_stored == 1
+
+
 def wide_rows(seed, p, n_rows):
     """Rows of p binary features and two classes; the first two rows are all
     0 and all 1, of classes 0 and 1, so every feature is admissible at the
@@ -199,7 +265,7 @@ def test_size_bound_holds(seed, kinds, n_rows, n_classes, weighted, k, n_trees,
     trees = build(grow, ds, min(k, len(kinds)), impurity, n_trees, seed)
     if isinstance(trees, type):
         return
-    size = sum(getattr(trees, name).nbytes for name in NODE_ARRAYS)
+    size = sum(getattr(laid_out(trees), name).nbytes for name in NODE_ARRAYS)
     ctx.check_size(n_trees)
     with mock.patch.object(tree_module, "GROWTH_BUDGET", size - 1):
         with pytest.raises(TableTooLarge):
@@ -511,7 +577,8 @@ def test_sweep_grows_only_the_nodes_that_draw(capsys):
     with count_steps() as steps:
         forest = build_forest(led_population(), 7, 600, seed=11)
     assert steps.call_count == 1
-    assert (forest.feature.reshape(600, -1) == forest.feature[:19]).all()
+    assert forest.n_stored == 1 and len(forest.feature) == 19
+    assert (forest.tree_index == 0).all()
 
 
 def test_sweep_lays_out_each_state_once():

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    laid_out,
     local_mdi_by_walks,
     predict_proba_by_walks,
     saabas_by_walks,
@@ -25,7 +26,7 @@ from oracles import (
 )
 
 from impshap import tree as tree_module
-from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset
+from impshap.data import CATEGORICAL, NUMERIC, ColumnMeta, Dataset, led_sampled
 from impshap.errors import EmptyDataset, MissingFeatureValue, NoAdmissibleFeature
 from impshap.forest import build_forest, global_mdi, local_mdi, predict_proba, saabas
 from impshap.impurity import KINDS
@@ -107,6 +108,41 @@ def test_many_trees_per_chunk(grown, n):
     """At most 20 instances: all (at most 40) trees walk in one chunk."""
     forest, kinds = grown
     assert_matches_walks(forest, random_instances(forest.seed, kinds, n))
+
+
+def assert_scores_as_laid_out(forest, instances):
+    """Every measure of `forest` equals its value on the same trees laid
+    out one by one, bit for bit."""
+    flat = laid_out(forest)
+    for measure in (local_mdi, saabas):
+        got, want = measure(forest, instances), measure(flat, instances)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.inverse, want.inverse) and got.classes == want.classes
+    assert np.array_equal(predict_proba(forest, instances), predict_proba(flat, instances))
+    assert np.array_equal(mdi_by_tree(forest), mdi_by_tree(flat))
+    assert np.array_equal(global_mdi(forest), global_mdi(flat))
+
+
+@PROPERTY
+@given(grown=FORESTS, n=st.integers(1, 20), chunk=st.sampled_from([8, 64, CHUNK_PAIRS]))
+def test_stored_trees_score_as_laid_out(grown, n, chunk):
+    """Each stored tree is walked once per chunk and summed once, and its
+    rows are added for each of its trees in tree order: local MDI, Saabas,
+    class probabilities and MDI per tree are those of the laid-out forest,
+    for chunks of one tree or of many."""
+    forest, kinds = grown
+    with mock.patch.object(tree_module, "CHUNK_PAIRS", chunk):
+        assert_scores_as_laid_out(forest, random_instances(forest.seed, kinds, n))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_led_forests_score_as_laid_out(k):
+    """On 300 sampled LED rows, where trees repeat from K = 2 on."""
+    ds = led_sampled(300, seed=2)
+    forest = build_forest(ds, k=k, n_trees=60, seed=9)
+    assert forest.n_stored < forest.n_trees or k == 1
+    instances = np.column_stack(ds.data[:-1])
+    assert_scores_as_laid_out(forest, instances)
 
 
 @PROPERTY
