@@ -16,7 +16,7 @@ from math import log2, prod
 import numpy as np
 
 from .errors import TableTooLarge
-from .info_theory import MAX_CELLS, JointDistribution, check_feature_count
+from .info_theory import GUARD, MAX_CELLS, JointDistribution, check_feature_count
 
 ENTROPY = "entropy"
 GINI = "gini"
@@ -57,16 +57,19 @@ def _context_impurities(flat: np.ndarray, kind: str) -> tuple:
     ctx = flat[:, 0] + flat[:, 1] if n_y > 1 else flat[:, 0].copy()
     for y in range(2, n_y):
         ctx += flat[:, y]
-    den = ctx + (ctx == 0.0)  # 1 where P(b) = 0, as ctx >= 0
+    den = np.maximum(ctx, GUARD)
     cols = [flat[:, y] / den for y in range(n_y)]
     if kind == ENTROPY:
         def term(col):
-            arg = col + (col == 0.0)  # log2(1) = 0 where P(y | b) = 0
+            arg = np.maximum(col, GUARD)  # log2(GUARD) * 0 where P(y | b) = 0
             np.log2(arg, out=arg)
             arg *= col
             return arg
 
         per_ctx = _sum_fresh(term(col) for col in cols)
+        # zero conditionals give -0.0 terms; + 0.0 turns an all-zero sum
+        # to +0.0 and no other, so the signs are the row-wise formula's
+        per_ctx += 0.0
         np.negative(per_ctx, out=per_ctx)
     elif kind == GINI:
         per_ctx = 1.0 - _sum_fresh(col * col for col in cols)
@@ -245,7 +248,7 @@ def subset_lattice(j: JointDistribution, kind: str, instances=None) -> SubsetLat
             )
         rest = block.size // (len(order) * n_y)  # contexts of the later axes
         if l:
-            block = block.reshape(len(order), -1)[order]
+            block = block.reshape(len(order), -1).take(order, axis=0)
         ctx, cols, per_ctx = _context_impurities(block.reshape(-1, n_y), kind)
         masks = mask - removed @ np.array([1 << i for i in members[:l]], dtype=np.intp)
         # one BLAS dot per subset over its contiguous contexts, as

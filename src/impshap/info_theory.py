@@ -24,6 +24,10 @@ from .errors import (
 
 # Probabilities below this are treated as exact zeros (0*log 0 := 0).
 PROB_EPS = 1e-15
+# Floor for divisors and log arguments: max(x, GUARD) = x for every mass or
+# conditional of at least about PROB_EPS, and 0 / GUARD = 0.  The smallest
+# normal double, as denormals-are-zero would read a subnormal as 0.
+GUARD = np.finfo(np.float64).tiny
 # A table summing to within SUM_TOL of 1 is kept as given; one off by up to
 # RENORMALIZE_TOL (say, probabilities written to 6 significant digits) is
 # divided by its sum; anything further off is refused.

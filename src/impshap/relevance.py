@@ -18,6 +18,7 @@ import numpy as np
 
 from .impurity import ENTROPY, SubsetLattice, subset_lattice
 from .info_theory import (
+    GUARD,
     JointDistribution,
     check_feature_count,
     mask_members,
@@ -123,11 +124,11 @@ def _screen(j: JointDistribution, m: int) -> list | None:
     cols = [[flat[:, x, y] for y in range(n_y)] for x in range(a_m)]
     p_xm = [sum(row[1:], row[0]) for row in cols]
     p_ctx = sum(p_xm[1:], p_xm[0])
-    den = p_ctx + (p_ctx == 0.0)
+    den = np.maximum(p_ctx, GUARD)
     base = [sum((row[y] for row in cols[1:]), cols[0][y]) / den for y in range(n_y)]
     flag = np.zeros(len(subset), dtype=bool)
     for row, mass in zip(cols, p_xm):
-        den = mass + (mass == 0.0)
+        den = np.maximum(mass, GUARD)
         dev = np.abs(row[0] / den - base[0])
         for y in range(1, n_y):
             np.maximum(dev, np.abs(row[y] / den - base[y]), out=dev)

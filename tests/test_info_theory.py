@@ -9,14 +9,17 @@ from oracles import dataset_row, h_binary, table_cond_entropy, table_entropy
 from impshap.errors import (
     EmptyDataset,
     ImpshapError,
+    InternalConsistencyError,
     TableTooLarge,
     UnnormalizedTable,
     ZeroProbabilityContext,
 )
 from impshap.impurity import subset_lattice
 from impshap.info_theory import (
+    PROB_EPS,
     JointDistribution,
     as_mask,
+    clamp_mi,
     extension_pairs,
     joint_from_samples,
     mask_members,
@@ -223,6 +226,32 @@ def test_normalisation_tolerance():
     for beyond in (2e-6, -2e-6):
         with pytest.raises(UnnormalizedTable, match="expected 1 within 1e-06"):
             JointDistribution((2, 2), [0.5, 0.0, 0.0, 0.5 + beyond])
+
+
+def test_tiny_cells_are_flushed():
+    """A cell below PROB_EPS reads as 0.0 and one of exactly PROB_EPS is
+    kept, so every positive mass is far above the smallest normal double,
+    the zero guard of the lattice and the relevance screen."""
+    table = JointDistribution((2, 2), [0.5, 5e-16, 0.0, 0.5 - 5e-16]).table
+    assert table.reshape(-1).tolist() == [0.5, 0.0, 0.0, 0.4999999999999995]
+    table = JointDistribution((2, 2), [0.5, PROB_EPS, 0.0, 0.5 - PROB_EPS]).table
+    assert table[0, 1] == PROB_EPS
+    assert PROB_EPS >= np.finfo(float).tiny
+
+
+def test_mi_clamp():
+    """Negative MI within CLAMP_TOL of zero is rounding noise and reads
+    0.0; positive values pass unchanged; anything lower is an error that
+    names the quantity."""
+    values = np.array([-9.9e-11, -1e-300, 0.0, 1e-300, 0.25])
+    assert clamp_mi(values, "mi").tolist() == [0.0, 0.0, 0.0, 1e-300, 0.25]
+    assert clamp_mi(-5e-11, "mi") == 0.0
+    for beyond in (-1e-10, -0.5):
+        with pytest.raises(InternalConsistencyError) as err:
+            clamp_mi(np.array([0.1, beyond]), "mutual information")
+        assert str(err.value) == (
+            f"mutual information = {beyond!r} is negative beyond tolerance"
+        )
 
 
 def test_table_errors_are_impshap_errors():
